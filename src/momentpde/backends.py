@@ -103,9 +103,6 @@ class RationalBackend:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def power(self, base: Fraction, exponent) -> Fraction:
-        return exact_pow(Fraction(base), parse_rational(exponent))
-
     def gamma(self, x) -> Fraction:
         x = parse_rational(x)
         if x.denominator != 1 or x < 1:
@@ -113,15 +110,6 @@ class RationalBackend:
                 f"gamma({x}) is not rational; use the bigfloat backend"
             )
         return Fraction(math.factorial(int(x) - 1))
-
-    def abs(self, value: Fraction) -> Fraction:
-        return abs(value)
-
-    def to_float(self, value) -> float:
-        return float(value)
-
-    def is_zero(self, value) -> bool:
-        return value == 0
 
     def check_finite(self, value: Fraction) -> Fraction:
         return value
@@ -181,15 +169,6 @@ class BigFloatBackend:
 
     def gamma(self, x):
         return self.check_finite(self.ctx.gamma(self.scalar(x)))
-
-    def abs(self, value):
-        return self.ctx.fabs(value)
-
-    def to_float(self, value) -> float:
-        return float(value)
-
-    def is_zero(self, value) -> bool:
-        return value == 0
 
     def check_finite(self, value):
         if not self.ctx.isfinite(value):

@@ -2,7 +2,8 @@
 
 Commands: solve | polygon | estimate | check | svg.  All output is
 deterministic JSON (or SVG 1.1 for the drawing); exit code 0 means success
-or a PASS verdict, 1 a FAIL verdict, 2 a usage, parse, or validation error.
+or a PASS verdict, 1 a FAIL verdict, 2 a usage, parse, or validation error
+or a non-zero exact residual.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .backends import BackendError, PrecisionError
 from .estimator import FitError, verify_theorem
 from .nagumo import ParameterError, lemma_battery
-from .pde import ValidationError, validate
+from .pde import ValidationError
 from .polygon import GeometryError, as_dict as polygon_as_dict, build, export_geometry
 from .problem_io import (
     ProblemFormatError,
@@ -156,7 +157,7 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.problem, _overrides(args))
     solution = solve(problem)
     payload = solution_to_dict(problem, solution)
-    payload["validation"] = validate(problem).as_dict()
+    payload["validation"] = solution.validation.as_dict()
     _emit(payload, args.out)
     return 0
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .backends import log_scalar, parse_rational
-from .nagumo import NormResult, nagumo_profile
+from .nagumo import ParameterError, nagumo_profile
 from .pde import CauchyProblem, MomentPDE
 from .polygon import k1_inverse
 from .solver import FormalSolution
@@ -43,10 +43,11 @@ def default_window(n_max: int) -> tuple[int, int]:
     return (math.ceil(n_max / 2), n_max)
 
 
-def _norm_value(v):
-    if isinstance(v, NormResult):
-        return v.value
-    return v
+def _positive(name: str, value) -> Fraction:
+    value = parse_rational(value)
+    if not value > 0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    return value
 
 
 def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
@@ -63,7 +64,7 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
     rows = []
     logs = []
     for n in range(lo, hi + 1):
-        value = _norm_value(norms[n])
+        value = norms[n]
         if value is None or not value > 0:
             continue
         if isinstance(value, float) and not math.isfinite(value):
@@ -167,16 +168,16 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
 
     a0 = None
     if mode == "nagumo_profile":
-        r = parse_rational(r if r is not None
-                           else (est.r if est.r is not None else Fraction(1, 2)))
+        r = _positive("r", r if r is not None
+                      else (est.r if est.r is not None else Fraction(1, 2)))
         a0 = alpha0(problem.pde)
         values = nagumo_profile(solution, a0, r, problem.pde.s)
         lower = any(v.lower_bound for v in values)
         norms = [v.value for v in values]
     else:
-        rho = parse_rational(rho if rho is not None
-                             else (est.rho if est.rho is not None
-                                   else Fraction(1, 4)))
+        rho = _positive("rho", rho if rho is not None
+                        else (est.rho if est.rho is not None
+                              else Fraction(1, 4)))
         norms = [
             solution.coefficient(n).ell1_norm(rho)
             for n in range(solution.valid_t_order + 1)
@@ -196,7 +197,7 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
             f"window [{lo}, {hi}] empty after clamping to the trusted range"
         )
 
-    if all(not _norm_value(norms[n]) > 0 for n in range(lo, hi + 1)):
+    if all(not norms[n] > 0 for n in range(lo, hi + 1)):
         # all-zero tail: a polynomial (convergent) solution
         fit = None
         s_hat = 0.0

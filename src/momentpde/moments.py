@@ -8,14 +8,12 @@ both the generalized derivatives (factorials give the classical one,
 Γ(1+sn) the Caputo-type fractional one, [n]_q! the q-difference one) and
 the growth bookkeeping of the solver.
 
-Sequences are immutable after construction; value/ratio memoization is
-lock-protected so concurrent reads are safe.
+Sequences are immutable after construction; values and ratios are memoized.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .backends import (
@@ -56,7 +54,6 @@ class MomentSequence:
         self.backend = backend
         self._values: list = []
         self._ratios: dict[int, object] = {}
-        self._lock = threading.RLock()
 
     # -- kind-specific hooks ------------------------------------------------
 
@@ -82,33 +79,28 @@ class MomentSequence:
         """m(n).  Memoized; m(0) = 1 by construction."""
         if n < 0:
             raise SequenceError(f"sequence index must be >= 0, got {n}")
-        if not self.feasible_in_backend():
+        values = self._values
+        if n >= len(values) and not self.feasible_in_backend():
             raise BackendError(
                 f"{self.kind} sequence is not rational-valued; "
                 "solve with the bigfloat backend"
             )
-        with self._lock:
-            while len(self._values) <= n:
-                k = len(self._values)
-                v = self.backend.one() if k == 0 else self._compute_value(k)
-                if hasattr(self.backend, "check_finite"):
-                    v = self.backend.check_finite(v)
-                if not v > 0:
-                    raise SequenceError(f"{self.kind}: m({k}) = {v} is not positive")
-                self._values.append(v)
-            return self._values[n]
+        while len(values) <= n:
+            k = len(values)
+            v = self.backend.one() if k == 0 else self._compute_value(k)
+            v = self.backend.check_finite(v)
+            if not v > 0:
+                raise SequenceError(f"{self.kind}: m({k}) = {v} is not positive")
+            values.append(v)
+        return values[n]
 
     def ratio(self, n: int):
         """m(n+1)/m(n).  Memoized; consistent with value() by construction."""
         if n < 0:
             raise SequenceError(f"sequence index must be >= 0, got {n}")
-        with self._lock:
-            cached = self._ratios.get(n)
-        if cached is not None:
-            return cached
-        r = self._compute_ratio(n)
-        with self._lock:
-            self._ratios[n] = r
+        r = self._ratios.get(n)
+        if r is None:
+            r = self._ratios[n] = self._compute_ratio(n)
         return r
 
     def regularity_constants(self, n_max: int):
@@ -330,9 +322,6 @@ class TableSequence(MomentSequence):
             )
         v = self._raw[n]
         return v if self.backend.exact else self.backend.scalar(v)
-
-    def _compute_ratio(self, n: int):
-        return self.value(n + 1) / self.value(n)
 
     def spec(self) -> dict:
         return {

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
+
 from .backends import log_scalar, parse_rational
 from .moments import FactorialPower, MomentSequence, QFactorial
 from .series import Exponents, PolySeries, total_degree
@@ -37,13 +39,7 @@ class ParameterError(ValueError):
 
 
 def _as_fraction_vector(s) -> tuple[Fraction, ...]:
-    out = []
-    for v in s:
-        if isinstance(v, float):
-            out.append(Fraction(v))
-        else:
-            out.append(parse_rational(v))
-    return tuple(out)
+    return tuple(parse_rational(v) for v in s)
 
 
 @dataclass(frozen=True)
@@ -85,9 +81,6 @@ class NormResult:
     value: object
     lower_bound: bool
     exact: bool
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def theta_coeff(s, a: int, n: int):
@@ -178,8 +171,9 @@ def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
             best_log = cand
     if best_log is None:
         return NormResult(0.0, lower, False)
-    return NormResult(math.exp(best_log) if best_log < 700 else math.inf,
-                      lower, False)
+    # past the double range the value stays a finite mpf
+    return NormResult(math.exp(best_log) if best_log < 700
+                      else mpmath.exp(best_log), lower, False)
 
 
 def _require_exact_input(*series: PolySeries):
@@ -437,6 +431,8 @@ def lemma_battery(seed: int = 7, instances: int = 1000,
     The battery is deterministic for a fixed seed; the report is the JSON
     payload of the `check` command.
     """
+    if instances < 1:
+        raise ParameterError(f"instances must be >= 1, got {instances}")
     report: dict = {"seed": seed, "instances": instances}
 
     vd_failures = []

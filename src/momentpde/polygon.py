@@ -170,7 +170,7 @@ def export_geometry(polygon: NewtonPolygon, clip: tuple) -> dict:
     horizontal ray, through the hull vertices, then up the final vertical
     ray.  Every support point also gets its own clipped quadrant outline.
     """
-    x0, y0, x1, y1 = (Fraction(parse_frac(c)) for c in clip)
+    x0, y0, x1, y1 = (Fraction(str(c)) for c in clip)
     if not (x0 < x1 and y0 < y1):
         raise GeometryError(f"degenerate clip box {clip}")
     for sp in polygon.support_points:
@@ -208,14 +208,6 @@ def export_geometry(polygon: NewtonPolygon, clip: tuple) -> dict:
         ],
         "quadrants": quadrants,
     }
-
-
-def parse_frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**9)
-    return Fraction(str(value))
 
 
 def _fmt_point(p: Point) -> dict:

@@ -8,6 +8,12 @@ polynomial); a finite entry marks a truncation of infinite data.  Truncation
 arithmetic is conservative: sums and products keep the componentwise minimum
 validity, a generalized derivative in variable j lowers valid_j by one.
 
+Every PolySeries keeps one invariant: no stored value is zero, and every
+stored key lies inside `valid`.  The constructor enforces it on data from
+outside (problem files, generators, tests); the arithmetic kernels build
+their results through a trusted constructor and keep it by filtering only
+where their result can break it.
+
 Operations are pure; values are treated as immutable after construction.
 Iteration over coefficients is in sorted exponent order so that big-float
 summations are reproducible bit-for-bit.
@@ -95,6 +101,15 @@ class PolySeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, num_vars: int, coeffs: dict, valid: Validity) -> "PolySeries":
+        """Wrap kernel output that already keeps the class invariant."""
+        out = object.__new__(cls)
+        out.num_vars = num_vars
+        out.coeffs = coeffs
+        out.valid = valid
+        return out
+
+    @classmethod
     def zero(cls, num_vars: int, valid=None) -> "PolySeries":
         return cls(num_vars, {}, valid)
 
@@ -135,11 +150,6 @@ class PolySeries:
             return -1
         return max(e[axis] for e in self.coeffs)
 
-    def max_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(max(e) for e in self.coeffs)
-
     def __eq__(self, other) -> bool:
         """Coefficient-wise equality on the common valid region."""
         if not isinstance(other, PolySeries):
@@ -172,11 +182,20 @@ class PolySeries:
         self._check_same_vars(other)
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            out[key] = out.get(key, 0) + value
-        return PolySeries(self.num_vars, out, min_validity(self.valid, other.valid))
+            if key in out:
+                value = out[key] + value
+                if value == 0:
+                    del out[key]
+                    continue
+            out[key] = value
+        valid = self.valid
+        if other.valid != valid:
+            valid = min_validity(valid, other.valid)
+            out = {k: v for k, v in out.items() if _within(k, valid)}
+        return PolySeries._trusted(self.num_vars, out, valid)
 
     def neg(self) -> "PolySeries":
-        return PolySeries(
+        return PolySeries._trusted(
             self.num_vars, {k: -v for k, v in self.coeffs.items()}, self.valid
         )
 
@@ -185,8 +204,8 @@ class PolySeries:
 
     def scale(self, factor) -> "PolySeries":
         if factor == 0:
-            return PolySeries.zero(self.num_vars, self.valid)
-        return PolySeries(
+            return PolySeries._trusted(self.num_vars, {}, self.valid)
+        return PolySeries._trusted(
             self.num_vars,
             {k: v * factor for k, v in self.coeffs.items()},
             self.valid,
@@ -197,8 +216,9 @@ class PolySeries:
         self._check_same_vars(other)
         valid = min_validity(self.valid, other.valid)
         out: dict[Exponents, object] = {}
+        right = sorted(other.coeffs.items())
         for ea, va in sorted(self.coeffs.items()):
-            for eb, vb in sorted(other.coeffs.items()):
+            for eb, vb in right:
                 key = add_exponents(ea, eb)
                 if not _within(key, valid):
                     continue
@@ -206,7 +226,8 @@ class PolySeries:
                     out[key] = out[key] + va * vb
                 else:
                     out[key] = va * vb
-        return PolySeries(self.num_vars, out, valid)
+        out = {k: v for k, v in out.items() if v != 0}
+        return PolySeries._trusted(self.num_vars, out, valid)
 
     __add__ = add
     __sub__ = sub
@@ -234,7 +255,7 @@ class PolySeries:
         valid = list(self.valid)
         if valid[axis] is not None:
             valid[axis] -= 1
-        return PolySeries(self.num_vars, out, valid)
+        return PolySeries._trusted(self.num_vars, out, tuple(valid))
 
     def moment_derive_multi(self, orders: Exponents,
                             seqs: Iterable[MomentSequence]) -> "PolySeries":
@@ -379,9 +400,6 @@ class TimeSeries:
             "series is identically zero up to truncation; term must be dropped"
         )
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
     def add(self, other: "TimeSeries") -> "TimeSeries":
         if self.num_vars != other.num_vars:
             raise DimensionMismatch("variable count mismatch")
@@ -395,21 +413,6 @@ class TimeSeries:
             self.coefficient(n).add(other.coefficient(n)) for n in range(hi + 1)
         ]
         return TimeSeries(out, self.tail_exact and other.tail_exact)
-
-    def scale(self, factor) -> "TimeSeries":
-        return TimeSeries([e.scale(factor) for e in self.entries], self.tail_exact)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        hi = min(self.t_order, other.t_order)
-        if self.tail_exact and other.tail_exact:
-            hi = max(self.t_order, other.t_order)
-        return all(
-            self.coefficient(n) == other.coefficient(n) for n in range(hi + 1)
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (

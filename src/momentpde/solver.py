@@ -14,20 +14,21 @@ whenever n - p - j < 0.  Since q >= 1 for every validated term, the
 recurrence only consumes earlier u's.
 
 The residual check re-applies the operator through an independent code path
-(convolution in pde.apply) and must vanish identically in exact mode.
+(convolution in pde.apply) and must vanish identically in exact mode; a
+non-zero exact residual raises SolveError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .pde import CauchyProblem, ValidationError, validate
+from .pde import CauchyProblem, ValidationError, ValidationReport, validate
 from .series import Exponents, PolySeries, TimeSeries
 
 
 class SolveError(ValueError):
-    """Inconsistent truncation or initial data discovered while solving."""
+    """Inconsistent initial data or a non-zero exact residual found while solving."""
 
 
 @dataclass
@@ -36,8 +37,8 @@ class FormalSolution:
     q_table: dict[tuple, int]
     valid_t_order: int
     provenance: dict
+    validation: ValidationReport
     residual_max: Optional[object] = None
-    validity: list[tuple] = field(default_factory=list)
 
     def coefficient(self, n: int) -> PolySeries:
         return self.coefficients.coefficient(n)
@@ -67,7 +68,8 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
     When initial data is a truncated expansion, validity degrees shrink as
     derivatives spend them; once a coefficient runs out of trusted degrees
     the solution is marked partially valid (never an error) and later
-    entries stay flagged.
+    entries stay flagged.  In exact mode a non-zero residual raises
+    SolveError.
     """
     report = validate(problem)
     if not report.passed:
@@ -125,10 +127,15 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
             "z_caps": list(problem.z_caps),
             **problem.backend.describe(),
         },
-        validity=[entry.valid for entry in u],
+        validation=report,
     )
     if compute_residual:
         solution.residual_max = residual(problem, solution)
+        if problem.backend.exact and solution.residual_max != 0:
+            raise SolveError(
+                f"exact residual is {solution.residual_max}, not 0: the "
+                "recurrence and the operator disagree"
+            )
     return solution
 
 
@@ -169,25 +176,3 @@ def residual(problem: CauchyProblem, solution: FormalSolution):
         if value > worst:
             worst = value
     return worst
-
-
-def linear_combination_solution(problem_a: CauchyProblem,
-                                problem_b: CauchyProblem) -> CauchyProblem:
-    """The superposed problem (f_a + f_b, phi_a + phi_b) over the same operator.
-
-    Solving it must agree coefficient-wise with the sum of the separate
-    solutions; used by the linearity tests.
-    """
-    if problem_a.pde is not problem_b.pde:
-        raise SolveError("superposition needs a shared operator")
-    return CauchyProblem(
-        pde=problem_a.pde,
-        rhs=problem_a.rhs.add(problem_b.rhs),
-        initial=[
-            pa.add(pb) for pa, pb in zip(problem_a.initial, problem_b.initial)
-        ],
-        t_order=min(problem_a.t_order, problem_b.t_order),
-        z_caps=problem_a.z_caps,
-        backend=problem_a.backend,
-        estimation=problem_a.estimation,
-    )

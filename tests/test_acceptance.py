@@ -30,7 +30,8 @@ from momentpde import (
     solve,
     verify_theorem,
 )
-from momentpde.solver import linear_combination_solution
+
+from helpers import linear_combination_solution
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
+from momentpde import MomentPDE, PolySeries, TimeSeries
 from momentpde.cli import main
 
 PROBLEMS = Path(__file__).parent / "problems"
@@ -105,6 +107,45 @@ def test_validation_failure_exit_two(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "ValidationError"
     assert any(not c["passed"] for c in payload["report"]["checks"])
+
+
+def test_nonpositive_rho_exit_two(capsys, tmp_path):
+    code, _, err = run(capsys, "estimate", PROBLEMS / "heat.json", "--rho", "0")
+    assert code == 2
+    assert json.loads(err)["error"] == "ParameterError"
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc["estimation"]["rho"] = "0"
+    path = tmp_path / "rho0.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "estimate", path)
+    assert code == 2
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_negative_instances_exit_two(capsys):
+    code, out, err = run(capsys, "check", "--instances", "-5")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):
+    apply = MomentPDE.apply
+
+    def perturbed(self, u):
+        out = apply(self, u)
+        one = PolySeries.constant(out.num_vars, Fraction(1))
+        entries = (out.entries[0].add(one),) + out.entries[1:]
+        return TimeSeries(entries, out.tail_exact)
+
+    monkeypatch.setattr(MomentPDE, "apply", perturbed)
+    code, out, err = run(capsys, "solve", PROBLEMS / "heat.json",
+                         "--t-order", "6", "--z-degree", "20")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SolveError"
+    assert "residual" in payload["message"]
 
 
 def test_byte_identical_reruns(capsys):

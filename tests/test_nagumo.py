@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentpde import (
+    BigFloatBackend,
     FactorialPower,
     NagumoParams,
     ParameterError,
@@ -25,6 +26,7 @@ from momentpde import (
     nagumo_norm,
     theta_coeff,
 )
+from momentpde.backends import log_scalar
 from momentpde.nagumo import random_polynomial
 
 F = Fraction
@@ -99,6 +101,17 @@ def test_norm_fractional_s_close_to_exact():
         for (g,), c in f.coeffs.items()
     )
     assert abs(got - expect) < 1e-12 * expect
+
+
+def test_norm_float_path_stays_finite_past_double_range():
+    # the mpf coefficient goes through the log path; its norm is ~1e400/4,
+    # far above the largest double
+    ctx = BigFloatBackend(128).ctx
+    f = PolySeries(1, {(1,): ctx.mpf("1e400")})
+    res = nagumo_norm(f, params((1,), F(1, 2), (1,)))
+    assert not res.exact
+    assert res.value != math.inf
+    assert abs(log_scalar(res.value) - (400 * math.log(10) - 2 * math.log(2))) < 1e-9
 
 
 def test_mixed_multi_index_rejected():

@@ -18,6 +18,7 @@ from momentpde import (
     exponential_series,
     geometric_series,
 )
+from momentpde.series import min_validity
 
 F = Fraction
 
@@ -36,6 +37,20 @@ def sparse_polys(draw, num_vars=2, max_degree=5, max_terms=6):
         )
         coeffs[exps] = F(draw(st.integers(-8, 8)), draw(st.integers(1, 5)))
     return PolySeries(num_vars, coeffs)
+
+
+@st.composite
+def truncated_polys(draw, num_vars=2):
+    """Small supports and values, so sums and products often cancel."""
+    valid = tuple(
+        draw(st.one_of(st.none(), st.integers(0, 3))) for _ in range(num_vars)
+    )
+    coeffs = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * num_vars),
+        st.sampled_from([F(-2), F(-1), F(1), F(2)]),
+        max_size=8,
+    ))
+    return PolySeries(num_vars, coeffs, valid)
 
 
 def brute_convolution(f: PolySeries, g: PolySeries) -> dict:
@@ -105,6 +120,32 @@ def test_ring_axioms(f, g, h):
     assert (f * g).coeffs == (g * f).coeffs
     assert ((f * g) * h).coeffs == (f * (g * h)).coeffs
     assert (f * (g + h)).coeffs == ((f * g) + (f * h)).coeffs
+
+
+@given(f=truncated_polys(), g=truncated_polys(),
+       c=st.sampled_from([F(0), F(-1), F(3, 2)]), axis=st.integers(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_kernels_keep_the_invariant(f, g, c, axis):
+    total, product = f.add(g), f.multiply(g)
+    results = [
+        total, f.sub(g), f.add(f.neg()), f.neg(), f.scale(c),
+        product, product.sub(g.multiply(f)),
+        f.moment_derive(axis, QFactorial(F(1, 2))),
+    ]
+    for out in results:
+        assert all(v != 0 for v in out.coeffs.values())
+        assert all(
+            v is None or e <= v
+            for key in out.coeffs for e, v in zip(key, out.valid)
+        )
+        rebuilt = PolySeries(out.num_vars, out.coeffs, out.valid)
+        assert (rebuilt.coeffs, rebuilt.valid) == (out.coeffs, out.valid)
+    # the sum and the product agree with the same data through the constructor
+    valid = min_validity(f.valid, g.valid)
+    sums = {k: f.coefficient(k) + g.coefficient(k)
+            for k in set(f.coeffs) | set(g.coeffs)}
+    assert total.coeffs == PolySeries(2, sums, valid).coeffs
+    assert product.coeffs == PolySeries(2, brute_convolution(f, g), valid).coeffs
 
 
 def test_moment_derive_classical():

@@ -24,7 +24,8 @@ from momentpde import (
     residual,
     solve,
 )
-from momentpde.solver import linear_combination_solution
+
+from helpers import linear_combination_solution
 
 F = Fraction
 
