@@ -153,13 +153,26 @@ def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
                 break
 
     if exact:
+        # Rank by the double-precision log first and build exact values only
+        # for candidates whose log lies within 1e-6 (relative) of the top;
+        # the rounding of the logs is far below that margin, so the exact
+        # maximum is among them.
+        support = f.support()
+        logs = [
+            _log_candidate(f.coeffs[e], e, params.alpha, params.r, params.s)
+            for e in support
+        ]
         best = Fraction(0)
-        for exponents in f.support():
-            cand = _exact_candidate(
-                f.coeffs[exponents], exponents, params.alpha, params.r, params.s
-            )
-            if cand > best:
-                best = cand
+        if logs:
+            top = max(logs)
+            cut = top - 1e-6 * max(1.0, abs(top))
+            for exponents, lw in zip(support, logs):
+                if lw < cut:
+                    continue
+                cand = _exact_candidate(f.coeffs[exponents], exponents,
+                                        params.alpha, params.r, params.s)
+                if cand > best:
+                    best = cand
         return NormResult(best, lower, True)
 
     best_log = None

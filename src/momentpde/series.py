@@ -203,6 +203,8 @@ class PolySeries:
         return self.add(other.neg())
 
     def scale(self, factor) -> "PolySeries":
+        if factor == 1:
+            return self  # values are immutable; v * 1 == v in both backends
         if factor == 0:
             return PolySeries._trusted(self.num_vars, {}, self.valid)
         return PolySeries._trusted(

@@ -13,18 +13,49 @@ of t^(M-j) a_{j,alpha}, q = ord_t(a) - j + M, and a summand is dropped
 whenever n - p - j < 0.  Since q >= 1 for every validated term, the
 recurrence only consumes earlier u's.
 
+In exact mode the recurrence runs on the moment-normalised coefficients
+w_n(gamma) = m0(n) * m(gamma) * u_n(gamma), with m(gamma) the product of the
+z-sequences m_i(gamma_i) over the axes some term differentiates (the other
+axes keep weight 1).  A moment derivative is a plain index shift on w, so
+the step becomes
+
+    w_n(gamma) = m0(n-M) * m(gamma) * f_n(gamma)
+                 - sum over terms, p and the exponents beta of a_p of
+                   a_{p,beta} * [m0(n-M)/m0(n-p-j)] * [m(gamma)/m(gamma-beta)]
+                   * w_{n-p}(gamma - beta + alpha),
+
+with w_j = m(gamma) * phi_j for j < M.  Each w_n is held as int numerators
+over one int denominator and reduced by one gcd per step; the rational
+factors are shared by a whole (term, p, beta) part, so the work per
+coefficient is integer arithmetic.  A part is trusted up to the componentwise
+minimum of valid(a_p) and valid(w_{n-p}) - alpha, as in the u-basis kernels,
+and u_n = w_n / (m0(n) m(gamma)) is formed once, as reduced Fractions, for
+the output, the norms and the residual.  The big-float backend keeps the
+u-basis loop: its rounding after every kernel is part of its recorded
+output, and the normalised weights would round differently.
+
 The residual check re-applies the operator through an independent code path
-(convolution in pde.apply) and must vanish identically in exact mode; a
-non-zero exact residual raises SolveError.
+(convolution in pde.apply, in the u basis) and must vanish identically in
+exact mode; a non-zero exact residual raises SolveError.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
+from .moments import MomentSequence
 from .pde import CauchyProblem, ValidationError, ValidationReport, validate
-from .series import Exponents, PolySeries, TimeSeries
+from .series import (
+    Exponents,
+    PolySeries,
+    TimeSeries,
+    Validity,
+    min_validity,
+)
 
 
 class SolveError(ValueError):
@@ -75,38 +106,11 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
     if not report.passed:
         raise ValidationError(report)
     pde = problem.pde
-    m0 = pde.m0
-    M = pde.M
     nmax = problem.t_order
-
-    u: list[PolySeries] = []
-    for j in range(M):
-        u.append(problem.initial[j].scale(1 / m0.value(j)))
-
-    derived: dict[tuple[int, Exponents], PolySeries] = {}
-
-    def dz(i: int, alpha: Exponents) -> PolySeries:
-        key = (i, alpha)
-        if key not in derived:
-            derived[key] = pde.derive_z(u[i], alpha)
-        return derived[key]
-
-    for n in range(M, nmax + 1):
-        acc = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
-        for term in pde.terms:
-            j = term.t_derivative
-            alpha = term.z_derivatives
-            q = term.q(M)
-            for p in range(q, n + 1):
-                if n - p - j < 0:
-                    continue  # the weight m0(n-p)/m0(n-p-j) disappears
-                a_p = term.coeff.coefficient(p - M + j)
-                if a_p.is_zero():
-                    continue
-                weight = m0.value(n - p) / m0.value(n - p - j)
-                part = a_p.multiply(dz(n - p, alpha)).scale(weight)
-                acc = acc.sub(part)
-        u.append(acc.scale(m0.value(n - M) / m0.value(n)))
+    if problem.backend.exact:
+        u = _normalised_recurrence(problem)
+    else:
+        u = _recurrence(problem)
 
     coefficients = TimeSeries(u, tail_exact=False)
 
@@ -137,6 +141,189 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
                 "recurrence and the operator disagree"
             )
     return solution
+
+
+def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
+    """The recurrence on the plain coefficients u_n, through the series kernels."""
+    pde = problem.pde
+    m0 = pde.m0
+    M = pde.M
+
+    u: list[PolySeries] = []
+    for j in range(M):
+        u.append(problem.initial[j].scale(1 / m0.value(j)))
+
+    derived: dict[tuple[int, Exponents], PolySeries] = {}
+
+    def dz(i: int, alpha: Exponents) -> PolySeries:
+        key = (i, alpha)
+        if key not in derived:
+            derived[key] = pde.derive_z(u[i], alpha)
+        return derived[key]
+
+    for n in range(M, problem.t_order + 1):
+        acc = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
+        for term in pde.terms:
+            j = term.t_derivative
+            alpha = term.z_derivatives
+            for p in range(term.q(M), n - j + 1):
+                # p > n - j would need m0(n-p-j) at a negative index
+                a_p = term.coeff.coefficient(p - M + j)
+                if a_p.is_zero():
+                    continue
+                weight = m0.value(n - p) / m0.value(n - p - j)
+                part = a_p.multiply(dz(n - p, alpha)).scale(weight)
+                acc = acc.sub(part)
+        u.append(acc.scale(m0.value(n - M) / m0.value(n)))
+    return u
+
+
+class _ZWeights:
+    """m(gamma) = prod of m_i(gamma_i), and m(low + beta)/m(low) as a pair
+    of ints, memoised.  An axis given None has weight 1."""
+
+    def __init__(self, seqs: tuple[Optional[MomentSequence], ...]):
+        self.seqs = seqs
+        self._values: dict[Exponents, Fraction] = {}
+        self._shifts: dict[tuple[Exponents, Exponents], tuple[int, int]] = {}
+
+    def value(self, gamma: Exponents) -> Fraction:
+        v = self._values.get(gamma)
+        if v is None:
+            v = Fraction(1)
+            for seq, g in zip(self.seqs, gamma):
+                if seq is not None:
+                    v *= seq.value(g)
+            self._values[gamma] = v
+        return v
+
+    def shift(self, low: Exponents, beta: Exponents) -> tuple[int, int]:
+        key = (low, beta)
+        pair = self._shifts.get(key)
+        if pair is None:
+            r = Fraction(1)
+            for seq, g, b in zip(self.seqs, low, beta):
+                if seq is not None:
+                    for k in range(g, g + b):
+                        r *= seq.ratio(k)
+            pair = self._shifts[key] = (r.numerator, r.denominator)
+        return pair
+
+
+def _over_common_denominator(values: dict) -> tuple[dict, int]:
+    """Rationals as (int numerators, their least common denominator)."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in values.items()}, den
+
+
+def _lowered(valid: Validity, alpha: Exponents) -> Validity:
+    """valid(D_z^alpha f) from valid(f)."""
+    return tuple(None if v is None else v - a for v, a in zip(valid, alpha))
+
+
+def _normalised_recurrence(problem: CauchyProblem) -> list[PolySeries]:
+    """The exact recurrence on w_n = m0(n) m(gamma) u_n (module docstring),
+    returned as the plain coefficients u_n."""
+    pde = problem.pde
+    m0 = pde.m0
+    # An axis that no term differentiates keeps weight 1: the shift property
+    # is needed only where a derivative acts, and the plain loop never
+    # evaluates such an axis's sequence (a table may be shorter than the data).
+    weights = _ZWeights(tuple(
+        seq if any(term.z_derivatives[i] for term in pde.terms) else None
+        for i, seq in enumerate(pde.m)
+    ))
+
+    # w_n as (int numerators, int denominator, validity)
+    w: list[tuple[dict, int, Validity]] = []
+    for phi in problem.initial:
+        nums, den = _over_common_denominator(
+            {g: weights.value(g) * v for g, v in phi.coeffs.items()})
+        w.append((nums, den, phi.valid))
+    for n in range(pde.M, problem.t_order + 1):
+        w.append(_normalised_step(problem, weights, w, n))
+
+    u = []
+    for n, (nums, den, valid) in enumerate(w):
+        t_weight = m0.value(n)
+        den *= t_weight.numerator
+        coeffs = {}
+        for gamma, num in nums.items():
+            z_weight = weights.value(gamma)
+            coeffs[gamma] = Fraction(
+                num * z_weight.denominator * t_weight.denominator,
+                den * z_weight.numerator,
+            )
+        u.append(PolySeries._trusted(pde.num_vars, coeffs, valid))
+    return u
+
+
+def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
+                     w: list[tuple[dict, int, Validity]], n: int
+                     ) -> tuple[dict, int, Validity]:
+    """w_n from w_0 .. w_{n-1}, content-reduced."""
+    pde = problem.pde
+    m0 = pde.m0
+    M = pde.M
+    lead = m0.value(n - M)
+    rhs = problem.rhs.coefficient(n - M)
+    valid = rhs.valid
+    parts = []
+    for term in pde.terms:
+        j = term.t_derivative
+        alpha = term.z_derivatives
+        for p in range(term.q(M), n - j + 1):
+            a_p = term.coeff.coefficient(p - M + j)
+            if a_p.is_zero():
+                continue
+            nums, den, src_valid = w[n - p]
+            valid = min_validity(min_validity(valid, a_p.valid),
+                                 _lowered(src_valid, alpha))
+            shared = lead / (m0.value(n - p - j) * den)
+            parts.append((a_p.coeffs, shared, nums, alpha))
+
+    # a key gamma is kept when gamma <= limit componentwise
+    limit = tuple(math.inf if v is None else v for v in valid)
+    # every group is (denominator, int factor, [(gamma, int numerator)])
+    groups = []
+    forced = {g: lead * weights.value(g) * v for g, v in rhs.coeffs.items()
+              if all(map(operator.le, g, limit))}
+    if forced:
+        nums, den = _over_common_denominator(forced)
+        groups.append((den, 1, list(nums.items())))
+    for a_coeffs, shared, nums, alpha in parts:
+        lowered = []
+        for kappa, x in nums.items():
+            low = tuple(map(operator.sub, kappa, alpha))
+            if min(low) >= 0:
+                lowered.append((low, x))
+        for beta, a in a_coeffs.items():
+            c = -a * shared
+            items = []
+            rden = 1
+            for low, x in lowered:
+                gamma = tuple(map(operator.add, low, beta))
+                if not all(map(operator.le, gamma, limit)):
+                    continue
+                rn, rd = weights.shift(low, beta)
+                if rd != 1:
+                    rden = math.lcm(rden, rd)
+                items.append((gamma, rn, rd, x))
+            groups.append((c.denominator * rden, c.numerator, [
+                (g, rn * (rden // rd) * x) for g, rn, rd, x in items]))
+
+    common = math.lcm(*(den for den, _, _ in groups))
+    acc: dict[Exponents, int] = {}
+    for den, factor, items in groups:
+        factor *= common // den
+        for gamma, x in items:
+            acc[gamma] = acc.get(gamma, 0) + factor * x
+    acc = {g: x for g, x in acc.items() if x}
+    content = math.gcd(common, *acc.values())
+    if content != 1:
+        acc = {g: x // content for g, x in acc.items()}
+    return acc, common // content, valid
 
 
 def _assert_initial_conditions(problem: CauchyProblem, u: TimeSeries):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from momentpde import MomentPDE, PolySeries, TimeSeries
 from momentpde.cli import main
@@ -46,6 +49,16 @@ def test_estimate_pass_exit_zero(capsys):
     assert payload["verdict"] == "PASS"
     assert payload["k1_inverse"] == "0"
     assert abs(payload["s_hat"]) <= 0.05
+
+
+def test_estimate_heat2d_pass(capsys):
+    code, out, _ = run(capsys, "estimate", PROBLEMS / "heat2d.json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS"
+    assert payload["k1_inverse"] == "1"
+    assert payload["residual_max"] == "0"
+    assert abs(payload["s_hat"] - 1) <= 0.15
 
 
 def test_estimate_fail_exit_one(capsys):
@@ -157,6 +170,30 @@ def test_byte_identical_reruns(capsys):
     _, check_a, _ = run(capsys, "check", "--seed", "3", "--instances", "25")
     _, check_b, _ = run(capsys, "check", "--seed", "3", "--instances", "25")
     assert check_a == check_b
+
+
+# SHA-256 of the `solve` output for each shipped fixture at its own
+# truncation, recorded with the u-basis exact recurrence, before the exact
+# mode moved to the moment-normalised basis; any change in a digit, a key or
+# a validity shows.
+SOLVE_DIGESTS = {
+    "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
+    "heat": "4ba598d74e5bed6c2b429ad0f94422585fceec71e7502cf88d2f55195473b8e5",
+    "heat2d": "d7b78cfa8d3c67b54a6fb59f0fba513771510f462ff71148111ef4e70a8e83ba",
+    "heat_exp": "9f426feea8ab973cdd1ab24f3f606f267a40feebd882c3e595e0d1164958cb81",
+    "heat_tcoeff": "da9f202ef54c41c90a9c91edddb423cf492922b3109f5d28d1a425ab98033c80",
+    "qdiff": "904b87cc08ff4fc19ef724659cb67271b945c6bd348bb89c7a791c9e59d45b51",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_DIGESTS))
+def test_solve_output_matches_recorded_digest(name, tmp_path, capsys):
+    out_path = tmp_path / "solve.json"
+    code, _, _ = run(capsys, "solve", PROBLEMS / f"{name}.json",
+                     "--out", out_path)
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == SOLVE_DIGESTS[name]
 
 
 def test_backend_override(capsys):

@@ -56,6 +56,42 @@ def test_theta_fractional_order():
 # -- norm values --------------------------------------------------------------
 
 
+def test_exact_norm_equals_full_scan():
+    # The exact path screens candidates by their log; its value must be the
+    # exact maximum of the docstring formula over the whole support.
+    def full_scan(f, alpha, r, s):
+        best = F(0)
+        for gamma, value in f.coeffs.items():
+            cand = abs(value) * r ** (sum(gamma) + sum(alpha))
+            for g, a, si in zip(gamma, alpha, s):
+                cand *= F(math.factorial(g) * math.factorial(a - 1),
+                          math.factorial(g + a - 1)) ** int(si)
+            best = max(best, cand)
+        return best
+
+    rng = random.Random(11)
+    cases = []
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        f = random_polynomial(rng, nv, max_total_degree=rng.choice([3, 12]))
+        alpha = tuple(rng.randint(1, 6) for _ in range(nv))
+        r = rng.choice([F(1, 4), F(1, 2), F(1), F(3)])
+        s = tuple(F(rng.randint(1, 3)) for _ in range(nv))
+        cases.append((f, alpha, r, s))
+    # exact ties: with alpha = 1 every weight is 1, and 2^k (1/2)^(k+1) is
+    # the same for every k
+    cases.append((PolySeries(1, {(k,): F(2) ** k for k in range(8)}),
+                  (1,), F(1, 2), (F(1),)))
+    # large, closely spaced candidates of a heat-equation coefficient
+    heat = PolySeries(1, {(g,): F(math.factorial(g + 40), math.factorial(g))
+                          for g in range(60)}, (59,))
+    cases.append((heat, (20,), F(1, 2), (F(1),)))
+    for f, alpha, r, s in cases:
+        result = nagumo_norm(f, params(alpha, r, s))
+        assert result.exact
+        assert result.value == full_scan(f, alpha, r, s)
+
+
 def test_norm_of_one_is_r_to_alpha():
     one = PolySeries.constant(2, F(1))
     for r in (F(1, 4), F(1, 2), F(2)):

@@ -107,7 +107,7 @@ def test_declared_ord_t_must_match():
 
 
 @pytest.mark.parametrize("name", ["heat", "heat_exp", "heat_tcoeff", "qdiff",
-                                  "fractional"])
+                                  "fractional", "heat2d"])
 def test_round_trip_all_fixtures(name):
     problem = load_problem(PROBLEMS / f"{name}.json")
     text = emit_problem(problem)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,16 +19,20 @@ from momentpde import (
     PolySeries,
     QFactorial,
     RationalBackend,
+    TableSequence,
     TimeSeries,
     ValidationError,
     geometric_series,
     residual,
     solve,
 )
+from momentpde.problem_io import load_problem
+from momentpde.solver import _normalised_recurrence, _recurrence
 
 from helpers import linear_combination_solution
 
 F = Fraction
+PROBLEMS = Path(__file__).parent / "problems"
 
 
 def constant_coeff(value, num_vars=1) -> TimeSeries:
@@ -273,3 +278,60 @@ def test_randomized_residuals_and_linearity():
             lhs = combined.coefficient(n)
             rhs = sol_a.coefficient(n).add(sol_b.coefficient(n))
             assert lhs.coeffs == rhs.coeffs
+
+
+def test_normalised_recurrence_matches_u_basis_loop():
+    # The u-basis loop through the series kernels is the reference.  Beyond
+    # the random problems: truncated data that runs out of validity; a
+    # q-factorial z-sequence with a z-dependent coefficient, whose shift
+    # ratios m(gamma)/m(gamma - beta) are not integers; and a z-sequence
+    # table shorter than the data on an axis that no term differentiates.
+    tilted = MomentPDE(1, FactorialPower(1), [QFactorial(F(2, 3))], [
+        OperatorTerm(0, (1,), TimeSeries(
+            [PolySeries(1, {(0,): F(-1), (1,): F(-1, 2)})], tail_exact=True)),
+    ])
+    short_table = MomentPDE(
+        1, FactorialPower(1), [FactorialPower(1), TableSequence(["1", "2"], 1)],
+        [OperatorTerm(0, (1, 0), constant_coeff(-1, num_vars=2))])
+    problems = [
+        problem(heat_pde(), [geometric_series(1, 1, (4,))], t_order=6,
+                z_caps=(4,)),
+        problem(tilted, [geometric_series(1, F(-3, 5), (9,))], t_order=9,
+                z_caps=(9,)),
+        problem(short_table, [geometric_series(2, F(1, 2), (6, 5))],
+                t_order=5, z_caps=(6, 5), num_vars=2),
+    ]
+    rng = random.Random(4321)
+    for _ in range(30):
+        problems.extend(random_problem(rng))
+    for prob in problems:
+        reference = _recurrence(prob)
+        normalised = _normalised_recurrence(prob)
+        assert len(normalised) == len(reference) == prob.t_order + 1
+        for n, (want, got) in enumerate(zip(reference, normalised)):
+            assert got.coeffs == want.coeffs, n
+            assert got.valid == want.valid, n
+
+
+def test_heat2d_closed_form():
+    # u_t = d_z1^2 u + d_z2^2 u with data 1/((1 - z1)(1 - z2)):
+    # u_{n,gamma} = sum over a + b = n of
+    #     (gamma1 + 2a)! (gamma2 + 2b)! / (gamma1! gamma2! a! b!)
+    prob = load_problem(PROBLEMS / "heat2d.json")
+    sol = solve(prob)
+    fact = math.factorial
+    assert sol.residual_max == 0
+    assert sol.fully_valid()
+    for n in range(sol.t_order + 1):
+        entry = sol.coefficient(n)
+        top = prob.z_caps[0] - 2 * n
+        assert entry.valid == (top, top)
+        box = {(g1, g2) for g1 in range(top + 1) for g2 in range(top + 1)}
+        assert set(entry.coeffs) == box
+        for g1, g2 in box:
+            want = sum(
+                F(fact(g1 + 2 * a) * fact(g2 + 2 * (n - a)),
+                  fact(g1) * fact(g2) * fact(a) * fact(n - a))
+                for a in range(n + 1)
+            )
+            assert entry.coeffs[(g1, g2)] == want
