@@ -297,7 +297,11 @@ class QuotientSequence(MomentSequence):
 class TableSequence(MomentSequence):
     """Finite table of values with a declared order.
 
-    Meant for experimentation; excluded from theorem-level claims.
+    Meant for experimentation; excluded from theorem-level claims.  Past the
+    table, value(n) raises SequenceError.  The exact recurrence reads m(d)
+    for every degree d of the output on an axis that some term
+    differentiates, so a table on such an axis must reach the output's top
+    degree there.
     """
 
     kind = "table"

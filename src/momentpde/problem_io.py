@@ -460,7 +460,7 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
         "num_vars": problem.num_vars,
         "q_table": [
             {"j": j, "alpha": list(alpha), "q": q}
-            for (j, alpha), q in sorted(solution.q_table.items())
+            for (j, alpha), q in sorted(problem.pde.q_table().items())
         ],
         "residual_max": None if solution.residual_max is None
         else _fmt(solution.residual_max),

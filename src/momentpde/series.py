@@ -388,7 +388,8 @@ class TimeSeries:
         if n <= self.t_order:
             return self.entries[n]
         if self.tail_exact:
-            return PolySeries.zero(self.num_vars)
+            return PolySeries._trusted(self.num_vars, {},
+                                       (None,) * self.num_vars)
         raise IndexError(
             f"t-coefficient {n} beyond truncation order {self.t_order}"
         )

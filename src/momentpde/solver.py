@@ -65,9 +65,7 @@ class SolveError(ValueError):
 @dataclass
 class FormalSolution:
     coefficients: TimeSeries
-    q_table: dict[tuple, int]
     valid_t_order: int
-    provenance: dict
     validation: ValidationReport
     residual_max: Optional[object] = None
 
@@ -105,7 +103,6 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
     report = validate(problem)
     if not report.passed:
         raise ValidationError(report)
-    pde = problem.pde
     nmax = problem.t_order
     if problem.backend.exact:
         u = _normalised_recurrence(problem)
@@ -124,13 +121,7 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
 
     solution = FormalSolution(
         coefficients=coefficients,
-        q_table=pde.q_table(),
         valid_t_order=valid_t_order,
-        provenance={
-            "t_order": nmax,
-            "z_caps": list(problem.z_caps),
-            **problem.backend.describe(),
-        },
         validation=report,
     )
     if compute_residual:

@@ -140,10 +140,11 @@ def test_criterion_5_order_zero_time_sequence():
 
 def test_criterion_6_lemma_battery():
     with Criterion(6, "norm inequality battery", 60):
-        report = lemma_battery(seed=7, instances=1000,
-                               vandermonde_pq=10, vandermonde_n=50,
-                               norm_one_cases=20)
-        assert report["vandermonde"]["passed"], report["vandermonde"]
+        report = lemma_battery(seed=7, instances=1000)
+        vandermonde = report["vandermonde"]
+        assert (vandermonde["p_max"], vandermonde["q_max"]) == (10, 10)
+        assert vandermonde["n_max"] == 50
+        assert vandermonde["passed"], vandermonde
         for sweep in ("submultiplicative", "derivative_bound", "shift_bound",
                       "sup_bound"):
             assert report[sweep]["count"] == 1000

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,6 +162,38 @@ def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):
     assert "residual" in payload["message"]
 
 
+def test_table_must_cover_the_output_degree(capsys, tmp_path):
+    # u_t = -z^2 D_z u with u(0, z) = z^3: u_n has degree n + 3, and a table
+    # on the differentiated axis must hold m up to that degree; u_4 = 15 z^7
+    doc = {
+        "variables": 1,
+        "moment": {
+            "t": {"kind": "factorial_power", "s": "1"},
+            "z": [{"kind": "table", "order": "1",
+                   "values": [str(math.factorial(k)) for k in range(8)]}],
+        },
+        "M": 1,
+        "terms": [{"j": 0, "alpha": [1], "coefficient": [
+            {"t_power": 0, "z_powers": [2], "value": "1"}]}],
+        "rhs": [],
+        "initial": [[{"z_powers": [3], "value": "1"}]],
+        "truncation": {"t_order": 5, "z_degree": [20]},
+        "numerics": {"backend": "rational"},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", path)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SequenceError"
+    assert "m(8)" in payload["message"]
+    code, out, _ = run(capsys, "solve", path, "--t-order", "4")
+    assert code == 0
+    assert json.loads(out)["entries"][4]["coefficients"] == [
+        {"powers": [7], "value": "15"}]
+
+
 def test_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, "solve", PROBLEMS / "heat.json",
                       "--t-order", "8", "--z-degree", "30")
@@ -194,6 +227,22 @@ def test_solve_output_matches_recorded_digest(name, tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == SOLVE_DIGESTS[name]
+
+
+# SHA-256 of the `check` output at 200 instances, recorded before the Nagumo
+# layer dropped its stored exactness flag and its unused battery options;
+# any change in a random draw, a verdict or a key shows.
+CHECK_DIGESTS = {
+    7: "db6e772f5141ddf64627ba6172bc69e599eed480ecfd1b196b912f9bbfd77476",
+    23: "f0ef3bd52b8093e33f56e4e8b76b6ef8610578620e4ddae68f611352f47538e9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_DIGESTS))
+def test_check_output_matches_recorded_digest(seed, capsys):
+    code, out, _ = run(capsys, "check", "--seed", seed, "--instances", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[seed]
 
 
 def test_backend_override(capsys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +26,18 @@ from momentpde import (
     check_vandermonde,
     geometric_series,
     lemma_battery,
+    load_problem,
     nagumo_norm,
+    nagumo_profile,
+    solve,
     theta_coeff,
 )
 from momentpde.backends import log_scalar
+from momentpde.estimator import alpha0
 from momentpde.nagumo import random_polynomial
 
 F = Fraction
+PROBLEMS = Path(__file__).parent / "problems"
 
 
 def params(alpha, r, s):
@@ -88,7 +96,7 @@ def test_exact_norm_equals_full_scan():
     cases.append((heat, (20,), F(1, 2), (F(1),)))
     for f, alpha, r, s in cases:
         result = nagumo_norm(f, params(alpha, r, s))
-        assert result.exact
+        assert isinstance(result.value, Fraction)
         assert result.value == full_scan(f, alpha, r, s)
 
 
@@ -145,8 +153,8 @@ def test_norm_float_path_stays_finite_past_double_range():
     ctx = BigFloatBackend(128).ctx
     f = PolySeries(1, {(1,): ctx.mpf("1e400")})
     res = nagumo_norm(f, params((1,), F(1, 2), (1,)))
-    assert not res.exact
-    assert res.value != math.inf
+    assert isinstance(res.value, mpmath.mpf)
+    assert mpmath.isfinite(res.value)
     assert abs(log_scalar(res.value) - (400 * math.log(10) - 2 * math.log(2))) < 1e-9
 
 
@@ -325,3 +333,26 @@ def test_battery_is_deterministic():
     a = lemma_battery(seed=9, instances=25)
     b = lemma_battery(seed=9, instances=25)
     assert a == b
+
+
+# SHA-256 of the exact nagumo_profile values (r = 1/2, alpha0 and s of the
+# problem, one `str` per line) of each rational fixture, recorded before the
+# norm ranked its candidates in a single pass.
+PROFILE_DIGESTS = {
+    "heat": "caf2fc996a7f8447522905c11c2c4ab974e30dc728ee6754a6687188af411ecb",
+    "heat2d": "bd99c4a55ed775060f8de0670a81807a8db9247e63862ce6fbb153c5abc56a8c",
+    "heat_exp": "34fe5fab2ae66c0e2a7b75f3ce824284828a874ccaffc4230875cb40e6364505",
+    "heat_tcoeff": "bdaa91e9e16c064bd7e0a140d11ae6b80da3f1717d88df6adbd15974e7ba63d1",
+    "qdiff": "652a059306132edb08d81046ae5add0b8c834c77cf4b742c60e13c7f09105c91",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+def test_exact_profile_matches_recorded_digest(name):
+    problem = load_problem(PROBLEMS / f"{name}.json")
+    solution = solve(problem, compute_residual=False)
+    values = nagumo_profile(solution, alpha0(problem.pde), F(1, 2),
+                            problem.pde.s)
+    assert all(isinstance(v.value, Fraction) for v in values)
+    text = "\n".join(str(v.value) for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_DIGESTS[name]
