@@ -126,7 +126,7 @@ class MomentPDE:
             for term in self.terms:
                 j = term.t_derivative
                 alpha = term.z_derivatives
-                for k in range(term.ord_t, n + 1):
+                for k in range(term.ord_t, term.coeff.reach(n) + 1):
                     a_k = term.coeff.coefficient(k)
                     if a_k.is_zero():
                         continue

@@ -14,6 +14,17 @@ outside (problem files, generators, tests); the arithmetic kernels build
 their results through a trusted constructor and keep it by filtering only
 where their result can break it.
 
+Exact multipliers follow one rule: the kernels apply an integral Fraction
+multiplier (the `scale` factor, the `moment_derive` ratio, and each value of
+the left, coefficient operand of `multiply`) as an int, through
+`exact_multiplier`.  So int-valued series stay on ints, which is what lets
+the exact residual oracle run on one integer scale, while Fraction-valued
+and mpf-valued series keep their output types (a Fraction times an int is
+still a Fraction; an mpf is passed through).  The conversion happens here,
+where the multiplier is applied, and not in the moment sequences: an int
+m(n) would turn the divisions in QuotientSequence.ratio,
+MomentPDE.t_shift_factor and the solver into float divisions.
+
 Operations are pure; values are treated as immutable after construction.
 Iteration over coefficients is in sorted exponent order so that big-float
 summations are reproducible bit-for-bit.
@@ -54,6 +65,13 @@ def min_validity(a: Validity, b: Validity) -> Validity:
         else:
             out.append(min(x, y))
     return tuple(out)
+
+
+def exact_multiplier(value):
+    """An integral Fraction as an int; any other value unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 def _within(exponents: Exponents, valid: Validity) -> bool:
@@ -207,6 +225,7 @@ class PolySeries:
             return self  # values are immutable; v * 1 == v in both backends
         if factor == 0:
             return PolySeries._trusted(self.num_vars, {}, self.valid)
+        factor = exact_multiplier(factor)
         return PolySeries._trusted(
             self.num_vars,
             {k: v * factor for k, v in self.coeffs.items()},
@@ -220,6 +239,7 @@ class PolySeries:
         out: dict[Exponents, object] = {}
         right = sorted(other.coeffs.items())
         for ea, va in sorted(self.coeffs.items()):
+            va = exact_multiplier(va)
             for eb, vb in right:
                 key = add_exponents(ea, eb)
                 if not _within(key, valid):
@@ -247,13 +267,15 @@ class PolySeries:
         """
         if not 0 <= axis < self.num_vars:
             raise DimensionMismatch(f"axis {axis} out of range")
+        exact = seq.backend.exact
         out: dict[Exponents, object] = {}
         for exponents, value in self.coeffs.items():
             n = exponents[axis]
             if n == 0:
                 continue
             key = exponents[:axis] + (n - 1,) + exponents[axis + 1:]
-            out[key] = value * seq.ratio(n - 1)
+            ratio = seq.ratio(n - 1)
+            out[key] = value * (exact_multiplier(ratio) if exact else ratio)
         valid = list(self.valid)
         if valid[axis] is not None:
             valid[axis] -= 1
@@ -393,6 +415,14 @@ class TimeSeries:
         raise IndexError(
             f"t-coefficient {n} beyond truncation order {self.t_order}"
         )
+
+    def reach(self, n: int) -> int:
+        """The last index up to n that may hold a non-zero coefficient: the
+        stored t-order when tail_exact cuts below n, n otherwise (a truncated
+        series keeps raising past its range)."""
+        if self.tail_exact and self.t_order < n:
+            return self.t_order
+        return n
 
     def ord_t(self) -> int:
         """Smallest n with a nonzero t^n coefficient."""

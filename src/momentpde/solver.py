@@ -36,7 +36,16 @@ output, and the normalised weights would round differently.
 
 The residual check re-applies the operator through an independent code path
 (convolution in pde.apply, in the u basis) and must vanish identically in
-exact mode; a non-zero exact residual raises SolveError.
+exact mode.  There it puts the whole checked stack over one integer scale:
+with D the lcm of every denominator in u_0..u_T and f_0..f_{T-M}, the
+unchanged pde.apply gets the int-valued stack N_n = D * u_n, each (P N)_n is
+compared with D * f_n on the trusted region, and the residual is the l1 norm
+over D.  P is linear, so P N = D * P u and the number is the one the plain
+u values give; since the kernels apply integral multipliers as ints (series
+module docstring), the check runs on ints wherever the moment ratios are
+integers, and builds no Fraction per coefficient there.  A non-zero exact
+residual raises SolveError naming the first (n, gamma) where (P u)_n != f_n.
+The big-float backend applies P to its u values as they are.
 """
 
 from __future__ import annotations
@@ -127,11 +136,21 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
     if compute_residual:
         solution.residual_max = residual(problem, solution)
         if problem.backend.exact and solution.residual_max != 0:
-            raise SolveError(
-                f"exact residual is {solution.residual_max}, not 0: the "
-                "recurrence and the operator disagree"
-            )
+            raise SolveError(_mismatch_message(problem, solution))
     return solution
+
+
+def _mismatch_message(problem: CauchyProblem, solution: FormalSolution) -> str:
+    """Name the first (n, gamma) where (P u)_n != f_n, then the residual."""
+    scale, differences = _differences(problem, solution)
+    n, diff = next((n, diff) for n, diff in differences if not diff.is_zero())
+    gamma = min(diff.coeffs)
+    return (
+        f"(P u)_{n} - f_{n} is {Fraction(diff.coeffs[gamma], scale)} at "
+        f"gamma={gamma}, the first non-zero coefficient; exact residual is "
+        f"{solution.residual_max}, not 0: the recurrence and the operator "
+        "disagree"
+    )
 
 
 def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
@@ -157,8 +176,9 @@ def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
         for term in pde.terms:
             j = term.t_derivative
             alpha = term.z_derivatives
-            for p in range(term.q(M), n - j + 1):
-                # p > n - j would need m0(n-p-j) at a negative index
+            # p stops at n - j, past which m0(n-p-j) has a negative index,
+            # or where a tail_exact coefficient's stored range ends
+            for p in range(term.q(M), term.coeff.reach(n - M) + M - j + 1):
                 a_p = term.coeff.coefficient(p - M + j)
                 if a_p.is_zero():
                     continue
@@ -264,7 +284,7 @@ def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
     for term in pde.terms:
         j = term.t_derivative
         alpha = term.z_derivatives
-        for p in range(term.q(M), n - j + 1):
+        for p in range(term.q(M), term.coeff.reach(n - M) + M - j + 1):
             a_p = term.coeff.coefficient(p - M + j)
             if a_p.is_zero():
                 continue
@@ -341,16 +361,46 @@ def _close(a: PolySeries, b: PolySeries, backend) -> bool:
 def residual(problem: CauchyProblem, solution: FormalSolution):
     """max over checkable t-orders of ||coefficient_n(P u - f)||_1 at r = 1,
     restricted to the trusted z-region.  Exactly zero in rational mode."""
-    pde = problem.pde
-    applied = pde.apply(solution.coefficients)
-    one = problem.backend.one()
+    scale, differences = _differences(problem, solution)
     worst = problem.backend.zero()
-    top = min(applied.t_order, problem.t_order - pde.M)
-    for n in range(top + 1):
-        diff = applied.coefficient(n).sub(problem.rhs.coefficient(n))
-        if diff.is_exhausted():
-            continue
-        value = diff.ell1_norm(one)
+    for _, diff in differences:
+        value = diff.ell1_norm(1)
         if value > worst:
             worst = value
-    return worst
+    return Fraction(worst, scale) if problem.backend.exact else worst
+
+
+def _differences(problem: CauchyProblem, solution: FormalSolution):
+    """(D, iterator of (n, D * ((P u)_n - f_n))) over the checkable t-orders
+    whose difference keeps a trusted region.
+
+    In exact mode D is the lcm of every denominator in u_0..u_T and
+    f_0..f_{T-M}, and pde.apply gets the int-valued stack D * u_n (module
+    docstring); in big-float mode D = 1 and the u values go in as they are.
+    """
+    pde = problem.pde
+    u = solution.coefficients
+    rhs = [problem.rhs.coefficient(n)
+           for n in range(min(u.t_order, problem.t_order) - pde.M + 1)]
+    scale = 1
+    if problem.backend.exact:
+        scale = math.lcm(*(v.denominator for entry in (*u.entries, *rhs)
+                           for v in entry.coeffs.values()))
+        u = TimeSeries([_scaled(entry, scale) for entry in u.entries],
+                       u.tail_exact)
+        rhs = [_scaled(f_n, scale) for f_n in rhs]
+    applied = pde.apply(u)
+
+    def differences():
+        for n, f_n in enumerate(rhs):
+            diff = applied.coefficient(n).sub(f_n)
+            if not diff.is_exhausted():
+                yield n, diff
+    return scale, differences()
+
+
+def _scaled(entry: PolySeries, scale: int) -> PolySeries:
+    """scale * entry as ints; scale is a multiple of every denominator."""
+    return PolySeries._trusted(entry.num_vars, {
+        g: v.numerator * (scale // v.denominator) for g, v in entry.coeffs.items()
+    }, entry.valid)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from momentpde import CauchyProblem, SolveError
+from momentpde import CauchyProblem, FormalSolution, SolveError
 
 
 def linear_combination_solution(problem_a: CauchyProblem,
@@ -25,3 +25,23 @@ def linear_combination_solution(problem_a: CauchyProblem,
         backend=problem_a.backend,
         estimation=problem_a.estimation,
     )
+
+
+def fraction_residual(problem: CauchyProblem, solution: FormalSolution):
+    """The residual through pde.apply on the solution's own values: max over
+    checkable t-orders of ||coefficient_n(P u - f)||_1 at r = 1 on the
+    trusted region, with no common integer scale.  The reference for
+    solver.residual."""
+    pde = problem.pde
+    applied = pde.apply(solution.coefficients)
+    one = problem.backend.one()
+    worst = problem.backend.zero()
+    top = min(applied.t_order, problem.t_order - pde.M)
+    for n in range(top + 1):
+        diff = applied.coefficient(n).sub(problem.rhs.coefficient(n))
+        if diff.is_exhausted():
+            continue
+        value = diff.ell1_norm(one)
+        if value > worst:
+            worst = value
+    return worst

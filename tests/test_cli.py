@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from momentpde import MomentPDE, PolySeries, TimeSeries
+from momentpde import MomentPDE, PolySeries, TimeSeries, solver
 from momentpde.cli import main
 
 PROBLEMS = Path(__file__).parent / "problems"
@@ -102,6 +102,17 @@ def test_svg_command(tmp_path, capsys):
     assert json.loads(out)["k1_inverse"] == "1"
 
 
+def test_svg_without_out_writes_beside_the_problem(tmp_path, capsys):
+    problem = tmp_path / "heat.json"
+    problem.write_bytes((PROBLEMS / "heat.json").read_bytes())
+    code, out, _ = run(capsys, "svg", problem, "--clip=-1,-2,3,1")
+    assert code == 0
+    assert json.loads(out) == {"out": str(tmp_path / "heat.svg"),
+                               "k1_inverse": "1"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["heat.json", "heat.svg"]
+    assert "1/k1 = 1" in (tmp_path / "heat.svg").read_text()
+
+
 def test_bad_file_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -160,6 +171,30 @@ def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):
     payload = json.loads(err)
     assert payload["error"] == "SolveError"
     assert "residual" in payload["message"]
+
+
+def test_wrong_solution_names_the_first_mismatch(capsys, monkeypatch):
+    # u_2 of u_t = u_zz gains z^3/7, so the operator stays right and the
+    # solution is wrong: (P u)_n = (n+1) u_{n+1} - D_z^2 u_n puts 2/7 z^3 in
+    # (P u)_1, the first non-zero coefficient, and -6/7 z in (P u)_2, the
+    # largest l1 norm
+    recurrence = solver._normalised_recurrence
+
+    def wrong(problem):
+        u = recurrence(problem)
+        u[2] = u[2].add(PolySeries(1, {(3,): Fraction(1, 7)}))
+        return u
+
+    monkeypatch.setattr(solver, "_normalised_recurrence", wrong)
+    code, out, err = run(capsys, "solve", PROBLEMS / "heat.json",
+                         "--t-order", "6", "--z-degree", "20")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SolveError"
+    assert payload["message"].startswith(
+        "(P u)_1 - f_1 is 2/7 at gamma=(3,), the first non-zero coefficient; "
+        "exact residual is 6/7, not 0")
 
 
 def test_table_must_cover_the_output_degree(capsys, tmp_path):

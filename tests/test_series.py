@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentpde import (
+    BigFloatBackend,
     DimensionMismatch,
     FactorialPower,
     PolySeries,
@@ -18,7 +19,7 @@ from momentpde import (
     exponential_series,
     geometric_series,
 )
-from momentpde.series import min_validity
+from momentpde.series import exact_multiplier, min_validity
 
 F = Fraction
 
@@ -161,6 +162,55 @@ def test_moment_derive_q_factorial():
     assert out.coeffs == {(2,): F(7, 4)}
 
 
+def _value_types(series: PolySeries) -> set:
+    return {type(v) for v in series.coeffs.values()}
+
+
+def test_int_valued_series_stay_int_under_integral_fraction_multipliers():
+    f = P({(0,): 3, (2,): -5, (3,): 7})
+    coefficient = P({(0,): F(-1), (1,): F(4, 2)})
+    for out in (f.scale(F(6, 3)), coefficient.multiply(f),
+                f.moment_derive(0, FactorialPower(1)),
+                f.moment_derive(0, FactorialPower(2))):
+        assert _value_types(out) == {int}
+    assert f.scale(F(2)).coeffs == {(0,): 6, (2,): -10, (3,): 14}
+    assert coefficient.multiply(f).coeffs == brute_convolution(coefficient, f)
+    assert f.moment_derive(0, FactorialPower(1)).coeffs == {(1,): -10, (2,): 21}
+
+
+def test_fraction_valued_series_stay_fraction():
+    # the scaled, derived or right-hand series decides: Fraction times int
+    # is still a Fraction
+    f = P({(0,): F(3), (1,): F(1, 2), (3,): F(-4)})
+    ints = P({(0,): 2, (1,): -1})
+    results = (f.scale(F(2)), f.scale(2), P({(0,): F(-1)}).multiply(f),
+               ints.multiply(f), f.moment_derive(0, FactorialPower(1)),
+               f.moment_derive(0, QFactorial(F(1, 2))), ints.scale(F(1, 3)))
+    for out in results:
+        assert _value_types(out) == {Fraction}
+    assert f.moment_derive(0, FactorialPower(1)).coeffs == {
+        (0,): F(1, 2), (2,): F(-12)}
+
+
+def test_mpf_series_and_multipliers_pass_through():
+    backend = BigFloatBackend(96)
+    mpf = backend.scalar
+    f = P({(0,): mpf(3), (2,): mpf(F(1, 3))})
+    two = mpf(2)
+    assert exact_multiplier(two) is two
+    assert exact_multiplier(F(3, 2)) == F(3, 2)
+    assert exact_multiplier(F(4, 2)) == 2 and type(exact_multiplier(F(4))) is int
+    assert f.scale(two).coeffs == {k: v * two for k, v in f.coeffs.items()}
+    left = P({(1,): mpf(F(1, 7))})
+    assert left.multiply(f).coeffs == {(1,): mpf(F(1, 7)) * mpf(3),
+                                       (3,): mpf(F(1, 7)) * mpf(F(1, 3))}
+    seq = FactorialPower(1, backend)
+    derived = f.moment_derive(0, seq)
+    assert derived.coeffs == {(1,): mpf(F(1, 3)) * seq.ratio(1)}
+    for out in (f.scale(two), left.multiply(f), derived):
+        assert _value_types(out) == {type(two)}
+
+
 def test_moment_derive_constant_is_zero():
     f = P({(0,): F(5)})
     assert f.moment_derive(0, FactorialPower(1)).is_zero()
@@ -256,3 +306,10 @@ def test_timeseries_tail_exact_coefficient():
     truncated = TimeSeries([P({(0,): F(1)})], tail_exact=False)
     with pytest.raises(IndexError):
         truncated.coefficient(5)
+
+
+def test_timeseries_reach_stops_at_the_stored_range_only_when_tail_exact():
+    entries = [P({(0,): F(1)}), P({(1,): F(2)})]
+    assert TimeSeries(entries, tail_exact=True).reach(7) == 1
+    assert TimeSeries(entries, tail_exact=True).reach(0) == 0
+    assert TimeSeries(entries, tail_exact=False).reach(7) == 7

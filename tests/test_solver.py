@@ -13,10 +13,12 @@ from momentpde import (
     BigFloatBackend,
     CauchyProblem,
     FactorialPower,
+    FormalSolution,
     GammaSequence,
     MomentPDE,
     OperatorTerm,
     PolySeries,
+    ProductSequence,
     QFactorial,
     RationalBackend,
     TableSequence,
@@ -29,10 +31,11 @@ from momentpde import (
 from momentpde.problem_io import load_problem
 from momentpde.solver import _normalised_recurrence, _recurrence
 
-from helpers import linear_combination_solution
+from helpers import fraction_residual, linear_combination_solution
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
+FIXTURES = ("fractional", "heat", "heat2d", "heat_exp", "heat_tcoeff", "qdiff")
 
 
 def constant_coeff(value, num_vars=1) -> TimeSeries:
@@ -335,3 +338,49 @@ def test_heat2d_closed_form():
                 for a in range(n + 1)
             )
             assert entry.coeffs[(g1, g2)] == want
+
+
+def perturbed(problem: CauchyProblem, solution: FormalSolution, n: int,
+              value) -> FormalSolution:
+    """The solution with value added at the lowest stored key of u_n."""
+    entries = list(solution.coefficients.entries)
+    entry = entries[n]
+    key = min(entry.coeffs, default=(0,) * entry.num_vars)
+    entries[n] = entry.add(PolySeries(entry.num_vars, {
+        key: problem.backend.scalar(value)}))
+    return FormalSolution(TimeSeries(entries, solution.coefficients.tail_exact),
+                          solution.valid_t_order, solution.validation)
+
+
+def test_residual_on_one_integer_scale_matches_the_fraction_route():
+    # solver.residual applies P to the stack scaled by one integer D and
+    # divides by D; the reference applies P to the solution's own values.
+    # Same value and type on the solutions and on perturbed ones.
+    # Beyond the fixtures and the random problems: a z-sequence n!·[n]_q!
+    # (order 1, so the problem validates and solve's gate runs) under a
+    # z-dependent coefficient, whose weight and derivative ratios are not
+    # integers.
+    tilted = MomentPDE(
+        1, FactorialPower(1), [ProductSequence(FactorialPower(1),
+                                               QFactorial(F(2, 3)))],
+        [OperatorTerm(0, (1,), TimeSeries(
+            [PolySeries(1, {(0,): F(-1), (1,): F(-1, 2)})], tail_exact=True))])
+    fixtures = [load_problem(PROBLEMS / f"{name}.json") for name in FIXTURES]
+    problems = fixtures + [problem(tilted, [geometric_series(1, F(-3, 5), (9,))],
+                                   t_order=9, z_caps=(9,))]
+    rng = random.Random(2468)
+    for _ in range(15):
+        problems.extend(random_problem(rng))
+    for prob in problems:
+        sol = solve(prob)  # in exact mode a non-zero residual raises
+        variants = [sol] + [
+            perturbed(prob, sol, n, value)
+            for n, value in ((prob.pde.M, F(1, 7)), (0, F(-2)),
+                             (sol.t_order, F(5, 3)))]
+        for candidate in variants:
+            want = fraction_residual(prob, candidate)
+            got = residual(prob, candidate)
+            assert got == want
+            assert type(got) is type(want)
+        if prob in fixtures or prob.pde is tilted:
+            assert residual(prob, variants[1]) > 0
