@@ -3,7 +3,8 @@
 Every problem is solved over a single scalar domain.  The rational backend
 works with ``fractions.Fraction`` and is exact; the big-float backend wraps a
 private mpmath context with a configurable mantissa (default 256 bits), so
-precision does not depend on the global mpmath state.
+precision does not depend on the global mpmath state.  mpmath is imported
+only where an mpf is made or read, so rational runs never load it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 Scalar = Union[Fraction, object]  # Fraction or an mpf from some mpmath context
 
@@ -75,6 +74,8 @@ def log_scalar(value) -> float:
     if isinstance(value, int):
         return math.log(value)
     if is_mpf(value):
+        import mpmath
+
         return float(mpmath.log(value))
     return math.log(value)
 
@@ -143,6 +144,8 @@ class BigFloatBackend:
     def __init__(self, precision_bits: int = 256):
         if precision_bits < 24:
             raise BackendError("precision_bits must be at least 24")
+        import mpmath
+
         self.precision_bits = int(precision_bits)
         self.ctx = mpmath.mp.clone()
         self.ctx.prec = self.precision_bits
@@ -179,6 +182,8 @@ class BigFloatBackend:
         return value
 
     def format(self, value) -> str:
+        import mpmath
+
         digits = max(int(self.precision_bits * 0.30103) + 2, 17)
         return mpmath.nstr(value, digits)
 

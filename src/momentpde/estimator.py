@@ -11,11 +11,10 @@ tight: convergent solutions fit near zero and still pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .backends import log_scalar, parse_rational
 from .nagumo import ParameterError, nagumo_profile
@@ -54,14 +53,17 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
                    ) -> OrderFit:
     """Least squares of log v_n = logA + n*logB + s*log n! over the window.
 
-    norms is indexed by n starting at 0; zero entries are excluded.  Needs
-    at least five positive entries in the window.
+    The coefficients are the exact least-squares solution for the double
+    values of log v_n and log n!, each rounded once, so they do not depend
+    on a summation order.  norms is indexed by n starting at 0; zero
+    entries are excluded.  Needs at least five positive entries in the
+    window.
     """
     n_top = len(norms) - 1
     lo, hi = window if window is not None else default_window(n_top)
     if not (0 <= lo <= hi <= n_top):
         raise FitError(f"window [{lo}, {hi}] outside data range [0, {n_top}]")
-    rows = []
+    ns = []
     logs = []
     for n in range(lo, hi + 1):
         value = norms[n]
@@ -69,27 +71,64 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
             continue
         if isinstance(value, float) and not math.isfinite(value):
             raise FitError(f"non-finite norm at n={n}")
-        rows.append([1.0, float(n), math.lgamma(n + 1)])
+        ns.append(n)
         logs.append(log_scalar(value))
-    if len(rows) < 5:
+    if len(ns) < 5:
         raise FitError(
-            f"only {len(rows)} positive norms in window [{lo}, {hi}]; need 5"
+            f"only {len(ns)} positive norms in window [{lo}, {hi}]; need 5"
         )
-    design = np.array(rows)
-    target = np.array(logs)
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < 3:
-        raise FitError("degenerate design matrix; widen the window")
-    fitted = design @ coef
-    rms = float(np.sqrt(np.mean((fitted - target) ** 2)))
+    lgammas = [math.lgamma(n + 1) for n in ns]
+    coef = _least_squares([[1] * len(ns), ns, lgammas], logs)
+    rms = math.sqrt(math.fsum(
+        (coef[0] + coef[1] * n + coef[2] * lg - y) ** 2
+        for n, lg, y in zip(ns, lgammas, logs)
+    ) / len(ns))
     return OrderFit(
-        s_hat=float(coef[2]),
-        logB_hat=float(coef[1]),
-        logA_hat=float(coef[0]),
+        s_hat=coef[2],
+        logB_hat=coef[1],
+        logA_hat=coef[0],
         window=(lo, hi),
         rms_residual=rms,
-        n_points=len(rows),
+        n_points=len(ns),
     )
+
+
+def _binary_ints(values: Sequence[float]) -> tuple[list[int], int]:
+    """Doubles (or ints) as (ints, k) with values[i] == ints[i] / 2**k."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shifts = [d.bit_length() - 1 for _, d in ratios]
+    k = max(shifts)
+    return [num << (k - e) for (num, _), e in zip(ratios, shifts)], k
+
+
+def _det3(a: list[list[int]]) -> int:
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
+def _least_squares(columns: list[Sequence[float]], target: Sequence[float]
+                   ) -> list[float]:
+    """The exact least-squares solution of columns . c ~ target over the
+    given doubles, each coefficient rounded once to the nearest double.
+
+    Every column (and the target) is put over one power of two, so the
+    normal equations are a 3x3 system of ints, solved by Cramer's rule.
+    """
+    scaled = [_binary_ints(col) for col in columns]
+    y, k_y = _binary_ints(target)
+    gram = [[sum(map(operator.mul, ci, cj)) for cj, _ in scaled]
+            for ci, _ in scaled]
+    rhs = [sum(map(operator.mul, ci, y)) for ci, _ in scaled]
+    det = _det3(gram)
+    if det == 0:
+        raise FitError("degenerate design matrix; widen the window")
+    coef = []
+    for j, (_, k_j) in enumerate(scaled):
+        # gram is symmetric, so replacing row j is replacing column j
+        det_j = _det3([rhs if i == j else row for i, row in enumerate(gram)])
+        coef.append(float(Fraction(det_j << k_j, det << k_y)))
+    return coef
 
 
 def alpha0(pde: MomentPDE) -> tuple[int, ...]:

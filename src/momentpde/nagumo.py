@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .backends import log_scalar, parse_rational
 from .moments import FactorialPower, MomentSequence, QFactorial
 from .series import Exponents, PolySeries, total_degree
@@ -163,9 +161,12 @@ def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
         return NormResult(Fraction(0) if exact else 0.0, lower)
     top = max(logs)
     if not exact:
+        if top < 700:
+            return NormResult(math.exp(top), lower)
         # past the double range the value stays a finite mpf
-        return NormResult(math.exp(top) if top < 700 else mpmath.exp(top),
-                          lower)
+        import mpmath
+
+        return NormResult(mpmath.exp(top), lower)
     # Build exact values only for candidates whose log lies within 1e-6
     # (relative) of the top; the rounding of the logs is far below that
     # margin, so the exact maximum is among them.

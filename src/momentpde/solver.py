@@ -46,6 +46,13 @@ module docstring), the check runs on ints wherever the moment ratios are
 integers, and builds no Fraction per coefficient there.  A non-zero exact
 residual raises SolveError naming the first (n, gamma) where (P u)_n != f_n.
 The big-float backend applies P to its u values as they are.
+
+A wrong validity leaves the values self-consistent, so the residual cannot
+see it; the check compares validities as well.  P's principal part passes
+u_{n+M}'s validity through, and every other part of (P u)_n is one of the
+parts whose minimum the recurrence took, so valid((P u)_n - f_n) must equal
+valid(u_{n+M}) at every n from 0 to T-M; an over-claimed validity makes the left
+side the smaller one and raises SolveError naming n and both vectors.
 """
 
 from __future__ import annotations
@@ -107,7 +114,8 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
     derivatives spend them; once a coefficient runs out of trusted degrees
     the solution is marked partially valid (never an error) and later
     entries stay flagged.  In exact mode a non-zero residual raises
-    SolveError.
+    SolveError, and in both modes so does a validity the operator does not
+    reproduce.
     """
     report = validate(problem)
     if not report.passed:
@@ -360,7 +368,9 @@ def _close(a: PolySeries, b: PolySeries, backend) -> bool:
 
 def residual(problem: CauchyProblem, solution: FormalSolution):
     """max over checkable t-orders of ||coefficient_n(P u - f)||_1 at r = 1,
-    restricted to the trusted z-region.  Exactly zero in rational mode."""
+    restricted to the trusted z-region.  Exactly zero in rational mode.
+    Raises SolveError when a validity of u disagrees with the operator's
+    (module docstring)."""
     scale, differences = _differences(problem, solution)
     worst = problem.backend.zero()
     for _, diff in differences:
@@ -372,7 +382,8 @@ def residual(problem: CauchyProblem, solution: FormalSolution):
 
 def _differences(problem: CauchyProblem, solution: FormalSolution):
     """(D, iterator of (n, D * ((P u)_n - f_n))) over the checkable t-orders
-    whose difference keeps a trusted region.
+    whose difference keeps a trusted region; the iterator raises SolveError
+    at the first n where the difference's validity is not u_{n+M}'s.
 
     In exact mode D is the lcm of every denominator in u_0..u_T and
     f_0..f_{T-M}, and pde.apply gets the int-valued stack D * u_n (module
@@ -394,6 +405,13 @@ def _differences(problem: CauchyProblem, solution: FormalSolution):
     def differences():
         for n, f_n in enumerate(rhs):
             diff = applied.coefficient(n).sub(f_n)
+            claimed = u.entries[n + pde.M].valid
+            if diff.valid != claimed:
+                raise SolveError(
+                    f"(P u)_{n} - f_{n} is trusted up to valid={list(diff.valid)}"
+                    f", but u_{n + pde.M} claims valid={list(claimed)}: the "
+                    "recurrence's validity and the operator's disagree"
+                )
             if not diff.is_exhausted():
                 yield n, diff
     return scale, differences()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from momentpde import CauchyProblem, FormalSolution, SolveError
 
 
@@ -45,3 +47,24 @@ def fraction_residual(problem: CauchyProblem, solution: FormalSolution):
         if value > worst:
             worst = value
     return worst
+
+
+def least_squares_reference(columns, target) -> list[float]:
+    """The exact least-squares solution of columns . c ~ target, by
+    Gauss-Jordan elimination of the normal equations over Fractions of the
+    given doubles, each coefficient rounded once.  The reference for
+    estimate_order."""
+    cols = [[Fraction(v) for v in col] for col in columns]
+    y = [Fraction(v) for v in target]
+    size = len(cols)
+    rows = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols]
+            + [sum(a * b for a, b in zip(ci, y))] for ci in cols]
+    for k in range(size):
+        pivot = next(i for i in range(k, size) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(size):
+            if i != k and rows[i][k] != 0:
+                factor = rows[i][k]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return [float(row[-1]) for row in rows]

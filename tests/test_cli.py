@@ -5,11 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import momentpde
 from momentpde import MomentPDE, PolySeries, TimeSeries, solver
 from momentpde.cli import main
 
@@ -197,6 +201,49 @@ def test_wrong_solution_names_the_first_mismatch(capsys, monkeypatch):
         "exact residual is 6/7, not 0")
 
 
+def test_overclaimed_validity_exit_two(capsys, monkeypatch):
+    # without the alpha-lowering the recurrence trusts u_1 of u_t = u_zz up
+    # to z^20, where D_z^2 u_0 (and so (P u)_0) is trusted only to z^18; the
+    # values stay self-consistent, so only the validity check sees it
+    monkeypatch.setattr(solver, "_lowered", lambda valid, alpha: valid)
+    code, out, err = run(capsys, "solve", PROBLEMS / "heat.json",
+                         "--t-order", "6", "--z-degree", "20")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SolveError"
+    assert payload["message"].startswith(
+        "(P u)_0 - f_0 is trusted up to valid=[18], but u_1 claims "
+        "valid=[20]")
+
+
+# A fresh interpreter runs solve and estimate, then prints its exit codes and
+# which of numpy and mpmath it has loaded.
+FRESH_RUN = """
+import contextlib, io, json, sys
+import momentpde.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([cmd, *sys.argv[1:]]) for cmd in ("solve", "estimate")]
+loaded = {name.split(".")[0] for name in sys.modules} & {"numpy", "mpmath"}
+print(json.dumps([codes, sorted(loaded)]))
+"""
+
+
+@pytest.mark.parametrize("flags, loaded", [
+    ((), []),
+    (("--backend", "bigfloat"), ["mpmath"]),
+])
+def test_fresh_run_loads_no_numpy_and_mpmath_only_for_bigfloat(flags, loaded):
+    src = str(Path(momentpde.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(PROBLEMS / "heat.json"), *flags],
+        capture_output=True, text=True, env=env, check=True)
+    assert json.loads(result.stdout) == [[0, 0], loaded]
+
+
 def test_table_must_cover_the_output_degree(capsys, tmp_path):
     # u_t = -z^2 D_z u with u(0, z) = z^3: u_n has degree n + 3, and a table
     # on the differentiated axis must hold m up to that degree; u_4 = 15 z^7
@@ -278,6 +325,35 @@ def test_check_output_matches_recorded_digest(seed, capsys):
     code, out, _ = run(capsys, "check", "--seed", seed, "--instances", "200")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[seed]
+
+
+# SHA-256 of the `estimate` output for each shipped fixture in both modes,
+# recorded when the fit became the exact least-squares solution of its
+# doubles: the digits no longer depend on a BLAS build, so any change in a
+# fitted digit, a verdict or a key shows.
+ESTIMATE_DIGESTS = {
+    ("fractional", "nagumo_profile"): "bce354924952dd0867167b2bf497ea4b8df6161e463d62bd4d28f3720059bcfd",
+    ("fractional", "sup_proxy"): "a23c9899f0c26f2f8f8b7bb3dcb7b3b084efebf4e257b5984baceb53474d3142",
+    ("heat", "nagumo_profile"): "9d9e0b60c9cc67b94b31b8b9abf75adf8d1d25278aa4b20598d23441cf692e78",
+    ("heat", "sup_proxy"): "62e9f4ed80907634cfe8c947e1df5c157d62d0d565cd353a5bc95b1621ac3eb7",
+    ("heat2d", "nagumo_profile"): "1f35bf34e12795cf8ff8eb3fff9a590fd49cfc53a598ee5de6e05598701b3fdf",
+    ("heat2d", "sup_proxy"): "93b8377c9c7130a3927f537cb2df8dac8743c9160e645f5c6308e3dfd42018b7",
+    ("heat_exp", "nagumo_profile"): "f8e0a0d9a76afa4594c4e908899a22a710f63e6c8f72e33a49db81ec14038821",
+    ("heat_exp", "sup_proxy"): "6a29a73c5972e9ed642ef3da29e742fc841b4afd578c1bd1426caccc35c93967",
+    ("heat_tcoeff", "nagumo_profile"): "b8c2342f23f6f14b3f202b7fba82ad73124ecdb9ac4dfcd7763c36d7c946d621",
+    ("heat_tcoeff", "sup_proxy"): "7cd90e69059ba3d93ce9cb0ab16ab445031b20c35b1239cbc9e13024c574e54c",
+    ("qdiff", "nagumo_profile"): "4a307710f4b71835ba798b7932f60222d13aed16528650722f8265bef08f0a60",
+    ("qdiff", "sup_proxy"): "19328f634acba804c0f17f9b00f10a5150598da96cb53c41875ac19d15aa587c",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(ESTIMATE_DIGESTS))
+def test_estimate_output_matches_recorded_digest(name, mode, capsys):
+    code, out, _ = run(capsys, "estimate", PROBLEMS / f"{name}.json",
+                       "--mode", mode)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ESTIMATE_DIGESTS[name, mode]
 
 
 def test_backend_override(capsys):

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpde import (
     CauchyProblem,
@@ -20,12 +22,16 @@ from momentpde import (
     TimeSeries,
     alpha0,
     estimate_order,
+    estimator,
     exponential_series,
     geometric_series,
     nagumo_norm,
     solve,
     verify_theorem,
 )
+from momentpde.backends import log_scalar
+
+from helpers import least_squares_reference
 
 F = Fraction
 
@@ -86,6 +92,56 @@ def test_fit_excludes_zeros_and_needs_five_points():
     norms[20] = norms[22] = norms[24] = 1.0
     with pytest.raises(FitError):
         estimate_order(norms, (20, 40))
+
+
+@st.composite
+def sup_proxy_like(draw):
+    """Positive rational norms growing like C^n n!^p / floor(n/2)!^q, some
+    of them zero, and a window inside them: the data sup_proxy fits."""
+    top = draw(st.integers(8, 60))
+    lo = draw(st.integers(0, top - 5))
+    hi = draw(st.integers(lo + 4, top))
+    p = draw(st.integers(0, 2))
+    q = draw(st.integers(0, 2))
+    ratio = draw(st.fractions(F(1, 9), 9, max_denominator=9))
+    norms = []
+    for n in range(top + 1):
+        noise = draw(st.integers(0, 12))  # 0 drops the point
+        norms.append(F(noise) * ratio ** n * F(math.factorial(n)) ** p
+                     / F(math.factorial(n // 2)) ** q)
+    return norms, (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_proxy_like())
+def test_fit_is_the_exact_least_squares_solution(case):
+    norms, (lo, hi) = case
+    ns = [n for n in range(lo, hi + 1) if norms[n] > 0]
+    if len(ns) < 5:
+        with pytest.raises(FitError):
+            estimate_order(norms, (lo, hi))
+        return
+    fit = estimate_order(norms, (lo, hi))
+    want = least_squares_reference(
+        [[1.0] * len(ns), [float(n) for n in ns],
+         [math.lgamma(n + 1) for n in ns]],
+        [log_scalar(norms[n]) for n in ns])
+    assert [fit.logA_hat, fit.logB_hat, fit.s_hat] == want
+    assert fit.n_points == len(ns)
+
+
+def test_fit_on_data_exactly_on_the_model_is_exact(monkeypatch):
+    # log v_n = 1/4 - n/2 + 2 log n! holds exactly in doubles over the
+    # window (checked through Fractions), so the exact least-squares solution
+    # is (1/4, -1/2, 2) itself and the residual is zero.
+    monkeypatch.setattr(estimator, "log_scalar", float)  # the norms are logs
+    a, b, s = 0.25, -0.5, 2.0
+    logs = [a + b * n + s * math.lgamma(n + 1) for n in range(41)]
+    assert all(F(logs[n]) == F(a) + F(b) * n + F(s) * F(math.lgamma(n + 1))
+               for n in range(10, 41))
+    fit = estimate_order(logs, (10, 40))
+    assert (fit.logA_hat, fit.logB_hat, fit.s_hat) == (a, b, s)
+    assert fit.rms_residual == 0.0
 
 
 def test_fit_window_out_of_range():
