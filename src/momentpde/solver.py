@@ -51,8 +51,9 @@ A wrong validity leaves the values self-consistent, so the residual cannot
 see it; the check compares validities as well.  P's principal part passes
 u_{n+M}'s validity through, and every other part of (P u)_n is one of the
 parts whose minimum the recurrence took, so valid((P u)_n - f_n) must equal
-valid(u_{n+M}) at every n from 0 to T-M; an over-claimed validity makes the left
-side the smaller one and raises SolveError naming n and both vectors.
+valid(u_{n+M}) at every n from 0 to T-M.  An over-claimed validity makes
+the left side the smaller one and raises SolveError naming n and both
+vectors.
 """
 
 from __future__ import annotations
