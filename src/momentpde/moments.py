@@ -184,8 +184,6 @@ class GammaSequence(MomentSequence):
         return self.s.denominator == 1
 
     def _compute_value(self, n: int):
-        if self.backend.exact:
-            return Fraction(math.factorial(int(self.s) * n))
         return self.backend.gamma(1 + self.s * n)
 
     def _compute_ratio(self, n: int):

@@ -95,15 +95,36 @@ class MomentPDE:
         """m0(n+j)/m0(n): the weight of coefficient n of D_t^j."""
         return self.m0.value(n + j) / self.m0.value(n)
 
-    def derive_z(self, poly: PolySeries, orders: Exponents) -> PolySeries:
-        return poly.moment_derive_multi(orders, self.m)
+    def parts(self, n: int):
+        """(term, a_k, i) for every non-zero part a_k * D_t^j D_z^alpha u_i of
+        (P u)_n but the principal one: i = n - k + j, and k runs from ord_t(a)
+        to the last index a may hold up to n, term by term."""
+        for term in self.terms:
+            for k in range(term.ord_t, term.coeff.reach(n) + 1):
+                a_k = term.coeff.coefficient(k)
+                if not a_k.is_zero():
+                    yield term, a_k, n - k + term.t_derivative
+
+    def part_former(self, stack):
+        """form(term, a_k, i) = a_k * D_z^alpha u_i * m0(i)/m0(i-j), u_i being
+        stack[i]; D_z^alpha u_i is memoised, so stack may grow between calls
+        but its entries must not change."""
+        derived: dict[tuple[int, Exponents], PolySeries] = {}
+
+        def form(term: OperatorTerm, a_k: PolySeries, i: int) -> PolySeries:
+            j, alpha = term.key()
+            d = derived.get((i, alpha))
+            if d is None:
+                d = derived[i, alpha] = stack[i].moment_derive_multi(alpha, self.m)
+            return a_k.multiply(d).scale(self.t_shift_factor(i - j, j))
+
+        return form
 
     def apply(self, u: TimeSeries) -> TimeSeries:
         """P applied to u, truncated to t-order u.t_order - M.
 
-        Coefficient n of D_t^j u is u_{n+j} * m0(n+j)/m0(n); each term then
-        convolves its coefficient series against the shifted, z-derived
-        stack.
+        Coefficient n of D_t^j u is u_{n+j} * m0(n+j)/m0(n); each part of
+        (P u)_n is then added onto this principal term.
         """
         if u.t_order < self.M:
             raise ValueError(
@@ -111,33 +132,17 @@ class MomentPDE:
             )
         if u.num_vars != self.num_vars:
             raise DimensionMismatch("u has the wrong number of variables")
-        out_order = u.t_order - self.M
-        derived: dict[tuple[int, Exponents], PolySeries] = {}
-
-        def dz(i: int, alpha: Exponents) -> PolySeries:
-            key = (i, alpha)
-            if key not in derived:
-                derived[key] = self.derive_z(u.coefficient(i), alpha)
-            return derived[key]
-
+        form = self.part_former(u.entries)
         entries = []
-        for n in range(out_order + 1):
+        for n in range(u.t_order - self.M + 1):
             acc = u.coefficient(n + self.M).scale(self.t_shift_factor(n, self.M))
-            for term in self.terms:
-                j = term.t_derivative
-                alpha = term.z_derivatives
-                for k in range(term.ord_t, term.coeff.reach(n) + 1):
-                    a_k = term.coeff.coefficient(k)
-                    if a_k.is_zero():
-                        continue
-                    idx = n - k + j
-                    if idx > u.t_order:
-                        raise ValueError(
-                            "u is truncated too low for this term; "
-                            f"needed t-coefficient {idx}"
-                        )
-                    part = a_k.multiply(dz(idx, alpha))
-                    acc = acc.add(part.scale(self.t_shift_factor(n - k, j)))
+            for term, a_k, i in self.parts(n):
+                if i > u.t_order:
+                    raise ValueError(
+                        "u is truncated too low for this term; "
+                        f"needed t-coefficient {i}"
+                    )
+                acc = acc.add(form(term, a_k, i))
             entries.append(acc)
         return TimeSeries(entries, tail_exact=False)
 

@@ -33,6 +33,7 @@ summations are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -49,10 +50,6 @@ class DimensionMismatch(ValueError):
 
 def total_degree(exponents: Exponents) -> int:
     return sum(exponents)
-
-
-def add_exponents(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def min_validity(a: Validity, b: Validity) -> Validity:
@@ -76,6 +73,12 @@ def exact_multiplier(value):
 
 def _within(exponents: Exponents, valid: Validity) -> bool:
     return all(v is None or g <= v for g, v in zip(exponents, valid))
+
+
+def key_limit(valid: Validity) -> tuple:
+    """valid with None as unbounded: a key lies within valid exactly when
+    all(map(operator.le, key, key_limit(valid)))."""
+    return tuple(math.inf if v is None else v for v in valid)
 
 
 class PolySeries:
@@ -236,13 +239,14 @@ class PolySeries:
         """Cauchy product truncated to the componentwise minimum validity."""
         self._check_same_vars(other)
         valid = min_validity(self.valid, other.valid)
+        limit = key_limit(valid)
         out: dict[Exponents, object] = {}
         right = sorted(other.coeffs.items())
         for ea, va in sorted(self.coeffs.items()):
             va = exact_multiplier(va)
             for eb, vb in right:
-                key = add_exponents(ea, eb)
-                if not _within(key, valid):
+                key = tuple(map(operator.add, ea, eb))
+                if not all(map(operator.le, key, limit)):
                     continue
                 if key in out:
                     out[key] = out[key] + va * vb

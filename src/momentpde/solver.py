@@ -32,20 +32,28 @@ minimum of valid(a_p) and valid(w_{n-p}) - alpha, as in the u-basis kernels,
 and u_n = w_n / (m0(n) m(gamma)) is formed once, as reduced Fractions, for
 the output, the norms and the residual.  The big-float backend keeps the
 u-basis loop: its rounding after every kernel is part of its recorded
-output, and the normalised weights would round differently.
+output, and the normalised weights would round differently.  That loop is
+P's own walk solved for u_n: the parts of (P u)_{n-M} that MomentPDE.parts
+yields, formed by MomentPDE.part_former as pde.apply forms them, are
+subtracted from f_n and the sum is scaled by m0(n-M)/m0(n).
 
-The residual check re-applies the operator through an independent code path
-(convolution in pde.apply, in the u basis) and must vanish identically in
-exact mode.  There it puts the whole checked stack over one integer scale:
-with D the lcm of every denominator in u_0..u_T and f_0..f_{T-M}, the
-unchanged pde.apply gets the int-valued stack N_n = D * u_n, each (P N)_n is
-compared with D * f_n on the trusted region, and the residual is the l1 norm
-over D.  P is linear, so P N = D * P u and the number is the one the plain
-u values give; since the kernels apply integral multipliers as ints (series
-module docstring), the check runs on ints wherever the moment ratios are
-integers, and builds no Fraction per coefficient there.  A non-zero exact
-residual raises SolveError naming the first (n, gamma) where (P u)_n != f_n.
-The big-float backend applies P to its u values as they are.
+The residual check re-applies the operator through pde.apply, in the u
+basis, and must vanish identically in exact mode.  The gated exact check is
+independent of the recurrence because _normalised_step enumerates P's parts
+on its own: were it to share P's walk, a wrong t-index range would make the
+recurrence and the oracle agree on the wrong operator.  In exact mode the
+check puts the whole checked stack over one integer scale: with D the lcm
+of every denominator in u_0..u_T and f_0..f_{T-M}, the unchanged pde.apply
+gets the int-valued stack N_n = D * u_n, each (P N)_n is compared with
+D * f_n on the trusted region, and the residual is the l1 norm over D.  P is
+linear, so P N = D * P u and the number is the one the plain u values give;
+since the kernels apply integral multipliers as ints (series module
+docstring), the check runs on ints wherever the moment ratios are integers,
+and builds no Fraction per coefficient there.  A non-zero exact residual
+raises SolveError naming the first (n, gamma) where (P u)_n != f_n.  The
+big-float backend applies P to its u values as they are; its loop shares
+P's walk, so that residual shows rounding, and the tests check the loop
+against the exact recurrence.
 
 A wrong validity leaves the values self-consistent, so the residual cannot
 see it; the check compares validities as well.  P's principal part passes
@@ -71,6 +79,7 @@ from .series import (
     PolySeries,
     TimeSeries,
     Validity,
+    key_limit,
     min_validity,
 )
 
@@ -163,37 +172,16 @@ def _mismatch_message(problem: CauchyProblem, solution: FormalSolution) -> str:
 
 
 def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
-    """The recurrence on the plain coefficients u_n, through the series kernels."""
+    """The u-basis recurrence: P's walk solved for u_n (module docstring)."""
     pde = problem.pde
     m0 = pde.m0
     M = pde.M
-
-    u: list[PolySeries] = []
-    for j in range(M):
-        u.append(problem.initial[j].scale(1 / m0.value(j)))
-
-    derived: dict[tuple[int, Exponents], PolySeries] = {}
-
-    def dz(i: int, alpha: Exponents) -> PolySeries:
-        key = (i, alpha)
-        if key not in derived:
-            derived[key] = pde.derive_z(u[i], alpha)
-        return derived[key]
-
+    u = [problem.initial[j].scale(1 / m0.value(j)) for j in range(M)]
+    form = pde.part_former(u)
     for n in range(M, problem.t_order + 1):
         acc = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
-        for term in pde.terms:
-            j = term.t_derivative
-            alpha = term.z_derivatives
-            # p stops at n - j, past which m0(n-p-j) has a negative index,
-            # or where a tail_exact coefficient's stored range ends
-            for p in range(term.q(M), term.coeff.reach(n - M) + M - j + 1):
-                a_p = term.coeff.coefficient(p - M + j)
-                if a_p.is_zero():
-                    continue
-                weight = m0.value(n - p) / m0.value(n - p - j)
-                part = a_p.multiply(dz(n - p, alpha)).scale(weight)
-                acc = acc.sub(part)
+        for part in pde.parts(n - M):
+            acc = acc.sub(form(*part))
         u.append(acc.scale(m0.value(n - M) / m0.value(n)))
     return u
 
@@ -282,7 +270,9 @@ def _normalised_recurrence(problem: CauchyProblem) -> list[PolySeries]:
 def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
                      w: list[tuple[dict, int, Validity]], n: int
                      ) -> tuple[dict, int, Validity]:
-    """w_n from w_0 .. w_{n-1}, content-reduced."""
+    """w_n from w_0 .. w_{n-1}, content-reduced.  It enumerates P's parts
+    itself, not through MomentPDE.parts: as the exact recurrence it is the
+    side of the gated residual check that must not share pde.apply's walk."""
     pde = problem.pde
     m0 = pde.m0
     M = pde.M
@@ -303,8 +293,7 @@ def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
             shared = lead / (m0.value(n - p - j) * den)
             parts.append((a_p.coeffs, shared, nums, alpha))
 
-    # a key gamma is kept when gamma <= limit componentwise
-    limit = tuple(math.inf if v is None else v for v in valid)
+    limit = key_limit(valid)
     # every group is (denominator, int factor, [(gamma, int numerator)])
     groups = []
     forced = {g: lead * weights.value(g) * v for g, v in rhs.coeffs.items()

@@ -290,25 +290,35 @@ def test_byte_identical_reruns(capsys):
 # SHA-256 of the `solve` output for each shipped fixture at its own
 # truncation, recorded with the u-basis exact recurrence, before the exact
 # mode moved to the moment-normalised basis; any change in a digit, a key or
-# a validity shows.
+# a validity shows.  A "-bigfloat" case runs the fixture with `--backend
+# bigfloat`, through the u-basis loop; those were recorded before that loop
+# and pde.apply came to share one walk over the operator's parts, and they
+# cover t- and z-dependent coefficients and the q-factorial on that path.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "heat": "4ba598d74e5bed6c2b429ad0f94422585fceec71e7502cf88d2f55195473b8e5",
+    "heat-bigfloat": "886488a7efe4b09d10b29da6626d3bc1367b25a3a71e7ff881bcfb42f9adec3c",
     "heat2d": "d7b78cfa8d3c67b54a6fb59f0fba513771510f462ff71148111ef4e70a8e83ba",
+    "heat2d-bigfloat": "cae5885083cd37509146fd2780f34283ab891c0aef445e478c29a57e1c0fe458",
     "heat_exp": "9f426feea8ab973cdd1ab24f3f606f267a40feebd882c3e595e0d1164958cb81",
+    "heat_exp-bigfloat": "470ccfe2d9690ea926fed0f409f6c2f617431d86c376160e9a28fb3a0cc4363e",
     "heat_tcoeff": "da9f202ef54c41c90a9c91edddb423cf492922b3109f5d28d1a425ab98033c80",
+    "heat_tcoeff-bigfloat": "7b96f0637d665e1ea7d3cdf708c06b82d20f853b2d51bee5fe3e600563717bf1",
     "qdiff": "904b87cc08ff4fc19ef724659cb67271b945c6bd348bb89c7a791c9e59d45b51",
+    "qdiff-bigfloat": "41ae1925a4c4627e83d552963017496c7a30f66876a5451ed109ca23e012ca8e",
 }
 
 
-@pytest.mark.parametrize("name", sorted(SOLVE_DIGESTS))
-def test_solve_output_matches_recorded_digest(name, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(SOLVE_DIGESTS))
+def test_solve_output_matches_recorded_digest(case, tmp_path, capsys):
+    name, _, backend = case.partition("-")
     out_path = tmp_path / "solve.json"
     code, _, _ = run(capsys, "solve", PROBLEMS / f"{name}.json",
-                     "--out", out_path)
+                     "--out", out_path,
+                     *(("--backend", backend) if backend else ()))
     assert code == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == SOLVE_DIGESTS[name]
+    assert digest == SOLVE_DIGESTS[case]
 
 
 # SHA-256 of the `check` output at 200 instances, recorded before the Nagumo

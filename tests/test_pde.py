@@ -191,3 +191,14 @@ def test_apply_requires_enough_t_order():
     pde = heat_pde()
     with pytest.raises(ValueError):
         pde.apply(TimeSeries([PolySeries.constant(1, F(1))]))
+
+
+def test_apply_rejects_a_term_reaching_past_the_stack():
+    # An unvalidated operator: j = 2 > M = 1 on a constant coefficient, so
+    # q = -1 and (P u)_2 reads u_4 from a stack that stops at t-order 3.
+    term = OperatorTerm(2, (0,), constant_coeff(1))
+    pde = MomentPDE(1, FactorialPower(1), [FactorialPower(1)], [term])
+    assert term.q(pde.M) == -1
+    u = TimeSeries([PolySeries.constant(1, F(1)) for _ in range(4)])
+    with pytest.raises(ValueError, match="needed t-coefficient 4"):
+        pde.apply(u)
