@@ -18,17 +18,29 @@ where alpha_i > 1 and f has positive degree.  Otherwise the maximum is taken
 over double logs and the value is a float, or a finite mpf past the double
 range.
 
+The norm makes one pass over the support.  log r, |alpha| and lgamma(alpha_i)
+of the axes with alpha_i != 1 are taken once per call; the log of a rational
+coefficient is log|numerator| - log(denominator), with no Fraction built.
+In the exact case only the candidates whose log lies within 1e-6 (relative)
+of the largest are made exact, each as one int numerator over one int
+denominator, since gamma_i! (alpha_i-1)! / (gamma_i+alpha_i-1)! is
+1/C(gamma_i+alpha_i-1, gamma_i).
+
 Each inequality the norm family satisfies (submultiplicativity, the
 derivative bound, the index-shift bound, the sup-norm comparison, and the
 binomial convolution identity feeding them) is exposed as a check function
 that evaluates both sides.  The sides are compared exactly when both values
-are exact, and in doubles with a relative slack of 1e-12 otherwise.
+are exact, and in doubles with a relative slack of 1e-12 otherwise.  When a
+side does not convert to a finite double (an mpf norm past e^709, or a
+Fraction past the double range) the logs are compared instead, with the same
+relative slack: inf <= inf would let such a check pass without testing it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +56,8 @@ class ParameterError(ValueError):
 
 
 def _as_fraction_vector(s) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in s)
+    return tuple(v if isinstance(v, Fraction) else parse_rational(v)
+                 for v in s)
 
 
 @dataclass(frozen=True)
@@ -106,29 +119,18 @@ def theta_coeff(s, a: int, n: int):
     return float(rising) ** float(s)
 
 
-def _exact_candidate(value, exponents, alpha, r, s) -> Fraction:
-    w = abs(value) * r ** (total_degree(exponents) + sum(alpha))
-    for g, a, si in zip(exponents, alpha, s):
-        if a == 1:
-            continue
-        base = Fraction(
-            math.factorial(g) * math.factorial(a - 1),
-            math.factorial(g + a - 1),
-        )
-        w *= base ** int(si)
-    return w
-
-
-def _log_candidate(value, exponents, alpha, r, s) -> float:
-    lw = log_scalar(abs(value))
-    lw += (total_degree(exponents) + sum(alpha)) * log_scalar(r)
-    for g, a, si in zip(exponents, alpha, s):
-        if a == 1:
-            continue
-        lw += float(si) * (
-            math.lgamma(g + 1) + math.lgamma(a) - math.lgamma(g + a)
-        )
-    return lw
+def _exact_candidate(value, exponents, size, r, axes) -> Fraction:
+    """|value| * r^(|gamma|+|alpha|) * prod_i C(g_i+alpha_i-1, g_i)^(-s_i),
+    built as one int numerator over one int denominator."""
+    d = total_degree(exponents) + size
+    num = abs(value.numerator) * r.numerator ** d
+    den = value.denominator * r.denominator ** d
+    for i, a, si, _ in axes:
+        g = exponents[i]
+        # g!(a-1)!/(g+a-1)! = 1/C(g+a-1, g); s_i is integral wherever g > 0
+        if g:
+            den *= math.comb(g + a - 1, g) ** int(si)
+    return Fraction(num, den)
 
 
 def _rational_value(v) -> bool:
@@ -149,14 +151,27 @@ def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
     if params.is_zero_index:
         return NormResult(f.ell1_norm(r), lower)
 
-    exact = (
-        isinstance(r, Fraction)
-        and all(_rational_value(v) for v in f.coeffs.values())
-        and not any(si.denominator != 1 and a != 1 and f.degree(i) > 0
-                    for i, (a, si) in enumerate(zip(alpha, s)))
-    )
+    # one pass over the support: the log of every candidate, with log r,
+    # |alpha| and the lgamma(alpha_i) of the axes with alpha_i != 1 taken once
+    log_r = log_scalar(r)
+    size = sum(alpha)
+    axes = [(i, a, float(si), math.lgamma(a))
+            for i, (a, si) in enumerate(zip(alpha, s)) if a != 1]
+    exact = isinstance(r, Fraction) and not any(
+        s[i].denominator != 1 and f.degree(i) > 0 for i, _, _, _ in axes)
     terms = list(f.coeffs.items())
-    logs = [_log_candidate(v, e, alpha, r, s) for e, v in terms]
+    logs = []
+    for e, v in terms:
+        if isinstance(v, (int, Fraction)):
+            lw = math.log(abs(v.numerator)) - math.log(v.denominator)
+        else:
+            exact = False
+            lw = log_scalar(abs(v))
+        lw += (sum(e) + size) * log_r
+        for i, a, fs, lga in axes:
+            g = e[i]
+            lw += fs * (math.lgamma(g + 1) + lga - math.lgamma(g + a))
+        logs.append(lw)
     if not logs:
         return NormResult(Fraction(0) if exact else 0.0, lower)
     top = max(logs)
@@ -171,7 +186,7 @@ def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
     # (relative) of the top; the rounding of the logs is far below that
     # margin, so the exact maximum is among them.
     cut = top - 1e-6 * max(1.0, abs(top))
-    return NormResult(max(_exact_candidate(v, e, alpha, r, s)
+    return NormResult(max(_exact_candidate(v, e, size, r, axes)
                           for (e, v), lw in zip(terms, logs) if lw >= cut),
                       lower)
 
@@ -192,7 +207,19 @@ _SLACK = 1e-12
 def _leq(lhs, rhs) -> bool:
     if _rational_value(lhs) and _rational_value(rhs):
         return lhs <= rhs
-    return float(lhs) <= float(rhs) * (1 + _SLACK) + 1e-300
+    try:
+        left, right = float(lhs), float(rhs)
+    except OverflowError:  # an int or Fraction past the double range
+        left = right = math.inf
+    if math.isfinite(left) and math.isfinite(right):
+        return left <= right * (1 + _SLACK) + 1e-300
+    # past the double range (inf <= inf would pass anything): compare the
+    # logs with the same relative slack
+    if lhs <= 0:
+        return True
+    if rhs <= 0:
+        return False
+    return log_scalar(lhs) <= log_scalar(rhs) + math.log1p(_SLACK)
 
 
 # -- the inequality checks ----------------------------------------------------
@@ -214,12 +241,12 @@ def check_vandermonde(p: int, q: int, n_max: int) -> VandermondeReport:
     """
     if p < 1 or q < 1:
         raise ParameterError("p and q must be positive integers")
+    # row_p[k] = C(k+p-1, k), so the left side is sum row_p[k] * row_q[n-k]
+    row_p = [math.comb(k + p - 1, k) for k in range(n_max + 1)]
+    row_q = [math.comb(k + q - 1, k) for k in range(n_max + 1)]
     failures = []
     for n in range(n_max + 1):
-        lhs = sum(
-            math.comb(k + p - 1, k) * math.comb(n - k + q - 1, n - k)
-            for k in range(n + 1)
-        )
+        lhs = sum(map(operator.mul, row_p[:n + 1], row_q[n::-1]))
         if lhs != math.comb(n + p + q - 1, n):
             failures.append(n)
     return VandermondeReport(p, q, n_max, not failures, tuple(failures))
@@ -337,11 +364,12 @@ def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
     bound = big_a ** total_degree(alpha) * float(nagumo_norm(f, params).value)
     rng = random.Random(seed)
     radius = float(rho)
+    f_complex = f.map_coefficients(complex)  # converted once, not per sample
     for _ in range(sample_count):
         point = tuple(
             radius * cmath.exp(2j * math.pi * rng.random()) for _ in range(n)
         )
-        if abs(f.evaluate(point)) > bound * (1 + _SLACK):
+        if abs(f_complex.evaluate(point)) > bound * (1 + _SLACK):
             return False
     return True
 
@@ -390,8 +418,9 @@ def random_polynomial(rng: random.Random, num_vars: int,
         num = 0
         while num == 0:
             num = rng.randint(-9, 9)
+        value = Fraction(num, rng.randint(1, 4))
         key = tuple(exponents)
-        terms[key] = terms.get(key, 0) + Fraction(num, rng.randint(1, 4))
+        terms[key] = terms[key] + value if key in terms else value
     return PolySeries(num_vars, terms)
 
 

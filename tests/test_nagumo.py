@@ -27,6 +27,7 @@ from momentpde import (
     geometric_series,
     lemma_battery,
     load_problem,
+    nagumo,
     nagumo_norm,
     nagumo_profile,
     solve,
@@ -34,7 +35,7 @@ from momentpde import (
 )
 from momentpde.backends import log_scalar
 from momentpde.estimator import alpha0
-from momentpde.nagumo import random_polynomial
+from momentpde.nagumo import _leq, random_polynomial
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
@@ -94,6 +95,12 @@ def test_exact_norm_equals_full_scan():
     heat = PolySeries(1, {(g,): F(math.factorial(g + 40), math.factorial(g))
                           for g in range(60)}, (59,))
     cases.append((heat, (20,), F(1, 2), (F(1),)))
+    # numerators past 2^800 in the coefficients and the radius, two axes
+    big = PolySeries(2, {(g, h): F((-1) ** g * math.factorial(g + h + 200),
+                                   math.factorial(g) * 7 ** h)
+                         for g in range(12) for h in range(5)})
+    assert min(v.numerator.bit_length() for v in big.coeffs.values()) > 800
+    cases.append((big, (5, 2), F(2 ** 810 + 1, 3 ** 520), (F(2), F(3))))
     for f, alpha, r, s in cases:
         result = nagumo_norm(f, params(alpha, r, s))
         assert isinstance(result.value, Fraction)
@@ -333,6 +340,61 @@ def test_battery_is_deterministic():
     a = lemma_battery(seed=9, instances=25)
     b = lemma_battery(seed=9, instances=25)
     assert a == b
+
+
+# SHA-256 of repr(value) of every nagumo_norm result, one per line, during
+# lemma_battery(23, 300) and then lemma_battery(26, 300), recorded before the
+# norm went to a single pass: the check digests only see pass/fail flags.
+NORM_VALUES_COUNT = 4718
+NORM_VALUES_DIGEST = (
+    "989fd974d5ae67a78c7f2ff60f85e2311dd130354a3fae14da82392d7f2daded")
+
+
+def test_battery_norm_values_match_recorded_digest(monkeypatch):
+    values = []
+    original = nagumo.nagumo_norm
+
+    def recording(f, params):
+        result = original(f, params)
+        values.append(repr(result.value))
+        return result
+
+    monkeypatch.setattr(nagumo, "nagumo_norm", recording)
+    for seed in (23, 26):
+        lemma_battery(seed, 300)
+    assert len(values) == NORM_VALUES_COUNT
+    text = "\n".join(values)
+    assert hashlib.sha256(text.encode()).hexdigest() == NORM_VALUES_DIGEST
+
+
+# SHA-256 of the coefficient dicts (insertion order) of 600 draws from
+# random.Random(2024), num_vars cycling 1, 2, 3, then the generator's next
+# random(): the battery's instances depend on every draw and its order.
+DRAWS_DIGEST = (
+    "cd3fcfeba1bced1c02478e5770857162b27c94d270398664897604de6ed6396a")
+
+
+def test_random_polynomial_draws_match_recorded_digest():
+    rng = random.Random(2024)
+    lines = [repr(list(random_polynomial(rng, 1 + i % 3).coeffs.items()))
+             for i in range(600)]
+    lines.append(repr(rng.random()))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAWS_DIGEST
+
+
+def test_leq_compares_logs_past_the_double_range():
+    # both sides overflow a double: inf <= inf must not pass the check
+    assert not _leq(mpmath.mpf("1e401"), mpmath.mpf("1e400"))
+    assert _leq(mpmath.mpf("1e400"), mpmath.mpf("1e401"))
+    assert _leq(mpmath.mpf("1e400"), mpmath.mpf("1e400"))
+
+
+def test_leq_against_a_fraction_past_the_double_range():
+    # float(Fraction(10**401)) raises OverflowError
+    assert not _leq(F(10 ** 401), 1.0)
+    assert _leq(1.0, F(10 ** 401))
+    assert not _leq(F(10 ** 401), mpmath.mpf("1e400"))
 
 
 # SHA-256 of the exact nagumo_profile values (r = 1/2, alpha0 and s of the
