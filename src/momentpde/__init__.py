@@ -65,6 +65,7 @@ from .problem_io import (
     parse_problem,
     problem_to_dict,
     solution_to_dict,
+    write_solution,
 )
 from .series import (
     DimensionMismatch,
@@ -138,4 +139,5 @@ __all__ = [
     "theta_coeff",
     "validate",
     "verify_theorem",
+    "write_solution",
 ]

@@ -56,8 +56,11 @@ def scalar_to_fraction(value) -> Fraction:
             if exp != 0:
                 raise PrecisionError("cannot serialize a non-finite value")
             return Fraction(0)
-        frac = Fraction(man) * (Fraction(2) ** exp)
-        return -frac if sign else frac
+        if sign:
+            man = -man
+        if exp >= 0:
+            return Fraction(man << exp)
+        return Fraction(man, 1 << -exp)
     raise BackendError(f"cannot convert {value!r} to an exact rational")
 
 

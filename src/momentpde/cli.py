@@ -22,6 +22,7 @@ from .problem_io import (
     ProblemFormatError,
     load_problem,
     solution_to_dict,
+    write_solution,
 )
 from .moments import SequenceError
 from .solver import SolveError, solve
@@ -144,13 +145,17 @@ def _overrides(args) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(payload: dict, handle) -> None:
+    handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(payload: dict, out: str | None, write=_write_json) -> None:
+    """Write the payload with `write` to the file `out`, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(payload, handle)
     else:
-        sys.stdout.write(text)
+        write(payload, sys.stdout)
 
 
 def cmd_solve(args) -> int:
@@ -158,7 +163,7 @@ def cmd_solve(args) -> int:
     solution = solve(problem)
     payload = solution_to_dict(problem, solution)
     payload["validation"] = solution.validation.as_dict()
-    _emit(payload, args.out)
+    _emit(payload, args.out, write_solution)
     return 0
 
 

@@ -6,6 +6,15 @@ exact-mode runs are reproducible byte for byte.  The same convention is
 used on output: big-float coefficients serialize as the exact rational
 value of their binary representation.
 
+`solution_to_dict` decides what the solution dump contains and
+`write_solution` only lays it out.  The layout is that of
+``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte for
+byte, but the dump is streamed to the output handle one t-order entry at a
+time, each coefficient rendered from a fixed template.  The template holds
+because a coefficient value is ``str`` of an int or a Fraction (a big
+float's exact binary rational), which never contains a character JSON
+escapes.
+
 Schema (see README for the worked example):
 
     variables    number of z variables N
@@ -365,6 +374,8 @@ def _estimation(entry, path: str) -> EstimationConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (int, Fraction)):
+        return str(value)
     return str(scalar_to_fraction(value))
 
 
@@ -466,3 +477,58 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
         else _fmt(solution.residual_max),
         "entries": entries,
     }
+
+
+# One coefficient {"powers": [...], "value": "..."} of an entry's list.
+_COEFFICIENT = ('        {\n          "powers": [\n            %s\n          ],\n'
+                '          "value": "%s"\n        }')
+
+
+def _nested(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as it reads `indent` deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _entry_text(entry: dict) -> str:
+    fields = []
+    for key in sorted(entry):
+        value = entry[key]
+        if key == "coefficients" and value:
+            value = "[\n" + ",\n".join([
+                _COEFFICIENT % (",\n            ".join(map(str, c["powers"])),
+                                c["value"])
+                for c in value
+            ]) + "\n      ]"
+        else:
+            value = _nested(value, "      ")
+        fields.append(f"{json.dumps(key)}: {value}")
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+def write_solution(payload: dict, handle) -> None:
+    """Write a `solution_to_dict` payload to a text handle.
+
+    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline, written one entry at a time, so the whole text is never
+    held.  Every key but "entries" goes through json.dumps, re-indented;
+    that is exact because a JSON string never holds a raw newline.  A
+    coefficient is filled into a fixed template without escaping: its
+    "powers" are ints and its "value" is str of an int or a Fraction, which
+    holds only digits, "-" and "/".
+    """
+    write = handle.write
+    separator = "{\n  "
+    for key in sorted(payload):
+        value = payload[key]
+        write(f"{separator}{json.dumps(key)}: ")
+        separator = ",\n  "
+        if key != "entries" or not value:
+            write(_nested(value, "  "))
+            continue
+        between = "[\n    "
+        for entry in value:
+            write(between)
+            write(_entry_text(entry))
+            between = ",\n    "
+        write("\n  ]")
+    write("\n}\n")

@@ -272,14 +272,18 @@ class PolySeries:
         if not 0 <= axis < self.num_vars:
             raise DimensionMismatch(f"axis {axis} out of range")
         exact = seq.backend.exact
+        ratios = {}  # n -> the multiplier m(n)/m(n-1), taken once per call
         out: dict[Exponents, object] = {}
         for exponents, value in self.coeffs.items():
             n = exponents[axis]
             if n == 0:
                 continue
             key = exponents[:axis] + (n - 1,) + exponents[axis + 1:]
-            ratio = seq.ratio(n - 1)
-            out[key] = value * (exact_multiplier(ratio) if exact else ratio)
+            ratio = ratios.get(n)
+            if ratio is None:
+                ratio = seq.ratio(n - 1)
+                ratio = ratios[n] = exact_multiplier(ratio) if exact else ratio
+            out[key] = value * ratio
         valid = list(self.valid)
         if valid[axis] is not None:
             valid[axis] -= 1

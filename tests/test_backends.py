@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,3 +84,35 @@ def test_scalar_to_fraction_round_trip():
     assert scalar_to_fraction(x) == F(-7, 16)
     assert scalar_to_fraction(F(2, 3)) == F(2, 3)
     assert scalar_to_fraction(backend.zero()) == 0
+
+
+def _power_formula(value) -> Fraction:
+    """An mpf's rational as man·2^exp in Fraction arithmetic, the formula
+    scalar_to_fraction used before it built the rational from shifts."""
+    sign, man, exp, _ = value._mpf_
+    if man == 0:
+        return Fraction(0)
+    frac = Fraction(man) * (Fraction(2) ** exp)
+    return -frac if sign else frac
+
+
+def test_scalar_to_fraction_matches_the_power_formula():
+    backend = BigFloatBackend(96)
+    ctx = backend.ctx
+    rng = random.Random(2026)
+    values = [backend.zero(), ctx.mpf(1), ctx.mpf(-1), ctx.mpf(2) ** 300,
+              -ctx.mpf(2) ** -300]
+    for _ in range(400):
+        man = rng.getrandbits(rng.randint(1, 160)) | 1
+        values.append(ctx.ldexp(ctx.mpf(rng.choice((1, -1)) * man),
+                                rng.randint(-400, 400)))
+    exponents = {v._mpf_[2] for v in values if v}
+    assert min(exponents) < 0 <= max(exponents)
+    assert any(v < 0 for v in values)
+    for value in values:
+        got = scalar_to_fraction(value)
+        assert type(got) is Fraction
+        assert got == _power_formula(value)
+    for value in (ctx.inf, -ctx.inf, ctx.nan):
+        with pytest.raises(PrecisionError):
+            scalar_to_fraction(value)

@@ -321,6 +321,18 @@ def test_solve_output_matches_recorded_digest(case, tmp_path, capsys):
     assert digest == SOLVE_DIGESTS[case]
 
 
+@pytest.mark.parametrize("backend", ["rational", "bigfloat"])
+def test_solve_writes_the_same_bytes_to_stdout_and_out(backend, tmp_path,
+                                                       capsys):
+    argv = ("solve", PROBLEMS / "heat_tcoeff.json", "--backend", backend)
+    out_path = tmp_path / "solve.json"
+    code, out, _ = run(capsys, *argv, "--out", out_path)
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == out_path.read_bytes()
+
+
 # SHA-256 of the `check` output at 200 instances, recorded before the Nagumo
 # layer dropped its stored exactness flag and its unused battery options;
 # any change in a random draw, a verdict or a key shows.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from momentpde import (
     problem_to_dict,
     solution_to_dict,
     solve,
+    write_solution,
 )
 
 F = Fraction
@@ -137,3 +140,53 @@ def test_solution_dump_shape():
     assert entry["n"] == 1
     assert entry["valid"] == [14]
     assert entry["coefficients"][0] == {"powers": [0], "value": "2"}
+
+
+def _solve_payload(problem, **options) -> dict:
+    """The payload `momentpde solve` writes."""
+    solution = solve(problem, **options)
+    payload = solution_to_dict(problem, solution)
+    payload["validation"] = solution.validation.as_dict()
+    return payload
+
+
+def _assert_written_as_json_dumps(payload: dict) -> None:
+    handle = io.StringIO()
+    write_solution(payload, handle)
+    assert handle.getvalue() == json.dumps(payload, indent=2,
+                                           sort_keys=True) + "\n"
+
+
+# fractional's Gamma(1 + n/2) moments have no rational backend
+@pytest.mark.parametrize("name, backend", [
+    (name, backend)
+    for name in ("heat", "heat_exp", "heat_tcoeff", "qdiff", "fractional",
+                 "heat2d")
+    for backend in ("rational", "bigfloat")
+    if (name, backend) != ("fractional", "rational")
+])
+def test_written_solution_equals_json_dumps(name, backend):
+    problem = load_problem(PROBLEMS / f"{name}.json", {"backend": backend})
+    _assert_written_as_json_dumps(_solve_payload(problem))
+
+
+def test_written_solution_equals_json_dumps_on_edge_cases():
+    # z-degree 6 is spent by n = 3, so the later entries are not trusted
+    short = _solve_payload(
+        load_problem(PROBLEMS / "heat.json", {"t_order": 6, "z_degree": [6]}),
+        compute_residual=False,
+    )
+    assert short["residual_max"] is None
+    assert not short["entries"][-1]["trusted"]
+    # polynomial data: unbounded validity and empty t-coefficients
+    tcoeff = _solve_payload(load_problem(PROBLEMS / "heat_tcoeff.json"))
+    assert any(None in entry["valid"] for entry in tcoeff["entries"])
+    assert any(not entry["coefficients"] for entry in tcoeff["entries"])
+    plane = _solve_payload(load_problem(PROBLEMS / "heat2d.json",
+                                        {"t_order": 3, "z_degree": [5, 4]}))
+    assert plane["num_vars"] == 2
+    # strings outside the coefficients are escaped by json.dumps
+    plane["validation"]["warnings"] = ['a "quoted"\n\\ warning, \u00e9']
+    for payload in (short, tcoeff, plane):
+        _assert_written_as_json_dumps(payload)
+    _assert_written_as_json_dumps(dict(plane, entries=[]))
