@@ -64,6 +64,13 @@ def scalar_to_fraction(value) -> Fraction:
     raise BackendError(f"cannot convert {value!r} to an exact rational")
 
 
+def exact_multiplier(value):
+    """An integral Fraction as an int; any other value unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 def log_scalar(value) -> float:
     """Double-precision natural log of a positive scalar.
 

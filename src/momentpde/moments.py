@@ -9,6 +9,14 @@ both the generalized derivatives (factorials give the classical one,
 the growth bookkeeping of the solver.
 
 Sequences are immutable after construction; values and ratios are memoized.
+The generalized derivative of order k multiplies the coefficient of degree n
+by m(n)/m(n-k), so each sequence also keeps one multiplier list per order k:
+entry g of the order-k list is m(g+k)/m(g).  The lists are filled on demand,
+up to the degree a caller asks for, from the memoized one-step ratios, each
+read once; an entry is passed through exact_multiplier, so in exact mode it
+is the exact product with an integral Fraction as an int (an mpf is left
+as it is).  Only the derivative
+kernel reads the lists, so value() and ratio() keep returning Fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .backends import (
     Backend,
     BackendError,
     RationalBackend,
+    exact_multiplier,
     exact_pow,
     log_scalar,
     parse_rational,
@@ -54,6 +63,7 @@ class MomentSequence:
         self.backend = backend
         self._values: list = []
         self._ratios: dict[int, object] = {}
+        self._multipliers: dict[int, list] = {}
 
     # -- kind-specific hooks ------------------------------------------------
 
@@ -102,6 +112,24 @@ class MomentSequence:
         if r is None:
             r = self._ratios[n] = self._compute_ratio(n)
         return r
+
+    def multipliers(self, k: int, top: int) -> list:
+        """The order-k multiplier list (k >= 1), filled at least up to entry
+        top - k: entry g is m(g+k)/m(g) (module docstring).  Filling it reads
+        ratio(0) .. ratio(top - 1), each once per sequence, so a table too
+        short for degree top raises SequenceError here."""
+        steps = self._multipliers.setdefault(1, [])
+        while len(steps) < top:
+            steps.append(exact_multiplier(self.ratio(len(steps))))
+        if k == 1:
+            return steps
+        table = self._multipliers.setdefault(k, [])
+        for g in range(len(table), top - k + 1):
+            r = steps[g]
+            for step in steps[g + 1:g + k]:
+                r = r * step
+            table.append(exact_multiplier(r))
+        return table
 
     def regularity_constants(self, n_max: int):
         """Empirical (c, C): extremes of ratio(n)/(n+1)^s over 0 <= n <= n_max.

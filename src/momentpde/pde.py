@@ -115,7 +115,11 @@ class MomentPDE:
             j, alpha = term.key()
             d = derived.get((i, alpha))
             if d is None:
-                d = derived[i, alpha] = stack[i].moment_derive_multi(alpha, self.m)
+                d = stack[i]
+                for axis, (k, seq) in enumerate(zip(alpha, self.m)):
+                    if k:
+                        d = d.moment_derive(axis, seq, k)
+                derived[i, alpha] = d
             return a_k.multiply(d).scale(self.t_shift_factor(i - j, j))
 
         return form

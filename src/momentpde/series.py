@@ -6,7 +6,8 @@ valid_i in every variable are exact/trusted.  A validity entry of None means
 the series is exactly known to all degrees in that variable (a genuine
 polynomial); a finite entry marks a truncation of infinite data.  Truncation
 arithmetic is conservative: sums and products keep the componentwise minimum
-validity, a generalized derivative in variable j lowers valid_j by one.
+validity, a generalized derivative of order k in variable j lowers valid_j
+by k.
 
 Every PolySeries keeps one invariant: no stored value is zero, and every
 stored key lies inside `valid`.  The constructor enforces it on data from
@@ -15,14 +16,19 @@ their results through a trusted constructor and keep it by filtering only
 where their result can break it.
 
 Exact multipliers follow one rule: the kernels apply an integral Fraction
-multiplier (the `scale` factor, the `moment_derive` ratio, and each value of
-the left, coefficient operand of `multiply`) as an int, through
+multiplier (the `scale` factor, the `moment_derive` multiplier, and each
+value of the left, coefficient operand of `multiply`) as an int, through
 `exact_multiplier`.  So int-valued series stay on ints, which is what lets
 the exact residual oracle run on one integer scale, while Fraction-valued
 and mpf-valued series keep their output types (a Fraction times an int is
-still a Fraction; an mpf is passed through).  The conversion happens here,
-where the multiplier is applied, and not in the moment sequences: an int
-m(n) would turn the divisions in QuotientSequence.ratio,
+still a Fraction; an mpf is passed through).  A derivative of order k
+multiplies the coefficient of degree n by m(n)/m(n-k) once, read from the
+sequence's order-k multiplier list (moments module docstring), whose
+entries were passed through `exact_multiplier` as the list was filled; so
+an integral m(n)/m(n-k) of non-integral one-step ratios keeps an int value
+an int, where k order-1 passes made it an integral Fraction of the same
+value.  The moment values and one-step ratios themselves stay Fractions: an
+int m(n) would turn the divisions in QuotientSequence.ratio,
 MomentPDE.t_shift_factor and the solver into float divisions.
 
 Operations are pure; values are treated as immutable after construction.
@@ -37,7 +43,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .backends import parse_rational
+from .backends import exact_multiplier, parse_rational
 from .moments import MomentSequence
 
 Exponents = tuple[int, ...]
@@ -62,13 +68,6 @@ def min_validity(a: Validity, b: Validity) -> Validity:
         else:
             out.append(min(x, y))
     return tuple(out)
-
-
-def exact_multiplier(value):
-    """An integral Fraction as an int; any other value unchanged."""
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
 
 
 def _within(exponents: Exponents, valid: Validity) -> bool:
@@ -167,9 +166,7 @@ class PolySeries:
 
     def degree(self, axis: int) -> int:
         """Largest stored exponent in the given variable (-1 for zero)."""
-        if not self.coeffs:
-            return -1
-        return max(e[axis] for e in self.coeffs)
+        return max(map(operator.itemgetter(axis), self.coeffs), default=-1)
 
     def __eq__(self, other) -> bool:
         """Coefficient-wise equality on the common valid region."""
@@ -262,41 +259,47 @@ class PolySeries:
 
     # -- analysis -----------------------------------------------------------
 
-    def moment_derive(self, axis: int, seq: MomentSequence) -> "PolySeries":
-        """Generalized derivative in one variable.
+    def moment_derive(self, axis: int, seq: MomentSequence,
+                      order: int = 1) -> "PolySeries":
+        """Generalized derivative of order k = order in one variable.
 
-        The output coefficient at gamma is f(gamma + e_axis) times
-        m(gamma_axis + 1)/m(gamma_axis); for m(n) = n! this is the classical
-        partial derivative.  Validity in the axis drops by one.
+        The output coefficient at gamma is f(gamma + k e_axis) times
+        m(gamma_axis + k)/m(gamma_axis); for m(n) = n! and k = 1 this is the
+        classical partial derivative.  Validity in the axis drops by k, and
+        keys of degree below k in the axis drop out.  It is one pass over
+        the coefficients on the sequence's order-k multiplier list and
+        equals k order-1 passes value for value: in big-float mode each
+        value is multiplied by the one-step ratios one at a time,
+        (v * r(n-1)) * r(n-2) ..., so every mpf rounds as in k order-1
+        passes.
         """
         if not 0 <= axis < self.num_vars:
             raise DimensionMismatch(f"axis {axis} out of range")
-        exact = seq.backend.exact
-        ratios = {}  # n -> the multiplier m(n)/m(n-1), taken once per call
-        out: dict[Exponents, object] = {}
-        for exponents, value in self.coeffs.items():
-            n = exponents[axis]
-            if n == 0:
-                continue
-            key = exponents[:axis] + (n - 1,) + exponents[axis + 1:]
-            ratio = ratios.get(n)
-            if ratio is None:
-                ratio = seq.ratio(n - 1)
-                ratio = ratios[n] = exact_multiplier(ratio) if exact else ratio
-            out[key] = value * ratio
-        valid = list(self.valid)
+        if order == 0:
+            return self  # values are immutable
+        k = order
+        items = self.coeffs.items()
+        top = self.degree(axis)
+        if seq.backend.exact or k == 1:
+            table = seq.multipliers(k, top)
+            if self.num_vars == 1:
+                out = {(n - k,): v * table[n - k] for (n,), v in items if n >= k}
+            else:
+                out = {e[:axis] + (e[axis] - k,) + e[axis + 1:]:
+                       v * table[e[axis] - k] for e, v in items if e[axis] >= k}
+        else:
+            steps = seq.multipliers(1, top)
+            out = {}
+            for e, v in items:
+                n = e[axis]
+                if n >= k:
+                    for g in range(n - 1, n - k - 1, -1):
+                        v = v * steps[g]
+                    out[e[:axis] + (n - k,) + e[axis + 1:]] = v
+        valid = self.valid
         if valid[axis] is not None:
-            valid[axis] -= 1
-        return PolySeries._trusted(self.num_vars, out, tuple(valid))
-
-    def moment_derive_multi(self, orders: Exponents,
-                            seqs: Iterable[MomentSequence]) -> "PolySeries":
-        """Apply moment_derive orders[i] times along each variable i."""
-        out = self
-        for axis, (count, seq) in enumerate(zip(orders, seqs)):
-            for _ in range(count):
-                out = out.moment_derive(axis, seq)
-        return out
+            valid = valid[:axis] + (valid[axis] - k,) + valid[axis + 1:]
+        return PolySeries._trusted(self.num_vars, out, valid)
 
     def ell1_norm(self, r):
         """Sum of |f_gamma|·r^|gamma| over stored coefficients.

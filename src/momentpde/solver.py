@@ -105,17 +105,6 @@ class FormalSolution:
     def fully_valid(self) -> bool:
         return self.valid_t_order == self.t_order
 
-    def validity_report(self) -> list[dict]:
-        """Per-n validity vectors; None marks exact-to-all-degrees."""
-        return [
-            {
-                "n": n,
-                "valid": list(self.coefficients.entries[n].valid),
-                "trusted": n <= self.valid_t_order,
-            }
-            for n in range(self.t_order + 1)
-        ]
-
 
 def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSolution:
     """Run the recurrence up to the problem's t-order.
@@ -252,17 +241,23 @@ def _normalised_recurrence(problem: CauchyProblem) -> list[PolySeries]:
     for n in range(pde.M, problem.t_order + 1):
         w.append(_normalised_step(problem, weights, w, n))
 
+    # u_n(gamma) = w_n(gamma) / (m0(n) m(gamma)); m(gamma) as its
+    # (denominator, numerator) pair, looked up once per gamma
+    inverse = {}
+    for nums, _, _ in w:
+        for gamma in nums.keys() - inverse.keys():
+            z_weight = weights.value(gamma)
+            inverse[gamma] = (z_weight.denominator, z_weight.numerator)
     u = []
     for n, (nums, den, valid) in enumerate(w):
         t_weight = m0.value(n)
         den *= t_weight.numerator
+        if t_weight.denominator != 1:
+            nums = {g: x * t_weight.denominator for g, x in nums.items()}
         coeffs = {}
         for gamma, num in nums.items():
-            z_weight = weights.value(gamma)
-            coeffs[gamma] = Fraction(
-                num * z_weight.denominator * t_weight.denominator,
-                den * z_weight.numerator,
-            )
+            zd, zn = inverse[gamma]
+            coeffs[gamma] = Fraction(num if zd == 1 else num * zd, den * zn)
         u.append(PolySeries._trusted(pde.num_vars, coeffs, valid))
     return u
 
@@ -309,6 +304,11 @@ def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
                 lowered.append((low, x))
         for beta, a in a_coeffs.items():
             c = -a * shared
+            if not any(beta):  # m(gamma)/m(gamma) = 1: no weight to look up
+                groups.append((c.denominator, c.numerator, [
+                    (low, x) for low, x in lowered
+                    if all(map(operator.le, low, limit))]))
+                continue
             items = []
             rden = 1
             for low, x in lowered:

@@ -197,3 +197,19 @@ def test_factorial_power_ratio_identity(s, n):
     seq = FactorialPower(s)
     assert seq.value(n + 1) == seq.value(n) * seq.ratio(n)
     assert seq.value(n) == Fraction(math.factorial(n)) ** s
+
+
+def test_multiplier_lists_hold_exact_value_ratios():
+    seqs = (FactorialPower(2), QFactorial(Fraction(1, 2)),
+            QuotientSequence(FactorialPower(2), FactorialPower(1)))
+    for seq in seqs:
+        for k in (1, 2, 3):
+            table = seq.multipliers(k, 9)
+            assert len(table) >= 9 - k + 1
+            for g in range(9 - k + 1):
+                want = seq.value(g + k) / seq.value(g)
+                assert table[g] == want
+                # an integral entry is an int, any other a Fraction
+                assert type(table[g]) is (int if want.denominator == 1 else Fraction)
+        # filled lists only grow: a lower top returns the same list
+        assert seq.multipliers(2, 4) is seq.multipliers(2, 9)

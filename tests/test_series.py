@@ -13,13 +13,24 @@ from momentpde import (
     BigFloatBackend,
     DimensionMismatch,
     FactorialPower,
+    GammaSequence,
+    MomentSequence,
+    NagumoParams,
     PolySeries,
+    ProductSequence,
     QFactorial,
+    QuotientSequence,
+    SequenceError,
+    TableSequence,
     TimeSeries,
     exponential_series,
     geometric_series,
+    nagumo_norm,
 )
+from momentpde.backends import RationalBackend
+from momentpde.problem_io import _fmt
 from momentpde.series import exact_multiplier, min_validity
+from momentpde.solver import _scaled
 
 F = Fraction
 
@@ -245,6 +256,122 @@ def test_moment_derive_matches_classical_derivative(f):
         if n:
             classical[(n - 1,)] = classical.get((n - 1,), 0) + n * v
     assert out.coeffs == {k: v for k, v in classical.items() if v != 0}
+
+
+# m(n) alternates 1, 1/2: each one-step ratio is 1/2 or 2, each two-step
+# ratio is 1, so an order-2 pass turns an int into an int where two order-1
+# passes made an integral Fraction
+SEESAW = ["1", "1/2"] * 5
+
+
+def derive_sequences(backend):
+    return {
+        "factorial_power": FactorialPower(2, backend),
+        "gamma": GammaSequence(2, backend),
+        "q_factorial": QFactorial(F(1, 2), backend),
+        "product": ProductSequence(FactorialPower(1, backend),
+                                   QFactorial(F(1, 3), backend)),
+        "quotient": QuotientSequence(FactorialPower(2, backend),
+                                     FactorialPower(1, backend)),
+        "table": TableSequence(SEESAW, 1, backend),
+    }
+
+
+def derive_data(scalar):
+    """A dense 2-variable series to degrees (6, 5), ints and Fractions."""
+    return P({(a, b): scalar(F(a - 2 * b + 7, 1 + (a + b) % 3))
+              for a in range(7) for b in range(6)}, num_vars=2, valid=(8, 7))
+
+
+def k_passes(f, axis, seq, k):
+    for _ in range(k):
+        f = f.moment_derive(axis, seq)
+    return f
+
+
+@pytest.mark.parametrize("backend", [RationalBackend(), BigFloatBackend(96)],
+                         ids=["rational", "bigfloat"])
+@pytest.mark.parametrize("kind", sorted(derive_sequences(RationalBackend())))
+def test_one_order_k_pass_equals_k_order_1_passes(backend, kind):
+    scalar = exact_multiplier if backend.exact else backend.scalar
+    f = derive_data(scalar)
+    for axis in (0, 1):
+        top = f.degree(axis)
+        for k in (0, 1, 2, 3, top, top + 1, top + 3):
+            # a fresh sequence each time, so no table is filled in advance
+            want = k_passes(f, axis, derive_sequences(backend)[kind], k)
+            got = f.moment_derive(axis, derive_sequences(backend)[kind], k)
+            assert list(got.coeffs) == list(want.coeffs), (axis, k)
+            assert got.coeffs == want.coeffs, (axis, k)
+            assert got.valid == want.valid, (axis, k)
+            if k > top:
+                lowered = list(f.valid)
+                lowered[axis] -= k
+                assert got.is_zero() and got.valid == tuple(lowered)
+            if backend.exact:
+                assert [_fmt(v) for v in got.coeffs.values()] == \
+                    [_fmt(v) for v in want.coeffs.values()]
+            else:
+                assert _value_types(got) <= {type(backend.one())}
+
+
+def test_order_k_pass_may_return_an_int_for_an_integral_fraction():
+    # seesaw steps 1/2 and 2: two passes leave a Fraction, one order-2 pass
+    # an int of the same value, which the writer, the Nagumo norm and the
+    # residual's integer scale treat alike
+    f = P({(g,): 3 * g + 1 for g in range(9)}, valid=(8,))
+    want = k_passes(f, 0, TableSequence(SEESAW, 1), 2)
+    got = f.moment_derive(0, TableSequence(SEESAW, 1), 2)
+    assert got.coeffs == want.coeffs
+    assert _value_types(want) == {Fraction} and _value_types(got) == {int}
+    assert [_fmt(v) for v in got.coeffs.values()] == \
+        [_fmt(v) for v in want.coeffs.values()]
+    for alpha in ((0,), (1,), (3,)):
+        params = NagumoParams(alpha, F(1, 3), (1,))
+        assert nagumo_norm(got, params) == nagumo_norm(want, params)
+    scale = math.lcm(*(v.denominator for v in got.coeffs.values()))
+    assert scale == math.lcm(*(v.denominator for v in want.coeffs.values()))
+    assert _scaled(got, 6).coeffs == _scaled(want, 6).coeffs
+
+
+def test_a_table_too_short_for_the_axis_still_raises():
+    short = P({(g,): F(g + 1) for g in range(7)})
+    for k in (1, 2, 8):
+        with pytest.raises(SequenceError, match=r"table holds 5 values; "
+                                                r"m\(5\) is out of range"):
+            short.moment_derive(0, TableSequence(["1", "2", "6", "24", "120"], 1), k)
+    # an axis the derivative does not act on is not read
+    two = P({(1, g): F(1) for g in range(7)}, num_vars=2)
+    out = two.moment_derive(0, TableSequence(["1", "2"], 1))
+    assert out.coeffs == {(0, g): 2 for g in range(7)}
+
+
+def test_filling_the_table_reads_only_ratios_the_per_key_loop_read(monkeypatch):
+    # The per-key loop read ratio(n - i) for every key of degree n and every
+    # pass i <= min(k, n); on data of every degree up to the top, the table
+    # reads that same set, each index once per sequence
+    reads = []
+    ratio = MomentSequence.ratio
+
+    def counted(self, n):
+        reads.append((self, n))
+        return ratio(self, n)
+
+    monkeypatch.setattr(MomentSequence, "ratio", counted)
+    f = geometric_series(2, F(2, 3), (6, 4))
+    for axis in (0, 1):
+        degrees = {key[axis] for key in f.coeffs}
+        for k in (1, 2, 3, 9):
+            for seq in (FactorialPower(2), TableSequence(SEESAW, 1)):
+                reads.clear()
+                f.moment_derive(axis, seq, k)
+                own = [n for owner, n in reads if owner is seq]
+                assert sorted(own) == sorted(
+                    {n - i for n in degrees for i in range(1, min(k, n) + 1)})
+                reads.clear()
+                f.moment_derive(axis, seq, k)
+                f.moment_derive(axis, seq, 1)
+                assert not reads
 
 
 def test_ell1_norm_values():

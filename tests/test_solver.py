@@ -203,8 +203,9 @@ def test_validity_exhaustion_is_flagged_not_fatal():
     sol = solve(problem(heat_pde(), [phi], t_order=6, z_caps=(4,)))
     assert sol.valid_t_order == 2
     assert not sol.fully_valid()
-    report = sol.validity_report()
-    assert report[2]["trusted"] and not report[3]["trusted"]
+    entries = sol.coefficients.entries
+    assert entries[2].valid == (0,) and not entries[2].is_exhausted()
+    assert entries[3].valid == (-2,) and entries[3].is_exhausted()
     assert sol.coefficient(1).valid == (2,)
 
 
