@@ -46,7 +46,6 @@ from .nagumo import (
     lemma_battery,
     nagumo_norm,
     nagumo_profile,
-    theta_coeff,
 )
 from .pde import (
     CauchyProblem,
@@ -60,10 +59,8 @@ from .pde import (
 from .polygon import NewtonPolygon, build, export_geometry, k1_inverse
 from .problem_io import (
     ProblemFormatError,
-    emit_problem,
     load_problem,
     parse_problem,
-    problem_to_dict,
     solution_to_dict,
     write_solution,
 )
@@ -118,7 +115,6 @@ __all__ = [
     "check_sup_bound",
     "check_vandermonde",
     "default_window",
-    "emit_problem",
     "estimate_order",
     "exponential_series",
     "export_geometry",
@@ -131,12 +127,10 @@ __all__ = [
     "nagumo_profile",
     "parse_problem",
     "parse_rational",
-    "problem_to_dict",
     "residual",
     "sequence_from_spec",
     "solution_to_dict",
     "solve",
-    "theta_coeff",
     "validate",
     "verify_theorem",
     "write_solution",

@@ -128,10 +128,6 @@ class RationalBackend:
     def format(self, value: Fraction) -> str:
         return str(Fraction(value))
 
-    @property
-    def residual_tolerance(self) -> Fraction:
-        return Fraction(0)
-
     def describe(self) -> dict:
         return {"backend": self.name}
 
@@ -140,9 +136,6 @@ class RationalBackend:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalBackend)
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
 
 class BigFloatBackend:
@@ -212,9 +205,6 @@ class BigFloatBackend:
             isinstance(other, BigFloatBackend)
             and other.precision_bits == self.precision_bits
         )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.precision_bits))
 
 
 Backend = Union[RationalBackend, BigFloatBackend]

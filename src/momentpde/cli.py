@@ -187,8 +187,7 @@ def cmd_estimate(args) -> int:
         tolerance=args.tolerance,
     )
     payload = report.as_dict()
-    payload["residual_max"] = None if solution.residual_max is None \
-        else str(problem.backend.format(solution.residual_max))
+    payload["residual_max"] = str(problem.backend.format(solution.residual_max))
     _emit(payload, args.out)
     return 0 if report.passed else 1
 

@@ -15,8 +15,9 @@ entry g of the order-k list is m(g+k)/m(g).  The lists are filled on demand,
 up to the degree a caller asks for, from the memoized one-step ratios, each
 read once; an entry is passed through exact_multiplier, so in exact mode it
 is the exact product with an integral Fraction as an int (an mpf is left
-as it is).  Only the derivative
-kernel reads the lists, so value() and ratio() keep returning Fractions.
+as it is).  Two readers use the lists: the derivative kernel, and the exact
+recurrence, whose weight shift m(low+b)/m(low) on an axis is entry low of
+the order-b list.  value() and ratio() keep returning Fractions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .backends import (
     RationalBackend,
     exact_multiplier,
     exact_pow,
-    log_scalar,
     parse_rational,
 )
 
@@ -75,10 +75,6 @@ class MomentSequence:
 
     def _compute_ratio(self, n: int):
         return self.value(n + 1) / self.value(n)
-
-    def spec(self) -> dict:
-        """JSON-ready description (the problem-file sub-schema)."""
-        raise NotImplementedError
 
     # -- public surface -----------------------------------------------------
 
@@ -145,31 +141,11 @@ class MomentSequence:
             hi = q if hi is None or q > hi else hi
         return lo, hi
 
-    def gevrey_constants(self, n_max: int) -> tuple[float, float]:
-        """Empirical (a, A) with aⁿ·n!^s ≤ m(n) ≤ Aⁿ·n!^s on 1 <= n <= n_max.
-
-        Reported as floats with a one-ulp-scale safety margin so the bound
-        re-checks cleanly in floating point.
-        """
-        if n_max < 1:
-            raise SequenceError("n_max must be >= 1")
-        s = float(self.order)
-        a = A = None
-        for n in range(1, n_max + 1):
-            # log of (m(n)/n!^s)^(1/n)
-            root = math.exp((log_scalar(self.value(n)) - s * math.lgamma(n + 1)) / n)
-            a = root if a is None or root < a else a
-            A = root if A is None or root > A else A
-        return a * (1 - 1e-12), A * (1 + 1e-12)
-
     def _power_of_index(self, k: int):
         """(k)^s in the backend's scalar domain."""
         if self.backend.exact:
             return exact_pow(Fraction(k), self.order)
         return self.backend.power(k, self.order)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec()})"
 
 
 class FactorialPower(MomentSequence):
@@ -195,9 +171,6 @@ class FactorialPower(MomentSequence):
             return exact_pow(Fraction(n + 1), self.s)
         return self.backend.power(n + 1, self.s)
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "s": str(self.s)}
-
 
 class GammaSequence(MomentSequence):
     """m(n) = Γ(1 + s·n); for integer s this is (s·n)! exactly."""
@@ -215,16 +188,15 @@ class GammaSequence(MomentSequence):
         return self.backend.gamma(1 + self.s * n)
 
     def _compute_ratio(self, n: int):
-        if self.backend.exact:
+        # (s(n+1))!/(sn)! for integral s; otherwise through value(), which
+        # raises BackendError in exact mode
+        if self.backend.exact and self.s.denominator == 1:
             step = int(self.s)
             out = Fraction(1)
             for k in range(step * n + 1, step * (n + 1) + 1):
                 out *= k
             return out
         return self.value(n + 1) / self.value(n)
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, "s": str(self.s)}
 
 
 class QFactorial(MomentSequence):
@@ -252,9 +224,6 @@ class QFactorial(MomentSequence):
     def _compute_ratio(self, n: int):
         return self.bracket(n + 1)
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "q": str(self.q)}
-
 
 class ProductSequence(MomentSequence):
     """Pointwise product; orders add."""
@@ -279,9 +248,6 @@ class ProductSequence(MomentSequence):
 
     def _compute_ratio(self, n: int):
         return self.lhs.ratio(n) * self.rhs.ratio(n)
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, "factors": [self.lhs.spec(), self.rhs.spec()]}
 
 
 class QuotientSequence(MomentSequence):
@@ -311,13 +277,6 @@ class QuotientSequence(MomentSequence):
 
     def _compute_ratio(self, n: int):
         return self.num.ratio(n) / self.den.ratio(n)
-
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "numerator": self.num.spec(),
-            "denominator": self.den.spec(),
-        }
 
 
 class TableSequence(MomentSequence):
@@ -352,13 +311,6 @@ class TableSequence(MomentSequence):
             )
         v = self._raw[n]
         return v if self.backend.exact else self.backend.scalar(v)
-
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": [str(v) for v in self._raw],
-            "order": str(self.order),
-        }
 
 
 def sequence_from_spec(spec: dict, backend: Backend) -> MomentSequence:

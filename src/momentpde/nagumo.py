@@ -44,7 +44,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .backends import log_scalar, parse_rational
 from .moments import FactorialPower, MomentSequence, QFactorial
@@ -101,22 +100,6 @@ class NormResult:
 
     value: object
     lower_bound: bool
-
-
-def theta_coeff(s, a: int, n: int):
-    """Coefficient n of the majorant generator: ((n+a)!/n!)^s.
-
-    Exact Fraction for integer s, float otherwise.
-    """
-    if a < 0 or n < 0:
-        raise ParameterError("a and n must be >= 0")
-    rising = 1
-    for k in range(n + 1, n + a + 1):
-        rising *= k
-    s = parse_rational(s) if not isinstance(s, float) else Fraction(s)
-    if s.denominator == 1:
-        return Fraction(rising) ** int(s)
-    return float(rising) ** float(s)
 
 
 def _exact_candidate(value, exponents, size, r, axes) -> Fraction:
@@ -317,8 +300,9 @@ def check_shift_bound(f: PolySeries, alpha: Exponents, beta: Exponents,
 
 
 def admissible_epsilon(rho, r, s) -> float:
-    """Default epsilon for the sup-norm comparison: the midpoint of the
-    admissible interval, or 1 when the interval is unbounded (|s| = N)."""
+    """The epsilon of the sup-norm comparison: the midpoint of the
+    admissible interval rho*(1+e)^(|s|-N) < r, or 1 when the interval is
+    unbounded (|s| = N)."""
     s = _as_fraction_vector(s)
     excess = float(sum(s)) - len(s)
     if excess <= 0:
@@ -330,11 +314,10 @@ def admissible_epsilon(rho, r, s) -> float:
 
 
 def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
-                    sample_count: int = 64, epsilon: Optional[float] = None,
-                    seed: int = 7) -> bool:
+                    sample_count: int = 64, seed: int = 7) -> bool:
     """Sampled check of: sup of |f| on the closed rho-polydisc is at most
     A^|alpha| times the norm, with A = max(1, (1+e)^|s| / (e^|s| *
-    (r - (1+e)^(|s|-N) rho))).
+    (r - (1+e)^(|s|-N) rho))) and e = admissible_epsilon(rho, r, s).
 
     For alpha = 0 the stronger exact comparison against the ell-1 norm at r
     is used.  Otherwise |f| is evaluated at deterministic torus points with
@@ -349,12 +332,7 @@ def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
 
     n = f.num_vars
     total_s = float(sum(params.s))
-    if epsilon is None:
-        epsilon = admissible_epsilon(rho, r, params.s)
-    if epsilon <= 0 or float(rho) * (1 + epsilon) ** (total_s - n) >= float(r):
-        raise ParameterError(
-            f"epsilon {epsilon} violates rho*(1+eps)^(|s|-N) < r"
-        )
+    epsilon = admissible_epsilon(rho, r, params.s)
     big_a = max(
         1.0,
         (1 + epsilon) ** total_s

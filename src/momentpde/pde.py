@@ -205,9 +205,6 @@ class ValidationReport:
         z-order or valuation assumptions fail."""
         return all(c.passed for c in self.checks if c.name.startswith("structure"))
 
-    def failures(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed]
-
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,

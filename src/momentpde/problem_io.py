@@ -1,10 +1,10 @@
-"""Problem-file parsing and the JSON wire formats.
+"""Problem-file parsing and the solution dump.
 
-Problems are JSON documents; every numeric entry is an exact rational
-written as a string ("3/4", "-1", "0.5") or an integer, never a float, so
-exact-mode runs are reproducible byte for byte.  The same convention is
-used on output: big-float coefficients serialize as the exact rational
-value of their binary representation.
+Problems are JSON documents, read and never written back; every numeric
+entry is an exact rational written as a string ("3/4", "-1", "0.5") or an
+integer, never a float, so exact-mode runs are reproducible byte for byte.
+The solution dump keeps the same convention: big-float coefficients
+serialize as the exact rational value of their binary representation.
 
 `solution_to_dict` decides what the solution dump contains and
 `write_solution` only lays it out.  The layout is that of
@@ -306,6 +306,8 @@ def _poly(entry, path: str, num_vars: int, z_caps, backend) -> PolySeries:
     if isinstance(entry, dict) and "generator" in entry:
         return _generator_poly(entry, path, num_vars, z_caps, backend)
     if isinstance(entry, dict) and "monomials" in entry:
+        if not isinstance(entry["monomials"], list):
+            raise ProblemFormatError(f"{path}.monomials", "expected a list")
         monomials = [
             _monomial(m, f"{path}.monomials[{k}]", num_vars, backend,
                       with_t=False)
@@ -370,83 +372,13 @@ def _estimation(entry, path: str) -> EstimationConfig:
     )
 
 
-# -- emission -----------------------------------------------------------------
+# -- the solution dump --------------------------------------------------------
 
 
 def _fmt(value) -> str:
     if isinstance(value, (int, Fraction)):
         return str(value)
     return str(scalar_to_fraction(value))
-
-
-def _poly_to_doc(poly: PolySeries) -> dict:
-    return {
-        "monomials": [
-            {"z_powers": list(exponents), "value": _fmt(poly.coeffs[exponents])}
-            for exponents in poly.support()
-        ],
-        "valid": [v for v in poly.valid],
-    }
-
-
-def _timeseries_to_monomials(series: TimeSeries) -> list[dict]:
-    out = []
-    for n, entry in enumerate(series.entries):
-        for exponents in entry.support():
-            out.append({
-                "t_power": n,
-                "z_powers": list(exponents),
-                "value": _fmt(entry.coeffs[exponents]),
-            })
-    return out
-
-
-def problem_to_dict(problem: CauchyProblem) -> dict:
-    pde = problem.pde
-    doc = {
-        "variables": pde.num_vars,
-        "moment": {
-            "t": pde.m0.spec(),
-            "z": [seq.spec() for seq in pde.m],
-        },
-        "M": pde.M,
-        "terms": [
-            {
-                "j": term.t_derivative,
-                "alpha": list(term.z_derivatives),
-                "ord_t": term.ord_t,
-                "coefficient": _timeseries_to_monomials(term.coeff),
-            }
-            for term in pde.terms
-        ],
-        "rhs": _timeseries_to_monomials(problem.rhs),
-        "initial": [_poly_to_doc(phi) for phi in problem.initial],
-        "truncation": {
-            "t_order": problem.t_order,
-            "z_degree": list(problem.z_caps),
-        },
-        "numerics": problem.backend.describe(),
-    }
-    est = problem.estimation
-    if any(v is not None for v in (est.r, est.rho, est.window, est.tolerance,
-                                   est.mode)):
-        block = {}
-        if est.r is not None:
-            block["r"] = str(est.r)
-        if est.rho is not None:
-            block["rho"] = str(est.rho)
-        if est.window is not None:
-            block["window"] = list(est.window)
-        if est.tolerance is not None:
-            block["tolerance"] = str(est.tolerance)
-        if est.mode is not None:
-            block["mode"] = est.mode
-        doc["estimation"] = block
-    return doc
-
-
-def emit_problem(problem: CauchyProblem) -> str:
-    return json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
 
 
 def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
@@ -473,8 +405,7 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
             {"j": j, "alpha": list(alpha), "q": q}
             for (j, alpha), q in sorted(problem.pde.q_table().items())
         ],
-        "residual_max": None if solution.residual_max is None
-        else _fmt(solution.residual_max),
+        "residual_max": _fmt(solution.residual_max),
         "entries": entries,
     }
 

@@ -444,20 +444,6 @@ class TimeSeries:
             "series is identically zero up to truncation; term must be dropped"
         )
 
-    def add(self, other: "TimeSeries") -> "TimeSeries":
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatch("variable count mismatch")
-        hi = max(self.t_order, other.t_order)
-        if not (self.tail_exact and other.tail_exact):
-            hi = min(
-                self.t_order if not self.tail_exact else hi,
-                other.t_order if not other.tail_exact else hi,
-            )
-        out = [
-            self.coefficient(n).add(other.coefficient(n)) for n in range(hi + 1)
-        ]
-        return TimeSeries(out, self.tail_exact and other.tail_exact)
-
     def __repr__(self) -> str:
         return (
             f"TimeSeries(t_order={self.t_order}, num_vars={self.num_vars}, "

@@ -27,9 +27,13 @@ the step becomes
 with w_j = m(gamma) * phi_j for j < M.  Each w_n is held as int numerators
 over one int denominator and reduced by one gcd per step; the rational
 factors are shared by a whole (term, p, beta) part, so the work per
-coefficient is integer arithmetic.  A part is trusted up to the componentwise
-minimum of valid(a_p) and valid(w_{n-p}) - alpha, as in the u-basis kernels,
-and u_n = w_n / (m0(n) m(gamma)) is formed once, as reduced Fractions, for
+coefficient is integer arithmetic.  The weight shift m(gamma)/m(gamma-beta)
+is read from the z-sequences' own multiplier lists (moments module
+docstring): on each axis i with beta_i > 0 it is entry gamma_i - beta_i of
+the order-beta_i list, fetched once per (term, p, beta) part and indexed
+per coefficient.  A part is trusted up to the componentwise minimum of
+valid(a_p) and valid(w_{n-p}) - alpha, as in the u-basis kernels, and
+u_n = w_n / (m0(n) m(gamma)) is formed once, as reduced Fractions, for
 the output, the norms and the residual.  The big-float backend keeps the
 u-basis loop: its rounding after every kernel is part of its recorded
 output, and the normalised weights would round differently.  That loop is
@@ -93,7 +97,7 @@ class FormalSolution:
     coefficients: TimeSeries
     valid_t_order: int
     validation: ValidationReport
-    residual_max: Optional[object] = None
+    residual_max: Optional[object] = None  # set by solve(), always
 
     def coefficient(self, n: int) -> PolySeries:
         return self.coefficients.coefficient(n)
@@ -102,19 +106,16 @@ class FormalSolution:
     def t_order(self) -> int:
         return self.coefficients.t_order
 
-    def fully_valid(self) -> bool:
-        return self.valid_t_order == self.t_order
 
-
-def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSolution:
+def solve(problem: CauchyProblem) -> FormalSolution:
     """Run the recurrence up to the problem's t-order.
 
     When initial data is a truncated expansion, validity degrees shrink as
     derivatives spend them; once a coefficient runs out of trusted degrees
     the solution is marked partially valid (never an error) and later
-    entries stay flagged.  In exact mode a non-zero residual raises
-    SolveError, and in both modes so does a validity the operator does not
-    reproduce.
+    entries stay flagged.  The residual is always checked and kept in
+    residual_max: in exact mode a non-zero residual raises SolveError, and
+    in both modes so does a validity the operator does not reproduce.
     """
     report = validate(problem)
     if not report.passed:
@@ -140,10 +141,9 @@ def solve(problem: CauchyProblem, *, compute_residual: bool = True) -> FormalSol
         valid_t_order=valid_t_order,
         validation=report,
     )
-    if compute_residual:
-        solution.residual_max = residual(problem, solution)
-        if problem.backend.exact and solution.residual_max != 0:
-            raise SolveError(_mismatch_message(problem, solution))
+    solution.residual_max = residual(problem, solution)
+    if problem.backend.exact and solution.residual_max != 0:
+        raise SolveError(_mismatch_message(problem, solution))
     return solution
 
 
@@ -176,13 +176,12 @@ def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
 
 
 class _ZWeights:
-    """m(gamma) = prod of m_i(gamma_i), and m(low + beta)/m(low) as a pair
-    of ints, memoised.  An axis given None has weight 1."""
+    """m(gamma) = prod of m_i(gamma_i), memoised.  An axis given None has
+    weight 1."""
 
     def __init__(self, seqs: tuple[Optional[MomentSequence], ...]):
         self.seqs = seqs
         self._values: dict[Exponents, Fraction] = {}
-        self._shifts: dict[tuple[Exponents, Exponents], tuple[int, int]] = {}
 
     def value(self, gamma: Exponents) -> Fraction:
         v = self._values.get(gamma)
@@ -193,18 +192,6 @@ class _ZWeights:
                     v *= seq.value(g)
             self._values[gamma] = v
         return v
-
-    def shift(self, low: Exponents, beta: Exponents) -> tuple[int, int]:
-        key = (low, beta)
-        pair = self._shifts.get(key)
-        if pair is None:
-            r = Fraction(1)
-            for seq, g, b in zip(self.seqs, low, beta):
-                if seq is not None:
-                    for k in range(g, g + b):
-                        r *= seq.ratio(k)
-            pair = self._shifts[key] = (r.numerator, r.denominator)
-        return pair
 
 
 def _over_common_denominator(values: dict) -> tuple[dict, int]:
@@ -309,16 +296,26 @@ def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
                     (low, x) for low, x in lowered
                     if all(map(operator.le, low, limit))]))
                 continue
-            items = []
-            rden = 1
+            kept = []
             for low, x in lowered:
                 gamma = tuple(map(operator.add, low, beta))
-                if not all(map(operator.le, gamma, limit)):
-                    continue
-                rn, rd = weights.shift(low, beta)
+                if all(map(operator.le, gamma, limit)):
+                    kept.append((gamma, low, x))
+            # m(gamma)/m(low) is the product over the moving axes of entry
+            # low_i of the axis's order-b_i multiplier list
+            tables = [(i, seq.multipliers(b, max(g[i] for g, _, _ in kept)))
+                      for i, (seq, b) in enumerate(zip(weights.seqs, beta))
+                      if b and seq is not None and kept]
+            items = []
+            rden = 1
+            for gamma, low, x in kept:
+                r = 1
+                for i, table in tables:
+                    r = r * table[low[i]]
+                rd = r.denominator
                 if rd != 1:
                     rden = math.lcm(rden, rd)
-                items.append((gamma, rn, rd, x))
+                items.append((gamma, r.numerator, rd, x))
             groups.append((c.denominator * rden, c.numerator, [
                 (g, rn * (rden // rd) * x) for g, rn, rd, x in items]))
 

@@ -4,7 +4,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from momentpde import CauchyProblem, FormalSolution, SolveError
+from momentpde import (
+    CauchyProblem,
+    DimensionMismatch,
+    FormalSolution,
+    SolveError,
+    TimeSeries,
+)
+
+
+def add_time_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
+    """a + b, kept to the shorter range of a truncated operand; the sum is
+    tail_exact only when both operands are."""
+    if a.num_vars != b.num_vars:
+        raise DimensionMismatch("variable count mismatch")
+    hi = max(a.t_order, b.t_order)
+    if not (a.tail_exact and b.tail_exact):
+        hi = min(
+            a.t_order if not a.tail_exact else hi,
+            b.t_order if not b.tail_exact else hi,
+        )
+    out = [a.coefficient(n).add(b.coefficient(n)) for n in range(hi + 1)]
+    return TimeSeries(out, a.tail_exact and b.tail_exact)
 
 
 def linear_combination_solution(problem_a: CauchyProblem,
@@ -18,7 +39,7 @@ def linear_combination_solution(problem_a: CauchyProblem,
         raise SolveError("superposition needs a shared operator")
     return CauchyProblem(
         pde=problem_a.pde,
-        rhs=problem_a.rhs.add(problem_b.rhs),
+        rhs=add_time_series(problem_a.rhs, problem_b.rhs),
         initial=[
             pa.add(pb) for pa, pb in zip(problem_a.initial, problem_b.initial)
         ],

@@ -205,8 +205,7 @@ def test_criterion_7_residual_oracle():
             sol_b = solve(prob_b)
             assert sol_a.residual_max == 0
             assert sol_b.residual_max == 0
-            combined = solve(linear_combination_solution(prob_a, prob_b),
-                             compute_residual=False)
+            combined = solve(linear_combination_solution(prob_a, prob_b))
             for n in range(combined.t_order + 1):
                 expected = sol_a.coefficient(n).add(sol_b.coefficient(n))
                 assert combined.coefficient(n).coeffs == expected.coeffs
@@ -215,7 +214,7 @@ def test_criterion_7_residual_oracle():
 def test_criterion_8_profile_bound():
     with Criterion(8, "norm-profile growth bound", 10):
         problem = load_problem(PROBLEMS / "heat.json")
-        solution = solve(problem, compute_residual=False)
+        solution = solve(problem)
         report = verify_theorem(problem, solution, mode="nagumo_profile",
                                 r=F(1, 2), window=(20, 40))
         assert report.alpha0 == (3,)

@@ -158,6 +158,57 @@ def test_negative_instances_exit_two(capsys):
     assert json.loads(err)["error"] == "ParameterError"
 
 
+def _set(path: str, value):
+    """A document edit: put value at a dotted path ("initial.0.monomials")."""
+    *parents, last = path.split(".")
+
+    def edit(doc):
+        for key in parents:
+            doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+        doc[int(last) if isinstance(doc, list) else last] = value
+    return edit
+
+
+# (command, fixture, document edit or None, extra flags): each is a user
+# error, which must exit 2 with a JSON reason on stderr and nothing on stdout
+MALFORMED = {
+    "monomials-not-a-list": (
+        "solve", "heat", _set("initial.0", {"monomials": 5}), ()),
+    "table-values-int": ("polygon", "heat", _set("moment.z.0", {
+        "kind": "table", "values": 5, "order": "1"}), ()),
+    "table-values-float": ("polygon", "heat", _set("moment.z.0", {
+        "kind": "table", "values": 2.5, "order": "1"}), ()),
+    "product-one-factor": ("polygon", "heat", _set("moment.t", {
+        "kind": "product", "factors": [{"kind": "factorial_power", "s": "1"}]}),
+        ()),
+    "q-is-one": ("polygon", "qdiff", _set("moment.t.q", "1"), ()),
+    "backend-int": ("solve", "heat", _set("numerics.backend", 5), ()),
+    "gamma-half-rational": (
+        "solve", "fractional", None, ("--backend", "rational")),
+    "all-zero-coefficient": ("solve", "heat", _set(
+        "terms.0.coefficient.0.value", "0"), ()),
+    "profile-r-zero": ("estimate", "heat", _set("estimation.r", "0"),
+                       ("--mode", "nagumo_profile")),
+    "precision-23": ("solve", "heat", None, ("--precision", "23")),
+    "z-degree-count": ("solve", "heat", None, ("--z-degree", "10,10")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_user_errors_exit_two_with_a_json_reason(case, capsys, tmp_path):
+    command, name, edit, flags = MALFORMED[case]
+    doc = json.loads((PROBLEMS / f"{name}.json").read_text())
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, path, *flags)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert isinstance(payload, dict)
+    assert isinstance(payload["error"], str) and payload["message"]
+
+
 def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):
     apply = MomentPDE.apply
 

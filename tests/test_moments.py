@@ -147,17 +147,6 @@ def test_quotient_negative_order_rejected():
         QuotientSequence(QFactorial(Fraction(1, 2)), FactorialPower(1))
 
 
-def test_gevrey_sandwich_constants():
-    for seq in (FactorialPower(2), QFactorial(Fraction(1, 2)),
-                GammaSequence(1)):
-        a, big_a = seq.gevrey_constants(60)
-        s = float(seq.order)
-        for n in range(1, 61):
-            value = float(seq.value(n))
-            assert a ** n * math.factorial(n) ** s <= value
-            assert value <= big_a ** n * math.factorial(n) ** s
-
-
 def test_table_sequence_range_error():
     seq = TableSequence(["1", "2", "6"], order=1)
     assert seq.value(2) == 6
@@ -187,8 +176,38 @@ def test_sequence_from_spec_round_trip():
         ],
     }
     seq = sequence_from_spec(spec, backend)
-    assert seq.spec() == spec
+    assert type(seq) is ProductSequence and seq.backend == backend
+    assert type(seq.lhs) is FactorialPower and seq.lhs.s == 1
+    assert type(seq.rhs) is QFactorial and seq.rhs.q == Fraction(1, 2)
+    assert seq.order == 1
     assert seq.value(2) == 2 * Fraction(3, 2)
+    quotient = sequence_from_spec({
+        "kind": "quotient",
+        "numerator": {"kind": "gamma", "s": "2"},
+        "denominator": {"kind": "factorial_power", "s": "1"},
+    }, backend)
+    assert type(quotient) is QuotientSequence and quotient.order == 1
+    assert type(quotient.num) is GammaSequence and quotient.num.s == 2
+    assert type(quotient.den) is FactorialPower and quotient.den.s == 1
+    assert quotient.value(3) == Fraction(720, 6)
+    table = sequence_from_spec(
+        {"kind": "table", "values": ["1", "3/2", "4"], "order": "1/2"}, backend)
+    assert type(table) is TableSequence and table.order == Fraction(1, 2)
+    assert [table.value(k) for k in range(3)] == [1, Fraction(3, 2), 4]
+
+
+def test_gamma_ratio_with_fractional_order_needs_bigfloat():
+    # Gamma(1 + n/2) is not rational: ratio() must refuse as value() does,
+    # not return the empty product 1, or derivatives built on the
+    # multiplier lists come out wrong with no error
+    seq = GammaSequence(Fraction(1, 2), RationalBackend())
+    with pytest.raises(BackendError):
+        seq.value(1)
+    for n in (0, 3):
+        with pytest.raises(BackendError):
+            seq.ratio(n)
+    with pytest.raises(BackendError):
+        seq.multipliers(1, 4)
 
 
 @given(s=st.integers(min_value=0, max_value=3), n=st.integers(min_value=0, max_value=30))

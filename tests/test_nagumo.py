@@ -31,7 +31,6 @@ from momentpde import (
     nagumo_norm,
     nagumo_profile,
     solve,
-    theta_coeff,
 )
 from momentpde.backends import log_scalar
 from momentpde.estimator import alpha0
@@ -47,19 +46,6 @@ def params(alpha, r, s):
 
 def norm(f, alpha, r, s):
     return nagumo_norm(f, params(alpha, r, s)).value
-
-
-# -- theta coefficients -------------------------------------------------------
-
-
-def test_theta_examples():
-    assert theta_coeff(1, 2, 3) == 20  # 5!/3!
-    assert theta_coeff(F(7, 3), 0, 11) == 1
-    assert theta_coeff(2, 1, 4) == 25  # ((5)!/4!)^2
-
-
-def test_theta_fractional_order():
-    assert abs(theta_coeff(F(3, 2), 1, 3) - 8.0) < 1e-12  # 4^(3/2)
 
 
 # -- norm values --------------------------------------------------------------
@@ -277,12 +263,10 @@ def test_sup_bound_constant_and_random():
                                sample_count=64, seed=11)
 
 
-def test_sup_bound_epsilon_validation():
+def test_sup_bound_rejects_rho_not_below_r():
     f = PolySeries.constant(1, F(1))
     with pytest.raises(ParameterError):
         check_sup_bound(f, (1,), F(1, 2), F(1, 4), (1,))  # rho >= r
-    with pytest.raises(ParameterError):
-        check_sup_bound(f, (1,), F(1, 4), F(1, 2), (2,), epsilon=100.0)
 
 
 def test_classical_nagumo_scale_comparison():
@@ -320,7 +304,7 @@ def test_profile_of_zero_and_polynomial_solutions():
     def run(phi):
         prob = CauchyProblem(pde, TimeSeries.zero(1), [phi], 8, (20,),
                              RationalBackend())
-        return solve(prob, compute_residual=False)
+        return solve(prob)
 
     zeros = nagumo_profile(run(PolySeries.zero(1)), (3,), F(1, 2), (1,))
     assert all(v.value == 0 for v in zeros)
@@ -412,7 +396,7 @@ PROFILE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
 def test_exact_profile_matches_recorded_digest(name):
     problem = load_problem(PROBLEMS / f"{name}.json")
-    solution = solve(problem, compute_residual=False)
+    solution = solve(problem)
     values = nagumo_profile(solution, alpha0(problem.pde), F(1, 2),
                             problem.pde.s)
     assert all(isinstance(v.value, Fraction) for v in values)
