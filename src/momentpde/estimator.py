@@ -217,8 +217,9 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
         rho = _positive("rho", rho if rho is not None
                         else (est.rho if est.rho is not None
                               else Fraction(1, 4)))
+        powers: dict = {}  # rho^d, shared by every coefficient's norm
         norms = [
-            solution.coefficient(n).ell1_norm(rho)
+            solution.coefficient(n).ell1_norm(rho, powers)
             for n in range(solution.valid_t_order + 1)
         ]
         lower = any(

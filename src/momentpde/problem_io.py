@@ -49,7 +49,7 @@ from .backends import (
     parse_rational,
     scalar_to_fraction,
 )
-from .moments import SequenceError, sequence_from_spec
+from .moments import SequenceError, SpecError, sequence_from_spec
 from .pde import CauchyProblem, EstimationConfig, MomentPDE, OperatorTerm
 from .series import (
     PolySeries,
@@ -214,6 +214,8 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
 def _sequence(spec, path: str, backend: Backend):
     try:
         return sequence_from_spec(spec, backend)
+    except SpecError as exc:
+        raise ProblemFormatError(f"{path}.{exc.field}", exc.reason) from exc
     except (SequenceError, BackendError, KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(path, str(exc)) from exc
 
@@ -376,9 +378,15 @@ def _estimation(entry, path: str) -> EstimationConfig:
 
 
 def _fmt(value) -> str:
+    """str(scalar_to_fraction(value)).  A non-integral mpf is printed from
+    its mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest
+    terms and needs no Fraction."""
     if isinstance(value, (int, Fraction)):
         return str(value)
-    return str(scalar_to_fraction(value))
+    sign, man, exp, _ = value._mpf_
+    if not man or exp >= 0:  # zero, non-finite or integral
+        return str(scalar_to_fraction(value))
+    return f"{'-' if sign else ''}{man}/{1 << -exp}"
 
 
 def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:

@@ -31,6 +31,25 @@ value.  The moment values and one-step ratios themselves stay Fractions: an
 int m(n) would turn the divisions in QuotientSequence.ratio,
 MomentPDE.t_shift_factor and the solver into float divisions.
 
+The kernels test a value for zero by truthiness (`not value`), which
+answers as `value == 0` for an int, a Fraction and an mpf (mpmath has no
+-0, and a NaN is truthy as it is != 0) without converting a 0 into the
+value's domain on every test.  `sub` is `add` with the right operand's
+values subtracted in the same pass; it builds no negated copy.  A
+`multiply` whose left operand is one constant monomial (every operator
+coefficient that does not depend on z) is one pass over the right
+operand, since an mpf product is rounded once and commutes.
+
+`ell1_norm` multiplies |f_gamma| by r^|gamma| read from a table of powers
+of r by degree, which a caller that takes many norms at one r (the
+sup_proxy estimate) shares across its calls.  An mpf times a Fraction
+converts the Fraction through the mpf's context `convert` (one rounding)
+before it multiplies, so each table entry is converted exactly that way,
+once; BigFloatBackend.scalar rounds a large numerator and then divides,
+which can give another mpf, and is not used here.  At r = 1 the multiply
+is skipped for mpf values: abs(v) is already rounded to the context's
+precision, and times 1 it stays what it is.
+
 Operations are pure; values are treated as immutable after construction.
 Iteration over coefficients is in sorted exponent order so that big-float
 summations are reproducible bit-for-bit.
@@ -43,7 +62,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .backends import exact_multiplier, parse_rational
+from .backends import exact_multiplier, is_mpf, parse_rational
 from .moments import MomentSequence
 
 Exponents = tuple[int, ...]
@@ -196,16 +215,28 @@ class PolySeries:
                 f"{self.num_vars} vs {other.num_vars} variables"
             )
 
-    def add(self, other: "PolySeries") -> "PolySeries":
+    def add(self, other: "PolySeries", *, negate: bool = False) -> "PolySeries":
+        """self + other, or self - other when negate is set (as `sub`)."""
         self._check_same_vars(other)
         out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            if key in out:
-                value = out[key] + value
-                if value == 0:
-                    del out[key]
-                    continue
-            out[key] = value
+        if negate:
+            for key, value in other.coeffs.items():
+                if key in out:
+                    value = out[key] - value
+                    if not value:
+                        del out[key]
+                        continue
+                    out[key] = value
+                else:
+                    out[key] = -value
+        else:
+            for key, value in other.coeffs.items():
+                if key in out:
+                    value = out[key] + value
+                    if not value:
+                        del out[key]
+                        continue
+                out[key] = value
         valid = self.valid
         if other.valid != valid:
             valid = min_validity(valid, other.valid)
@@ -218,7 +249,7 @@ class PolySeries:
         )
 
     def sub(self, other: "PolySeries") -> "PolySeries":
-        return self.add(other.neg())
+        return self.add(other, negate=True)
 
     def scale(self, factor) -> "PolySeries":
         if factor == 1:
@@ -236,9 +267,16 @@ class PolySeries:
         """Cauchy product truncated to the componentwise minimum validity."""
         self._check_same_vars(other)
         valid = min_validity(self.valid, other.valid)
-        limit = key_limit(valid)
-        out: dict[Exponents, object] = {}
         right = sorted(other.coeffs.items())
+        if len(self.coeffs) == 1 and not any(next(iter(self.coeffs))):
+            # a constant left operand: one pass, one product per key
+            va = exact_multiplier(next(iter(self.coeffs.values())))
+            if other.valid != valid:
+                right = [(eb, vb) for eb, vb in right if _within(eb, valid)]
+            out = {eb: v for eb, vb in right if (v := va * vb)}
+            return PolySeries._trusted(self.num_vars, out, valid)
+        limit = key_limit(valid)
+        out = {}
         for ea, va in sorted(self.coeffs.items()):
             va = exact_multiplier(va)
             for eb, vb in right:
@@ -249,7 +287,7 @@ class PolySeries:
                     out[key] = out[key] + va * vb
                 else:
                     out[key] = va * vb
-        out = {k: v for k, v in out.items() if v != 0}
+        out = {k: v for k, v in out.items() if v}
         return PolySeries._trusted(self.num_vars, out, valid)
 
     __add__ = add
@@ -301,20 +339,43 @@ class PolySeries:
             valid = valid[:axis] + (valid[axis] - k,) + valid[axis + 1:]
         return PolySeries._trusted(self.num_vars, out, valid)
 
-    def ell1_norm(self, r):
-        """Sum of |f_gamma|·r^|gamma| over stored coefficients.
+    def ell1_norm(self, r, powers: dict | None = None):
+        """Sum of |f_gamma|·r^|gamma| over stored coefficients, added in
+        sorted exponent order.
 
-        This is the alpha = 0 member of the modified Nagumo family.
+        This is the alpha = 0 member of the modified Nagumo family.  powers
+        maps a degree d to r^d as the values are multiplied by it, filled
+        here; a caller that takes many norms at one r, over values of one
+        scalar domain, passes one dict to all of them (module docstring).
         """
         if not r > 0:
             raise ValueError("radius r must be positive")
-        total = None
-        for exponents in self.support():
-            value = self.coeffs[exponents]
-            term = abs(value) * r ** total_degree(exponents)
-            total = term if total is None else total + term
-        if total is None:
+        items = sorted(self.coeffs.items())
+        if not items:
             return r * 0  # zero in the scalar domain of r
+        first = items[0][1]
+        if is_mpf(first) and r == 1:
+            # abs(v) is rounded to the context's precision, so * 1 keeps it
+            terms = [abs(v) for _, v in items]
+        else:
+            # an mpf times a Fraction converts it to an mpf first, through
+            # its context, with one rounding: convert each power that way
+            lift = type(first).context.convert if is_mpf(first) else None
+            if powers is None:
+                powers = {}
+            terms = []
+            for exponents, value in items:
+                d = total_degree(exponents)
+                p = powers.get(d)
+                if p is None:
+                    p = r ** d
+                    if lift is not None:
+                        p = lift(p)
+                    powers[d] = p
+                terms.append(abs(value) * p)
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
         return total
 
     def evaluate(self, point) -> complex:

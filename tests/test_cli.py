@@ -181,6 +181,11 @@ MALFORMED = {
     "product-one-factor": ("polygon", "heat", _set("moment.t", {
         "kind": "product", "factors": [{"kind": "factorial_power", "s": "1"}]}),
         ()),
+    "factorial-power-no-s": ("polygon", "heat", _set("moment.z.0", {
+        "kind": "factorial_power"}), ()),
+    "quotient-no-denominator": ("polygon", "heat", _set("moment.z.0", {
+        "kind": "quotient", "numerator": {"kind": "factorial_power", "s": "1"}}),
+        ()),
     "q-is-one": ("polygon", "qdiff", _set("moment.t.q", "1"), ()),
     "backend-int": ("solve", "heat", _set("numerics.backend", 5), ()),
     "gamma-half-rational": (
@@ -191,6 +196,20 @@ MALFORMED = {
                        ("--mode", "nagumo_profile")),
     "precision-23": ("solve", "heat", None, ("--precision", "23")),
     "z-degree-count": ("solve", "heat", None, ("--z-degree", "10,10")),
+}
+
+# the stderr message of a malformed sequence spec names the field
+MALFORMED_MESSAGES = {
+    "table-values-int":
+        "moment.z[0].values: expected a list of rational values, got 5",
+    "table-values-float":
+        "moment.z[0].values: expected a list of rational values, got 2.5",
+    "product-one-factor":
+        "moment.t.factors: expected a list of two sequence specs, got "
+        "[{'kind': 'factorial_power', 's': '1'}]",
+    "factorial-power-no-s": "moment.z[0].s: required field is missing",
+    "quotient-no-denominator":
+        "moment.z[0].denominator: required field is missing",
 }
 
 
@@ -207,6 +226,9 @@ def test_user_errors_exit_two_with_a_json_reason(case, capsys, tmp_path):
     payload = json.loads(err)
     assert isinstance(payload, dict)
     assert isinstance(payload["error"], str) and payload["message"]
+    if case in MALFORMED_MESSAGES:
+        assert payload == {"error": "ProblemFormatError",
+                           "message": MALFORMED_MESSAGES[case]}
 
 
 def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):

@@ -22,6 +22,7 @@ from momentpde import (
     sequence_from_spec,
 )
 from momentpde.backends import RationalBackend
+from momentpde.moments import SpecError
 
 
 def q_bracket(q: Fraction, k: int) -> Fraction:
@@ -194,6 +195,26 @@ def test_sequence_from_spec_round_trip():
         {"kind": "table", "values": ["1", "3/2", "4"], "order": "1/2"}, backend)
     assert type(table) is TableSequence and table.order == Fraction(1, 2)
     assert [table.value(k) for k in range(3)] == [1, Fraction(3, 2), 4]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "gamma"}, "s"),
+    ({"kind": "q_factorial"}, "q"),
+    ({"kind": "table", "values": "1"}, "values"),
+    ({"kind": "product", "factors": {"kind": "gamma", "s": "1"}}, "factors"),
+    ({"kind": "product", "factors": [{"kind": "gamma", "s": "1"}, 2]},
+     "factors[1]"),
+    ({"kind": "product", "factors": [
+        {"kind": "quotient", "numerator": {"kind": "gamma"}},
+        {"kind": "gamma", "s": "1"}]}, "factors[0].numerator.s"),
+    ({"kind": "quotient", "denominator": {"kind": "gamma", "s": "1"}},
+     "numerator"),
+])
+def test_spec_errors_name_the_field(spec, field):
+    with pytest.raises(SpecError) as err:
+        sequence_from_spec(spec, RationalBackend())
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {err.value.reason}"
 
 
 def test_gamma_ratio_with_fractional_order_needs_bigfloat():

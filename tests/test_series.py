@@ -440,3 +440,157 @@ def test_timeseries_reach_stops_at_the_stored_range_only_when_tail_exact():
     assert TimeSeries(entries, tail_exact=True).reach(7) == 1
     assert TimeSeries(entries, tail_exact=True).reach(0) == 0
     assert TimeSeries(entries, tail_exact=False).reach(7) == 7
+
+
+# -- the big-float kernels against the formulas they replaced -----------------
+#
+# Each kernel below must give the mpf of the formula it replaced bit for bit,
+# so every comparison is on (key, _mpf_) pairs in dict order.
+
+PRECISIONS = (24, 53, 256)
+
+
+def _bits(series: PolySeries) -> list:
+    return [(k, v._mpf_) for k, v in series.coeffs.items()]
+
+
+def _same(a, b) -> bool:
+    """Equal type, and an mpf's _mpf_ tuple or else the value."""
+    return type(a) is type(b) and getattr(a, "_mpf_", a) == getattr(b, "_mpf_", b)
+
+
+def _random_mpf_series(rng, backend, num_vars, valid=None, size=40):
+    """Random mpfs of every sign over a wide exponent range."""
+    ctx = backend.ctx
+    coeffs = {}
+    for _ in range(size):
+        key = tuple(rng.randint(0, 9) for _ in range(num_vars))
+        man = rng.getrandbits(backend.precision_bits) | 1
+        coeffs[key] = ctx.ldexp(ctx.mpf(rng.choice((1, -1)) * man),
+                                rng.randint(-3 * backend.precision_bits, 40))
+    return PolySeries(num_vars, coeffs, valid)
+
+
+def _old_ell1(f: PolySeries, r):
+    total = None
+    for exponents in f.support():
+        term = abs(f.coeffs[exponents]) * r ** sum(exponents)
+        total = term if total is None else total + term
+    return r * 0 if total is None else total
+
+
+def _old_add(f: PolySeries, g: PolySeries) -> PolySeries:
+    out = dict(f.coeffs)
+    for key, value in g.coeffs.items():
+        if key in out:
+            value = out[key] + value
+            if value == 0:
+                del out[key]
+                continue
+        out[key] = value
+    valid = min_validity(f.valid, g.valid)
+    return PolySeries(f.num_vars, out, valid)
+
+
+def _old_multiply(f: PolySeries, g: PolySeries) -> PolySeries:
+    valid = min_validity(f.valid, g.valid)
+    out = {}
+    for ea, va in sorted(f.coeffs.items()):
+        for eb, vb in sorted(g.coeffs.items()):
+            key = tuple(a + b for a, b in zip(ea, eb))
+            if any(v is not None and k > v for k, v in zip(key, valid)):
+                continue
+            out[key] = out[key] + va * vb if key in out else va * vb
+    return PolySeries(f.num_vars, {k: v for k, v in out.items() if v != 0},
+                      valid)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("num_vars", [1, 2])
+def test_shared_power_table_matches_the_per_term_power(precision, num_vars):
+    import random
+
+    rng = random.Random(precision * 10 + num_vars)
+    backend = BigFloatBackend(precision)
+    series = [_random_mpf_series(rng, backend, num_vars) for _ in range(6)]
+    series.append(PolySeries(num_vars, {}, None))
+    for rho in (F(1, 3), F(3, 7), F(1, 4)):
+        powers: dict = {}
+        for f in series:
+            want = _old_ell1(f, rho)
+            assert _same(f.ell1_norm(rho, powers), want)
+            assert _same(f.ell1_norm(rho), want)
+        assert set(powers) == {sum(k) for f in series for k in f.coeffs}
+    for one in (1, F(1), backend.one()):
+        for f in series:
+            assert _same(f.ell1_norm(one), _old_ell1(f, one))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_sub_matches_add_of_the_negation(precision):
+    import random
+
+    rng = random.Random(precision)
+    backend = BigFloatBackend(precision)
+    for num_vars, valid in ((1, (None,)), (1, (5,)), (2, (7, None))):
+        f = _random_mpf_series(rng, backend, num_vars, valid)
+        g = _random_mpf_series(rng, backend, num_vars)
+        # exact cancellations: g repeats some of f's values
+        shared = dict(g.coeffs)
+        shared.update(list(f.coeffs.items())[::3])
+        g = PolySeries(num_vars, shared)
+        for a, b in ((f, g), (g, f), (f, f)):
+            got = a.sub(b)
+            want = _old_add(a, b.neg())
+            assert got.valid == want.valid
+            assert _bits(got) == _bits(want)
+        assert f.sub(f).is_zero()
+        assert any(k not in g.sub(f).coeffs for k in f.coeffs if k in g.coeffs)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_constant_left_multiply_matches_the_pair_loop(precision):
+    import random
+
+    rng = random.Random(precision + 1)
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    for num_vars in (1, 2):
+        right = _random_mpf_series(rng, backend, num_vars, (None,) * num_vars)
+        clipped = _random_mpf_series(rng, backend, num_vars, (6,) * num_vars)
+        for valid in ((None,) * num_vars, (4,) * num_vars):
+            constant = PolySeries.constant(num_vars, ctx.mpf(-3) / 7, valid)
+            for g in (right, clipped):
+                got = constant.multiply(g)
+                want = _old_multiply(constant, g)
+                assert got.valid == want.valid
+                assert _bits(got) == _bits(want)
+    # cancelled zeros on the pair loop: (1 + z)(1 - z) = 1 - z^2
+    one, z = ctx.mpf(1), ctx.mpf(1)
+    f = PolySeries(1, {(0,): one, (1,): z})
+    g = PolySeries(1, {(0,): one, (1,): -z})
+    assert _bits(f.multiply(g)) == _bits(_old_multiply(f, g))
+    assert sorted(f.multiply(g).coeffs) == [(0,), (2,)]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_fmt_of_an_mpf_matches_its_fraction(precision):
+    import random
+
+    from momentpde.backends import PrecisionError, scalar_to_fraction
+
+    rng = random.Random(precision + 2)
+    ctx = BigFloatBackend(precision).ctx
+    values = [ctx.mpf(0), ctx.mpf(1), ctx.mpf(-1), ctx.mpf(-6), ctx.mpf(2) ** 90,
+              -ctx.mpf(3) * ctx.mpf(2) ** 200, ctx.mpf(1) / 3,
+              -ctx.mpf(2) ** -1000, ctx.mpf(5) ** -400]
+    for _ in range(200):
+        man = rng.getrandbits(precision) | 1
+        values.append(ctx.ldexp(ctx.mpf(rng.choice((1, -1)) * man),
+                                rng.randint(-4 * precision, 2 * precision)))
+    assert any(v._mpf_[2] >= 0 for v in values if v)
+    for value in values:
+        assert _fmt(value) == str(scalar_to_fraction(value))
+    for value in (ctx.inf, -ctx.inf, ctx.nan):
+        with pytest.raises(PrecisionError):
+            _fmt(value)
