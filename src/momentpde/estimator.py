@@ -218,14 +218,13 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
                         else (est.rho if est.rho is not None
                               else Fraction(1, 4)))
         powers: dict = {}  # rho^d, shared by every coefficient's norm
-        norms = [
-            solution.coefficient(n).ell1_norm(rho, powers)
-            for n in range(solution.valid_t_order + 1)
-        ]
-        lower = any(
-            not solution.coefficient(n).is_exact()
-            for n in range(solution.valid_t_order + 1)
-        )
+        trusted = solution.coefficients.entries[:solution.valid_t_order + 1]
+        norms = []
+        for numerators, d in zip(trusted, solution.denominators):
+            # ||u_n|| = ||N_n|| / d_n, exactly (solver module docstring)
+            norm = numerators.ell1_norm(rho, powers)
+            norms.append(norm if d == 1 else norm / d)
+        lower = any(not numerators.is_exact() for numerators in trusted)
 
     lo, hi = window if window is not None else (
         est.window if est.window is not None

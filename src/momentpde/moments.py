@@ -16,8 +16,8 @@ up to the degree a caller asks for, from the memoized one-step ratios, each
 read once; an entry is passed through exact_multiplier, so in exact mode it
 is the exact product with an integral Fraction as an int (an mpf is left
 as it is).  Two readers use the lists: the derivative kernel, and the exact
-recurrence, whose weight shift m(low+b)/m(low) on an axis is entry low of
-the order-b list.  value() and ratio() keep returning Fractions.
+recurrence, which differentiates its int numerators in its own pass over
+the same lists.  value() and ratio() keep returning Fractions.
 """
 
 from __future__ import annotations
@@ -293,10 +293,10 @@ class TableSequence(MomentSequence):
     """Finite table of values with a declared order.
 
     Meant for experimentation; excluded from theorem-level claims.  Past the
-    table, value(n) raises SequenceError.  The exact recurrence reads m(d)
-    for every degree d of the output on an axis that some term
-    differentiates, so a table on such an axis must reach the output's top
-    degree there.
+    table, value(n) raises SequenceError.  Both recurrences differentiate
+    u_0 .. u_{T-1} and read m(d) up to their top degree on an axis that some
+    term differentiates, so a table on such an axis must reach that degree
+    there; the residual check differentiates the same coefficients.
     """
 
     kind = "table"

@@ -356,18 +356,28 @@ def nagumo_profile(solution, alpha0: Exponents, r, s) -> list[NormResult]:
     """The norm sequence v_n = ||u_n|| at multi-index n*alpha0.
 
     v_0 uses the zero-index (ell-1) norm.  Only the trusted prefix of the
-    solution is profiled; truncation lower-bound flags propagate.
+    solution is profiled; truncation lower-bound flags propagate.  The norm
+    of u_n = N_n / d_n is exact exactly when that of N_n is, and then it is
+    ||N_n|| / d_n, the same Fraction; where it is taken over double logs it
+    is taken again on the reduced values of u_n, so the logs are theirs.
     """
     if any(a < 1 for a in alpha0):
         raise ParameterError("alpha0 must have all components >= 1")
     out = []
     for n in range(solution.valid_t_order + 1):
-        u_n = solution.coefficient(n)
+        numerators = solution.coefficients.coefficient(n)
+        d = solution.denominators[n]
         if n == 0:
-            params = NagumoParams((0,) * u_n.num_vars, r, s)
+            params = NagumoParams((0,) * numerators.num_vars, r, s)
         else:
             params = NagumoParams(tuple(n * a for a in alpha0), r, s)
-        out.append(nagumo_norm(u_n, params))
+        norm = nagumo_norm(numerators, params)
+        if d != 1:
+            if _rational_value(norm.value):
+                norm = NormResult(norm.value / d, norm.lower_bound)
+            else:  # taken over double logs, which must be the values' logs
+                norm = nagumo_norm(solution.coefficient(n), params)
+        out.append(norm)
     return out
 
 

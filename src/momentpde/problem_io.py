@@ -4,7 +4,10 @@ Problems are JSON documents, read and never written back; every numeric
 entry is an exact rational written as a string ("3/4", "-1", "0.5") or an
 integer, never a float, so exact-mode runs are reproducible byte for byte.
 The solution dump keeps the same convention: big-float coefficients
-serialize as the exact rational value of their binary representation.
+serialize as the exact rational value of their binary representation, and
+an exact u_n(gamma), stored as an int numerator over the t-order's one
+denominator d_n (solver module docstring), is reduced by one gcd and
+printed as str of its Fraction would print it, with no Fraction built.
 
 `solution_to_dict` decides what the solution dump contains and
 `write_solution` only lays it out.  The layout is that of
@@ -40,6 +43,7 @@ z-only monomials drop "t_power".  Sequence sub-schema:
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .backends import (
@@ -377,10 +381,16 @@ def _estimation(entry, path: str) -> EstimationConfig:
 # -- the solution dump --------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """str(scalar_to_fraction(value)).  A non-integral mpf is printed from
-    its mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest
-    terms and needs no Fraction."""
+def _fmt(value, denominator: int = 1) -> str:
+    """str(scalar_to_fraction(value) / denominator), where a denominator
+    other than 1 comes with an int value (a solution's N_n(gamma) over d_n)
+    and is reduced by one gcd.  A non-integral mpf is printed from its
+    mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest terms and
+    needs no Fraction."""
+    if denominator != 1:
+        g = math.gcd(value, denominator)
+        value, denominator = value // g, denominator // g
+        return str(value) if denominator == 1 else f"{value}/{denominator}"
     if isinstance(value, (int, Fraction)):
         return str(value)
     sign, man, exp, _ = value._mpf_
@@ -393,13 +403,15 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
     """The solution dump: per-n sparse coefficient lists with validity."""
     entries = []
     for n in range(solution.t_order + 1):
-        poly = solution.coefficient(n)
+        poly = solution.coefficients.coefficient(n)
+        d = solution.denominators[n]
         entries.append({
             "n": n,
             "valid": [v for v in poly.valid],
             "trusted": n <= solution.valid_t_order,
             "coefficients": [
-                {"powers": list(exponents), "value": _fmt(poly.coeffs[exponents])}
+                {"powers": list(exponents),
+                 "value": _fmt(poly.coeffs[exponents], d)}
                 for exponents in poly.support()
             ],
         })

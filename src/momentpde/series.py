@@ -48,7 +48,10 @@ before it multiplies, so each table entry is converted exactly that way,
 once; BigFloatBackend.scalar rounds a large numerator and then divides,
 which can give another mpf, and is not used here.  At r = 1 the multiply
 is skipped for mpf values: abs(v) is already rounded to the context's
-precision, and times 1 it stays what it is.
+precision, and times 1 it stays what it is.  An int-valued series (an
+exact solution's numerators) at a Fraction radius p/q is summed on ints,
+sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top the largest d, and
+divided by q^top once: the same Fraction, with none built per term.
 
 Operations are pure; values are treated as immutable after construction.
 Iteration over coefficients is in sorted exponent order so that big-float
@@ -347,6 +350,8 @@ class PolySeries:
         maps a degree d to r^d as the values are multiplied by it, filled
         here; a caller that takes many norms at one r, over values of one
         scalar domain, passes one dict to all of them (module docstring).
+        Int values at a Fraction radius are summed on ints and do not read
+        it.
         """
         if not r > 0:
             raise ValueError("radius r must be positive")
@@ -354,6 +359,13 @@ class PolySeries:
         if not items:
             return r * 0  # zero in the scalar domain of r
         first = items[0][1]
+        if type(r) is Fraction and all(type(v) is int for _, v in items):
+            # sum of |v| p^d q^(top - d), over q^top, at r = p/q
+            p, q = r.numerator, r.denominator
+            degrees = [total_degree(e) for e, _ in items]
+            top = max(degrees)
+            return Fraction(sum(abs(v) * p ** d * q ** (top - d)
+                                for d, (_, v) in zip(degrees, items)), q ** top)
         if is_mpf(first) and r == 1:
             # abs(v) is rounded to the context's precision, so * 1 keeps it
             terms = [abs(v) for _, v in items]

@@ -13,51 +13,53 @@ of t^(M-j) a_{j,alpha}, q = ord_t(a) - j + M, and a summand is dropped
 whenever n - p - j < 0.  Since q >= 1 for every validated term, the
 recurrence only consumes earlier u's.
 
-In exact mode the recurrence runs on the moment-normalised coefficients
-w_n(gamma) = m0(n) * m(gamma) * u_n(gamma), with m(gamma) the product of the
-z-sequences m_i(gamma_i) over the axes some term differentiates (the other
-axes keep weight 1).  A moment derivative is a plain index shift on w, so
-the step becomes
+In exact mode the recurrence runs on int numerators: u_n = N_n / d_n, with
+N_n an int-valued PolySeries and d_n one positive int per t-order.  The
+initial data give N_j / d_j = phi_j / m0(j) over the least common
+denominator of phi_j's values.  A step forms, once per (n-p, alpha),
+D_z^alpha u_{n-p} as int numerators over one denominator: one pass over
+N_{n-p} on the z-sequences' multiplier lists, entry kappa_i - alpha_i of
+the order-alpha_i list on each moving axis i (moments module docstring),
+where a multiplier that is not an integer puts its denominator into the
+derivative's.  The exponent beta of a_p is a plain index shift, and the
+rational factor -a_{p,beta} * [m0(n-M)/m0(n)] * [m0(n-p)/m0(n-p-j)] is shared
+by the whole (term, p, beta) part, so the work per coefficient is integer
+arithmetic.  A part is trusted up to the componentwise minimum of
+valid(a_p) and valid(u_{n-p}) - alpha, as in the kernels.  The parts are
+summed over the lcm of their denominators and the content is divided out
+by one gcd, so no prime divides d_n and all of u_n's numerators.  For each
+prime power in d_n some u_n(gamma) then keeps it in its reduced
+denominator: d_n is the lcm of the reduced denominators of u_n, the least
+denominator u_n can be stored over.  The writer, and the Nagumo profile and
+l1 norms wherever the norm is exact, read (N_n, d_n) as they are;
+FormalSolution.coefficient builds the values of one u_n for a caller that
+wants them.  The big-float backend runs
+the loop through the series kernels, and its rounding after every kernel is
+part of its recorded output; its values are stored over d_n = 1.  That loop
+is P's own walk solved for u_n: the parts of (P u)_{n-M} that
+MomentPDE.parts yields, formed by MomentPDE.part_former as pde.apply forms
+them, are subtracted from f_n and the sum is scaled by m0(n-M)/m0(n).
 
-    w_n(gamma) = m0(n-M) * m(gamma) * f_n(gamma)
-                 - sum over terms, p and the exponents beta of a_p of
-                   a_{p,beta} * [m0(n-M)/m0(n-p-j)] * [m(gamma)/m(gamma-beta)]
-                   * w_{n-p}(gamma - beta + alpha),
-
-with w_j = m(gamma) * phi_j for j < M.  Each w_n is held as int numerators
-over one int denominator and reduced by one gcd per step; the rational
-factors are shared by a whole (term, p, beta) part, so the work per
-coefficient is integer arithmetic.  The weight shift m(gamma)/m(gamma-beta)
-is read from the z-sequences' own multiplier lists (moments module
-docstring): on each axis i with beta_i > 0 it is entry gamma_i - beta_i of
-the order-beta_i list, fetched once per (term, p, beta) part and indexed
-per coefficient.  A part is trusted up to the componentwise minimum of
-valid(a_p) and valid(w_{n-p}) - alpha, as in the u-basis kernels, and
-u_n = w_n / (m0(n) m(gamma)) is formed once, as reduced Fractions, for
-the output, the norms and the residual.  The big-float backend keeps the
-u-basis loop: its rounding after every kernel is part of its recorded
-output, and the normalised weights would round differently.  That loop is
-P's own walk solved for u_n: the parts of (P u)_{n-M} that MomentPDE.parts
-yields, formed by MomentPDE.part_former as pde.apply forms them, are
-subtracted from f_n and the sum is scaled by m0(n-M)/m0(n).
-
-The residual check re-applies the operator through pde.apply, in the u
-basis, and must vanish identically in exact mode.  The gated exact check is
-independent of the recurrence because _normalised_step enumerates P's parts
-on its own: were it to share P's walk, a wrong t-index range would make the
-recurrence and the oracle agree on the wrong operator.  In exact mode the
-check puts the whole checked stack over one integer scale: with D the lcm
-of every denominator in u_0..u_T and f_0..f_{T-M}, the unchanged pde.apply
-gets the int-valued stack N_n = D * u_n, each (P N)_n is compared with
-D * f_n on the trusted region, and the residual is the l1 norm over D.  P is
-linear, so P N = D * P u and the number is the one the plain u values give;
-since the kernels apply integral multipliers as ints (series module
-docstring), the check runs on ints wherever the moment ratios are integers,
-and builds no Fraction per coefficient there.  A non-zero exact residual
-raises SolveError naming the first (n, gamma) where (P u)_n != f_n.  The
-big-float backend applies P to its u values as they are; its loop shares
-P's walk, so that residual shows rounding, and the tests check the loop
-against the exact recurrence.
+The residual check re-applies the operator through pde.apply and must
+vanish identically in exact mode.  The gated exact check is independent of
+the recurrence because _integer_step enumerates P's parts on its own and
+differentiates through its own multiplier-list pass: were it to share P's
+walk, a wrong t-index range would make the recurrence and the oracle agree
+on the wrong operator.  In exact mode the check puts the whole checked
+stack over one integer scale: D is the lcm of d_0..d_T and of the
+denominators of f_0..f_{T-M}, and the unchanged pde.apply gets the
+int-valued stack D * u_n = N_n * (D / d_n).  Since each d_n is the lcm of
+u_n's reduced denominators, D is the least common denominator of every
+value in the checked stack.  Each (P D u)_n is compared with D * f_n on the
+trusted region, and the residual is the l1 norm over D.  P is linear, so
+P (D u) = D * P u and the number is the one the plain u values give; since
+the kernels apply integral multipliers as ints (series module docstring),
+the check runs on ints wherever the moment ratios are integers, and builds
+no Fraction per coefficient there.  A non-zero exact residual raises
+SolveError naming the first (n, gamma) where (P u)_n != f_n.  The big-float
+backend applies P to its u values as they are; its loop shares P's walk,
+so that residual shows rounding, and the tests check the loop against the
+exact recurrence.
 
 A wrong validity leaves the values self-consistent, so the residual cannot
 see it; the check compares validities as well.  P's principal part passes
@@ -94,13 +96,24 @@ class SolveError(ValueError):
 
 @dataclass
 class FormalSolution:
+    """u_n = coefficients_n / denominators[n]: in exact mode int numerators
+    over the content-reduced d_n, in big-float mode the values over 1
+    (module docstring)."""
+
     coefficients: TimeSeries
+    denominators: tuple[int, ...]
     valid_t_order: int
     validation: ValidationReport
     residual_max: Optional[object] = None  # set by solve(), always
 
     def coefficient(self, n: int) -> PolySeries:
-        return self.coefficients.coefficient(n)
+        """u_n, with its values built here when d_n is not 1."""
+        entry = self.coefficients.coefficient(n)
+        d = self.denominators[n]
+        if d == 1:
+            return entry
+        return PolySeries._trusted(entry.num_vars, {
+            g: Fraction(x, d) for g, x in entry.coeffs.items()}, entry.valid)
 
     @property
     def t_order(self) -> int:
@@ -122,11 +135,10 @@ def solve(problem: CauchyProblem) -> FormalSolution:
         raise ValidationError(report)
     nmax = problem.t_order
     if problem.backend.exact:
-        u = _normalised_recurrence(problem)
+        u, denominators = _integer_recurrence(problem)
     else:
         u = _recurrence(problem)
-
-    coefficients = TimeSeries(u, tail_exact=False)
+        denominators = [1] * len(u)
 
     valid_t_order = nmax
     for n, entry in enumerate(u):
@@ -134,13 +146,13 @@ def solve(problem: CauchyProblem) -> FormalSolution:
             valid_t_order = n - 1
             break
 
-    _assert_initial_conditions(problem, coefficients)
-
     solution = FormalSolution(
-        coefficients=coefficients,
+        coefficients=TimeSeries(u, tail_exact=False),
+        denominators=tuple(denominators),
         valid_t_order=valid_t_order,
         validation=report,
     )
+    _assert_initial_conditions(problem, solution)
     solution.residual_max = residual(problem, solution)
     if problem.backend.exact and solution.residual_max != 0:
         raise SolveError(_mismatch_message(problem, solution))
@@ -175,25 +187,6 @@ def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
     return u
 
 
-class _ZWeights:
-    """m(gamma) = prod of m_i(gamma_i), memoised.  An axis given None has
-    weight 1."""
-
-    def __init__(self, seqs: tuple[Optional[MomentSequence], ...]):
-        self.seqs = seqs
-        self._values: dict[Exponents, Fraction] = {}
-
-    def value(self, gamma: Exponents) -> Fraction:
-        v = self._values.get(gamma)
-        if v is None:
-            v = Fraction(1)
-            for seq, g in zip(self.seqs, gamma):
-                if seq is not None:
-                    v *= seq.value(g)
-            self._values[gamma] = v
-        return v
-
-
 def _over_common_denominator(values: dict) -> tuple[dict, int]:
     """Rationals as (int numerators, their least common denominator)."""
     den = math.lcm(*(v.denominator for v in values.values()))
@@ -201,64 +194,98 @@ def _over_common_denominator(values: dict) -> tuple[dict, int]:
             for k, v in values.items()}, den
 
 
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den with the content of den and every numerator divided out."""
+    content = math.gcd(den, *nums.values())
+    if content != 1:
+        nums = {g: x // content for g, x in nums.items()}
+    return nums, den // content
+
+
 def _lowered(valid: Validity, alpha: Exponents) -> Validity:
     """valid(D_z^alpha f) from valid(f)."""
     return tuple(None if v is None else v - a for v, a in zip(valid, alpha))
 
 
-def _normalised_recurrence(problem: CauchyProblem) -> list[PolySeries]:
-    """The exact recurrence on w_n = m0(n) m(gamma) u_n (module docstring),
-    returned as the plain coefficients u_n."""
+def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
+            alpha: Exponents) -> tuple[list, int]:
+    """D_z^alpha of int numerators as ([(gamma, int numerator)], one int
+    denominator): the value at gamma = kappa - alpha is nums[kappa] times
+    the product over the moving axes i of entry gamma_i of the order-alpha_i
+    multiplier list, each list filled to the kept keys' top degree."""
+    if not any(alpha):
+        return list(nums.items()), 1
+    lowered = []
+    for kappa, x in nums.items():
+        low = tuple(map(operator.sub, kappa, alpha))
+        if min(low) >= 0:
+            lowered.append((low, x))
+    if not lowered:
+        return [], 1
+    tables = [(i, seqs[i].multipliers(a, max(low[i] for low, _ in lowered) + a))
+              for i, a in enumerate(alpha) if a]
+    whole = []  # (gamma, int value) where the multiplier is an int
+    split = []  # (gamma, numerator, multiplier) where it is a Fraction
+    for low, x in lowered:
+        r = 1
+        for i, table in tables:
+            r = r * table[low[i]]
+        if type(r) is int:
+            whole.append((low, x * r))
+        else:
+            split.append((low, x, r))
+    if not split:
+        return whole, 1
+    den = math.lcm(*(r.denominator for _, _, r in split))
+    return [(g, v * den) for g, v in whole] + [
+        (g, x * r.numerator * (den // r.denominator)) for g, x, r in split
+    ], den
+
+
+def _integer_recurrence(problem: CauchyProblem
+                        ) -> tuple[list[PolySeries], list[int]]:
+    """The exact recurrence on int numerators (module docstring): the N_n as
+    int-valued series and the d_n."""
     pde = problem.pde
     m0 = pde.m0
-    # An axis that no term differentiates keeps weight 1: the shift property
-    # is needed only where a derivative acts, and the plain loop never
-    # evaluates such an axis's sequence (a table may be shorter than the data).
-    weights = _ZWeights(tuple(
-        seq if any(term.z_derivatives[i] for term in pde.terms) else None
-        for i, seq in enumerate(pde.m)
-    ))
+    numerators: list[PolySeries] = []
+    denominators: list[int] = []
+    for j, phi in enumerate(problem.initial):
+        nums, den = _over_common_denominator(phi.coeffs)
+        weight = m0.value(j)
+        nums, den = _reduced({g: x * weight.denominator for g, x in nums.items()},
+                             den * weight.numerator)
+        numerators.append(PolySeries._trusted(pde.num_vars, nums, phi.valid))
+        denominators.append(den)
 
-    # w_n as (int numerators, int denominator, validity)
-    w: list[tuple[dict, int, Validity]] = []
-    for phi in problem.initial:
-        nums, den = _over_common_denominator(
-            {g: weights.value(g) * v for g, v in phi.coeffs.items()})
-        w.append((nums, den, phi.valid))
+    derived: dict[tuple[int, Exponents], tuple[list, int, Validity]] = {}
+
+    def derivative(i: int, alpha: Exponents) -> tuple[list, int, Validity]:
+        """D_z^alpha u_i as ([(gamma, int numerator)], denominator, validity)."""
+        d = derived.get((i, alpha))
+        if d is None:
+            items, den = _derive(pde.m, numerators[i].coeffs, alpha)
+            d = derived[i, alpha] = (items, den * denominators[i],
+                                     _lowered(numerators[i].valid, alpha))
+        return d
+
     for n in range(pde.M, problem.t_order + 1):
-        w.append(_normalised_step(problem, weights, w, n))
-
-    # u_n(gamma) = w_n(gamma) / (m0(n) m(gamma)); m(gamma) as its
-    # (denominator, numerator) pair, looked up once per gamma
-    inverse = {}
-    for nums, _, _ in w:
-        for gamma in nums.keys() - inverse.keys():
-            z_weight = weights.value(gamma)
-            inverse[gamma] = (z_weight.denominator, z_weight.numerator)
-    u = []
-    for n, (nums, den, valid) in enumerate(w):
-        t_weight = m0.value(n)
-        den *= t_weight.numerator
-        if t_weight.denominator != 1:
-            nums = {g: x * t_weight.denominator for g, x in nums.items()}
-        coeffs = {}
-        for gamma, num in nums.items():
-            zd, zn = inverse[gamma]
-            coeffs[gamma] = Fraction(num if zd == 1 else num * zd, den * zn)
-        u.append(PolySeries._trusted(pde.num_vars, coeffs, valid))
-    return u
+        entry, den = _integer_step(problem, derivative, n)
+        numerators.append(entry)
+        denominators.append(den)
+    return numerators, denominators
 
 
-def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
-                     w: list[tuple[dict, int, Validity]], n: int
-                     ) -> tuple[dict, int, Validity]:
-    """w_n from w_0 .. w_{n-1}, content-reduced.  It enumerates P's parts
-    itself, not through MomentPDE.parts: as the exact recurrence it is the
-    side of the gated residual check that must not share pde.apply's walk."""
+def _integer_step(problem: CauchyProblem, derivative, n: int
+                  ) -> tuple[PolySeries, int]:
+    """(N_n, d_n) from the derivatives of u_0 .. u_{n-1}, content-reduced.
+    It enumerates P's parts itself, not through MomentPDE.parts: as the
+    exact recurrence it is the side of the gated residual check that must
+    not share pde.apply's walk."""
     pde = problem.pde
     m0 = pde.m0
     M = pde.M
-    lead = m0.value(n - M)
+    lead = m0.value(n - M) / m0.value(n)
     rhs = problem.rhs.coefficient(n - M)
     valid = rhs.valid
     parts = []
@@ -269,55 +296,33 @@ def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
             a_p = term.coeff.coefficient(p - M + j)
             if a_p.is_zero():
                 continue
-            nums, den, src_valid = w[n - p]
-            valid = min_validity(min_validity(valid, a_p.valid),
-                                 _lowered(src_valid, alpha))
-            shared = lead / (m0.value(n - p - j) * den)
-            parts.append((a_p.coeffs, shared, nums, alpha))
+            items, den, src_valid = derivative(n - p, alpha)
+            valid = min_validity(min_validity(valid, a_p.valid), src_valid)
+            shared = lead * m0.value(n - p) / (m0.value(n - p - j) * den)
+            parts.append((a_p.coeffs, shared, items, key_limit(src_valid)))
 
     limit = key_limit(valid)
     # every group is (denominator, int factor, [(gamma, int numerator)])
     groups = []
-    forced = {g: lead * weights.value(g) * v for g, v in rhs.coeffs.items()
+    forced = {g: lead * v for g, v in rhs.coeffs.items()
               if all(map(operator.le, g, limit))}
     if forced:
         nums, den = _over_common_denominator(forced)
         groups.append((den, 1, list(nums.items())))
-    for a_coeffs, shared, nums, alpha in parts:
-        lowered = []
-        for kappa, x in nums.items():
-            low = tuple(map(operator.sub, kappa, alpha))
-            if min(low) >= 0:
-                lowered.append((low, x))
+    for a_coeffs, shared, items, src_limit in parts:
         for beta, a in a_coeffs.items():
             c = -a * shared
-            if not any(beta):  # m(gamma)/m(gamma) = 1: no weight to look up
-                groups.append((c.denominator, c.numerator, [
-                    (low, x) for low, x in lowered
-                    if all(map(operator.le, low, limit))]))
-                continue
-            kept = []
-            for low, x in lowered:
-                gamma = tuple(map(operator.add, low, beta))
-                if all(map(operator.le, gamma, limit)):
-                    kept.append((gamma, low, x))
-            # m(gamma)/m(low) is the product over the moving axes of entry
-            # low_i of the axis's order-b_i multiplier list
-            tables = [(i, seq.multipliers(b, max(g[i] for g, _, _ in kept)))
-                      for i, (seq, b) in enumerate(zip(weights.seqs, beta))
-                      if b and seq is not None and kept]
-            items = []
-            rden = 1
-            for gamma, low, x in kept:
-                r = 1
-                for i, table in tables:
-                    r = r * table[low[i]]
-                rd = r.denominator
-                if rd != 1:
-                    rden = math.lcm(rden, rd)
-                items.append((gamma, r.numerator, rd, x))
-            groups.append((c.denominator * rden, c.numerator, [
-                (g, rn * (rden // rd) * x) for g, rn, rd, x in items]))
+            shifted = items
+            if any(beta):
+                shifted = [(tuple(map(operator.add, g, beta)), x)
+                           for g, x in items]
+            # the derivative's keys lie within its validity, so only a part
+            # whose shifted validity passes the limit needs the per-key test
+            if not all(map(operator.le, map(operator.add, src_limit, beta),
+                           limit)):
+                shifted = [(g, x) for g, x in shifted
+                           if all(map(operator.le, g, limit))]
+            groups.append((c.denominator, c.numerator, shifted))
 
     common = math.lcm(*(den for den, _, _ in groups))
     acc: dict[Exponents, int] = {}
@@ -325,20 +330,30 @@ def _normalised_step(problem: CauchyProblem, weights: _ZWeights,
         factor *= common // den
         for gamma, x in items:
             acc[gamma] = acc.get(gamma, 0) + factor * x
-    acc = {g: x for g, x in acc.items() if x}
-    content = math.gcd(common, *acc.values())
-    if content != 1:
-        acc = {g: x // content for g, x in acc.items()}
-    return acc, common // content, valid
+    nums, den = _reduced({g: x for g, x in acc.items() if x}, common)
+    return PolySeries._trusted(pde.num_vars, nums, valid), den
 
 
-def _assert_initial_conditions(problem: CauchyProblem, u: TimeSeries):
+def _assert_initial_conditions(problem: CauchyProblem,
+                               solution: FormalSolution):
     """Re-check D_t^j u (0, z) = phi_j by evaluating the derivative's t^0
-    coefficient, u_j * m0(j), against the given data."""
+    coefficient, u_j * m0(j), against the given data.  In exact mode both
+    sides are put on ints: with phi_j = P / e over its least common
+    denominator e, N_j * m0(j) * e is compared with P * d_j."""
     m0 = problem.pde.m0
+    backend = problem.backend
     for j in range(problem.pde.M):
-        recovered = u.coefficient(j).scale(m0.value(j))
-        if not _close(recovered, problem.initial[j], problem.backend):
+        phi = problem.initial[j]
+        weight = m0.value(j)
+        recovered = solution.coefficients.coefficient(j)
+        if backend.exact:
+            nums, den = _over_common_denominator(phi.coeffs)
+            recovered = recovered.scale(weight.numerator * den)
+            phi = PolySeries._trusted(phi.num_vars, nums, phi.valid).scale(
+                solution.denominators[j] * weight.denominator)
+        else:
+            recovered = recovered.scale(weight)
+        if not _close(recovered, phi, backend):
             raise SolveError(
                 f"initial condition {j} not reproduced by the solution"
             )
@@ -372,9 +387,10 @@ def _differences(problem: CauchyProblem, solution: FormalSolution):
     whose difference keeps a trusted region; the iterator raises SolveError
     at the first n where the difference's validity is not u_{n+M}'s.
 
-    In exact mode D is the lcm of every denominator in u_0..u_T and
-    f_0..f_{T-M}, and pde.apply gets the int-valued stack D * u_n (module
-    docstring); in big-float mode D = 1 and the u values go in as they are.
+    In exact mode D is the lcm of d_0..d_T and of the denominators of
+    f_0..f_{T-M}, and pde.apply gets the int-valued stack
+    N_n * (D / d_n) = D * u_n (module docstring); in big-float mode D = 1
+    and the u values go in as they are.
     """
     pde = problem.pde
     u = solution.coefficients
@@ -382,10 +398,11 @@ def _differences(problem: CauchyProblem, solution: FormalSolution):
            for n in range(min(u.t_order, problem.t_order) - pde.M + 1)]
     scale = 1
     if problem.backend.exact:
-        scale = math.lcm(*(v.denominator for entry in (*u.entries, *rhs)
-                           for v in entry.coeffs.values()))
-        u = TimeSeries([_scaled(entry, scale) for entry in u.entries],
-                       u.tail_exact)
+        scale = math.lcm(*solution.denominators,
+                         *(v.denominator for f_n in rhs
+                           for v in f_n.coeffs.values()))
+        u = TimeSeries([entry.scale(scale // d) for entry, d
+                        in zip(u.entries, solution.denominators)], u.tail_exact)
         rhs = [_scaled(f_n, scale) for f_n in rhs]
     applied = pde.apply(u)
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from momentpde import (
     CauchyProblem,
     DimensionMismatch,
     FormalSolution,
+    PolySeries,
     SolveError,
     TimeSeries,
 )
@@ -50,13 +52,35 @@ def linear_combination_solution(problem_a: CauchyProblem,
     )
 
 
+def with_values(problem: CauchyProblem, solution: FormalSolution,
+                values) -> FormalSolution:
+    """The solution with the t-coefficients u_n = values[n], each stored as
+    solve stores it: in exact mode int numerators over the least common
+    denominator of its values, in big-float mode the values over 1."""
+    numerators = []
+    denominators = []
+    for entry in values:
+        den = 1
+        if problem.backend.exact:
+            den = math.lcm(*(v.denominator for v in entry.coeffs.values()))
+            entry = PolySeries(entry.num_vars, {
+                g: v.numerator * (den // v.denominator)
+                for g, v in entry.coeffs.items()}, entry.valid)
+        numerators.append(entry)
+        denominators.append(den)
+    return FormalSolution(
+        TimeSeries(numerators, solution.coefficients.tail_exact),
+        tuple(denominators), solution.valid_t_order, solution.validation)
+
+
 def fraction_residual(problem: CauchyProblem, solution: FormalSolution):
     """The residual through pde.apply on the solution's own values: max over
     checkable t-orders of ||coefficient_n(P u - f)||_1 at r = 1 on the
     trusted region, with no common integer scale.  The reference for
     solver.residual."""
     pde = problem.pde
-    applied = pde.apply(solution.coefficients)
+    values = [solution.coefficient(n) for n in range(solution.t_order + 1)]
+    applied = pde.apply(TimeSeries(values, solution.coefficients.tail_exact))
     one = problem.backend.one()
     worst = problem.backend.zero()
     top = min(applied.t_order, problem.t_order - pde.M)

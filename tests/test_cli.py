@@ -255,14 +255,17 @@ def test_wrong_solution_names_the_first_mismatch(capsys, monkeypatch):
     # solution is wrong: (P u)_n = (n+1) u_{n+1} - D_z^2 u_n puts 2/7 z^3 in
     # (P u)_1, the first non-zero coefficient, and -6/7 z in (P u)_2, the
     # largest l1 norm
-    recurrence = solver._normalised_recurrence
+    recurrence = solver._integer_recurrence
 
     def wrong(problem):
-        u = recurrence(problem)
-        u[2] = u[2].add(PolySeries(1, {(3,): Fraction(1, 7)}))
-        return u
+        # u_2 + z^3/7 = (7 N_2 + d_2 z^3) / (7 d_2)
+        numerators, denominators = recurrence(problem)
+        d = denominators[2]
+        numerators[2] = numerators[2].scale(7).add(PolySeries(1, {(3,): d}))
+        denominators[2] = 7 * d
+        return numerators, denominators
 
-    monkeypatch.setattr(solver, "_normalised_recurrence", wrong)
+    monkeypatch.setattr(solver, "_integer_recurrence", wrong)
     code, out, err = run(capsys, "solve", PROBLEMS / "heat.json",
                          "--t-order", "6", "--z-degree", "20")
     assert code == 2
@@ -317,9 +320,12 @@ def test_fresh_run_loads_no_numpy_and_mpmath_only_for_bigfloat(flags, loaded):
     assert json.loads(result.stdout) == [[0, 0], loaded]
 
 
-def test_table_must_cover_the_output_degree(capsys, tmp_path):
-    # u_t = -z^2 D_z u with u(0, z) = z^3: u_n has degree n + 3, and a table
-    # on the differentiated axis must hold m up to that degree; u_4 = 15 z^7
+@pytest.mark.parametrize("backend", ["rational", "bigfloat"])
+def test_table_must_cover_the_differentiated_degree(backend, capsys, tmp_path):
+    # u_t = -z^2 D_z u with u(0, z) = z^3: u_n = (-1)^n C(n+2, 2) z^(n+3).
+    # Both recurrences differentiate u_0 .. u_(T-1), so a table on the
+    # differentiated axis must hold m up to degree T + 2: the 8-entry table
+    # (m(0) .. m(7)) solves t-order 5, u_5 = -21 z^8, and t-order 6 needs m(8)
     doc = {
         "variables": 1,
         "moment": {
@@ -332,8 +338,8 @@ def test_table_must_cover_the_output_degree(capsys, tmp_path):
             {"t_power": 0, "z_powers": [2], "value": "1"}]}],
         "rhs": [],
         "initial": [[{"z_powers": [3], "value": "1"}]],
-        "truncation": {"t_order": 5, "z_degree": [20]},
-        "numerics": {"backend": "rational"},
+        "truncation": {"t_order": 6, "z_degree": [20]},
+        "numerics": {"backend": backend},
     }
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
@@ -343,10 +349,11 @@ def test_table_must_cover_the_output_degree(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "SequenceError"
     assert "m(8)" in payload["message"]
-    code, out, _ = run(capsys, "solve", path, "--t-order", "4")
+    code, out, _ = run(capsys, "solve", path, "--t-order", "5")
     assert code == 0
-    assert json.loads(out)["entries"][4]["coefficients"] == [
-        {"powers": [7], "value": "15"}]
+    entries = json.loads(out)["entries"]
+    assert [entry["coefficients"] for entry in entries[4:]] == [
+        [{"powers": [7], "value": "15"}], [{"powers": [8], "value": "-21"}]]
 
 
 def test_byte_identical_reruns(capsys):
@@ -371,6 +378,11 @@ def test_byte_identical_reruns(capsys):
 # before the big-float kernels took their zero tests by truthiness, shared
 # one radius-power table and made `sub` and a constant-left `multiply` one
 # pass, and they pin rounding and cancellation, which are frequent there.
+# The third_order, transport_z2 and mixed2d cases (closed-form fixtures:
+# order-3 multiplier lists, a z-dependent coefficient, two moving axes per
+# key) and heat_table (a z-table) were recorded on the moment-normalised
+# exact recurrence, before the exact mode came to store int numerators over
+# one denominator per t-order.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "fractional-p40": "99eb4dfed9e00f79c7383c916d7496e170fbd86a991444893c5c6d6372e6531d",
@@ -381,10 +393,14 @@ SOLVE_DIGESTS = {
     "heat2d-bigfloat-p48": "fdb46cbe4f6e76c4cd1c74c89b2efaaefe4e2c31d1f15d7218ad5a26d0a5285e",
     "heat_exp": "9f426feea8ab973cdd1ab24f3f606f267a40feebd882c3e595e0d1164958cb81",
     "heat_exp-bigfloat": "470ccfe2d9690ea926fed0f409f6c2f617431d86c376160e9a28fb3a0cc4363e",
+    "heat_table": "567fcf15aef65023bbbe0e6223aa1a4ffeab578dd109dece3ce071eca219aa0c",
     "heat_tcoeff": "da9f202ef54c41c90a9c91edddb423cf492922b3109f5d28d1a425ab98033c80",
     "heat_tcoeff-bigfloat": "7b96f0637d665e1ea7d3cdf708c06b82d20f853b2d51bee5fe3e600563717bf1",
     "qdiff": "904b87cc08ff4fc19ef724659cb67271b945c6bd348bb89c7a791c9e59d45b51",
     "qdiff-bigfloat": "41ae1925a4c4627e83d552963017496c7a30f66876a5451ed109ca23e012ca8e",
+    "mixed2d": "09fe9c922ed3332eda266075b9859697613f645f18b78f4fb2a20c57db51f89a",
+    "third_order": "cbef725c0fa9f45f91264131329b2efa3d5af3f19b3a719edc6e84c2f86b99cf",
+    "transport_z2": "4db9ac8ab0224156dbe025462dd4a2566b4009a1b55acb322dfd4ece9dee515f",
 }
 
 
@@ -437,6 +453,10 @@ def test_check_output_matches_recorded_digest(seed, capsys):
 # recorded when the fit became the exact least-squares solution of its
 # doubles: the digits no longer depend on a BLAS build, so any change in a
 # fitted digit, a verdict or a key shows.
+# The heat_table, mixed2d, third_order and transport_z2 cases were recorded
+# before the exact mode stored int numerators over one denominator per
+# t-order; heat_table's z-table declares order 3/2, so its norms past n = 0
+# are taken over double logs of the reduced values.
 ESTIMATE_DIGESTS = {
     ("fractional", "nagumo_profile"): "bce354924952dd0867167b2bf497ea4b8df6161e463d62bd4d28f3720059bcfd",
     ("fractional", "sup_proxy"): "a23c9899f0c26f2f8f8b7bb3dcb7b3b084efebf4e257b5984baceb53474d3142",
@@ -450,6 +470,10 @@ ESTIMATE_DIGESTS = {
     ("heat_tcoeff", "sup_proxy"): "7cd90e69059ba3d93ce9cb0ab16ab445031b20c35b1239cbc9e13024c574e54c",
     ("qdiff", "nagumo_profile"): "4a307710f4b71835ba798b7932f60222d13aed16528650722f8265bef08f0a60",
     ("qdiff", "sup_proxy"): "19328f634acba804c0f17f9b00f10a5150598da96cb53c41875ac19d15aa587c",
+    ("heat_table", "nagumo_profile"): "277e6240db637fa054b0e5fa8df522132fb9bf8b6bde0509112a2bd9e3df70cb",
+    ("mixed2d", "nagumo_profile"): "09fc91f883fc0f76046f078256f4fa5e19e30ee5c71a3c7883b0e4ab11dfb743",
+    ("third_order", "nagumo_profile"): "17d0a7b18c754fcd1501dce144cf1db60460b06d957030f829ad8e68a8bc41e8",
+    ("transport_z2", "nagumo_profile"): "bed649fa660ef1af2097af128c664fc00ce9f894bfcae9233bb5b4de6ef64dde",
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from momentpde import (
 from momentpde.backends import log_scalar
 from momentpde.estimator import alpha0
 from momentpde.nagumo import _leq, random_polynomial
+from momentpde.problem_io import problem_from_dict
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
@@ -402,3 +404,32 @@ def test_exact_profile_matches_recorded_digest(name):
     assert all(isinstance(v.value, Fraction) for v in values)
     text = "\n".join(str(v.value) for v in values)
     assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["heat_exp", "heat_table", "heat_tcoeff",
+                                  "qdiff"])
+def test_profile_of_numerators_equals_the_profile_of_the_values(name):
+    # The profile reads ||N_n|| / d_n where the norm is exact, and the
+    # reduced values where it is taken over double logs (heat_table's z-table
+    # declares order 3/2): either way v_n is the norm of the Fraction values
+    # of u_n, of the same value and type.  Data of ratio 2/3 put powers of 3
+    # in the denominators.
+    doc = json.loads((PROBLEMS / f"{name}.json").read_text())
+    doc["initial"][0] = {"generator": "geometric", "coefficient": "2/3"}
+    problem = problem_from_dict(doc)
+    solution = solve(problem)
+    assert any(d != 1 for d in solution.denominators)
+    a0 = alpha0(problem.pde)
+    got = nagumo_profile(solution, a0, F(1, 2), problem.pde.s)
+    for n, result in enumerate(got):
+        numerators = solution.coefficients.coefficient(n)
+        d = solution.denominators[n]
+        values = PolySeries(numerators.num_vars, {
+            g: F(x, d) for g, x in numerators.coeffs.items()}, numerators.valid)
+        alpha = tuple(n * a for a in a0) if n else (0,) * len(a0)
+        want = nagumo_norm(values, params(alpha, F(1, 2), problem.pde.s))
+        assert type(result.value) is type(want.value), n
+        assert (result.value, result.lower_bound) == \
+            (want.value, want.lower_bound), n
+    floats = [type(v.value) is float for v in got[1:]]
+    assert all(floats) if name == "heat_table" else not any(floats)

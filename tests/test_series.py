@@ -385,6 +385,23 @@ def test_ell1_norm_values():
     assert P({(1, 1): F(1)}, num_vars=2).ell1_norm(F(2)) == 4
 
 
+def test_ell1_of_int_values_at_a_rational_radius_is_the_fraction_sum():
+    # int values at r = p/q take one int sum over q^top; the value and type
+    # are those of the sum of |v| r^d over the same values as Fractions
+    rng = random.Random(5)
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        coeffs = {tuple(rng.randint(0, 6) for _ in range(nv)):
+                  rng.choice([-1, 1]) * rng.randint(1, 10 ** 40)
+                  for _ in range(rng.randint(1, 12))}
+        ints = PolySeries(nv, coeffs)
+        fractions = PolySeries(nv, {g: F(v) for g, v in coeffs.items()})
+        for r in (F(1, 4), F(3, 7), F(5, 2), F(1), F(2)):
+            got = ints.ell1_norm(r)
+            assert type(got) is Fraction
+            assert got == fractions.ell1_norm(r)
+
+
 @given(f=sparse_polys(), c=st.integers(-6, 6))
 @settings(max_examples=40, deadline=None)
 def test_ell1_homogeneous_and_monotone(f, c):

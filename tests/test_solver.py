@@ -24,14 +24,16 @@ from momentpde import (
     TableSequence,
     TimeSeries,
     ValidationError,
+    build,
     geometric_series,
+    k1_inverse,
     residual,
     solve,
 )
 from momentpde.problem_io import load_problem
-from momentpde.solver import _normalised_recurrence, _recurrence
+from momentpde.solver import _integer_recurrence, _recurrence
 
-from helpers import fraction_residual, linear_combination_solution
+from helpers import fraction_residual, linear_combination_solution, with_values
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
@@ -191,10 +193,9 @@ def test_solver_requires_validation():
 def test_corrupted_solution_has_positive_residual():
     prob = problem(heat_pde(), [PolySeries(1, {(2,): F(1)})])
     sol = solve(prob)
-    entries = list(sol.coefficients.entries)
-    entries[1] = entries[1].add(PolySeries.constant(1, F(1, 7)))
-    sol.coefficients = TimeSeries(entries)
-    assert residual(prob, sol) > 0
+    values = [sol.coefficient(n) for n in range(sol.t_order + 1)]
+    values[1] = values[1].add(PolySeries.constant(1, F(1, 7)))
+    assert residual(prob, with_values(prob, sol, values)) > 0
 
 
 def test_validity_exhaustion_is_flagged_not_fatal():
@@ -283,7 +284,7 @@ def test_randomized_residuals_and_linearity():
             assert lhs.coeffs == rhs.coeffs
 
 
-def test_normalised_recurrence_matches_u_basis_loop():
+def test_integer_recurrence_matches_u_basis_loop():
     # The u-basis loop through the series kernels is the reference.  Beyond
     # the random problems: truncated data that runs out of validity; a
     # q-factorial z-sequence with a z-dependent coefficient, whose shift
@@ -309,11 +310,16 @@ def test_normalised_recurrence_matches_u_basis_loop():
         problems.extend(random_problem(rng))
     for prob in problems:
         reference = _recurrence(prob)
-        normalised = _normalised_recurrence(prob)
-        assert len(normalised) == len(reference) == prob.t_order + 1
-        for n, (want, got) in enumerate(zip(reference, normalised)):
-            assert got.coeffs == want.coeffs, n
+        numerators, denominators = _integer_recurrence(prob)
+        assert len(numerators) == len(denominators) == len(reference) \
+            == prob.t_order + 1
+        for n, (want, got, d) in enumerate(zip(reference, numerators,
+                                               denominators)):
+            assert all(type(x) is int for x in got.coeffs.values()), n
+            assert {g: F(x, d) for g, x in got.coeffs.items()} == want.coeffs, n
             assert got.valid == want.valid, n
+            # d_n is the least denominator: the lcm of the reduced ones
+            assert d == math.lcm(*(v.denominator for v in want.coeffs.values())), n
 
 
 def test_heat2d_closed_form():
@@ -340,16 +346,66 @@ def test_heat2d_closed_form():
             assert entry.coeffs[(g1, g2)] == want
 
 
+def _closed_form_fixture(name, k1_inv, value):
+    """Solve tests/problems/<name>.json and check every trusted coefficient
+    against value(n, gamma) on its trusted box (keys where value is 0 are
+    not stored), and the hull's and the closed form's 1/k1."""
+    prob = load_problem(PROBLEMS / f"{name}.json")
+    sol = solve(prob)
+    assert sol.residual_max == 0
+    assert sol.valid_t_order == sol.t_order
+    for n in range(sol.t_order + 1):
+        entry = sol.coefficient(n)
+        box = [()]
+        for top in entry.valid:
+            box = [g + (k,) for g in box for k in range(top + 1)]
+        want = {g: v for g in box if (v := value(n, g))}
+        assert entry.coeffs == want, n
+    assert build(prob.pde).k1_inverse == k1_inverse(prob.pde) == k1_inv
+    return sol
+
+
+def test_third_order_closed_form():
+    # u_t = d_z^3 u with data 1/(1 - z): u_n(gamma) = (gamma + 3n)!/(gamma! n!),
+    # trusted up to z^(80 - 3n); the derivative reads order-3 multiplier lists
+    fact = math.factorial
+    sol = _closed_form_fixture(
+        "third_order", 2,
+        lambda n, g: F(fact(g[0] + 3 * n), fact(g[0]) * fact(n)))
+    assert [sol.coefficient(n).valid for n in (0, 24)] == [(80,), (8,)]
+
+
+def test_transport_z2_closed_form():
+    # u_t = z^2 d_z u with data 1/(1 - z): u = (1 - tz)/(1 - z - tz), so
+    # u_n(gamma) = C(gamma - 1, n) for gamma >= 1, and u_n(0) = 1 only at
+    # n = 0; the coefficient z^2 is a beta = (2,) shift of D_z u_{n-1}
+    sol = _closed_form_fixture(
+        "transport_z2", 0,
+        lambda n, g: math.comb(g[0] - 1, n) if g[0] else int(n == 0))
+    assert [sol.coefficient(n).valid for n in (0, 24)] == [(60,), (36,)]
+
+
+def test_mixed2d_closed_form():
+    # u_t = d_z1 d_z2 u with data 1/((1 - z1)(1 - z2)):
+    # u_n(gamma) = (gamma1 + n)! (gamma2 + n)! / (gamma1! gamma2! n!), two
+    # moving axes in every key of the derivative
+    fact = math.factorial
+    sol = _closed_form_fixture(
+        "mixed2d", 1,
+        lambda n, g: F(fact(g[0] + n) * fact(g[1] + n),
+                       fact(g[0]) * fact(g[1]) * fact(n)))
+    assert [sol.coefficient(n).valid for n in (0, 12)] == [(24, 24), (12, 12)]
+
+
 def perturbed(problem: CauchyProblem, solution: FormalSolution, n: int,
               value) -> FormalSolution:
     """The solution with value added at the lowest stored key of u_n."""
-    entries = list(solution.coefficients.entries)
-    entry = entries[n]
+    values = [solution.coefficient(k) for k in range(solution.t_order + 1)]
+    entry = values[n]
     key = min(entry.coeffs, default=(0,) * entry.num_vars)
-    entries[n] = entry.add(PolySeries(entry.num_vars, {
+    values[n] = entry.add(PolySeries(entry.num_vars, {
         key: problem.backend.scalar(value)}))
-    return FormalSolution(TimeSeries(entries, solution.coefficients.tail_exact),
-                          solution.valid_t_order, solution.validation)
+    return with_values(problem, solution, values)
 
 
 def test_residual_on_one_integer_scale_matches_the_fraction_route():
