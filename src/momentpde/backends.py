@@ -91,11 +91,14 @@ def log_scalar(value) -> float:
 
 
 def exact_pow(base: Fraction, exponent: Fraction) -> Fraction:
-    """base**exponent for integer exponents only; exact."""
+    """base**exponent for integer exponents only; exact.  base itself for
+    exponent 1."""
     if exponent.denominator != 1:
         raise BackendError(
             f"exponent {exponent} is not an integer; exact power unavailable"
         )
+    if exponent == 1:
+        return base
     return base ** int(exponent)
 
 

@@ -11,8 +11,10 @@ coefficient recurrence well-founded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .backends import Backend
@@ -73,6 +75,14 @@ class MomentPDE:
         self.terms = tuple(terms)
         if not self.m:
             raise DimensionMismatch("need at least one z variable sequence")
+        values = [v for term in self.terms for entry in term.coeff.entries
+                  for v in entry.coeffs.values()]
+        # L of apply's docstring: 1 unless every value is exact
+        self.coefficient_denominator = 1
+        if m0.backend.exact and all(type(v) in (int, Fraction) for v in values):
+            self.coefficient_denominator = math.lcm(
+                *(v.denominator for v in values))
+        self._shift_factors: dict[tuple[int, int], object] = {}
 
     @property
     def num_vars(self) -> int:
@@ -92,8 +102,13 @@ class MomentPDE:
     # -- operator application -------------------------------------------
 
     def t_shift_factor(self, n: int, j: int):
-        """m0(n+j)/m0(n): the weight of coefficient n of D_t^j."""
-        return self.m0.value(n + j) / self.m0.value(n)
+        """m0(n+j)/m0(n): the weight of coefficient n of D_t^j.  Memoised per
+        (n, j)."""
+        factor = self._shift_factors.get((n, j))
+        if factor is None:
+            factor = self._shift_factors[n, j] = (
+                self.m0.value(n + j) / self.m0.value(n))
+        return factor
 
     def parts(self, n: int):
         """(term, a_k, i) for every non-zero part a_k * D_t^j D_z^alpha u_i of
@@ -124,11 +139,38 @@ class MomentPDE:
 
         return form
 
+    @cached_property
+    def _cleared(self) -> "MomentPDE":
+        """The operator with P's principal part and L times P's terms, whose
+        coefficient values are ints (apply's docstring)."""
+        L = self.coefficient_denominator
+        terms = [OperatorTerm(term.t_derivative, term.z_derivatives, TimeSeries(
+            [PolySeries._trusted(entry.num_vars, {
+                g: v.numerator * (L // v.denominator)
+                for g, v in entry.coeffs.items()}, entry.valid)
+             for entry in term.coeff.entries], term.coeff.tail_exact))
+            for term in self.terms]
+        return MomentPDE(self.M, self.m0, self.m, terms)
+
     def apply(self, u: TimeSeries) -> TimeSeries:
         """P applied to u, truncated to t-order u.t_order - M.
 
-        Coefficient n of D_t^j u is u_{n+j} * m0(n+j)/m0(n); each part of
-        (P u)_n is then added onto this principal term.
+        Coefficient n of D_t^j u is u_{n+j} * w with w = m0(n+j)/m0(n); each
+        part of (P u)_n is then added onto the principal term.
+
+        L (`coefficient_denominator`) is the lcm of the denominators of every
+        coefficient value of P, derived once from the operator.  Where it
+        is not 1, apply forms L * (P u)_n: the principal term is scaled by
+        L * w, and each part is formed from L * a_k, whose values are ints,
+        so the kernels apply them as ints (series module docstring) and an
+        int-valued u (the exact residual's D * u) keeps int sums wherever
+        the moment ratios are integers.  The division by L comes last, once
+        per key that survives the sum: a key that cancels is dropped by the
+        sum and is never divided, so on a correct solution of P u = 0 the
+        check builds no Fraction per coefficient.  Where L = 1, and where
+        the values are mpf (L is then 1: an mpf times L and back would
+        round), apply adds no arithmetic, so big-float bits stay as they
+        are.
         """
         if u.t_order < self.M:
             raise ValueError(
@@ -136,17 +178,23 @@ class MomentPDE:
             )
         if u.num_vars != self.num_vars:
             raise DimensionMismatch("u has the wrong number of variables")
-        form = self.part_former(u.entries)
+        L = self.coefficient_denominator
+        walk = self if L == 1 else self._cleared
+        form = walk.part_former(u.entries)
         entries = []
         for n in range(u.t_order - self.M + 1):
-            acc = u.coefficient(n + self.M).scale(self.t_shift_factor(n, self.M))
-            for term, a_k, i in self.parts(n):
+            w = self.t_shift_factor(n, self.M)
+            acc = u.coefficient(n + self.M).scale(w if L == 1 else L * w)
+            for term, a_k, i in walk.parts(n):
                 if i > u.t_order:
                     raise ValueError(
                         "u is truncated too low for this term; "
                         f"needed t-coefficient {i}"
                     )
                 acc = acc.add(form(term, a_k, i))
+            if L != 1:
+                acc = PolySeries._trusted(acc.num_vars, {
+                    g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)
             entries.append(acc)
         return TimeSeries(entries, tail_exact=False)
 

@@ -92,10 +92,6 @@ def min_validity(a: Validity, b: Validity) -> Validity:
     return tuple(out)
 
 
-def _within(exponents: Exponents, valid: Validity) -> bool:
-    return all(v is None or g <= v for g, v in zip(exponents, valid))
-
-
 def key_limit(valid: Validity) -> tuple:
     """valid with None as unbounded: a key lies within valid exactly when
     all(map(operator.le, key, key_limit(valid)))."""
@@ -122,6 +118,7 @@ class PolySeries:
                     f"{num_vars} variables"
                 )
         self.valid = valid_t
+        limit = key_limit(valid_t)
         stored: dict[Exponents, object] = {}
         if coeffs:
             for exponents, value in coeffs.items():
@@ -135,7 +132,7 @@ class PolySeries:
                     raise ValueError(f"negative exponent in {exponents}")
                 if value == 0:
                     continue
-                if not _within(exponents, valid_t):
+                if not all(map(operator.le, exponents, limit)):
                     continue
                 stored[exponents] = value
         self.coeffs = stored
@@ -196,9 +193,9 @@ class PolySeries:
             return NotImplemented
         if self.num_vars != other.num_vars:
             return False
-        region = min_validity(self.valid, other.valid)
+        limit = key_limit(min_validity(self.valid, other.valid))
         for key in set(self.coeffs) | set(other.coeffs):
-            if _within(key, region):
+            if all(map(operator.le, key, limit)):
                 if self.coeffs.get(key, 0) != other.coeffs.get(key, 0):
                     return False
         return True
@@ -243,7 +240,9 @@ class PolySeries:
         valid = self.valid
         if other.valid != valid:
             valid = min_validity(valid, other.valid)
-            out = {k: v for k, v in out.items() if _within(k, valid)}
+            limit = key_limit(valid)
+            out = {k: v for k, v in out.items()
+                   if all(map(operator.le, k, limit))}
         return PolySeries._trusted(self.num_vars, out, valid)
 
     def neg(self) -> "PolySeries":
@@ -270,15 +269,16 @@ class PolySeries:
         """Cauchy product truncated to the componentwise minimum validity."""
         self._check_same_vars(other)
         valid = min_validity(self.valid, other.valid)
+        limit = key_limit(valid)
         right = sorted(other.coeffs.items())
         if len(self.coeffs) == 1 and not any(next(iter(self.coeffs))):
             # a constant left operand: one pass, one product per key
             va = exact_multiplier(next(iter(self.coeffs.values())))
             if other.valid != valid:
-                right = [(eb, vb) for eb, vb in right if _within(eb, valid)]
+                right = [(eb, vb) for eb, vb in right
+                         if all(map(operator.le, eb, limit))]
             out = {eb: v for eb, vb in right if (v := va * vb)}
             return PolySeries._trusted(self.num_vars, out, valid)
-        limit = key_limit(valid)
         out = {}
         for ea, va in sorted(self.coeffs.items()):
             va = exact_multiplier(va)

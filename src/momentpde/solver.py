@@ -52,10 +52,14 @@ int-valued stack D * u_n = N_n * (D / d_n).  Since each d_n is the lcm of
 u_n's reduced denominators, D is the least common denominator of every
 value in the checked stack.  Each (P D u)_n is compared with D * f_n on the
 trusted region, and the residual is the l1 norm over D.  P is linear, so
-P (D u) = D * P u and the number is the one the plain u values give; since
-the kernels apply integral multipliers as ints (series module docstring),
-the check runs on ints wherever the moment ratios are integers, and builds
-no Fraction per coefficient there.  A non-zero exact residual raises
+P (D u) = D * P u and the number is the one the plain u values give.  The
+kernels apply integral multipliers as ints (series module docstring), and
+pde.apply forms L * (P D u)_n with L the lcm of the denominators of P's
+coefficient values, so each a_k enters as the ints of L * a_k, and divides
+only the keys that survive by L (MomentPDE.apply).  So the check runs on
+ints wherever the moment ratios are integers, for rational coefficients as
+well as integral ones, and with f = 0 a correct solution leaves no key to
+divide: no Fraction is built per coefficient.  A non-zero exact residual raises
 SolveError naming the first (n, gamma) where (P u)_n != f_n.  The big-float
 backend applies P to its u values as they are; its loop shares P's walk,
 so that residual shows rounding, and the tests check the loop against the

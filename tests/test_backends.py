@@ -39,6 +39,8 @@ def test_make_backend():
 
 def test_exact_pow_integer_only():
     assert exact_pow(F(2, 3), F(3)) == F(8, 27)
+    base = F(7, 3)
+    assert exact_pow(base, F(1)) is base
     with pytest.raises(BackendError):
         exact_pow(F(2), F(1, 2))
 

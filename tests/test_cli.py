@@ -250,11 +250,22 @@ def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):
     assert "residual" in payload["message"]
 
 
-def test_wrong_solution_names_the_first_mismatch(capsys, monkeypatch):
-    # u_2 of u_t = u_zz gains z^3/7, so the operator stays right and the
-    # solution is wrong: (P u)_n = (n+1) u_{n+1} - D_z^2 u_n puts 2/7 z^3 in
+@pytest.mark.parametrize("name, message", [
+    # u_t = u_zz: (P u)_n = (n+1) u_{n+1} - D_z^2 u_n puts 2/7 z^3 in
     # (P u)_1, the first non-zero coefficient, and -6/7 z in (P u)_2, the
     # largest l1 norm
+    pytest.param("heat", "(P u)_1 - f_1 is 2/7 at gamma=(3,), the first "
+                 "non-zero coefficient; exact residual is 6/7, not 0",
+                 id="heat"),
+    # u_t = u_zz / 2: the same 2/7 z^3 in (P u)_1, and -3/7 z in (P u)_2,
+    # a value pde.apply restores by dividing out its denominator 2
+    pytest.param("heat_half", "(P u)_1 - f_1 is 2/7 at gamma=(3,), the "
+                 "first non-zero coefficient; exact residual is 3/7, not 0",
+                 id="heat_half"),
+])
+def test_wrong_solution_names_the_first_mismatch(name, message, capsys,
+                                                 monkeypatch):
+    # u_2 gains z^3/7, so the operator stays right and the solution is wrong
     recurrence = solver._integer_recurrence
 
     def wrong(problem):
@@ -266,15 +277,13 @@ def test_wrong_solution_names_the_first_mismatch(capsys, monkeypatch):
         return numerators, denominators
 
     monkeypatch.setattr(solver, "_integer_recurrence", wrong)
-    code, out, err = run(capsys, "solve", PROBLEMS / "heat.json",
+    code, out, err = run(capsys, "solve", PROBLEMS / f"{name}.json",
                          "--t-order", "6", "--z-degree", "20")
     assert code == 2
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "SolveError"
-    assert payload["message"].startswith(
-        "(P u)_1 - f_1 is 2/7 at gamma=(3,), the first non-zero coefficient; "
-        "exact residual is 6/7, not 0")
+    assert payload["message"].startswith(message)
 
 
 def test_overclaimed_validity_exit_two(capsys, monkeypatch):
@@ -382,7 +391,10 @@ def test_byte_identical_reruns(capsys):
 # order-3 multiplier lists, a z-dependent coefficient, two moving axes per
 # key) and heat_table (a z-table) were recorded on the moment-normalised
 # exact recurrence, before the exact mode came to store int numerators over
-# one denominator per t-order.
+# one denominator per t-order.  heat_half (u_t = u_zz / 2) and heat2d_var
+# (the benchmark's two-variable operator, coefficients -1/2 z1 and -1/3 z2)
+# have non-integral operator coefficients; they were recorded before
+# pde.apply came to clear the operator's denominators.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "fractional-p40": "99eb4dfed9e00f79c7383c916d7496e170fbd86a991444893c5c6d6372e6531d",
@@ -391,8 +403,12 @@ SOLVE_DIGESTS = {
     "heat2d": "d7b78cfa8d3c67b54a6fb59f0fba513771510f462ff71148111ef4e70a8e83ba",
     "heat2d-bigfloat": "cae5885083cd37509146fd2780f34283ab891c0aef445e478c29a57e1c0fe458",
     "heat2d-bigfloat-p48": "fdb46cbe4f6e76c4cd1c74c89b2efaaefe4e2c31d1f15d7218ad5a26d0a5285e",
+    "heat2d_var": "72ad3a21661fe3b9898804d53af4b32a21cf1310faa493c706298d779c514db6",
+    "heat2d_var-bigfloat": "6e637f43ead1b97add5fb6f3a9143cb4fc102e0c24323bda2f0224c461d59854",
     "heat_exp": "9f426feea8ab973cdd1ab24f3f606f267a40feebd882c3e595e0d1164958cb81",
     "heat_exp-bigfloat": "470ccfe2d9690ea926fed0f409f6c2f617431d86c376160e9a28fb3a0cc4363e",
+    "heat_half": "9d968842e72b63c295847fe2ebcfb057bbf46d971e3ac943f1d8051113368012",
+    "heat_half-bigfloat": "bd88d733c966b00b4c1bff8f18119b9d8f63c5747a6c19b9c53020164b433680",
     "heat_table": "567fcf15aef65023bbbe0e6223aa1a4ffeab578dd109dece3ce071eca219aa0c",
     "heat_tcoeff": "da9f202ef54c41c90a9c91edddb423cf492922b3109f5d28d1a425ab98033c80",
     "heat_tcoeff-bigfloat": "7b96f0637d665e1ea7d3cdf708c06b82d20f853b2d51bee5fe3e600563717bf1",
@@ -456,7 +472,9 @@ def test_check_output_matches_recorded_digest(seed, capsys):
 # The heat_table, mixed2d, third_order and transport_z2 cases were recorded
 # before the exact mode stored int numerators over one denominator per
 # t-order; heat_table's z-table declares order 3/2, so its norms past n = 0
-# are taken over double logs of the reduced values.
+# are taken over double logs of the reduced values.  The heat_half and
+# heat2d_var cases were recorded before pde.apply came to clear the
+# operator's denominators.
 ESTIMATE_DIGESTS = {
     ("fractional", "nagumo_profile"): "bce354924952dd0867167b2bf497ea4b8df6161e463d62bd4d28f3720059bcfd",
     ("fractional", "sup_proxy"): "a23c9899f0c26f2f8f8b7bb3dcb7b3b084efebf4e257b5984baceb53474d3142",
@@ -464,8 +482,12 @@ ESTIMATE_DIGESTS = {
     ("heat", "sup_proxy"): "62e9f4ed80907634cfe8c947e1df5c157d62d0d565cd353a5bc95b1621ac3eb7",
     ("heat2d", "nagumo_profile"): "1f35bf34e12795cf8ff8eb3fff9a590fd49cfc53a598ee5de6e05598701b3fdf",
     ("heat2d", "sup_proxy"): "93b8377c9c7130a3927f537cb2df8dac8743c9160e645f5c6308e3dfd42018b7",
+    ("heat2d_var", "nagumo_profile"): "939fa8ad6048eb7991b393257cdae1ccbf6673dcee2785fd2d904e9cb6a575e5",
+    ("heat2d_var", "sup_proxy"): "eb407aa70740d9a982ec2fefb995df760f758dccb7e0f7f88db0241caf77099d",
     ("heat_exp", "nagumo_profile"): "f8e0a0d9a76afa4594c4e908899a22a710f63e6c8f72e33a49db81ec14038821",
     ("heat_exp", "sup_proxy"): "6a29a73c5972e9ed642ef3da29e742fc841b4afd578c1bd1426caccc35c93967",
+    ("heat_half", "nagumo_profile"): "e913952294bce19ecda7c84328750cf8a5d06fffa702e24c2e8c495924c8b22b",
+    ("heat_half", "sup_proxy"): "42b4dad49c3ea3bc6f26be727ce5992b889e730542ee4f4d22f3e6bcae959460",
     ("heat_tcoeff", "nagumo_profile"): "b8c2342f23f6f14b3f202b7fba82ad73124ecdb9ac4dfcd7763c36d7c946d621",
     ("heat_tcoeff", "sup_proxy"): "7cd90e69059ba3d93ce9cb0ab16ab445031b20c35b1239cbc9e13024c574e54c",
     ("qdiff", "nagumo_profile"): "4a307710f4b71835ba798b7932f60222d13aed16528650722f8265bef08f0a60",

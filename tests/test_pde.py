@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +20,12 @@ from momentpde import (
     TimeSeries,
     validate,
 )
+from momentpde.problem_io import load_problem
 
 from helpers import add_time_series
 
 F = Fraction
+PROBLEMS = Path(__file__).parent / "problems"
 
 
 def constant_coeff(value, num_vars=1) -> TimeSeries:
@@ -31,8 +34,8 @@ def constant_coeff(value, num_vars=1) -> TimeSeries:
     )
 
 
-def heat_pde() -> MomentPDE:
-    term = OperatorTerm(0, (2,), constant_coeff(-1))
+def heat_pde(coefficient=-1) -> MomentPDE:
+    term = OperatorTerm(0, (2,), constant_coeff(coefficient))
     return MomentPDE(1, FactorialPower(1), [FactorialPower(1)], [term])
 
 
@@ -179,8 +182,12 @@ def test_apply_identity_term():
         assert with_term.coefficient(n).coeffs == expected.coeffs
 
 
-def test_apply_is_linear():
-    pde = heat_pde()
+@pytest.mark.parametrize("coefficient", [
+    pytest.param(-1, id="heat"), pytest.param(F(-1, 2), id="heat_half")])
+def test_apply_is_linear(coefficient):
+    # with -1/2 (heat_half), pde.apply clears the denominator 2 and divides
+    # the surviving keys by it
+    pde = heat_pde(coefficient)
     u = TimeSeries([PolySeries(1, {(k,): F(1, k + 1)}) for k in range(5)])
     v = TimeSeries([PolySeries(1, {(k + 1,): F(2)}) for k in range(5)])
     lhs = pde.apply(add_time_series(u, v))
@@ -204,3 +211,33 @@ def test_apply_rejects_a_term_reaching_past_the_stack():
     u = TimeSeries([PolySeries.constant(1, F(1)) for _ in range(4)])
     with pytest.raises(ValueError, match="needed t-coefficient 4"):
         pde.apply(u)
+
+
+@pytest.mark.parametrize("name, backend, lcm", [
+    ("heat", "rational", 1),
+    ("heat_half", "rational", 2),
+    ("heat2d_var", "rational", 6),     # -1/2 z1 and -1/3 z2
+    ("heat2d_var", "bigfloat", 1),     # mpf values are not cleared
+])
+def test_coefficient_denominator_is_cleared_once(name, backend, lcm):
+    pde = load_problem(PROBLEMS / f"{name}.json", {"backend": backend}).pde
+    assert pde.coefficient_denominator == lcm
+    if lcm == 1:
+        return
+    # the walk pde.apply takes: L * a_k, as ints, term by term
+    for term, cleared in zip(pde.terms, pde._cleared.terms):
+        assert term.key() == cleared.key()
+        for entry, ints in zip(term.coeff.entries, cleared.coeff.entries):
+            assert all(type(v) is int for v in ints.coeffs.values())
+            assert ints.coeffs == {g: lcm * v for g, v in entry.coeffs.items()}
+            assert ints.valid == entry.valid
+
+
+@pytest.mark.parametrize("backend", ["rational", "bigfloat"])
+def test_t_shift_factor_is_memoised(backend):
+    pde = load_problem(PROBLEMS / "heat2d_var.json", {"backend": backend}).pde
+    m0 = pde.m0
+    for n, j in ((0, 1), (3, 0), (5, 2)):
+        factor = pde.t_shift_factor(n, j)
+        assert factor == m0.value(n + j) / m0.value(n)
+        assert pde.t_shift_factor(n, j) is factor

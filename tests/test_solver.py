@@ -37,7 +37,8 @@ from helpers import fraction_residual, linear_combination_solution, with_values
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
-FIXTURES = ("fractional", "heat", "heat2d", "heat_exp", "heat_tcoeff", "qdiff")
+FIXTURES = ("fractional", "heat", "heat2d", "heat2d_var", "heat_exp",
+            "heat_half", "heat_tcoeff", "qdiff")
 
 
 def constant_coeff(value, num_vars=1) -> TimeSeries:
@@ -373,6 +374,17 @@ def test_third_order_closed_form():
         "third_order", 2,
         lambda n, g: F(fact(g[0] + 3 * n), fact(g[0]) * fact(n)))
     assert [sol.coefficient(n).valid for n in (0, 24)] == [(80,), (8,)]
+
+
+def test_heat_half_closed_form():
+    # u_t = u_zz / 2 with data 1/(1 - z): u_n(gamma) = (gamma + 2n)!/(gamma!
+    # n! 2^n), trusted up to z^(120 - 2n); the operator's coefficient -1/2 is
+    # not an integer, so pde.apply clears its denominator in the residual
+    fact = math.factorial
+    sol = _closed_form_fixture(
+        "heat_half", 1,
+        lambda n, g: F(fact(g[0] + 2 * n), fact(g[0]) * fact(n) * 2 ** n))
+    assert [sol.coefficient(n).valid for n in (0, 40)] == [(120,), (40,)]
 
 
 def test_transport_z2_closed_form():
