@@ -74,6 +74,7 @@ class MomentSequence:
         self._values: list = []
         self._ratios: dict[int, object] = {}
         self._multipliers: dict[int, list] = {}
+        self._regularity: dict[int, tuple] = {}
 
     # -- kind-specific hooks ------------------------------------------------
 
@@ -141,15 +142,20 @@ class MomentSequence:
         """Empirical (c, C): extremes of ratio(n)/(n+1)^s over 0 <= n <= n_max.
 
         C is the constant the derivative-bound inequality consumes.
+        Memoized per n_max.
         """
         if n_max < 1:
             raise SequenceError("n_max must be >= 1")
+        known = self._regularity.get(n_max)
+        if known is not None:
+            return known
         lo = hi = None
         for n in range(n_max + 1):
             q = self.ratio(n) / self._power_of_index(n + 1)
             lo = q if lo is None or q < lo else lo
             hi = q if hi is None or q > hi else hi
-        return lo, hi
+        known = self._regularity[n_max] = (lo, hi)
+        return known
 
     def _power_of_index(self, k: int):
         """(k)^s in the backend's scalar domain."""

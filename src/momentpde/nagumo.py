@@ -34,6 +34,14 @@ are exact, and in doubles with a relative slack of 1e-12 otherwise.  When a
 side does not convert to a finite double (an mpf norm past e^709, or a
 Fraction past the double range) the logs are compared instead, with the same
 relative slack: inf <= inf would let such a check pass without testing it.
+The sampled sup-norm check converts the coefficients to complex and sorts
+them once per call, and sums each sample as PolySeries.evaluate would.
+
+The seeded battery draws every bounded int through _below, which consumes
+the generator exactly as randrange, randint and choice do (CPython 3.10 to
+3.13 share that body, Random._randbelow_with_getrandbits), so a seed gives
+the same instances as those calls; random_polynomial reads its
+coefficients from a table of Fraction(num, den) built once.
 """
 
 from __future__ import annotations
@@ -70,25 +78,29 @@ class NagumoParams:
     def __post_init__(self):
         alpha = tuple(self.alpha)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "s", _as_fraction_vector(self.s))
-        if len(alpha) != len(self.s):
+        s = self.s
+        # a tuple of Fractions (every internal caller) is kept as it is
+        if type(s) is not tuple or set(map(type, s)) - {Fraction}:
+            s = _as_fraction_vector(s)
+            object.__setattr__(self, "s", s)
+        if len(alpha) != len(s):
             raise ParameterError("alpha and s must have equal length")
-        positive = [a >= 1 for a in alpha]
-        if any(a < 0 for a in alpha):
+        low, high = (min(alpha), max(alpha)) if alpha else (0, 0)
+        if low < 0:
             raise ParameterError("alpha components must be >= 0")
-        if any(positive) and not all(positive):
+        if low < 1 <= high:
             raise ParameterError(
                 f"mixed multi-index {alpha}: components must be all >= 1 "
                 "or all zero"
             )
         if not self.r > 0:
             raise ParameterError("radius r must be positive")
-        if any(si < 1 for si in self.s):
-            raise ParameterError(f"order vector {self.s} must have entries >= 1")
+        if s and min(s) < 1:
+            raise ParameterError(f"order vector {s} must have entries >= 1")
 
     @property
     def is_zero_index(self) -> bool:
-        return all(a == 0 for a in self.alpha)
+        return not any(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -342,12 +354,19 @@ def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
     bound = big_a ** total_degree(alpha) * float(nagumo_norm(f, params).value)
     rng = random.Random(seed)
     radius = float(rho)
-    f_complex = f.map_coefficients(complex)  # converted once, not per sample
+    # converted and sorted once, then summed as PolySeries.evaluate sums
+    terms = [(e, complex(v)) for e, v in sorted(f.coeffs.items())]
     for _ in range(sample_count):
         point = tuple(
             radius * cmath.exp(2j * math.pi * rng.random()) for _ in range(n)
         )
-        if abs(f_complex.evaluate(point)) > bound * (1 + _SLACK):
+        total = 0j
+        for exponents, term in terms:
+            for z, g in zip(point, exponents):
+                if g:
+                    term *= z ** g
+            total += term
+        if abs(total) > bound * (1 + _SLACK):
             return False
     return True
 
@@ -393,31 +412,51 @@ _VANDERMONDE_N = 50
 _NORM_ONE_CASES = 20
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw in [0, n), n >= 1, that consumes rng exactly as
+    rng.randrange(n) does: Random._randbelow_with_getrandbits, the same
+    body on CPython 3.10 to 3.13.  rng.randint(a, b) is a + _below(rng,
+    b - a + 1) and rng.choice(seq) is seq[_below(rng, len(seq))]."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+# the coefficients random_polynomial draws: _COEFFICIENTS[num + 9][den - 1]
+# is Fraction(num, den) for num in -9..9 (0 is redrawn) and den in 1..4
+_COEFFICIENTS = tuple(tuple(Fraction(num, den) for den in range(1, 5))
+                      for num in range(-9, 10))
+
+
 def random_polynomial(rng: random.Random, num_vars: int,
                       max_total_degree: int = 6,
                       max_terms: int = 12) -> PolySeries:
     """Sparse random polynomial with small rational coefficients."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        degree = rng.randint(0, max_total_degree)
+    for _ in range(1 + _below(rng, max_terms)):
         exponents = [0] * num_vars
-        for _ in range(degree):
-            exponents[rng.randrange(num_vars)] += 1
+        for _ in range(_below(rng, max_total_degree + 1)):
+            exponents[_below(rng, num_vars)] += 1
         num = 0
         while num == 0:
-            num = rng.randint(-9, 9)
-        value = Fraction(num, rng.randint(1, 4))
+            num = _below(rng, 19) - 9
+        value = _COEFFICIENTS[num + 9][_below(rng, 4)]
         key = tuple(exponents)
         terms[key] = terms[key] + value if key in terms else value
-    return PolySeries(num_vars, terms)
+    # a sum that cancelled to zero is dropped, as the constructor drops it
+    return PolySeries._trusted(num_vars,
+                               {k: v for k, v in terms.items() if v},
+                               (None,) * num_vars)
 
 
 def _sweep_context(rng: random.Random):
-    num_vars = rng.randint(1, 3)
-    r = rng.choice(_R_CHOICES)
-    s = tuple(rng.choice(_S_CHOICES) for _ in range(num_vars))
-    alpha = tuple(rng.randint(1, 3) for _ in range(num_vars))
-    beta = tuple(rng.randint(1, 3) for _ in range(num_vars))
+    num_vars = 1 + _below(rng, 3)
+    r = _R_CHOICES[_below(rng, 3)]
+    s = tuple(_S_CHOICES[_below(rng, 3)] for _ in range(num_vars))
+    alpha = tuple(1 + _below(rng, 3) for _ in range(num_vars))
+    beta = tuple(1 + _below(rng, 3) for _ in range(num_vars))
     return num_vars, r, s, alpha, beta
 
 
@@ -473,8 +512,9 @@ def lemma_battery(seed: int = 7, instances: int = 1000) -> dict:
     def case_derivative(rng) -> bool:
         num_vars, r, s, alpha, _ = _sweep_context(rng)
         f = random_polynomial(rng, num_vars)
-        axis = rng.randrange(num_vars)
-        seq = rng.choice(sequences if s[axis] >= 2 else sequences[:3])
+        axis = _below(rng, num_vars)
+        pool = sequences if s[axis] >= 2 else sequences[:3]
+        seq = pool[_below(rng, len(pool))]
         return check_derivative_bound(f, axis, alpha, r, s, seq)
 
     def case_shift(rng) -> bool:
@@ -487,11 +527,11 @@ def lemma_battery(seed: int = 7, instances: int = 1000) -> dict:
     def case_sup(rng) -> bool:
         num_vars, r, s, alpha, _ = _sweep_context(rng)
         f = random_polynomial(rng, num_vars)
-        rho = r * Fraction(rng.randint(1, 3), 4)
+        rho = r * Fraction(1 + _below(rng, 3), 4)
         if rng.random() < 0.2:
             alpha = (0,) * num_vars
         return check_sup_bound(f, alpha, rho, r, s, sample_count=16,
-                               seed=rng.randrange(2**30))
+                               seed=_below(rng, 2**30))
 
     run_sweep("submultiplicative", case_submultiplicative)
     run_sweep("derivative_bound", case_derivative)
@@ -501,10 +541,10 @@ def lemma_battery(seed: int = 7, instances: int = 1000) -> dict:
     rng = random.Random(f"{seed}:norm_of_one")
     one_failures = []
     for i in range(_NORM_ONE_CASES):
-        num_vars = rng.randint(1, 3)
-        r = rng.choice(_R_CHOICES)
-        s = tuple(rng.choice(_S_CHOICES) for _ in range(num_vars))
-        beta = tuple(rng.randint(1, 4) for _ in range(num_vars))
+        num_vars = 1 + _below(rng, 3)
+        r = _R_CHOICES[_below(rng, 3)]
+        s = tuple(_S_CHOICES[_below(rng, 3)] for _ in range(num_vars))
+        beta = tuple(1 + _below(rng, 4) for _ in range(num_vars))
         one = PolySeries.constant(num_vars, Fraction(1))
         res = nagumo_norm(one, NagumoParams(beta, r, s))
         if not (_rational_value(res.value)

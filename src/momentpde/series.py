@@ -38,7 +38,12 @@ value's domain on every test.  `sub` is `add` with the right operand's
 values subtracted in the same pass; it builds no negated copy.  A
 `multiply` whose left operand is one constant monomial (every operator
 coefficient that does not depend on z) is one pass over the right
-operand, since an mpf product is rounded once and commutes.
+operand, since an mpf product is rounded once and commutes.  A product of
+two series whose values are all Fractions clears each side's denominators
+into its lcm, sums the pairs on int numerators, and builds one
+Fraction(sum, lcm_f * lcm_g) per surviving key: the same values, still
+Fractions where they are integral, in the same key order.  Any other pair
+of operands (an int or an mpf value on either side) takes the generic loop.
 
 `ell1_norm` multiplies |f_gamma| by r^|gamma| read from a table of powers
 of r by degree, which a caller that takes many norms at one r (the
@@ -279,9 +284,15 @@ class PolySeries:
                          if all(map(operator.le, eb, limit))]
             out = {eb: v for eb, vb in right if (v := va * vb)}
             return PolySeries._trusted(self.num_vars, out, valid)
+        left = sorted(self.coeffs.items())
+        cleared = _cleared(left)
+        cleared_right = _cleared(right) if cleared is not None else None
+        if cleared_right is None:
+            left = [(ea, exact_multiplier(va)) for ea, va in left]
+        else:  # Fraction by Fraction: the pair sums run on ints
+            (left, lcm_f), (right, lcm_g) = cleared, cleared_right
         out = {}
-        for ea, va in sorted(self.coeffs.items()):
-            va = exact_multiplier(va)
+        for ea, va in left:
             for eb, vb in right:
                 key = tuple(map(operator.add, ea, eb))
                 if not all(map(operator.le, key, limit)):
@@ -290,7 +301,11 @@ class PolySeries:
                     out[key] = out[key] + va * vb
                 else:
                     out[key] = va * vb
-        out = {k: v for k, v in out.items() if v}
+        if cleared_right is None:
+            out = {k: v for k, v in out.items() if v}
+        else:
+            denominator = lcm_f * lcm_g
+            out = {k: Fraction(v, denominator) for k, v in out.items() if v}
         return PolySeries._trusted(self.num_vars, out, valid)
 
     __add__ = add
@@ -410,6 +425,18 @@ class PolySeries:
         )
 
 
+def _cleared(items: list) -> tuple[list, int] | None:
+    """Fraction values over their least common denominator L: the pairs
+    (key, L * value) on ints, and L; None when some value is not a Fraction."""
+    lcm = 1
+    for _, value in items:
+        if type(value) is not Fraction:
+            return None
+        lcm = math.lcm(lcm, value.denominator)
+    return [(key, value.numerator * (lcm // value.denominator))
+            for key, value in items], lcm
+
+
 # -- builtin generators for infinite initial data ---------------------------
 
 
@@ -420,9 +447,9 @@ def geometric_series(num_vars: int, ratio, caps: Iterable[int]) -> PolySeries:
     """
     caps = tuple(caps)
     c = parse_rational(ratio) if isinstance(ratio, (str, int)) else ratio
-    coeffs: dict[Exponents, object] = {}
-    for exponents in _box(caps):
-        coeffs[exponents] = c ** total_degree(exponents)
+    powers = [c ** d for d in range(sum(caps) + 1)]  # c^d once per degree d
+    coeffs = {exponents: powers[total_degree(exponents)]
+              for exponents in _box(caps)}
     return PolySeries(num_vars, coeffs, caps)
 
 

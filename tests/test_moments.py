@@ -91,6 +91,14 @@ def test_regularity_constants_q_factorial():
     assert abs(float(big_c) - 2) < 1e-12
 
 
+def test_regularity_constants_are_memoised_per_n_max():
+    seq = QFactorial(Fraction(1, 3))
+    first = seq.regularity_constants(6)
+    assert seq.regularity_constants(6) is first
+    assert QFactorial(Fraction(1, 3)).regularity_constants(6) == first
+    assert seq.regularity_constants(7) != first
+
+
 def test_regularity_constants_gamma_half_sandwich():
     backend = BigFloatBackend(192)
     seq = GammaSequence(Fraction(1, 2), backend)

@@ -163,6 +163,33 @@ def test_low_order_rejected():
         params((1,), F(1, 2), (F(1, 2),))
 
 
+@pytest.mark.parametrize("alpha, r, s, message", [
+    ((1, 2), F(1, 2), (1,), "alpha and s must have equal length"),
+    ((-1,), F(1, 2), (1,), "alpha components must be >= 0"),
+    ((1, 0), F(1, 2), (1, 1), "mixed multi-index (1, 0): components must "
+                               "be all >= 1 or all zero"),
+    ((1,), F(0), (1,), "radius r must be positive"),
+    ((1, 1), F(1, 2), (F(1), F(1, 2)),
+     "order vector (Fraction(1, 1), Fraction(1, 2)) must have entries >= 1"),
+])
+def test_params_errors_keep_their_messages(alpha, r, s, message):
+    with pytest.raises(ParameterError) as info:
+        NagumoParams(alpha, r, s)
+    assert str(info.value) == message
+
+
+def test_params_take_s_as_fractions_once():
+    exact = (F(1), F(3, 2))
+    assert NagumoParams((1, 1), F(1, 2), exact).s is exact
+    parsed = NagumoParams([2, 1], F(1, 2), [1, "3/2"])
+    assert parsed.alpha == (2, 1) and parsed.s == exact
+    assert all(type(v) is F for v in parsed.s)
+    # no variables at all is still a (zero-index) parameter set
+    assert NagumoParams((), F(1, 2), ()).is_zero_index
+    assert NagumoParams((0, 0), F(1, 2), (1, 2)).is_zero_index
+    assert not NagumoParams((1, 3), F(1, 2), (1, 2)).is_zero_index
+
+
 def test_checks_refuse_truncated_input():
     truncated = geometric_series(1, 1, (5,))
     with pytest.raises(ParameterError):

@@ -34,7 +34,7 @@ from momentpde.backends import (
     scalar_to_fraction,
 )
 from momentpde.problem_io import _fmt
-from momentpde.series import exact_multiplier, min_validity
+from momentpde.series import exact_multiplier, key_limit, min_validity
 from momentpde.solver import _scaled
 
 F = Fraction
@@ -124,6 +124,73 @@ def test_multiply_against_brute_convolution():
     f = P({(0, 1): F(2), (2, 0): F(-1), (1, 1): F(1, 2)}, num_vars=2)
     g = P({(1, 1): F(3), (0, 2): F(1)}, num_vars=2)
     assert (f * g).coeffs == brute_convolution(f, g)
+
+
+def generic_product(f: PolySeries, g: PolySeries) -> dict:
+    """The kernel's generic pair loop: sorted left by sorted right, summed
+    in place, keys within the common validity, zero sums dropped."""
+    limit = key_limit(min_validity(f.valid, g.valid))
+    out = {}
+    for ea, va in sorted(f.coeffs.items()):
+        for eb, vb in sorted(g.coeffs.items()):
+            key = tuple(a + b for a, b in zip(ea, eb))
+            if all(k <= m for k, m in zip(key, limit)):
+                out[key] = out.get(key, 0) + exact_multiplier(va) * vb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def test_fraction_product_on_int_numerators_matches_the_pair_loop():
+    # Fraction by Fraction runs on ints over lcm_f * lcm_g: the same values,
+    # all Fractions, in the generic loop's key order, within the validity
+    rng = random.Random(16)
+    for trial in range(300):
+        num_vars = 1 + trial % 3
+        operands = []
+        for _ in range(2):
+            coeffs = {tuple(rng.randint(0, 3) for _ in range(num_vars)):
+                      F(rng.randint(-6, 6) or 1, rng.randint(1, 6))
+                      for _ in range(rng.randint(1, 6))}
+            valid = tuple(rng.choice([None, None, 2, 4])
+                          for _ in range(num_vars))
+            operands.append(PolySeries(num_vars, coeffs, valid))
+        f, g = operands
+        product = f.multiply(g)
+        assert list(product.coeffs.items()) == list(generic_product(f, g).items())
+        assert all(type(v) is F for v in product.coeffs.values())
+        assert product.valid == min_validity(f.valid, g.valid)
+
+
+def test_fraction_product_edge_cases():
+    # a cancelled pair sum is dropped
+    f = P({(0,): F(1, 2), (1,): F(1, 3)})
+    g = P({(0,): F(1, 2), (1,): F(-1, 3)})
+    assert list((f * g).coeffs.items()) == [((0,), F(1, 4)), ((2,), F(-1, 9))]
+    # every product past the validity: the zero series, validity kept
+    empty = P({(2,): F(1, 2)}, valid=(3,)) * P({(2,): F(1, 3)})
+    assert empty.coeffs == {} and empty.valid == (3,)
+    # integral products stay Fractions
+    product = P({(1,): F(1, 2), (2,): F(3, 2)}) * P({(1,): F(2)})
+    assert list(product.coeffs.items()) == [((2,), F(1)), ((3,), F(3))]
+    assert all(type(v) is F for v in product.coeffs.values())
+    # finite validity drops the keys past it
+    truncated = P({(0,): F(1, 3), (2,): F(2, 5)}, valid=(3,)) * P(
+        {(1,): F(5, 7), (2,): F(1, 2)})
+    assert truncated.valid == (3,)
+    assert list(truncated.coeffs.items()) == [((1,), F(5, 21)),
+                                              ((2,), F(1, 6)),
+                                              ((3,), F(2, 7))]
+
+
+def test_mixed_int_and_fraction_product_keeps_the_generic_path():
+    # one int value sends the product down the generic loop, whose int by
+    # int products stay ints
+    f = P({(0,): 2, (1,): F(1, 2)})
+    g = P({(1,): 3, (2,): F(1, 3)})
+    product = f * g
+    assert list(product.coeffs.items()) == list(generic_product(f, g).items())
+    assert type(product.coeffs[(1,)]) is int
+    assert type(product.coeffs[(2,)]) is F
+    assert type((g * f).coeffs[(1,)]) is int
 
 
 def test_dimension_mismatch():
