@@ -191,6 +191,9 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
 
     mode `nagumo_profile` uses v_n = ||u_n|| at n*alpha0 with the problem's
     order vector; mode `sup_proxy` uses the ell-1 norms at radius rho.  The
+    window is clamped to the trusted range first, and a norm is taken only
+    for n in the window, the only ones the fit reads; lower_bound_norms is
+    set when any trusted u_n is a truncation, in or out of the window.  The
     reported s_hat lives on the Gevrey scale (clamped at 0 from below); the
     verdict is PASS when s_hat <= 1/k1 + tolerance, so a fit well below the
     bound still passes (the bound is one-sided).
@@ -205,27 +208,6 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     )
     k1_inv = k1_inverse(problem.pde)
 
-    a0 = None
-    if mode == "nagumo_profile":
-        r = _positive("r", r if r is not None
-                      else (est.r if est.r is not None else Fraction(1, 2)))
-        a0 = alpha0(problem.pde)
-        values = nagumo_profile(solution, a0, r, problem.pde.s)
-        lower = any(v.lower_bound for v in values)
-        norms = [v.value for v in values]
-    else:
-        rho = _positive("rho", rho if rho is not None
-                        else (est.rho if est.rho is not None
-                              else Fraction(1, 4)))
-        powers: dict = {}  # rho^d, shared by every coefficient's norm
-        trusted = solution.coefficients.entries[:solution.valid_t_order + 1]
-        norms = []
-        for numerators, d in zip(trusted, solution.denominators):
-            # ||u_n|| = ||N_n|| / d_n, exactly (solver module docstring)
-            norm = numerators.ell1_norm(rho, powers)
-            norms.append(norm if d == 1 else norm / d)
-        lower = any(not numerators.is_exact() for numerators in trusted)
-
     lo, hi = window if window is not None else (
         est.window if est.window is not None
         else default_window(solution.valid_t_order)
@@ -235,6 +217,31 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
         raise FitError(
             f"window [{lo}, {hi}] empty after clamping to the trusted range"
         )
+    if lo < 0:
+        raise FitError(f"window [{lo}, {hi}] outside data range "
+                       f"[0, {solution.valid_t_order}]")
+
+    # the fit reads the norms on the window only; norms[n] is None below it
+    trusted = solution.coefficients.entries[:solution.valid_t_order + 1]
+    lower = any(not numerators.is_exact() for numerators in trusted)
+    norms = [None] * lo
+    a0 = None
+    if mode == "nagumo_profile":
+        r = _positive("r", r if r is not None
+                      else (est.r if est.r is not None else Fraction(1, 2)))
+        a0 = alpha0(problem.pde)
+        norms += [v.value for v in nagumo_profile(
+            solution, a0, r, problem.pde.s, range(lo, hi + 1))]
+    else:
+        rho = _positive("rho", rho if rho is not None
+                        else (est.rho if est.rho is not None
+                              else Fraction(1, 4)))
+        powers: dict = {}  # rho^d, shared by every coefficient's norm
+        for n in range(lo, hi + 1):
+            # ||u_n|| = ||N_n|| / d_n, exactly (solver module docstring)
+            norm = trusted[n].ell1_norm(rho, powers)
+            d = solution.denominators[n]
+            norms.append(norm if d == 1 else norm / d)
 
     if all(not norms[n] > 0 for n in range(lo, hi + 1)):
         # all-zero tail: a polynomial (convergent) solution

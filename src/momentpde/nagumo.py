@@ -371,11 +371,13 @@ def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
     return True
 
 
-def nagumo_profile(solution, alpha0: Exponents, r, s) -> list[NormResult]:
-    """The norm sequence v_n = ||u_n|| at multi-index n*alpha0.
+def nagumo_profile(solution, alpha0: Exponents, r, s,
+                   indices: range | None = None) -> list[NormResult]:
+    """The norm sequence v_n = ||u_n|| at multi-index n*alpha0, for n in
+    indices, by default the whole trusted prefix of the solution.
 
-    v_0 uses the zero-index (ell-1) norm.  Only the trusted prefix of the
-    solution is profiled; truncation lower-bound flags propagate.  The norm
+    v_0 uses the zero-index (ell-1) norm.  Truncation lower-bound flags
+    propagate.  The norm
     of u_n = N_n / d_n is exact exactly when that of N_n is, and then it is
     ||N_n|| / d_n, the same Fraction; where it is taken over double logs it
     is taken again on the reduced values of u_n, so the logs are theirs.
@@ -383,7 +385,9 @@ def nagumo_profile(solution, alpha0: Exponents, r, s) -> list[NormResult]:
     if any(a < 1 for a in alpha0):
         raise ParameterError("alpha0 must have all components >= 1")
     out = []
-    for n in range(solution.valid_t_order + 1):
+    if indices is None:
+        indices = range(solution.valid_t_order + 1)
+    for n in indices:
         numerators = solution.coefficients.coefficient(n)
         d = solution.denominators[n]
         if n == 0:

@@ -82,6 +82,13 @@ class MomentPDE:
         if m0.backend.exact and all(type(v) in (int, Fraction) for v in values):
             self.coefficient_denominator = math.lcm(
                 *(v.denominator for v in values))
+        # -a_k for every entry a_k that is one negative constant, by the
+        # entry's id: the entries live as long as the terms (part_former)
+        self._negated = {
+            id(entry): entry.neg() for term in self.terms
+            for entry in term.coeff.entries
+            if len(entry.coeffs) == 1 and not any(next(iter(entry.coeffs)))
+            and next(iter(entry.coeffs.values())) < 0}
         self._shift_factors: dict[tuple[int, int], object] = {}
 
     @property
@@ -102,8 +109,10 @@ class MomentPDE:
     # -- operator application -------------------------------------------
 
     def t_shift_factor(self, n: int, j: int):
-        """m0(n+j)/m0(n): the weight of coefficient n of D_t^j.  Memoised per
-        (n, j)."""
+        """m0(n+j)/m0(n): the weight of coefficient n of D_t^j, an exact 1
+        for j = 0.  Memoised per (n, j)."""
+        if not j:
+            return 1
         factor = self._shift_factors.get((n, j))
         if factor is None:
             factor = self._shift_factors[n, j] = (
@@ -121,12 +130,25 @@ class MomentPDE:
                     yield term, a_k, n - k + term.t_derivative
 
     def part_former(self, stack):
-        """form(term, a_k, i) = a_k * D_z^alpha u_i * m0(i)/m0(i-j), u_i being
-        stack[i]; D_z^alpha u_i is memoised, so stack may grow between calls
-        but its entries must not change."""
-        derived: dict[tuple[int, Exponents], PolySeries] = {}
+        """form(term, a_k, i) = (part, negated): part is the part
+        a_k * D_z^alpha u_i * m0(i)/m0(i-j), u_i being stack[i], or its
+        negative when negated is set.  D_z^alpha u_i is memoised, so stack
+        may grow between calls but its entries must not change.
 
-        def form(term: OperatorTerm, a_k: PolySeries, i: int) -> PolySeries:
+        An entry a_k that is one constant c < 0 (u_t = D_z^2 u is
+        P = D_t + a * D_z^2 with a = -1) is formed from -c, negated once per
+        operator, so a product by -c = 1 does no arithmetic (series module
+        docstring); the caller subtracts such a part where it would add the
+        part, and adds it where it would subtract.  No bit moves: mpmath
+        rounds to nearest, which is symmetric, so (-c) * x rounds to
+        -(c * x), and x - y is computed as x + (-y); a key missing from the
+        sum gets the same value either way, and exact values are exact.
+        """
+        derived: dict[tuple[int, Exponents], PolySeries] = {}
+        negated = self._negated
+
+        def form(term: OperatorTerm, a_k: PolySeries, i: int
+                 ) -> tuple[PolySeries, bool]:
             j, alpha = term.key()
             d = derived.get((i, alpha))
             if d is None:
@@ -135,7 +157,10 @@ class MomentPDE:
                     if k:
                         d = d.moment_derive(axis, seq, k)
                 derived[i, alpha] = d
-            return a_k.multiply(d).scale(self.t_shift_factor(i - j, j))
+            a = negated.get(id(a_k))
+            part = (a_k if a is None else a).multiply(d).scale(
+                self.t_shift_factor(i - j, j))
+            return part, a is not None
 
         return form
 
@@ -156,7 +181,9 @@ class MomentPDE:
         """P applied to u, truncated to t-order u.t_order - M.
 
         Coefficient n of D_t^j u is u_{n+j} * w with w = m0(n+j)/m0(n); each
-        part of (P u)_n is then added onto the principal term.
+        part of (P u)_n is then added onto the principal term, or, where
+        part_former folded a negative constant coefficient's sign, its
+        negative is subtracted, with the same bits (part_former).
 
         L (`coefficient_denominator`) is the lcm of the denominators of every
         coefficient value of P, derived once from the operator.  Where it
@@ -191,7 +218,8 @@ class MomentPDE:
                         "u is truncated too low for this term; "
                         f"needed t-coefficient {i}"
                     )
-                acc = acc.add(form(term, a_k, i))
+                part, negated = form(term, a_k, i)
+                acc = acc.add(part, negate=negated)
             if L != 1:
                 acc = PolySeries._trusted(acc.num_vars, {
                     g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)

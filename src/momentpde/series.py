@@ -38,7 +38,13 @@ value's domain on every test.  `sub` is `add` with the right operand's
 values subtracted in the same pass; it builds no negated copy.  A
 `multiply` whose left operand is one constant monomial (every operator
 coefficient that does not depend on z) is one pass over the right
-operand, since an mpf product is rounded once and commutes.  A product of
+operand, since an mpf product is rounded once and commutes.  By the
+constant 1 (an int, or an mpf where every right value is an mpf of its
+context) that pass does no arithmetic: it copies the right operand's items,
+sorted and restricted to the validity.  The products would give the same
+values, as an mpf is already rounded to its context's precision;
+pde.MomentPDE.part_former forms the parts of an operator coefficient -1
+from the constant 1.  A product of
 two series whose values are all Fractions clears each side's denominators
 into its lcm, sums the pairs on int numerators, and builds one
 Fraction(sum, lcm_f * lcm_g) per surviving key: the same values, still
@@ -56,7 +62,9 @@ is skipped for mpf values: abs(v) is already rounded to the context's
 precision, and times 1 it stays what it is.  An int-valued series (an
 exact solution's numerators) at a Fraction radius p/q is summed on ints,
 sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top the largest d, and
-divided by q^top once: the same Fraction, with none built per term.
+divided by q^top once: the same Fraction, with none built per term.  A
+Fraction-valued series takes the same sum on the numerators L * f_gamma
+over the values' lcm L, divided by L * q^top.
 
 Operations are pure; values are treated as immutable after construction.
 Iteration over coefficients is in sorted exponent order so that big-float
@@ -282,7 +290,11 @@ class PolySeries:
             if other.valid != valid:
                 right = [(eb, vb) for eb, vb in right
                          if all(map(operator.le, eb, limit))]
-            out = {eb: v for eb, vb in right if (v := va * vb)}
+            if va == 1 and (type(va) is int
+                            or all(type(vb) is type(va) for _, vb in right)):
+                out = dict(right)  # 1 * v is v: no product to round
+            else:
+                out = {eb: v for eb, vb in right if (v := va * vb)}
             return PolySeries._trusted(self.num_vars, out, valid)
         left = sorted(self.coeffs.items())
         cleared = _cleared(left)
@@ -365,8 +377,8 @@ class PolySeries:
         maps a degree d to r^d as the values are multiplied by it, filled
         here; a caller that takes many norms at one r, over values of one
         scalar domain, passes one dict to all of them (module docstring).
-        Int values at a Fraction radius are summed on ints and do not read
-        it.
+        Int or Fraction values at a Fraction radius are summed on ints and
+        do not read it.
         """
         if not r > 0:
             raise ValueError("radius r must be positive")
@@ -374,13 +386,17 @@ class PolySeries:
         if not items:
             return r * 0  # zero in the scalar domain of r
         first = items[0][1]
-        if type(r) is Fraction and all(type(v) is int for _, v in items):
-            # sum of |v| p^d q^(top - d), over q^top, at r = p/q
-            p, q = r.numerator, r.denominator
-            degrees = [total_degree(e) for e, _ in items]
-            top = max(degrees)
-            return Fraction(sum(abs(v) * p ** d * q ** (top - d)
-                                for d, (_, v) in zip(degrees, items)), q ** top)
+        if type(r) is Fraction:
+            cleared = ((items, 1) if all(type(v) is int for _, v in items)
+                       else _cleared(items))
+            if cleared is not None:
+                # sum of |N| p^d q^(top - d), over L q^top, at r = p/q
+                (numerators, lcm), p, q = cleared, r.numerator, r.denominator
+                degrees = [total_degree(e) for e, _ in numerators]
+                top = max(degrees)
+                return Fraction(sum(abs(x) * p ** d * q ** (top - d)
+                                    for d, (_, x) in zip(degrees, numerators)),
+                                lcm * q ** top)
         if is_mpf(first) and r == 1:
             # abs(v) is rounded to the context's precision, so * 1 keeps it
             terms = [abs(v) for _, v in items]

@@ -38,7 +38,10 @@ the loop through the series kernels, and its rounding after every kernel is
 part of its recorded output; its values are stored over d_n = 1.  That loop
 is P's own walk solved for u_n: the parts of (P u)_{n-M} that
 MomentPDE.parts yields, formed by MomentPDE.part_former as pde.apply forms
-them, are subtracted from f_n and the sum is scaled by m0(n-M)/m0(n).
+them, are subtracted from f_n and the sum is scaled by m0(n-M)/m0(n).  A
+part whose negative constant coefficient c the former folded comes back
+formed from -c, and is added: the same bits as subtracting the part of c,
+with no product by c = -1 and no negation (MomentPDE.part_former).
 
 The residual check re-applies the operator through pde.apply and must
 vanish identically in exact mode.  The gated exact check is independent of
@@ -185,8 +188,9 @@ def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
     form = pde.part_former(u)
     for n in range(M, problem.t_order + 1):
         acc = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
-        for part in pde.parts(n - M):
-            acc = acc.sub(form(*part))
+        for term, a_k, i in pde.parts(n - M):
+            part, negated = form(term, a_k, i)
+            acc = acc.add(part, negate=not negated)
         u.append(acc.scale(m0.value(n - M) / m0.value(n)))
     return u
 

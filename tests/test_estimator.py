@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,14 @@ from momentpde import (
     estimator,
     exponential_series,
     geometric_series,
+    nagumo,
     nagumo_norm,
+    nagumo_profile,
     solve,
     verify_theorem,
 )
 from momentpde.backends import log_scalar
+from momentpde.problem_io import load_problem
 
 from helpers import least_squares_reference
 
@@ -256,3 +260,71 @@ def test_verify_theorem_fail_with_negative_tolerance():
     report = verify_theorem(problem, solution, mode="sup_proxy", rho=F(1, 8),
                             window=(20, 40), tolerance=F(-1, 2))
     assert report.verdict == "FAIL"
+
+
+FIXTURES = sorted(Path(__file__).parent.glob("problems/*.json"))
+
+
+def _solved(path):
+    problem = load_problem(path)
+    return problem, solve(problem)
+
+
+def _full_profile_dict(problem, solution, report, r, rho) -> dict:
+    """report.as_dict() as built from the norms of every trusted n, with the
+    truncation flag read from the Nagumo profile's own flags."""
+    pde = problem.pde
+    trusted = range(solution.valid_t_order + 1)
+    profile = nagumo_profile(solution, alpha0(pde), r, pde.s)
+    assert len(profile) == len(trusted)
+    if report.mode == "nagumo_profile":
+        norms = [v.value for v in profile]
+    else:
+        norms = [solution.coefficient(n).ell1_norm(rho) for n in trusted]
+    lo, hi = report.window
+    expected = dict(report.as_dict(), s_hat=0.0, s_hat_raw=0.0,
+                    rms_residual=0.0,
+                    lower_bound_norms=any(v.lower_bound for v in profile))
+    if any(norms[n] > 0 for n in range(lo, hi + 1)):
+        fit = estimate_order(norms, (lo, hi))
+        expected.update(s_hat=max(fit.s_hat, 0.0), s_hat_raw=fit.s_hat,
+                        rms_residual=fit.rms_residual)
+    return expected
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_window_only_norms_give_the_full_profile_report(path):
+    problem, solution = _solved(path)
+    r, rho = F(1, 2), F(1, 4)
+    for mode in ("nagumo_profile", "sup_proxy"):
+        report = verify_theorem(problem, solution, mode=mode, r=r, rho=rho)
+        assert report.as_dict() == _full_profile_dict(problem, solution,
+                                                      report, r, rho)
+
+
+def test_window_only_norms_cover_a_truncated_and_an_exact_fixture():
+    # lower_bound_norms reads every trusted n: qdiff's data is a polynomial,
+    # every other fixture's is truncated
+    flags = set()
+    for path in FIXTURES:
+        problem, solution = _solved(path)
+        report = verify_theorem(problem, solution, mode="nagumo_profile")
+        flags.add(report.lower_bound_norms)
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize("window", [None, (0, 10), (20, 30)])
+def test_verify_theorem_takes_one_norm_per_window_index(window, monkeypatch):
+    problem, solution = _solved(Path(__file__).parent / "problems/heat.json")
+    calls = []
+    norm = nagumo.nagumo_norm
+    ell1 = PolySeries.ell1_norm
+    monkeypatch.setattr(nagumo, "nagumo_norm",
+                        lambda *a: calls.append("norm") or norm(*a))
+    monkeypatch.setattr(PolySeries, "ell1_norm",
+                        lambda *a: calls.append("ell1") or ell1(*a))
+    for mode, name in (("nagumo_profile", "norm"), ("sup_proxy", "ell1")):
+        calls.clear()
+        report = verify_theorem(problem, solution, mode=mode, window=window)
+        lo, hi = report.window
+        assert calls.count(name) == hi - lo + 1

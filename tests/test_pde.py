@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,3 +242,73 @@ def test_t_shift_factor_is_memoised(backend):
         factor = pde.t_shift_factor(n, j)
         assert factor == m0.value(n + j) / m0.value(n)
         assert pde.t_shift_factor(n, j) is factor
+
+
+def _same_items(a: PolySeries, b: PolySeries) -> bool:
+    """Same keys in the same order, same types, and the same _mpf_ tuple
+    for an mpf or else the same value."""
+    return a.valid == b.valid and [
+        (g, type(v), getattr(v, "_mpf_", v)) for g, v in a.coeffs.items()
+    ] == [(g, type(v), getattr(v, "_mpf_", v)) for g, v in b.coeffs.items()]
+
+
+@pytest.mark.parametrize("precision", [None, 24, 53, 256],
+                         ids=["fraction", "p24", "p53", "p256"])
+@pytest.mark.parametrize("c", [F(-1), F(-1, 2), F(-3), F(2, 3)], ids=str)
+@pytest.mark.parametrize("j", [0, 1])
+def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j):
+    # part_former forms a negative constant's part from -c and reports the
+    # sign; adding or subtracting it must give what adding or subtracting
+    # the plain part a * D^2 u_i * w gives, bit for bit and key for key
+    rng = random.Random(f"{c}-{precision}-{j}")
+    if precision is None:
+        backend = RationalBackend()
+        m0 = FactorialPower(1)
+
+        def value():
+            return F(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 6))
+    else:
+        backend = BigFloatBackend(precision)
+        m0 = GammaSequence(F(1, 2), backend)
+
+        def value():
+            man = rng.getrandbits(precision) | 1
+            return backend.ctx.ldexp(backend.ctx.mpf(rng.choice((1, -1)) * man),
+                                     rng.randint(-2 * precision, 20))
+    mz = FactorialPower(1, backend)
+    a = PolySeries.constant(1, backend.scalar(c))
+    term = OperatorTerm(j, (2,), TimeSeries([a], tail_exact=True))
+    pde = MomentPDE(1, m0, [mz], [term])
+    stack = [PolySeries(1, {(k,): value() for k in range(14)}, (13,))
+             for _ in range(4)]
+    form = pde.part_former(stack)
+    for i in (1, 2, 3):
+        part, negated = form(term, a, i)
+        assert negated == (c < 0)
+        w = m0.value(i) / m0.value(i - j)
+        plain = a.multiply(stack[i].moment_derive(0, mz, 2)).scale(w)
+        cancelled = list(plain.coeffs)[::2]
+        accs = [PolySeries(1, {(k,): value() for k in range(0, 18, 2)}, (12,))]
+        for sign in (1, -1):  # acc - part, then acc + part, cancel there
+            cancel = {(k,): value() for k in range(6)}
+            cancel.update({g: sign * plain.coeffs[g] for g in cancelled})
+            accs.append(PolySeries(1, cancel))
+        for acc in accs:
+            assert _same_items(acc.add(part, negate=negated), acc.add(plain))
+            assert _same_items(acc.add(part, negate=not negated),
+                               acc.sub(plain))
+        assert not set(cancelled) & set(accs[1].sub(plain).coeffs)
+        assert not set(cancelled) & set(accs[2].add(plain).coeffs)
+
+
+def test_the_fold_is_computed_once_per_coefficient_entry():
+    a = PolySeries.constant(1, F(-1, 2))
+    b = PolySeries(1, {(1,): F(-1)})  # not constant: formed as it is
+    term = OperatorTerm(0, (2,), TimeSeries([a, b], tail_exact=True))
+    pde = MomentPDE(1, FactorialPower(1), [FactorialPower(1)], [term])
+    assert list(pde._negated) == [id(a)]
+    assert pde._negated[id(a)].coeffs == {(0,): F(1, 2)}
+    form = pde.part_former([PolySeries(1, {(2,): F(1)})] * 2)
+    assert form(term, b, 1)[1] is False
+    assert form(term, a, 1)[1] is True
+    assert pde._negated[id(a)].coeffs == {(0,): F(1, 2)}

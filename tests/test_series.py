@@ -469,6 +469,54 @@ def test_ell1_of_int_values_at_a_rational_radius_is_the_fraction_sum():
             assert got == fractions.ell1_norm(r)
 
 
+def test_ell1_of_fraction_values_at_a_rational_radius_is_the_per_term_sum():
+    # Fraction values at r = p/q take one int sum over L q^top, L the
+    # values' lcm; the result is the Fraction sum of |v| r^d term by term
+    rng = random.Random(6)
+    cases = [{}, {(0,): F(-3, 7)}, {(5,): F(2, 9)}]
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        cases.append({
+            tuple(rng.randint(0, 6) for _ in range(nv)):
+            F(rng.randint(-10 ** 30, 10 ** 30) or 1, rng.randint(1, 10 ** 9))
+            for _ in range(rng.randint(1, 12))})
+    for coeffs in cases:
+        nv = len(next(iter(coeffs), (0,)))
+        f = PolySeries(nv, coeffs)
+        for r in (F(1, 4), F(3, 7), F(5, 2), F(1), F(2)):
+            want = F(0)
+            for g, v in coeffs.items():
+                want += abs(v) * r ** sum(g)
+            got = f.ell1_norm(r)
+            assert type(got) is Fraction
+            assert got == want
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mpf"])
+def test_constant_one_left_multiply_does_no_arithmetic(kind):
+    # 1 * g is g's items, restricted to the validity, in sorted key order,
+    # each value the very object g holds
+    ctx = BigFloatBackend(53).ctx
+    one, lift = {"int": (1, int), "fraction": (F(1), F),
+                 "mpf": (ctx.mpf(1), ctx.mpf)}[kind]
+    rng = random.Random(kind)
+    g = PolySeries(1, {(k,): lift(rng.randint(-99, 99) or 1)
+                       for k in rng.sample(range(20), 12)}, (15,))
+    for valid in ((None,), (9,)):
+        got = PolySeries.constant(1, one, valid).multiply(g)
+        want = _old_multiply(PolySeries.constant(1, one, valid), g)
+        assert got.valid == want.valid
+        assert list(got.coeffs) == sorted(want.coeffs)
+        assert all(v is g.coeffs[k] for k, v in got.coeffs.items())
+        assert all(getattr(v, "_mpf_", v) == getattr(want.coeffs[k], "_mpf_",
+                                                     want.coeffs[k])
+                   for k, v in got.coeffs.items())
+    # an mpf 1 times Fraction values still converts them
+    mixed = PolySeries.constant(1, ctx.mpf(1)).multiply(
+        PolySeries(1, {(0,): F(1, 3)}))
+    assert type(mixed.coeffs[(0,)]) is type(ctx.mpf(1))
+
+
 @given(f=sparse_polys(), c=st.integers(-6, 6))
 @settings(max_examples=40, deadline=None)
 def test_ell1_homogeneous_and_monotone(f, c):
