@@ -377,10 +377,10 @@ def nagumo_profile(solution, alpha0: Exponents, r, s,
     indices, by default the whole trusted prefix of the solution.
 
     v_0 uses the zero-index (ell-1) norm.  Truncation lower-bound flags
-    propagate.  The norm
-    of u_n = N_n / d_n is exact exactly when that of N_n is, and then it is
-    ||N_n|| / d_n, the same Fraction; where it is taken over double logs it
-    is taken again on the reduced values of u_n, so the logs are theirs.
+    propagate.  The norm of u_n = N_n / d_n is exact exactly when that of
+    N_n is, and then it is ||N_n|| / d_n, the same Fraction; where it is
+    taken over double logs it is taken again on the reduced values of u_n,
+    so the logs are theirs.
     """
     if any(a < 1 for a in alpha0):
         raise ParameterError("alpha0 must have all components >= 1")

@@ -227,6 +227,18 @@ def test_verify_theorem_zero_tail_convention():
     assert report.passed
 
 
+def test_verify_theorem_rejects_a_negative_window():
+    # an index below 0 is not read from the end of the norm list: an
+    # all-zero tail there would pass a polynomial solution unfitted
+    problem = make_problem(heat_pde(), [PolySeries(1, {(2,): F(1)})],
+                           t_order=20, z_caps=(10,))
+    solution = solve(problem)
+    for mode in ("sup_proxy", "nagumo_profile"):
+        with pytest.raises(FitError, match=r"\[-3, -1\] outside data range "
+                           r"\[0, 20\]"):
+            verify_theorem(problem, solution, mode=mode, window=(-3, -1))
+
+
 def test_verify_theorem_profile_mode():
     problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))])
     solution = solve(problem)
