@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .backends import Backend
@@ -24,6 +23,7 @@ from .series import (
     Exponents,
     PolySeries,
     TimeSeries,
+    cleared,
 )
 
 
@@ -77,18 +77,23 @@ class MomentPDE:
             raise DimensionMismatch("need at least one z variable sequence")
         values = [v for term in self.terms for entry in term.coeff.entries
                   for v in entry.coeffs.values()]
-        # L of apply's docstring: 1 unless every value is exact
-        self.coefficient_denominator = 1
+        # L of add_parts: 1 unless every value is exact
+        L = 1
         if m0.backend.exact and all(type(v) in (int, Fraction) for v in values):
-            self.coefficient_denominator = math.lcm(
-                *(v.denominator for v in values))
-        # -a_k for every entry a_k that is one negative constant, by the
-        # entry's id: the entries live as long as the terms (part_former)
-        self._negated = {
-            id(entry): entry.neg() for term in self.terms
-            for entry in term.coeff.entries
-            if len(entry.coeffs) == 1 and not any(next(iter(entry.coeffs)))
-            and next(iter(entry.coeffs.values())) < 0}
+            L = math.lcm(*(v.denominator for v in values))
+        self.coefficient_denominator = L
+        # (term, [(a_k as the walk multiplies by it, negated)]) per term
+        self._parts = []
+        for term in self.terms:
+            row = []
+            for a in term.coeff.entries:
+                if L != 1:
+                    a = PolySeries._trusted(a.num_vars, dict(
+                        cleared(a.coeffs.items(), L)[0]), a.valid)
+                negated = (len(a.coeffs) == 1 and not any(next(iter(a.coeffs)))
+                           and next(iter(a.coeffs.values())) < 0)
+                row.append((a.neg() if negated else a, negated))
+            self._parts.append((term, row))
         self._shift_factors: dict[tuple[int, int], object] = {}
 
     @property
@@ -119,112 +124,87 @@ class MomentPDE:
                 self.m0.value(n + j) / self.m0.value(n))
         return factor
 
-    def parts(self, n: int):
-        """(term, a_k, i) for every non-zero part a_k * D_t^j D_z^alpha u_i of
-        (P u)_n but the principal one: i = n - k + j, and k runs from ord_t(a)
-        to the last index a may hold up to n, term by term."""
-        for term in self.terms:
-            for k in range(term.ord_t, term.coeff.reach(n) + 1):
-                a_k = term.coeff.coefficient(k)
-                if not a_k.is_zero():
-                    yield term, a_k, n - k + term.t_derivative
+    def add_parts(self, stack):
+        """add(start, factor, n, subtract) = start * factor plus every part
+        a_k * D_t^j D_z^alpha u_i of (P u)_n but the principal one, or minus
+        them all when subtract is set: u_i is stack[i] with i = n - k + j,
+        k runs from ord_t(a) to the last index a may hold up to n, and the
+        part is a_k * D_z^alpha u_i * m0(i)/m0(i-j).  D_z^alpha u_i is
+        memoised, so stack may grow between calls but its entries must not
+        change.
 
-    def part_former(self, stack):
-        """form(term, a_k, i) = (part, negated): part is the part
-        a_k * D_z^alpha u_i * m0(i)/m0(i-j), u_i being stack[i], or its
-        negative when negated is set.  D_z^alpha u_i is memoised, so stack
-        may grow between calls but its entries must not change.
+        Each a_k is taken from a table built once per operator, as the walk
+        multiplies by it:
 
-        An entry a_k that is one constant c < 0 (u_t = D_z^2 u is
-        P = D_t + a * D_z^2 with a = -1) is formed from -c, negated once per
-        operator, so a product by -c = 1 does no arithmetic (series module
-        docstring); the caller subtracts such a part where it would add the
-        part, and adds it where it would subtract.  No bit moves: mpmath
-        rounds to nearest, which is symmetric, so (-c) * x rounds to
-        -(c * x), and x - y is computed as x + (-y); a key missing from the
-        sum gets the same value either way, and exact values are exact.
+        - L (`coefficient_denominator`) is the lcm of the denominators of
+          every coefficient value of P.  Where it is not 1, add scales start
+          by L * factor, forms each part from the ints of L * a_k, so the
+          kernels apply them as ints (series module docstring) and an
+          int-valued stack (the exact residual's D * u) keeps int sums
+          wherever the moment ratios are integers, and divides by L last,
+          once per key that survives the sum: a key that cancels is never
+          divided, so on a correct solution of P u = 0 the check builds no
+          Fraction per coefficient.  Where the values are mpf, L is 1 (an
+          mpf times L and back would round), and L = 1 adds no arithmetic.
+        - An entry that is one constant c < 0 (u_t = D_z^2 u is
+          P = D_t + a * D_z^2 with a = -1) is stored as -c, so a product by
+          -c = 1 does no arithmetic (series module docstring), and its part
+          is subtracted where the others are added and added where they are
+          subtracted.  No bit moves: mpmath rounds to nearest, which is
+          symmetric, so (-c) * x rounds to -(c * x), and x - y is computed
+          as x + (-y); a key missing from the sum gets the same value either
+          way, and exact values are exact.
         """
-        derived: dict[tuple[int, Exponents], PolySeries] = {}
-        negated = self._negated
-
-        def form(term: OperatorTerm, a_k: PolySeries, i: int
-                 ) -> tuple[PolySeries, bool]:
-            j, alpha = term.key()
-            d = derived.get((i, alpha))
-            if d is None:
-                d = stack[i]
-                for axis, (k, seq) in enumerate(zip(alpha, self.m)):
-                    if k:
-                        d = d.moment_derive(axis, seq, k)
-                derived[i, alpha] = d
-            a = negated.get(id(a_k))
-            part = (a_k if a is None else a).multiply(d).scale(
-                self.t_shift_factor(i - j, j))
-            return part, a is not None
-
-        return form
-
-    @cached_property
-    def _cleared(self) -> "MomentPDE":
-        """The operator with P's principal part and L times P's terms, whose
-        coefficient values are ints (apply's docstring)."""
         L = self.coefficient_denominator
-        terms = [OperatorTerm(term.t_derivative, term.z_derivatives, TimeSeries(
-            [PolySeries._trusted(entry.num_vars, {
-                g: v.numerator * (L // v.denominator)
-                for g, v in entry.coeffs.items()}, entry.valid)
-             for entry in term.coeff.entries], term.coeff.tail_exact))
-            for term in self.terms]
-        return MomentPDE(self.M, self.m0, self.m, terms)
+        derived: dict[tuple[int, Exponents], PolySeries] = {}
+
+        def add(start: PolySeries, factor, n: int, subtract: bool
+                ) -> PolySeries:
+            acc = start.scale(factor if L == 1 else L * factor)
+            for term, row in self._parts:
+                j, alpha = term.key()
+                for k in range(term.ord_t, term.coeff.reach(n) + 1):
+                    if k == len(row):
+                        term.coeff.coefficient(k)  # past a truncation: raises
+                    a, negated = row[k]
+                    if a.is_zero():
+                        continue
+                    i = n - k + j
+                    if i >= len(stack):
+                        raise ValueError(
+                            "u is truncated too low for this term; "
+                            f"needed t-coefficient {i}"
+                        )
+                    d = derived.get((i, alpha))
+                    if d is None:
+                        d = stack[i]
+                        for axis, (order, seq) in enumerate(zip(alpha, self.m)):
+                            if order:
+                                d = d.moment_derive(axis, seq, order)
+                        derived[i, alpha] = d
+                    part = a.multiply(d).scale(self.t_shift_factor(i - j, j))
+                    acc = acc.add(part, negate=negated != subtract)
+            if L != 1:
+                acc = PolySeries._trusted(acc.num_vars, {
+                    g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)
+            return acc
+
+        return add
 
     def apply(self, u: TimeSeries) -> TimeSeries:
-        """P applied to u, truncated to t-order u.t_order - M.
-
-        Coefficient n of D_t^j u is u_{n+j} * w with w = m0(n+j)/m0(n); each
-        part of (P u)_n is then added onto the principal term, or, where
-        part_former folded a negative constant coefficient's sign, its
-        negative is subtracted, with the same bits (part_former).
-
-        L (`coefficient_denominator`) is the lcm of the denominators of every
-        coefficient value of P, derived once from the operator.  Where it
-        is not 1, apply forms L * (P u)_n: the principal term is scaled by
-        L * w, and each part is formed from L * a_k, whose values are ints,
-        so the kernels apply them as ints (series module docstring) and an
-        int-valued u (the exact residual's D * u) keeps int sums wherever
-        the moment ratios are integers.  The division by L comes last, once
-        per key that survives the sum: a key that cancels is dropped by the
-        sum and is never divided, so on a correct solution of P u = 0 the
-        check builds no Fraction per coefficient.  Where L = 1, and where
-        the values are mpf (L is then 1: an mpf times L and back would
-        round), apply adds no arithmetic, so big-float bits stay as they
-        are.
-        """
+        """P applied to u, truncated to t-order u.t_order - M: coefficient n
+        of D_t^M u is u_{n+M} * m0(n+M)/m0(n), and add_parts adds the other
+        parts onto it."""
         if u.t_order < self.M:
             raise ValueError(
                 f"need t-order >= {self.M}, got {u.t_order}"
             )
         if u.num_vars != self.num_vars:
             raise DimensionMismatch("u has the wrong number of variables")
-        L = self.coefficient_denominator
-        walk = self if L == 1 else self._cleared
-        form = walk.part_former(u.entries)
-        entries = []
-        for n in range(u.t_order - self.M + 1):
-            w = self.t_shift_factor(n, self.M)
-            acc = u.coefficient(n + self.M).scale(w if L == 1 else L * w)
-            for term, a_k, i in walk.parts(n):
-                if i > u.t_order:
-                    raise ValueError(
-                        "u is truncated too low for this term; "
-                        f"needed t-coefficient {i}"
-                    )
-                part, negated = form(term, a_k, i)
-                acc = acc.add(part, negate=negated)
-            if L != 1:
-                acc = PolySeries._trusted(acc.num_vars, {
-                    g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)
-            entries.append(acc)
-        return TimeSeries(entries, tail_exact=False)
+        add = self.add_parts(u.entries)
+        return TimeSeries([
+            add(u.entries[n + self.M], self.t_shift_factor(n, self.M), n, False)
+            for n in range(u.t_order - self.M + 1)], tail_exact=False)
 
 
 @dataclass(frozen=True)

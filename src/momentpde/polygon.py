@@ -197,6 +197,18 @@ def export_geometry(polygon: NewtonPolygon, clip: tuple) -> dict:
         "k1_inverse": str(polygon.k1_inverse),
         "principal": _fmt_point(polygon.principal),
         "boundary": [_fmt_point(p) for p in boundary],
+        **_fmt_hull(polygon),
+        "quadrants": quadrants,
+    }
+
+
+def _fmt_point(p: Point) -> dict:
+    return {"x": str(p[0]), "y": str(p[1])}
+
+
+def _fmt_hull(polygon: NewtonPolygon) -> dict:
+    """The hull vertices and segments as both payloads print them."""
+    return {
         "vertices": [_fmt_point(p) for p in polygon.pareto_vertices],
         "segments": [
             {
@@ -206,12 +218,7 @@ def export_geometry(polygon: NewtonPolygon, clip: tuple) -> dict:
             }
             for seg in polygon.segments
         ],
-        "quadrants": quadrants,
     }
-
-
-def _fmt_point(p: Point) -> dict:
-    return {"x": str(p[0]), "y": str(p[1])}
 
 
 def as_dict(polygon: NewtonPolygon) -> dict:
@@ -223,14 +230,6 @@ def as_dict(polygon: NewtonPolygon) -> dict:
             {"x": str(sp.x), "y": str(sp.y), "sources": list(sp.sources)}
             for sp in polygon.support_points
         ],
-        "vertices": [_fmt_point(p) for p in polygon.pareto_vertices],
-        "segments": [
-            {
-                "start": _fmt_point(seg.start),
-                "end": _fmt_point(seg.end),
-                "slope": str(seg.slope),
-            }
-            for seg in polygon.segments
-        ],
+        **_fmt_hull(polygon),
         "k1_attainers": list(polygon.k1_attainers),
     }

@@ -43,7 +43,7 @@ constant 1 (an int, or an mpf where every right value is an mpf of its
 context) that pass does no arithmetic: it copies the right operand's items,
 sorted and restricted to the validity.  The products would give the same
 values, as an mpf is already rounded to its context's precision;
-pde.MomentPDE.part_former forms the parts of an operator coefficient -1
+pde.MomentPDE.add_parts forms the parts of an operator coefficient -1
 from the constant 1.  A product of
 two series whose values are all Fractions clears each side's denominators
 into its lcm, sums the pairs on int numerators, and builds one
@@ -297,12 +297,12 @@ class PolySeries:
                 out = {eb: v for eb, vb in right if (v := va * vb)}
             return PolySeries._trusted(self.num_vars, out, valid)
         left = sorted(self.coeffs.items())
-        cleared = _cleared(left)
-        cleared_right = _cleared(right) if cleared is not None else None
-        if cleared_right is None:
+        fractions = all(type(v) is Fraction for items in (left, right)
+                        for _, v in items)
+        if fractions:  # Fraction by Fraction: the pair sums run on ints
+            (left, lcm_f), (right, lcm_g) = cleared(left), cleared(right)
+        else:
             left = [(ea, exact_multiplier(va)) for ea, va in left]
-        else:  # Fraction by Fraction: the pair sums run on ints
-            (left, lcm_f), (right, lcm_g) = cleared, cleared_right
         out = {}
         for ea, va in left:
             for eb, vb in right:
@@ -313,11 +313,11 @@ class PolySeries:
                     out[key] = out[key] + va * vb
                 else:
                     out[key] = va * vb
-        if cleared_right is None:
-            out = {k: v for k, v in out.items() if v}
-        else:
+        if fractions:
             denominator = lcm_f * lcm_g
             out = {k: Fraction(v, denominator) for k, v in out.items() if v}
+        else:
+            out = {k: v for k, v in out.items() if v}
         return PolySeries._trusted(self.num_vars, out, valid)
 
     __add__ = add
@@ -387,11 +387,12 @@ class PolySeries:
             return r * 0  # zero in the scalar domain of r
         first = items[0][1]
         if type(r) is Fraction:
-            cleared = ((items, 1) if all(type(v) is int for _, v in items)
-                       else _cleared(items))
-            if cleared is not None:
+            rational = ((items, 1) if all(type(v) is int for _, v in items)
+                        else cleared(items)
+                        if all(type(v) is Fraction for _, v in items) else None)
+            if rational is not None:
                 # sum of |N| p^d q^(top - d), over L q^top, at r = p/q
-                (numerators, lcm), p, q = cleared, r.numerator, r.denominator
+                (numerators, lcm), p, q = rational, r.numerator, r.denominator
                 degrees = [total_degree(e) for e, _ in numerators]
                 top = max(degrees)
                 return Fraction(sum(abs(x) * p ** d * q ** (top - d)
@@ -441,16 +442,19 @@ class PolySeries:
         )
 
 
-def _cleared(items: list) -> tuple[list, int] | None:
-    """Fraction values over their least common denominator L: the pairs
-    (key, L * value) on ints, and L; None when some value is not a Fraction."""
-    lcm = 1
-    for _, value in items:
-        if type(value) is not Fraction:
-            return None
-        lcm = math.lcm(lcm, value.denominator)
-    return [(key, value.numerator * (lcm // value.denominator))
-            for key, value in items], lcm
+def cleared(items, scale: int = 0) -> tuple[list, int]:
+    """Int or Fraction values, as (key, value) pairs in a list or a dict's
+    items view, as ints over a common multiple of their denominators: the
+    pairs (key, scale * value), and scale.  scale defaults to the values'
+    least common denominator; a given one must be a multiple of every
+    denominator.  The lcm is taken two arguments at a time, as
+    math.lcm(*genexpr) holds every denominator at once."""
+    if not scale:
+        scale = 1
+        for _, value in items:
+            scale = math.lcm(scale, value.denominator)
+    return [(key, value.numerator * (scale // value.denominator))
+            for key, value in items], scale
 
 
 # -- builtin generators for infinite initial data ---------------------------

@@ -36,12 +36,9 @@ FormalSolution.coefficient builds the values of one u_n for a caller that
 wants them.  The big-float backend runs
 the loop through the series kernels, and its rounding after every kernel is
 part of its recorded output; its values are stored over d_n = 1.  That loop
-is P's own walk solved for u_n: the parts of (P u)_{n-M} that
-MomentPDE.parts yields, formed by MomentPDE.part_former as pde.apply forms
-them, are subtracted from f_n and the sum is scaled by m0(n-M)/m0(n).  A
-part whose negative constant coefficient c the former folded comes back
-formed from -c, and is added: the same bits as subtracting the part of c,
-with no product by c = -1 and no negation (MomentPDE.part_former).
+is P's own walk solved for u_n: MomentPDE.add_parts subtracts from f_n the
+parts of (P u)_{n-M} that pde.apply adds, formed as pde.apply forms them,
+and the sum is scaled by m0(n-M)/m0(n).
 
 The residual check re-applies the operator through pde.apply and must
 vanish identically in exact mode.  The gated exact check is independent of
@@ -57,12 +54,10 @@ value in the checked stack.  Each (P D u)_n is compared with D * f_n on the
 trusted region, and the residual is the l1 norm over D.  P is linear, so
 P (D u) = D * P u and the number is the one the plain u values give.  The
 kernels apply integral multipliers as ints (series module docstring), and
-pde.apply forms L * (P D u)_n with L the lcm of the denominators of P's
-coefficient values, so each a_k enters as the ints of L * a_k, and divides
-only the keys that survive by L (MomentPDE.apply).  So the check runs on
-ints wherever the moment ratios are integers, for rational coefficients as
-well as integral ones, and with f = 0 a correct solution leaves no key to
-divide: no Fraction is built per coefficient.  A non-zero exact residual raises
+pde.apply keeps an int-valued stack on ints for rational coefficients as
+well as integral ones (MomentPDE.add_parts).  So the check runs on ints
+wherever the moment ratios are integers, and with f = 0 a correct solution
+builds no Fraction per coefficient.  A non-zero exact residual raises
 SolveError naming the first (n, gamma) where (P u)_n != f_n.  The big-float
 backend applies P to its u values as they are; its loop shares P's walk,
 so that residual shows rounding, and the tests check the loop against the
@@ -92,6 +87,7 @@ from .series import (
     PolySeries,
     TimeSeries,
     Validity,
+    cleared,
     key_limit,
     min_validity,
 )
@@ -185,21 +181,11 @@ def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
     m0 = pde.m0
     M = pde.M
     u = [problem.initial[j].scale(1 / m0.value(j)) for j in range(M)]
-    form = pde.part_former(u)
+    add = pde.add_parts(u)
     for n in range(M, problem.t_order + 1):
-        acc = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
-        for term, a_k, i in pde.parts(n - M):
-            part, negated = form(term, a_k, i)
-            acc = acc.add(part, negate=not negated)
-        u.append(acc.scale(m0.value(n - M) / m0.value(n)))
+        f = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
+        u.append(add(f, 1, n - M, True).scale(m0.value(n - M) / m0.value(n)))
     return u
-
-
-def _over_common_denominator(values: dict) -> tuple[dict, int]:
-    """Rationals as (int numerators, their least common denominator)."""
-    den = math.lcm(*(v.denominator for v in values.values()))
-    return {k: v.numerator * (den // v.denominator)
-            for k, v in values.items()}, den
 
 
 def _reduced(nums: dict, den: int) -> tuple[dict, int]:
@@ -259,9 +245,9 @@ def _integer_recurrence(problem: CauchyProblem
     numerators: list[PolySeries] = []
     denominators: list[int] = []
     for j, phi in enumerate(problem.initial):
-        nums, den = _over_common_denominator(phi.coeffs)
+        nums, den = cleared(phi.coeffs.items())
         weight = m0.value(j)
-        nums, den = _reduced({g: x * weight.denominator for g, x in nums.items()},
+        nums, den = _reduced({g: x * weight.denominator for g, x in nums},
                              den * weight.numerator)
         numerators.append(PolySeries._trusted(pde.num_vars, nums, phi.valid))
         denominators.append(den)
@@ -287,7 +273,7 @@ def _integer_recurrence(problem: CauchyProblem
 def _integer_step(problem: CauchyProblem, derivative, n: int
                   ) -> tuple[PolySeries, int]:
     """(N_n, d_n) from the derivatives of u_0 .. u_{n-1}, content-reduced.
-    It enumerates P's parts itself, not through MomentPDE.parts: as the
+    It enumerates P's parts itself, not through MomentPDE.add_parts: as the
     exact recurrence it is the side of the gated residual check that must
     not share pde.apply's walk."""
     pde = problem.pde
@@ -315,8 +301,8 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
     forced = {g: lead * v for g, v in rhs.coeffs.items()
               if all(map(operator.le, g, limit))}
     if forced:
-        nums, den = _over_common_denominator(forced)
-        groups.append((den, 1, list(nums.items())))
+        nums, den = cleared(forced.items())
+        groups.append((den, 1, nums))
     for a_coeffs, shared, items, src_limit in parts:
         for beta, a in a_coeffs.items():
             c = -a * shared
@@ -355,9 +341,9 @@ def _assert_initial_conditions(problem: CauchyProblem,
         weight = m0.value(j)
         recovered = solution.coefficients.coefficient(j)
         if backend.exact:
-            nums, den = _over_common_denominator(phi.coeffs)
+            nums, den = cleared(phi.coeffs.items())
             recovered = recovered.scale(weight.numerator * den)
-            phi = PolySeries._trusted(phi.num_vars, nums, phi.valid).scale(
+            phi = PolySeries._trusted(phi.num_vars, dict(nums), phi.valid).scale(
                 solution.denominators[j] * weight.denominator)
         else:
             recovered = recovered.scale(weight)
@@ -411,7 +397,8 @@ def _differences(problem: CauchyProblem, solution: FormalSolution):
                            for v in f_n.coeffs.values()))
         u = TimeSeries([entry.scale(scale // d) for entry, d
                         in zip(u.entries, solution.denominators)], u.tail_exact)
-        rhs = [_scaled(f_n, scale) for f_n in rhs]
+        rhs = [PolySeries._trusted(f_n.num_vars, dict(
+            cleared(f_n.coeffs.items(), scale)[0]), f_n.valid) for f_n in rhs]
     applied = pde.apply(u)
 
     def differences():
@@ -427,10 +414,3 @@ def _differences(problem: CauchyProblem, solution: FormalSolution):
             if not diff.is_exhausted():
                 yield n, diff
     return scale, differences()
-
-
-def _scaled(entry: PolySeries, scale: int) -> PolySeries:
-    """scale * entry as ints; scale is a multiple of every denominator."""
-    return PolySeries._trusted(entry.num_vars, {
-        g: v.numerator * (scale // v.denominator) for g, v in entry.coeffs.items()
-    }, entry.valid)

@@ -398,7 +398,10 @@ def test_byte_identical_reruns(capsys):
 # (the constant coefficient -1/2), heat_tcoeff-bigfloat-p40 (the coefficient
 # -t, a constant -1 at t^1) and fractional-p24 (the shortest mantissa) were
 # recorded before the big-float walk folded a negative constant coefficient's
-# sign into the sum, so they pin that the fold moves no bit.
+# sign into the sum, so they pin that the fold moves no bit.  two_segment
+# (a second hull segment, the coefficient -t^2 on D_z^3) and gamma_z2 (the
+# z-sequence (2n)!) were recorded before the operator's walk became one
+# MomentPDE method.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "fractional-p24": "b03c3cf606beb5e9cfece65d144833f59fc114a442030f494f12e59dc165f0d4",
@@ -424,6 +427,10 @@ SOLVE_DIGESTS = {
     "mixed2d": "09fe9c922ed3332eda266075b9859697613f645f18b78f4fb2a20c57db51f89a",
     "third_order": "cbef725c0fa9f45f91264131329b2efa3d5af3f19b3a719edc6e84c2f86b99cf",
     "transport_z2": "4db9ac8ab0224156dbe025462dd4a2566b4009a1b55acb322dfd4ece9dee515f",
+    "two_segment": "0c5d440715ed60863b106d812473e724ce9ebb6c5afd7b4158a9f34e4dcc839e",
+    "two_segment-bigfloat": "86e51b4a5ea7a4be92856ea9ad4a112d5a1261be99229afd64e801b911d53cba",
+    "gamma_z2": "afaf5a3fec10c0718d70be3512ed9423d03085ed9336368ccd09de5609173bd4",
+    "gamma_z2-bigfloat": "9ae3876c2172813fbe063056335158542894227d38c6c1a0ba7b2f24d58c3473",
 }
 
 
@@ -481,7 +488,8 @@ def test_check_output_matches_recorded_digest(seed, capsys):
 # t-order; heat_table's z-table declares order 3/2, so its norms past n = 0
 # are taken over double logs of the reduced values.  The heat_half and
 # heat2d_var cases were recorded before pde.apply came to clear the
-# operator's denominators.
+# operator's denominators, the two_segment and gamma_z2 cases before the
+# operator's walk became one MomentPDE method.
 ESTIMATE_DIGESTS = {
     ("fractional", "nagumo_profile"): "bce354924952dd0867167b2bf497ea4b8df6161e463d62bd4d28f3720059bcfd",
     ("fractional", "sup_proxy"): "a23c9899f0c26f2f8f8b7bb3dcb7b3b084efebf4e257b5984baceb53474d3142",
@@ -503,6 +511,8 @@ ESTIMATE_DIGESTS = {
     ("mixed2d", "nagumo_profile"): "09fc91f883fc0f76046f078256f4fa5e19e30ee5c71a3c7883b0e4ab11dfb743",
     ("third_order", "nagumo_profile"): "17d0a7b18c754fcd1501dce144cf1db60460b06d957030f829ad8e68a8bc41e8",
     ("transport_z2", "nagumo_profile"): "bed649fa660ef1af2097af128c664fc00ce9f894bfcae9233bb5b4de6ef64dde",
+    ("two_segment", "nagumo_profile"): "b614b21c1408ed23857da64d7e801a153441b073422d65a6f99cb4c99c9e6a7e",
+    ("gamma_z2", "nagumo_profile"): "ac7093215031fd4419aee69422235c6fca15726575c5f7efab6b33ba10699ca3",
 }
 
 

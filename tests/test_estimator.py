@@ -325,6 +325,20 @@ def test_window_only_norms_cover_a_truncated_and_an_exact_fixture():
     assert flags == {False, True}
 
 
+@pytest.mark.parametrize("name", [
+    "heat", "heat_half", "third_order",
+    "two_segment",  # two hull segments: only the first sets the order
+    "gamma_z2",     # a z-sequence of order s = 2
+])
+def test_fit_attains_the_order_where_the_bound_is_sharp(name):
+    # the verdict is one-sided (s_hat <= 1/k1 + tolerance); on these fixtures
+    # the growth order is 1/k1 itself, so the fit must also land near it
+    problem, solution = _solved(Path(__file__).parent / f"problems/{name}.json")
+    report = verify_theorem(problem, solution)
+    assert report.passed
+    assert abs(F(report.s_hat) - report.k1_inverse) <= report.tolerance
+
+
 @pytest.mark.parametrize("window", [None, (0, 10), (20, 30)])
 def test_verify_theorem_takes_one_norm_per_window_index(window, monkeypatch):
     problem, solution = _solved(Path(__file__).parent / "problems/heat.json")

@@ -214,24 +214,62 @@ def test_apply_rejects_a_term_reaching_past_the_stack():
         pde.apply(u)
 
 
+def test_apply_reads_a_truncated_coefficient_no_further_than_its_order():
+    # An unvalidated operator whose coefficient stops at t^1 with unknown
+    # higher terms: (P u)_2 needs its t^2 coefficient, which TimeSeries
+    # refuses as it refuses any read past a truncation.
+    coeff = TimeSeries([PolySeries.constant(1, F(-1))] * 2, tail_exact=False)
+    pde = MomentPDE(1, FactorialPower(1), [FactorialPower(1)],
+                    [OperatorTerm(0, (2,), coeff)])
+    u = TimeSeries([PolySeries(1, {(k,): F(1) for k in range(6)})
+                    for _ in range(4)])
+    with pytest.raises(IndexError, match="beyond truncation order 1"):
+        pde.apply(u)
+
+
+def _recording(monkeypatch, name: str) -> list:
+    """Record the receiver of every PolySeries.<name> call."""
+    calls = []
+    method = getattr(PolySeries, name)
+
+    def recorded(self, *args):
+        calls.append(self)
+        return method(self, *args)
+
+    monkeypatch.setattr(PolySeries, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("name, backend, lcm", [
     ("heat", "rational", 1),
     ("heat_half", "rational", 2),
     ("heat2d_var", "rational", 6),     # -1/2 z1 and -1/3 z2
     ("heat2d_var", "bigfloat", 1),     # mpf values are not cleared
 ])
-def test_coefficient_denominator_is_cleared_once(name, backend, lcm):
-    pde = load_problem(PROBLEMS / f"{name}.json", {"backend": backend}).pde
+def test_coefficient_denominator_is_cleared_once(name, backend, lcm,
+                                                  monkeypatch):
+    problem = load_problem(PROBLEMS / f"{name}.json", {"backend": backend})
+    pde = problem.pde
     assert pde.coefficient_denominator == lcm
-    if lcm == 1:
-        return
-    # the walk pde.apply takes: L * a_k, as ints, term by term
-    for term, cleared in zip(pde.terms, pde._cleared.terms):
-        assert term.key() == cleared.key()
-        for entry, ints in zip(term.coeff.entries, cleared.coeff.entries):
-            assert all(type(v) is int for v in ints.coeffs.values())
-            assert ints.coeffs == {g: lcm * v for g, v in entry.coeffs.items()}
-            assert ints.valid == entry.valid
+    # the walk multiplies by L * a_k (or its negative, where the sign of a
+    # negative constant is folded), as ints where L is not 1, and by the
+    # same series on every call: the operator clears each entry once
+    entries = [entry for term in pde.terms for entry in term.coeff.entries
+               if not entry.is_zero()]
+    multipliers = [({g: sign * lcm * v for g, v in entry.coeffs.items()},
+                    entry.valid) for entry in entries for sign in (1, -1)]
+    nv = pde.num_vars
+    u = TimeSeries([PolySeries(nv, {(k,) * nv: problem.backend.scalar(k + 1)
+                                    for k in range(6)}) for _ in range(4)])
+    lefts = _recording(monkeypatch, "multiply")
+    first = pde.apply(u)
+    calls = len(lefts)
+    assert calls and all((a.coeffs, a.valid) in multipliers for a in lefts)
+    if lcm != 1:
+        assert all(type(v) is int for a in lefts for v in a.coeffs.values())
+    second = pde.apply(u)
+    assert all(a is b for a, b in zip(lefts[:calls], lefts[calls:], strict=True))
+    assert [e.coeffs for e in first.entries] == [e.coeffs for e in second.entries]
 
 
 @pytest.mark.parametrize("backend", ["rational", "bigfloat"])
@@ -256,10 +294,12 @@ def _same_items(a: PolySeries, b: PolySeries) -> bool:
                          ids=["fraction", "p24", "p53", "p256"])
 @pytest.mark.parametrize("c", [F(-1), F(-1, 2), F(-3), F(2, 3)], ids=str)
 @pytest.mark.parametrize("j", [0, 1])
-def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j):
-    # part_former forms a negative constant's part from -c and reports the
-    # sign; adding or subtracting it must give what adding or subtracting
-    # the plain part a * D^2 u_i * w gives, bit for bit and key for key
+def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j,
+                                                             monkeypatch):
+    # the walk multiplies by |c| (times L) and subtracts where it would add
+    # a negative constant's part; adding or subtracting the parts must give
+    # what adding or subtracting the plain part a * D^2 u_i * w gives, bit
+    # for bit and key for key, also where L = 2 or 3 scales the sum
     rng = random.Random(f"{c}-{precision}-{j}")
     if precision is None:
         backend = RationalBackend()
@@ -281,12 +321,11 @@ def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j):
     pde = MomentPDE(1, m0, [mz], [term])
     stack = [PolySeries(1, {(k,): value() for k in range(14)}, (13,))
              for _ in range(4)]
-    form = pde.part_former(stack)
-    for i in (1, 2, 3):
-        part, negated = form(term, a, i)
-        assert negated == (c < 0)
-        w = m0.value(i) / m0.value(i - j)
-        plain = a.multiply(stack[i].moment_derive(0, mz, 2)).scale(w)
+    plains = {i: a.multiply(stack[i].moment_derive(0, mz, 2)).scale(
+        m0.value(i) / m0.value(i - j)) for i in (1, 2, 3)}
+    add = pde.add_parts(stack)
+    lefts = _recording(monkeypatch, "multiply")
+    for i, plain in plains.items():
         cancelled = list(plain.coeffs)[::2]
         accs = [PolySeries(1, {(k,): value() for k in range(0, 18, 2)}, (12,))]
         for sign in (1, -1):  # acc - part, then acc + part, cancel there
@@ -294,21 +333,35 @@ def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j):
             cancel.update({g: sign * plain.coeffs[g] for g in cancelled})
             accs.append(PolySeries(1, cancel))
         for acc in accs:
-            assert _same_items(acc.add(part, negate=negated), acc.add(plain))
-            assert _same_items(acc.add(part, negate=not negated),
-                               acc.sub(plain))
+            assert _same_items(add(acc, 1, i - j, False), acc.add(plain))
+            assert _same_items(add(acc, 1, i - j, True), acc.sub(plain))
         assert not set(cancelled) & set(accs[1].sub(plain).coeffs)
         assert not set(cancelled) & set(accs[2].add(plain).coeffs)
+    folded = {(0,): abs(a.coeffs[(0,)]) * pde.coefficient_denominator}
+    assert len(lefts) == 18 and all(left.coeffs == folded for left in lefts)
 
 
-def test_the_fold_is_computed_once_per_coefficient_entry():
+def test_the_fold_is_computed_once_per_coefficient_entry(monkeypatch):
+    negations = _recording(monkeypatch, "neg")
     a = PolySeries.constant(1, F(-1, 2))
-    b = PolySeries(1, {(1,): F(-1)})  # not constant: formed as it is
+    b = PolySeries(1, {(1,): F(-1)})  # not constant: multiplied as it is
     term = OperatorTerm(0, (2,), TimeSeries([a, b], tail_exact=True))
     pde = MomentPDE(1, FactorialPower(1), [FactorialPower(1)], [term])
-    assert list(pde._negated) == [id(a)]
-    assert pde._negated[id(a)].coeffs == {(0,): F(1, 2)}
-    form = pde.part_former([PolySeries(1, {(2,): F(1)})] * 2)
-    assert form(term, b, 1)[1] is False
-    assert form(term, a, 1)[1] is True
-    assert pde._negated[id(a)].coeffs == {(0,): F(1, 2)}
+    # L = 2: the ints of 2a, negated once, as the operator is built
+    assert [x.coeffs for x in negations] == [{(0,): -1}]
+    u = TimeSeries([PolySeries(1, {(k,): F(k + 1, 3) for k in range(8)})
+                    for _ in range(4)])
+    lefts = _recording(monkeypatch, "multiply")
+    for _ in range(2):
+        applied = pde.apply(u)
+        for n in range(applied.t_order + 1):
+            want = u.coefficient(n + 1).scale(n + 1).add(
+                a.multiply(u.coefficient(n).moment_derive(0, FactorialPower(1), 2)))
+            if n:
+                want = want.add(b.multiply(
+                    u.coefficient(n - 1).moment_derive(0, FactorialPower(1), 2)))
+            assert applied.coefficient(n).coeffs == want.coeffs
+    assert len(negations) == 1
+    walked = [left.coeffs for left in lefts if left is not a and left is not b]
+    assert walked == [{(0,): 1}] + [{(0,): 1}, {(1,): -2}] * 2 \
+        + [{(0,): 1}] + [{(0,): 1}, {(1,): -2}] * 2

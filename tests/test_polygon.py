@@ -53,6 +53,19 @@ def test_heat_polygon():
     assert k1_inverse(heat()) == 1
 
 
+def test_two_segment_hull_takes_its_order_from_the_first_segment():
+    # u_t = u_zz + t^2 u_zzz (tests/problems/two_segment.json): the term
+    # alpha = [3] with ord_t = 2 adds the vertex (3, 2) behind heat's (2, 0),
+    # a second segment of slope 2 that does not set the order
+    pde = pde_from(FactorialPower(1), [FactorialPower(1)], 1,
+                   [(0, (2,), 0), (0, (3,), 2)])
+    polygon = build(pde)
+    assert polygon.pareto_vertices == ((1, -1), (2, 0), (3, 2))
+    assert [seg.slope for seg in polygon.segments] == [1, 2]
+    assert polygon.k1_inverse == k1_inverse(pde) == 1
+    assert polygon.k1_attainers == ("term j=0 alpha=[2]",)
+
+
 def test_ode_like_term_no_positive_segment():
     pde = pde_from(FactorialPower(1), [FactorialPower(1)], 1, [(0, (0,), 0)])
     polygon = build(pde)

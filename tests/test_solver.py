@@ -376,6 +376,17 @@ def test_third_order_closed_form():
     assert [sol.coefficient(n).valid for n in (0, 24)] == [(80,), (8,)]
 
 
+def test_gamma_z2_closed_form():
+    # u_t = D_z u on the z-sequence m(n) = (2n)! (gamma, s = 2) with data
+    # 1/(1 - z): u_n(gamma) = m(gamma + n)/(m(gamma) n!) = (2 gamma + 2n)!/
+    # ((2 gamma)! n!), trusted up to z^(80 - n); 1/k1 = s - s0 = 1
+    fact = math.factorial
+    sol = _closed_form_fixture(
+        "gamma_z2", 1,
+        lambda n, g: F(fact(2 * g[0] + 2 * n), fact(2 * g[0]) * fact(n)))
+    assert [sol.coefficient(n).valid for n in (0, 40)] == [(80,), (40,)]
+
+
 def test_heat_half_closed_form():
     # u_t = u_zz / 2 with data 1/(1 - z): u_n(gamma) = (gamma + 2n)!/(gamma!
     # n! 2^n), trusted up to z^(120 - 2n); the operator's coefficient -1/2 is
