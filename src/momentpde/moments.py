@@ -31,6 +31,7 @@ from .backends import (
     RationalBackend,
     exact_multiplier,
     exact_pow,
+    log_scalar,
     parse_rational,
 )
 
@@ -319,6 +320,21 @@ class TableSequence(MomentSequence):
 
     def is_rational_exact(self) -> bool:
         return True
+
+    def fitted_order(self) -> float | None:
+        """The order the values show over the upper half of the table: the
+        least-squares slope of log(m(n+1)/m(n)) against log(n+1) for
+        len // 2 <= n < len - 1, since a sequence of order s has ratios of
+        about A (n+1)^s.  None when that half holds fewer than two ratios."""
+        raw = self._raw
+        points = [(math.log(n + 1), log_scalar(raw[n + 1] / raw[n]))
+                  for n in range(len(raw) // 2, len(raw) - 1)]
+        if len(points) < 2:
+            return None
+        mx = math.fsum(x for x, _ in points) / len(points)
+        my = math.fsum(y for _, y in points) / len(points)
+        return (math.fsum((x - mx) * (y - my) for x, y in points)
+                / math.fsum((x - mx) ** 2 for x, _ in points))
 
     def _compute_value(self, n: int):
         if n >= len(self._raw):

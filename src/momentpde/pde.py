@@ -273,6 +273,13 @@ class ValidationReport:
         }
 
 
+# How far the order a table's values fit (TableSequence.fitted_order) may lie
+# from its declared order before validate warns.  m(n) = (n+1)! fits 0.97
+# over 49 values and n! fits 1 exactly, so a table of order 1 declared 3/2
+# or 1/2 is off by about 1/2.
+TABLE_ORDER_TOLERANCE = Fraction(1, 4)
+
+
 def validate(problem: CauchyProblem) -> ValidationReport:
     """Check the standing assumptions and the structural consistency."""
     checks: list[ValidationCheck] = []
@@ -360,5 +367,18 @@ def validate(problem: CauchyProblem) -> ValidationReport:
             "accepted here (needed for q-difference operators), slopes "
             "involving the t-order then carry no s0 weight"
         )
+
+    # a table's declared order, which the polygon reads, against its values
+    named = [("moment.t", pde.m0)] + [
+        (f"moment.z[{i}]", seq) for i, seq in enumerate(pde.m)]
+    for name, seq in named:
+        fit = seq.fitted_order() if seq.kind == "table" else None
+        if fit is not None and abs(fit - seq.order) > TABLE_ORDER_TOLERANCE:
+            warnings.append(
+                f"{name}: the table's values fit order {fit:.2f} over their "
+                f"upper half, not the declared {seq.order} (tolerance "
+                f"{TABLE_ORDER_TOLERANCE}); the Newton polygon and 1/k1 use "
+                "the declared order"
+            )
 
     return ValidationReport(checks, warnings)

@@ -8,15 +8,16 @@ serialize as the exact rational value of their binary representation, and
 an exact u_n(gamma), stored as an int numerator over the t-order's one
 denominator d_n (solver module docstring), is reduced by one gcd and
 printed as str of its Fraction would print it, with no Fraction built.
+Each value is rendered once, straight from (N_n, d_n) in sorted key order.
 
 `solution_to_dict` decides what the solution dump contains and
 `write_solution` only lays it out.  The layout is that of
 ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte for
 byte, but the dump is streamed to the output handle one t-order entry at a
-time, each coefficient rendered from a fixed template.  The template holds
-because a coefficient value is ``str`` of an int or a Fraction (a big
-float's exact binary rational), which never contains a character JSON
-escapes.
+time, each coefficient filled into a fixed template by one % on its powers
+and its value string.  The template holds because a coefficient value is
+``str`` of an int or a Fraction (a big float's exact binary rational),
+which never contains a character JSON escapes.
 
 Schema (see README for the worked example):
 
@@ -381,16 +382,10 @@ def _estimation(entry, path: str) -> EstimationConfig:
 # -- the solution dump --------------------------------------------------------
 
 
-def _fmt(value, denominator: int = 1) -> str:
-    """str(scalar_to_fraction(value) / denominator), where a denominator
-    other than 1 comes with an int value (a solution's N_n(gamma) over d_n)
-    and is reduced by one gcd.  A non-integral mpf is printed from its
-    mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest terms and
-    needs no Fraction."""
-    if denominator != 1:
-        g = math.gcd(value, denominator)
-        value, denominator = value // g, denominator // g
-        return str(value) if denominator == 1 else f"{value}/{denominator}"
+def _fmt(value) -> str:
+    """str(scalar_to_fraction(value)).  A non-integral mpf is printed from
+    its mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest terms
+    and needs no Fraction."""
     if isinstance(value, (int, Fraction)):
         return str(value)
     sign, man, exp, _ = value._mpf_
@@ -399,22 +394,30 @@ def _fmt(value, denominator: int = 1) -> str:
     return f"{'-' if sign else ''}{man}/{1 << -exp}"
 
 
+def _coefficients(poly: PolySeries, d: int) -> list[dict]:
+    """One entry's "coefficients" in sorted key order.  With d = d_n other
+    than 1 the values are int numerators, and N_n(gamma)/d_n is reduced by
+    one gcd and printed as str of its Fraction would print it."""
+    items = sorted(poly.coeffs.items())
+    if d == 1:
+        return [{"powers": list(g), "value": _fmt(x)} for g, x in items]
+    out = []
+    for g, x in items:
+        k = math.gcd(x, d)
+        out.append({"powers": list(g),
+                    "value": str(x // k) if k == d else f"{x // k}/{d // k}"})
+    return out
+
+
 def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
     """The solution dump: per-n sparse coefficient lists with validity."""
-    entries = []
-    for n in range(solution.t_order + 1):
-        poly = solution.coefficients.coefficient(n)
-        d = solution.denominators[n]
-        entries.append({
-            "n": n,
-            "valid": [v for v in poly.valid],
-            "trusted": n <= solution.valid_t_order,
-            "coefficients": [
-                {"powers": list(exponents),
-                 "value": _fmt(poly.coeffs[exponents], d)}
-                for exponents in poly.support()
-            ],
-        })
+    entries = [{
+        "n": n,
+        "valid": list(poly.valid),
+        "trusted": n <= solution.valid_t_order,
+        "coefficients": _coefficients(poly, d),
+    } for n, (poly, d) in enumerate(zip(solution.coefficients.entries,
+                                        solution.denominators))]
     return {
         "format": "momentpde.solution/1",
         "backend": problem.backend.describe(),
@@ -430,14 +433,29 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
     }
 
 
-# One coefficient {"powers": [...], "value": "..."} of an entry's list.
+# One coefficient {"powers": [...], "value": "..."} of an entry's list, with
+# the powers' placeholder still to be expanded to one %s per variable.
 _COEFFICIENT = ('        {\n          "powers": [\n            %s\n          ],\n'
                 '          "value": "%s"\n        }')
 
 
 def _nested(value, indent: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) as it reads `indent` deep."""
+    """json.dumps(value, indent=2, sort_keys=True) as it reads `indent` deep.
+    Indentation only changes a non-empty list or dict, so anything else
+    takes the encoder's faster unindented path."""
+    if not value or not isinstance(value, (list, dict)):
+        return json.dumps(value)
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _coefficients_text(coefficients: list) -> str:
+    """A non-empty "coefficients" list as json.dumps lays it out in an entry:
+    each coefficient filled into _COEFFICIENT by one % on its powers and
+    value."""
+    row = _COEFFICIENT % (",\n            ".join(
+        ["%s"] * len(coefficients[0]["powers"])), "%s")
+    return "[\n" + ",\n".join([row % (*c["powers"], c["value"])
+                               for c in coefficients]) + "\n      ]"
 
 
 def _entry_text(entry: dict) -> str:
@@ -445,11 +463,7 @@ def _entry_text(entry: dict) -> str:
     for key in sorted(entry):
         value = entry[key]
         if key == "coefficients" and value:
-            value = "[\n" + ",\n".join([
-                _COEFFICIENT % (",\n            ".join(map(str, c["powers"])),
-                                c["value"])
-                for c in value
-            ]) + "\n      ]"
+            value = _coefficients_text(value)
         else:
             value = _nested(value, "      ")
         fields.append(f"{json.dumps(key)}: {value}")

@@ -17,20 +17,24 @@ In exact mode the recurrence runs on int numerators: u_n = N_n / d_n, with
 N_n an int-valued PolySeries and d_n one positive int per t-order.  The
 initial data give N_j / d_j = phi_j / m0(j) over the least common
 denominator of phi_j's values.  A step forms, once per (n-p, alpha),
-D_z^alpha u_{n-p} as int numerators over one denominator: one pass over
-N_{n-p} on the z-sequences' multiplier lists, entry kappa_i - alpha_i of
-the order-alpha_i list on each moving axis i (moments module docstring),
-where a multiplier that is not an integer puts its denominator into the
-derivative's.  The exponent beta of a_p is a plain index shift, and the
-rational factor -a_{p,beta} * [m0(n-M)/m0(n)] * [m0(n-p)/m0(n-p-j)] is shared
-by the whole (term, p, beta) part, so the work per coefficient is integer
-arithmetic.  A part is trusted up to the componentwise minimum of
+D_z^alpha u_{n-p} as int numerators over one denominator, in one pass over
+the keys per moving axis i (alpha_i != 0): a key kappa with kappa_i >=
+alpha_i moves to kappa_i - alpha_i and its numerator is multiplied by that
+entry of the order-alpha_i multiplier list (moments module docstring).
+Where the list's entries up to the keys' top degree are not all integers,
+they are taken over the lcm of their denominators, which goes into the
+derivative's denominator.  The exponent beta of a_p is a plain index shift,
+and the rational factor -a_{p,beta} * [m0(n-M)/m0(n)] * [m0(n-p)/m0(n-p-j)]
+is shared by the whole (term, p, beta) part, so the work per coefficient is
+integer arithmetic.  A part is trusted up to the componentwise minimum of
 valid(a_p) and valid(u_{n-p}) - alpha, as in the kernels.  The parts are
-summed over the lcm of their denominators and the content is divided out
-by one gcd, so no prime divides d_n and all of u_n's numerators.  For each
-prime power in d_n some u_n(gamma) then keeps it in its reduced
-denominator: d_n is the lcm of the reduced denominators of u_n, the least
-denominator u_n can be stored over.  The writer, and the Nagumo profile and
+summed over the lcm of their denominators, the sum starting from the first
+part's products, and the content is divided out by one gcd, so no prime
+divides d_n and all of u_n's numerators.  For each prime power in d_n some
+u_n(gamma) then keeps it in its reduced denominator: d_n is the lcm of the
+reduced denominators of u_n, the least denominator u_n can be stored over.
+So whichever denominators a step passes through, d_n and the N_n come out
+the same.  The writer, and the Nagumo profile and
 l1 norms wherever the norm is exact, read (N_n, d_n) as they are;
 FormalSolution.coefficient builds the values of one u_n for a caller that
 wants them.  The big-float backend runs
@@ -204,36 +208,35 @@ def _lowered(valid: Validity, alpha: Exponents) -> Validity:
 def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
             alpha: Exponents) -> tuple[list, int]:
     """D_z^alpha of int numerators as ([(gamma, int numerator)], one int
-    denominator): the value at gamma = kappa - alpha is nums[kappa] times
-    the product over the moving axes i of entry gamma_i of the order-alpha_i
-    multiplier list, each list filled to the kept keys' top degree."""
-    if not any(alpha):
-        return list(nums.items()), 1
-    lowered = []
-    for kappa, x in nums.items():
-        low = tuple(map(operator.sub, kappa, alpha))
-        if min(low) >= 0:
-            lowered.append((low, x))
-    if not lowered:
-        return [], 1
-    tables = [(i, seqs[i].multipliers(a, max(low[i] for low, _ in lowered) + a))
-              for i, a in enumerate(alpha) if a]
-    whole = []  # (gamma, int value) where the multiplier is an int
-    split = []  # (gamma, numerator, multiplier) where it is a Fraction
-    for low, x in lowered:
-        r = 1
-        for i, table in tables:
-            r = r * table[low[i]]
-        if type(r) is int:
-            whole.append((low, x * r))
+    denominator), one pass per moving axis i: the keys with gamma_i >=
+    alpha_i move to gamma_i - alpha_i and are multiplied by that entry of
+    the order-alpha_i multiplier list.  The list is filled to the top degree
+    of the keys the earlier axes kept, as moment_derive's chain of one-axis
+    passes fills it.  A list whose entries up to there are not all ints is
+    taken over the lcm of their denominators, which goes into the
+    derivative's denominator."""
+    items = list(nums.items())
+    keys = nums  # the keys kept by the axes passed so far
+    den = 1
+    for i, a in enumerate(alpha):
+        if not a:
+            continue
+        top = max(map(operator.itemgetter(i), keys), default=-1)
+        if top < a:
+            return [], 1
+        table = seqs[i].multipliers(a, top)[:top - a + 1]
+        if set(map(type, table)) != {int}:
+            scale = math.lcm(*(r.denominator for r in table))
+            table = [r.numerator * (scale // r.denominator) for r in table]
+            den *= scale
+        if len(alpha) == 1:
+            items = [((g[0] - a,), x * table[g[0] - a])
+                     for g, x in items if g[0] >= a]
         else:
-            split.append((low, x, r))
-    if not split:
-        return whole, 1
-    den = math.lcm(*(r.denominator for _, _, r in split))
-    return [(g, v * den) for g, v in whole] + [
-        (g, x * r.numerator * (den // r.denominator)) for g, x, r in split
-    ], den
+            items = [(g[:i] + (g[i] - a,) + g[i + 1:], x * table[g[i] - a])
+                     for g, x in items if g[i] >= a]
+        keys = map(operator.itemgetter(0), items)
+    return items, den
 
 
 def _integer_recurrence(problem: CauchyProblem
@@ -318,13 +321,21 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
                            if all(map(operator.le, g, limit))]
             groups.append((c.denominator, c.numerator, shifted))
 
+    if not groups:
+        return PolySeries._trusted(pde.num_vars, {}, valid), 1
     common = math.lcm(*(den for den, _, _ in groups))
-    acc: dict[Exponents, int] = {}
-    for den, factor, items in groups:
+    (den, factor, items), *rest = groups
+    factor *= common // den
+    # a group's keys are distinct and its values non-zero ints, so one
+    # group needs no zero filter
+    acc = {gamma: factor * x for gamma, x in items}
+    for den, factor, items in rest:
         factor *= common // den
         for gamma, x in items:
             acc[gamma] = acc.get(gamma, 0) + factor * x
-    nums, den = _reduced({g: x for g, x in acc.items() if x}, common)
+    if rest:
+        acc = {g: x for g, x in acc.items() if x}
+    nums, den = _reduced(acc, common)
     return PolySeries._trusted(pde.num_vars, nums, valid), den
 
 

@@ -401,7 +401,10 @@ def test_byte_identical_reruns(capsys):
 # sign into the sum, so they pin that the fold moves no bit.  two_segment
 # (a second hull segment, the coefficient -t^2 on D_z^3) and gamma_z2 (the
 # z-sequence (2n)!) were recorded before the operator's walk became one
-# MomentPDE method.
+# MomentPDE method.  heat_table's digest was re-recorded when validation came
+# to warn that its table's values fit order 0.97, not the declared 3/2; with
+# that warning taken out, its output is byte for byte the one of the digest
+# 567fcf15aef65023bbbe0e6223aa1a4ffeab578dd109dece3ce071eca219aa0c.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "fractional-p24": "b03c3cf606beb5e9cfece65d144833f59fc114a442030f494f12e59dc165f0d4",
@@ -418,7 +421,7 @@ SOLVE_DIGESTS = {
     "heat_half": "9d968842e72b63c295847fe2ebcfb057bbf46d971e3ac943f1d8051113368012",
     "heat_half-bigfloat": "bd88d733c966b00b4c1bff8f18119b9d8f63c5747a6c19b9c53020164b433680",
     "heat_half-bigfloat-p40": "51d57e1d33446c919ed84c3b314176577d352da43309d816f9ab048b69d864b9",
-    "heat_table": "567fcf15aef65023bbbe0e6223aa1a4ffeab578dd109dece3ce071eca219aa0c",
+    "heat_table": "f05a6519c171c0e39aa22ebedb7889c5ad5edcc5afd2524a4b654229ae5f4e64",
     "heat_tcoeff": "da9f202ef54c41c90a9c91edddb423cf492922b3109f5d28d1a425ab98033c80",
     "heat_tcoeff-bigfloat": "7b96f0637d665e1ea7d3cdf708c06b82d20f853b2d51bee5fe3e600563717bf1",
     "heat_tcoeff-bigfloat-p40": "f7be74711b6d8231ab638398a144bcc54f0018adb3ba32770463d4063ca80e01",

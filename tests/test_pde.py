@@ -18,6 +18,7 @@ from momentpde import (
     OperatorTerm,
     PolySeries,
     RationalBackend,
+    TableSequence,
     TimeSeries,
     validate,
 )
@@ -27,6 +28,7 @@ from helpers import add_time_series
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
+BENCH_PROBLEMS = Path(__file__).parent.parent / "bench" / "problems"
 
 
 def constant_coeff(value, num_vars=1) -> TimeSeries:
@@ -123,6 +125,33 @@ def test_validate_warns_on_order_zero_time_sequence():
     report = validate(problem)
     assert report.passed
     assert any("s0 = 0" in w for w in report.warnings)
+
+
+def test_validate_warns_when_a_table_fits_another_order():
+    # heat_table declares order 3/2 for m(n) = (n+1)!, whose ratios fit
+    # order 0.97 over the upper half of its 49 values
+    report = validate(load_problem(PROBLEMS / "heat_table.json"))
+    assert report.passed
+    assert [w for w in report.warnings if "table" in w] == [
+        "moment.z[0]: the table's values fit order 0.97 over their upper "
+        "half, not the declared 3/2 (tolerance 1/4); the Newton polygon and "
+        "1/k1 use the declared order"]
+    # n! declared 1 fits 1 exactly; two values leave no ratio to fit
+    fact = [str(math.factorial(n)) for n in range(8)]
+    assert TableSequence(fact, 1).fitted_order() == 1
+    assert TableSequence(["1", "2"], 1).fitted_order() is None
+    for table in (TableSequence(fact, 1), TableSequence(["1", "2"], 5)):
+        pde = MomentPDE(1, FactorialPower(1), [table],
+                        [OperatorTerm(0, (1,), constant_coeff(-1))])
+        assert validate(make_problem(
+            pde, [PolySeries.constant(1, F(1))])).warnings == []
+    # no other fixture and no benchmark input carries the warning
+    paths = sorted(PROBLEMS.glob("*.json")) + sorted(BENCH_PROBLEMS.glob("*.json"))
+    assert len(paths) > 14
+    for path in paths:
+        if path.name != "heat_table.json":
+            warnings = validate(load_problem(path)).warnings
+            assert not [w for w in warnings if "table" in w], path
 
 
 def test_validate_initial_count():

@@ -285,12 +285,29 @@ def test_randomized_residuals_and_linearity():
             assert lhs.coeffs == rhs.coeffs
 
 
+def q_plane(first, second) -> CauchyProblem:
+    """u_t = (1 + z1/3) D_z1 D_z2 u - (z2/2) D_z1^2 D_z2 u on the
+    z-sequences (first, second), data 1/((1 - z1/2)(1 - z2/2)): two moving
+    axes in every derivative, alpha = (1, 1) and (2, 1), under z-dependent
+    coefficients."""
+    pde = MomentPDE(1, FactorialPower(1), [first, second], [
+        OperatorTerm(0, (1, 1), TimeSeries([PolySeries(2, {
+            (0, 0): F(-1), (1, 0): F(-1, 3)})], tail_exact=True)),
+        OperatorTerm(0, (2, 1), TimeSeries([PolySeries(2, {
+            (0, 1): F(1, 2)})], tail_exact=True)),
+    ])
+    return problem(pde, [geometric_series(2, F(1, 2), (12, 9))], t_order=5,
+                   z_caps=(12, 9), num_vars=2)
+
+
 def test_integer_recurrence_matches_u_basis_loop():
     # The u-basis loop through the series kernels is the reference.  Beyond
     # the random problems: truncated data that runs out of validity; a
     # q-factorial z-sequence with a z-dependent coefficient, whose shift
-    # ratios m(gamma)/m(gamma - beta) are not integers; and a z-sequence
-    # table shorter than the data on an axis that no term differentiates.
+    # ratios m(gamma)/m(gamma - beta) are not integers; q-factorials on both
+    # axes of a two-variable operator, whose multipliers on each moving axis
+    # are not integers; and a z-sequence table shorter than the data on an
+    # axis that no term differentiates.
     tilted = MomentPDE(1, FactorialPower(1), [QFactorial(F(2, 3))], [
         OperatorTerm(0, (1,), TimeSeries(
             [PolySeries(1, {(0,): F(-1), (1,): F(-1, 2)})], tail_exact=True)),
@@ -305,10 +322,12 @@ def test_integer_recurrence_matches_u_basis_loop():
                 z_caps=(9,)),
         problem(short_table, [geometric_series(2, F(1, 2), (6, 5))],
                 t_order=5, z_caps=(6, 5), num_vars=2),
+        q_plane(QFactorial(F(2, 3)), QFactorial(F(1, 2))),
     ]
     rng = random.Random(4321)
     for _ in range(30):
         problems.extend(random_problem(rng))
+    empty = 0
     for prob in problems:
         reference = _recurrence(prob)
         numerators, denominators = _integer_recurrence(prob)
@@ -319,8 +338,25 @@ def test_integer_recurrence_matches_u_basis_loop():
             assert all(type(x) is int for x in got.coeffs.values()), n
             assert {g: F(x, d) for g, x in got.coeffs.items()} == want.coeffs, n
             assert got.valid == want.valid, n
-            # d_n is the least denominator: the lcm of the reduced ones
+            # d_n is the least denominator: the lcm of the reduced ones, and
+            # 1 for an empty u_n.  So the denominators a step passes through
+            # never reach the output.
             assert d == math.lcm(*(v.denominator for v in want.coeffs.values())), n
+            empty += not want.coeffs
+    assert empty
+
+
+def test_a_derivative_fills_a_table_only_for_the_keys_earlier_axes_keep():
+    # u_t = D_z1 D_z2 u with data z2^6 + z1 z2 and a four-value z2-table:
+    # D_z1 drops z2^6, so D_z2 reads m(1)/m(0) only, in the recurrence as
+    # in pde.apply's chain of one-axis passes.  u_1 = 1 and u_n = 0 after.
+    pde = MomentPDE(1, FactorialPower(1),
+                    [FactorialPower(1), TableSequence(["1", "1", "2", "6"], 1)],
+                    [OperatorTerm(0, (1, 1), constant_coeff(-1, num_vars=2))])
+    data = PolySeries(2, {(0, 6): F(1), (1, 1): F(1)}, (None, None))
+    sol = solve(problem(pde, [data], t_order=3, z_caps=(6, 6), num_vars=2))
+    assert [sol.coefficient(n).coeffs for n in range(4)] == [
+        data.coeffs, {(0, 0): 1}, {}, {}]
 
 
 def test_heat2d_closed_form():
@@ -438,15 +474,17 @@ def test_residual_on_one_integer_scale_matches_the_fraction_route():
     # Beyond the fixtures and the random problems: a z-sequence n!·[n]_q!
     # (order 1, so the problem validates and solve's gate runs) under a
     # z-dependent coefficient, whose weight and derivative ratios are not
-    # integers.
+    # integers, and such sequences on both moving axes of q_plane.
     tilted = MomentPDE(
         1, FactorialPower(1), [ProductSequence(FactorialPower(1),
                                                QFactorial(F(2, 3)))],
         [OperatorTerm(0, (1,), TimeSeries(
             [PolySeries(1, {(0,): F(-1), (1,): F(-1, 2)})], tail_exact=True))])
+    plane = q_plane(ProductSequence(FactorialPower(1), QFactorial(F(2, 3))),
+                    ProductSequence(FactorialPower(1), QFactorial(F(1, 2))))
     fixtures = [load_problem(PROBLEMS / f"{name}.json") for name in FIXTURES]
     problems = fixtures + [problem(tilted, [geometric_series(1, F(-3, 5), (9,))],
-                                   t_order=9, z_caps=(9,))]
+                                   t_order=9, z_caps=(9,)), plane]
     rng = random.Random(2468)
     for _ in range(15):
         problems.extend(random_problem(rng))
@@ -461,5 +499,5 @@ def test_residual_on_one_integer_scale_matches_the_fraction_route():
             got = residual(prob, candidate)
             assert got == want
             assert type(got) is type(want)
-        if prob in fixtures or prob.pde is tilted:
+        if prob in fixtures or prob.pde is tilted or prob is plane:
             assert residual(prob, variants[1]) > 0
