@@ -41,11 +41,18 @@ USER_ERRORS = (
 )
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built once per process; the command
+    runs the module's `cmd_<name>` as bound when main is called."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()["cmd_" + args.command](args)
     except USER_ERRORS as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ValidationError):
@@ -80,12 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the coefficient recurrence")
     add_problem_flags(p_solve)
     add_out_flag(p_solve)
-    p_solve.set_defaults(handler=cmd_solve)
 
     p_poly = sub.add_parser("polygon", help="Newton polygon and 1/k1")
     add_problem_flags(p_poly)
     add_out_flag(p_poly)
-    p_poly.set_defaults(handler=cmd_polygon)
 
     p_est = sub.add_parser(
         "estimate", help="solve, fit the growth order, compare with 1/k1"
@@ -100,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="LO,HI")
     p_est.add_argument("--tolerance", default=None,
                        help="verdict tolerance on the fitted order")
-    p_est.set_defaults(handler=cmd_estimate)
 
     p_check = sub.add_parser(
         "check", help="run the norm-inequality battery (no problem file)"
@@ -108,14 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=7)
     p_check.add_argument("--instances", type=int, default=1000)
     add_out_flag(p_check)
-    p_check.set_defaults(handler=cmd_check)
 
     p_svg = sub.add_parser("svg", help="draw the clipped Newton polygon")
     add_problem_flags(p_svg)
     p_svg.add_argument("--clip", type=_clip_flag, default=None,
                        metavar="X0,Y0,X1,Y1")
     p_svg.add_argument("--out", default=None, help="output SVG path")
-    p_svg.set_defaults(handler=cmd_svg)
 
     return parser
 

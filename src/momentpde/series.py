@@ -15,6 +15,25 @@ outside (problem files, generators, tests); the arithmetic kernels build
 their results through a trusted constructor and keep it by filtering only
 where their result can break it.
 
+Two kernels can put a key past their result's validity: `add` (and
+`sub`), whose result keeps the componentwise minimum of the operands'
+validities, and `multiply`, which moves each right key by a left key's
+exponent; the exact recurrence's parts (solver module docstring) move
+keys the same way.  All of them truncate through one rule,
+`shift_within`.  An operand's keys already lie within its own validity v,
+so a key shifted by beta can pass the target validity t only on an axis
+where v_i + beta_i passes t_i (a None entry of v counts as unbounded);
+there one int compare, key_i <= t_i - beta_i, decides, before the shifted
+key is built, and the other axes need no test.  `add` cuts each operand
+before the merge, which touches only one whose validity is the larger on
+some axis; a key past the common validity lies in one operand only, so
+the result is the per-key filter of the merged dict, key for key and in
+order.  `multiply` cuts the sorted right operand once per left monomial
+and shifts what is kept by that monomial's exponent, so its pairs meet in
+the order of the full pair loop, each key's sum starting from its first
+pair's product.  The constructor and `__eq__` see keys from outside and
+keep the per-key test on every axis.
+
 Exact multipliers follow one rule: the kernels apply an integral Fraction
 multiplier (the `scale` factor, the `moment_derive` multiplier, and each
 value of the left, coefficient operand of `multiply`) as an int, through
@@ -109,6 +128,27 @@ def key_limit(valid: Validity) -> tuple:
     """valid with None as unbounded: a key lies within valid exactly when
     all(map(operator.le, key, key_limit(valid)))."""
     return tuple(math.inf if v is None else v for v in valid)
+
+
+def shift_within(items, beta: Exponents, valid: Validity, target: Validity):
+    """The pairs (key + beta, value) of items whose shifted key lies within
+    target, in items' order, for (key, value) pairs whose keys all lie
+    within valid: items itself where no key moves or drops.
+
+    A shifted key can leave target only on an axis i where valid_i + beta_i
+    passes target_i; there key_i <= target_i - beta_i decides, one int
+    compare per key before the shifted key is built, and every other axis
+    needs no test (module docstring)."""
+    for i, (v, b, t) in enumerate(zip(valid, beta, target)):
+        if t is not None and (v is None or v + b > t):
+            bound = t - b
+            items = [pair for pair in items if pair[0][i] <= bound]
+    if not any(beta):
+        return items
+    if len(beta) == 2:  # unpacked: about a quarter of tuple(map(...))'s cost
+        b0, b1 = beta
+        return [((g0 + b0, g1 + b1), x) for (g0, g1), x in items]
+    return [(tuple(map(operator.add, g, beta)), x) for g, x in items]
 
 
 class PolySeries:
@@ -231,9 +271,16 @@ class PolySeries:
     def add(self, other: "PolySeries", *, negate: bool = False) -> "PolySeries":
         """self + other, or self - other when negate is set (as `sub`)."""
         self._check_same_vars(other)
-        out = dict(self.coeffs)
+        out, theirs, valid = self.coeffs, other.coeffs.items(), self.valid
+        if other.valid != valid:
+            # each side dropped to the common validity before the merge
+            valid = min_validity(valid, other.valid)
+            zero = (0,) * self.num_vars
+            out = shift_within(out.items(), zero, self.valid, valid)
+            theirs = shift_within(theirs, zero, other.valid, valid)
+        out = dict(out)
         if negate:
-            for key, value in other.coeffs.items():
+            for key, value in theirs:
                 if key in out:
                     value = out[key] - value
                     if not value:
@@ -243,19 +290,13 @@ class PolySeries:
                 else:
                     out[key] = -value
         else:
-            for key, value in other.coeffs.items():
+            for key, value in theirs:
                 if key in out:
                     value = out[key] + value
                     if not value:
                         del out[key]
                         continue
                 out[key] = value
-        valid = self.valid
-        if other.valid != valid:
-            valid = min_validity(valid, other.valid)
-            limit = key_limit(valid)
-            out = {k: v for k, v in out.items()
-                   if all(map(operator.le, k, limit))}
         return PolySeries._trusted(self.num_vars, out, valid)
 
     def neg(self) -> "PolySeries":
@@ -282,14 +323,12 @@ class PolySeries:
         """Cauchy product truncated to the componentwise minimum validity."""
         self._check_same_vars(other)
         valid = min_validity(self.valid, other.valid)
-        limit = key_limit(valid)
         right = sorted(other.coeffs.items())
         if len(self.coeffs) == 1 and not any(next(iter(self.coeffs))):
             # a constant left operand: one pass, one product per key
-            va = exact_multiplier(next(iter(self.coeffs.values())))
-            if other.valid != valid:
-                right = [(eb, vb) for eb, vb in right
-                         if all(map(operator.le, eb, limit))]
+            (zero, va), = self.coeffs.items()
+            va = exact_multiplier(va)
+            right = shift_within(right, zero, other.valid, valid)
             if va == 1 and (type(va) is int
                             or all(type(vb) is type(va) for _, vb in right)):
                 out = dict(right)  # 1 * v is v: no product to round
@@ -304,15 +343,11 @@ class PolySeries:
         else:
             left = [(ea, exact_multiplier(va)) for ea, va in left]
         out = {}
+        get = out.get
         for ea, va in left:
-            for eb, vb in right:
-                key = tuple(map(operator.add, ea, eb))
-                if not all(map(operator.le, key, limit)):
-                    continue
-                if key in out:
-                    out[key] = out[key] + va * vb
-                else:
-                    out[key] = va * vb
+            for key, vb in shift_within(right, ea, other.valid, valid):
+                v = get(key)
+                out[key] = va * vb if v is None else v + va * vb
         if fractions:
             denominator = lcm_f * lcm_g
             out = {k: Fraction(v, denominator) for k, v in out.items() if v}

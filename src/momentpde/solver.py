@@ -27,7 +27,10 @@ derivative's denominator.  The exponent beta of a_p is a plain index shift,
 and the rational factor -a_{p,beta} * [m0(n-M)/m0(n)] * [m0(n-p)/m0(n-p-j)]
 is shared by the whole (term, p, beta) part, so the work per coefficient is
 integer arithmetic.  A part is trusted up to the componentwise minimum of
-valid(a_p) and valid(u_{n-p}) - alpha, as in the kernels.  The parts are
+valid(a_p) and valid(u_{n-p}) - alpha, as in the kernels, and u_n up to the
+minimum over its parts and f_n.  Each part and f_n are cut to that limit by
+series.shift_within, which tests a key only on the axes where its shift by
+beta can pass the limit, before the shifted key is built.  The parts are
 summed over the lcm of their denominators, the sum starting from the first
 part's products, and the content is divided out by one gcd, so no prime
 divides d_n and all of u_n's numerators.  For each prime power in d_n some
@@ -49,9 +52,12 @@ vanish identically in exact mode.  The gated exact check is independent of
 the recurrence because _integer_step enumerates P's parts on its own and
 differentiates through its own multiplier-list pass: were it to share P's
 walk, a wrong t-index range would make the recurrence and the oracle agree
-on the wrong operator.  In exact mode the check puts the whole checked
-stack over one integer scale: D is the lcm of d_0..d_T and of the
-denominators of f_0..f_{T-M}, and the unchanged pde.apply gets the
+on the wrong operator.  Both sides cut keys to a validity through the one
+truncation helper series.shift_within, which the kernels also use: it is a
+rule on keys and validities, not part of P's walk, and the tests pin it
+against the per-key test of every axis.  In exact mode the check puts the
+whole checked stack over one integer scale: D is the lcm of d_0..d_T and
+of the denominators of f_0..f_{T-M}, and the unchanged pde.apply gets the
 int-valued stack D * u_n = N_n * (D / d_n).  Since each d_n is the lcm of
 u_n's reduced denominators, D is the least common denominator of every
 value in the checked stack.  Each (P D u)_n is compared with D * f_n on the
@@ -92,8 +98,8 @@ from .series import (
     TimeSeries,
     Validity,
     cleared,
-    key_limit,
     min_validity,
+    shift_within,
 )
 
 
@@ -296,30 +302,20 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
             items, den, src_valid = derivative(n - p, alpha)
             valid = min_validity(min_validity(valid, a_p.valid), src_valid)
             shared = lead * m0.value(n - p) / (m0.value(n - p - j) * den)
-            parts.append((a_p.coeffs, shared, items, key_limit(src_valid)))
+            parts.append((a_p.coeffs, shared, items, src_valid))
 
-    limit = key_limit(valid)
     # every group is (denominator, int factor, [(gamma, int numerator)])
     groups = []
-    forced = {g: lead * v for g, v in rhs.coeffs.items()
-              if all(map(operator.le, g, limit))}
+    forced = {g: lead * v for g, v in shift_within(
+        rhs.coeffs.items(), (0,) * pde.num_vars, rhs.valid, valid)}
     if forced:
         nums, den = cleared(forced.items())
         groups.append((den, 1, nums))
-    for a_coeffs, shared, items, src_limit in parts:
+    for a_coeffs, shared, items, src_valid in parts:
         for beta, a in a_coeffs.items():
             c = -a * shared
-            shifted = items
-            if any(beta):
-                shifted = [(tuple(map(operator.add, g, beta)), x)
-                           for g, x in items]
-            # the derivative's keys lie within its validity, so only a part
-            # whose shifted validity passes the limit needs the per-key test
-            if not all(map(operator.le, map(operator.add, src_limit, beta),
-                           limit)):
-                shifted = [(g, x) for g, x in shifted
-                           if all(map(operator.le, g, limit))]
-            groups.append((c.denominator, c.numerator, shifted))
+            groups.append((c.denominator, c.numerator,
+                           shift_within(items, beta, src_valid, valid)))
 
     if not groups:
         return PolySeries._trusted(pde.num_vars, {}, valid), 1

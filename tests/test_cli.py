@@ -547,3 +547,42 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["k1_inverse"] == "1"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from momentpde import cli
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
+    assert run(capsys, "polygon", PROBLEMS / "heat2d.json")[0] == 0
+    assert len(builds) == 1
+
+
+def test_main_runs_the_command_bound_when_it_is_called(capsys, monkeypatch):
+    # a cmd_* rebound on the module after the parser exists is the one run,
+    # as the benchmark's tracer rebinds them after import
+    from momentpde import cli
+    assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_polygon",
+                        lambda args: seen.append(args.problem) or 7)
+    assert run(capsys, "polygon", PROBLEMS / "heat.json") == (7, "", "")
+    assert seen == [str(PROBLEMS / "heat.json")]
+
+
+def test_a_bad_flag_on_a_later_call_still_exits_two(capsys):
+    assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
+    for argv in (["polygon", PROBLEMS / "heat.json", "--no-such-flag"],
+                 ["solve", PROBLEMS / "heat.json", "--t-order", "x"],
+                 ["no-such-command"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run(capsys, *argv)
+        assert exit_info.value.code == 2
+    assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0

@@ -30,6 +30,7 @@ from momentpde import (
     nagumo_norm,
     nagumo_profile,
     solve,
+    validate,
     verify_theorem,
 )
 from momentpde.backends import log_scalar
@@ -329,11 +330,14 @@ def test_window_only_norms_cover_a_truncated_and_an_exact_fixture():
     "heat", "heat_half", "third_order",
     "two_segment",  # two hull segments: only the first sets the order
     "gamma_z2",     # a z-sequence of order s = 2
+    "table_order1",  # a z-table, m(n) = (n+1)!, that declares its order 1
 ])
 def test_fit_attains_the_order_where_the_bound_is_sharp(name):
     # the verdict is one-sided (s_hat <= 1/k1 + tolerance); on these fixtures
     # the growth order is 1/k1 itself, so the fit must also land near it
     problem, solution = _solved(Path(__file__).parent / f"problems/{name}.json")
+    # and no declared order is off from the data (a table's fitted order)
+    assert validate(problem).warnings == []
     report = verify_theorem(problem, solution)
     assert report.passed
     assert abs(F(report.s_hat) - report.k1_inverse) <= report.tolerance

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -34,7 +35,13 @@ from momentpde.backends import (
     scalar_to_fraction,
 )
 from momentpde.problem_io import _fmt
-from momentpde.series import cleared, exact_multiplier, key_limit, min_validity
+from momentpde.series import (
+    cleared,
+    exact_multiplier,
+    key_limit,
+    min_validity,
+    shift_within,
+)
 
 F = Fraction
 
@@ -126,15 +133,18 @@ def test_multiply_against_brute_convolution():
 
 
 def generic_product(f: PolySeries, g: PolySeries) -> dict:
-    """The kernel's generic pair loop: sorted left by sorted right, summed
-    in place, keys within the common validity, zero sums dropped."""
+    """The kernel's generic pair loop: sorted left by sorted right, each key
+    the first pair's product plus the later ones in order (so an mpf sum
+    rounds as the kernel's), keys within the common validity by the per-key
+    test, zero sums dropped."""
     limit = key_limit(min_validity(f.valid, g.valid))
     out = {}
     for ea, va in sorted(f.coeffs.items()):
         for eb, vb in sorted(g.coeffs.items()):
             key = tuple(a + b for a, b in zip(ea, eb))
             if all(k <= m for k, m in zip(key, limit)):
-                out[key] = out.get(key, 0) + exact_multiplier(va) * vb
+                product = exact_multiplier(va) * vb
+                out[key] = out[key] + product if key in out else product
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -720,3 +730,92 @@ def test_fmt_of_an_mpf_matches_its_fraction(precision):
     for value in (ctx.inf, -ctx.inf, ctx.nan):
         with pytest.raises(PrecisionError):
             _fmt(value)
+
+
+# -- the axis-wise validity truncation against the per-key test ----------------
+#
+# add, sub, multiply and the exact recurrence drop keys past a validity only
+# on the axes where a key can pass it (series.shift_within); each result
+# must equal the per-key all(map(operator.le, ...)) filter of the same loop:
+# the same keys in the same order, and the same values, types and mpf bits.
+
+EDGE_VALIDITIES = (None, 0, 2, 4)
+
+
+def _edge_series(rng, num_vars, kind):
+    """Random keys within a validity drawn from EDGE_VALIDITIES, half of
+    their entries on its edge, with values of one kind."""
+    valid = tuple(rng.choice(EDGE_VALIDITIES) for _ in range(num_vars))
+    ctx = BigFloatBackend(kind).ctx if type(kind) is int else None
+    coeffs = {}
+    for _ in range(rng.randint(1, 8)):
+        key = tuple(rng.randint(0, 5) if v is None
+                    else rng.choice((v, rng.randint(0, v))) for v in valid)
+        numerator = rng.randint(-6, 6) or 1
+        if kind == "int":
+            coeffs[key] = numerator
+        elif kind == "fraction":
+            coeffs[key] = F(numerator, rng.randint(1, 6))
+        else:  # an mpf of that many bits, rounded where 1/3 is inexact
+            coeffs[key] = ctx.mpf(numerator) / rng.randint(1, 7)
+    return PolySeries(num_vars, coeffs, valid)
+
+
+def _same_items(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and all(
+        _same(got[k], want[k]) for k in got)
+
+
+TRUNCATION_KINDS = [("int", "int"), ("int", "fraction"), ("fraction", "int"),
+                    ("fraction", "fraction"), (53, 53), (256, 256)]
+
+
+@pytest.mark.parametrize("kinds", TRUNCATION_KINDS)
+def test_multiply_truncates_as_the_per_key_pair_loop(kinds):
+    rng = random.Random(str(kinds))
+    for trial in range(200):
+        num_vars = 1 + trial % 3
+        f, g = (_edge_series(rng, num_vars, kind) for kind in kinds)
+        if trial % 5 == 0:  # the constant-left path
+            f = PolySeries(num_vars, {(0,) * num_vars: next(
+                iter(f.coeffs.values()))}, f.valid)
+        product = f.multiply(g)
+        assert product.valid == min_validity(f.valid, g.valid)
+        assert _same_items(product.coeffs, generic_product(f, g)), (f, g)
+
+
+@pytest.mark.parametrize("kinds", TRUNCATION_KINDS)
+def test_add_and_sub_truncate_as_the_merged_per_key_filter(kinds):
+    rng = random.Random(repr(kinds) + "add")
+    for trial in range(200):
+        num_vars = 1 + trial % 3
+        f, g = (_edge_series(rng, num_vars, kind) for kind in kinds)
+        if trial % 4 == 0:  # shared keys, some of which cancel
+            g = PolySeries(num_vars, {**g.coeffs, **dict(
+                list(f.coeffs.items())[::2])}, g.valid)
+        # _old_add merges the whole operands and then filters every key
+        for got, want in ((f.add(g), _old_add(f, g)),
+                          (f.sub(g), _old_add(f, g.neg()))):
+            assert got.valid == want.valid
+            assert _same_items(got.coeffs, want.coeffs), (f, g)
+
+
+def test_shift_within_is_the_per_key_filter_of_the_shifted_keys():
+    rng = random.Random(20)
+    for trial in range(2000):
+        num_vars = 1 + trial % 3
+        source = _edge_series(rng, num_vars, "int")
+        items = list(source.coeffs.items())
+        beta = tuple(rng.choice((0, 0, 1, 2)) for _ in range(num_vars))
+        target = tuple(rng.choice(EDGE_VALIDITIES) for _ in range(num_vars))
+        limit = key_limit(target)
+        want = []
+        for key, value in items:
+            shifted = tuple(map(operator.add, key, beta))
+            if all(map(operator.le, shifted, limit)):
+                want.append((shifted, value))
+        assert list(shift_within(items, beta, source.valid, target)) == want
+    # nothing moves or drops: items itself comes back
+    items = list(PolySeries(2, {(0, 2): 1, (1, 1): 3}, (1, 2)).coeffs.items())
+    assert shift_within(items, (0, 0), (1, 2), (1, None)) is items
+    assert shift_within(items, (0, 0), (1, 2), (4, 2)) is items
