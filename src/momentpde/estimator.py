@@ -101,34 +101,34 @@ def _binary_ints(values: Sequence[float]) -> tuple[list[int], int]:
     return [num << (k - e) for (num, _), e in zip(ratios, shifts)], k
 
 
-def _det3(a: list[list[int]]) -> int:
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-
 def _least_squares(columns: list[Sequence[float]], target: Sequence[float]
                    ) -> list[float]:
     """The exact least-squares solution of columns . c ~ target over the
     given doubles, each coefficient rounded once to the nearest double.
 
     Every column (and the target) is put over one power of two, so the
-    normal equations are a 3x3 system of ints, solved by Cramer's rule.
+    normal equations are a square system of ints.  Fraction-free
+    Gauss-Jordan (Bareiss) elimination solves it for any number of
+    columns: each division by the previous pivot is exact, and at the end
+    row j reads d * c_j = d_j, with d the Gram determinant and d_j Cramer's
+    numerator.  The pivots are the Gram matrix's leading principal minors,
+    which vanish only where the columns are dependent, so no row is swapped.
     """
     scaled = [_binary_ints(col) for col in columns]
     y, k_y = _binary_ints(target)
-    gram = [[sum(map(operator.mul, ci, cj)) for cj, _ in scaled]
-            for ci, _ in scaled]
-    rhs = [sum(map(operator.mul, ci, y)) for ci, _ in scaled]
-    det = _det3(gram)
-    if det == 0:
-        raise FitError("degenerate design matrix; widen the window")
-    coef = []
-    for j, (_, k_j) in enumerate(scaled):
-        # gram is symmetric, so replacing row j is replacing column j
-        det_j = _det3([rhs if i == j else row for i, row in enumerate(gram)])
-        coef.append(float(Fraction(det_j << k_j, det << k_y)))
-    return coef
+    rows = [[sum(map(operator.mul, ci, cj)) for cj, _ in scaled]
+            + [sum(map(operator.mul, ci, y))] for ci, _ in scaled]
+    previous = 1
+    for k in range(len(rows)):
+        top = rows[k]
+        if not top[k]:
+            raise FitError("degenerate design matrix; widen the window")
+        rows = [row if i == k else
+                [(top[k] * x - row[k] * t) // previous for x, t in zip(row, top)]
+                for i, row in enumerate(rows)]
+        previous = top[k]
+    return [float(Fraction(row[-1] << k_j, row[j] << k_y))
+            for j, (row, (_, k_j)) in enumerate(zip(rows, scaled))]
 
 
 def alpha0(pde: MomentPDE) -> tuple[int, ...]:

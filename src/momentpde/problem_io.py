@@ -204,15 +204,18 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
 
 
 def _apply_overrides(doc: dict, overrides: dict) -> dict:
+    """A copy of doc with each given value set in its section; a section
+    that is not an object is rejected as the document without flags is."""
     doc = json.loads(json.dumps(doc))  # deep copy
-    if overrides.get("t_order") is not None:
-        doc.setdefault("truncation", {})["t_order"] = overrides["t_order"]
-    if overrides.get("z_degree") is not None:
-        doc.setdefault("truncation", {})["z_degree"] = list(overrides["z_degree"])
-    if overrides.get("backend") is not None:
-        doc.setdefault("numerics", {})["backend"] = overrides["backend"]
-    if overrides.get("precision_bits") is not None:
-        doc.setdefault("numerics", {})["precision_bits"] = overrides["precision_bits"]
+    for section, key in (("truncation", "t_order"), ("truncation", "z_degree"),
+                         ("numerics", "backend"),
+                         ("numerics", "precision_bits")):
+        value = overrides.get(key)
+        if value is not None:
+            entry = doc.setdefault(section, {})
+            if not isinstance(entry, dict):
+                raise ProblemFormatError(section, "expected an object")
+            entry[key] = list(value) if key == "z_degree" else value
     return doc
 
 

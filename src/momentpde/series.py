@@ -34,6 +34,17 @@ the order of the full pair loop, each key's sum starting from its first
 pair's product.  The constructor and `__eq__` see keys from outside and
 keep the per-key test on every axis.
 
+Key order.  `multiply` reads both operands in ascending key order.  A
+kernel that moves every key it keeps by one vector keeps its operand's
+order: `moment_derive` (by -k along its axis), `shift_within` (by beta) and
+`scale` (by nothing).  So a derivative of a sorted series arrives sorted,
+and `multiply`'s sort of it is one run check, n - 1 key compares.  The
+exact solver stores every N_n sorted (solver module docstring), so the
+derivatives the exact residual multiplies need no real sort.  In two
+variables `moment_derive` builds each moved key from the unpacked pair,
+(g0 - k, g1) or (g0, g1 - k), as `shift_within` shifts one; one variable
+and three or more keep their own forms.
+
 Exact multipliers follow one rule: the kernels apply an integral Fraction
 multiplier (the `scale` factor, the `moment_derive` multiplier, and each
 value of the left, coefficient operand of `multiply`) as an int, through
@@ -387,6 +398,12 @@ class PolySeries:
             table = seq.multipliers(k, top)
             if self.num_vars == 1:
                 out = {(n - k,): v * table[n - k] for (n,), v in items if n >= k}
+            elif self.num_vars == 2 and axis == 0:  # unpacked, as shift_within
+                out = {(g0 - k, g1): v * table[g0 - k]
+                       for (g0, g1), v in items if g0 >= k}
+            elif self.num_vars == 2:
+                out = {(g0, g1 - k): v * table[g1 - k]
+                       for (g0, g1), v in items if g1 >= k}
             else:
                 out = {e[:axis] + (e[axis] - k,) + e[axis + 1:]:
                        v * table[e[axis] - k] for e, v in items if e[axis] >= k}

@@ -23,7 +23,15 @@ alpha_i moves to kappa_i - alpha_i and its numerator is multiplied by that
 entry of the order-alpha_i multiplier list (moments module docstring).
 Where the list's entries up to the keys' top degree are not all integers,
 they are taken over the lcm of their denominators, which goes into the
-derivative's denominator.  The exponent beta of a_p is a plain index shift,
+derivative's denominator.  A two-variable key moves as the unpacked pair
+(g0 - a, g1) or (g0, g1 - a), as series.shift_within shifts one.  Every
+N_n is stored in ascending key order: the initial numerators are sorted
+once, a step whose sum merged more than one group sorts it, and a step
+with one group keeps that group's order.  Such a group is the sorted
+forced term or a shift of a derivative of a sorted N_i, and a derivative
+or a shift moves every kept key by one vector, which keeps the order.  So
+every derivative the residual check multiplies arrives sorted (series
+module docstring).  The exponent beta of a_p is a plain index shift,
 and the rational factor -a_{p,beta} * [m0(n-M)/m0(n)] * [m0(n-p)/m0(n-p-j)]
 is shared by the whole (term, p, beta) part, so the work per coefficient is
 integer arithmetic.  A part is trusted up to the componentwise minimum of
@@ -238,6 +246,12 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
         if len(alpha) == 1:
             items = [((g[0] - a,), x * table[g[0] - a])
                      for g, x in items if g[0] >= a]
+        elif len(alpha) == 2 and i == 0:  # unpacked, as shift_within
+            items = [((g0 - a, g1), x * table[g0 - a])
+                     for (g0, g1), x in items if g0 >= a]
+        elif len(alpha) == 2:
+            items = [((g0, g1 - a), x * table[g1 - a])
+                     for (g0, g1), x in items if g1 >= a]
         else:
             items = [(g[:i] + (g[i] - a,) + g[i + 1:], x * table[g[i] - a])
                      for g, x in items if g[i] >= a]
@@ -254,7 +268,7 @@ def _integer_recurrence(problem: CauchyProblem
     numerators: list[PolySeries] = []
     denominators: list[int] = []
     for j, phi in enumerate(problem.initial):
-        nums, den = cleared(phi.coeffs.items())
+        nums, den = cleared(sorted(phi.coeffs.items()))
         weight = m0.value(j)
         nums, den = _reduced({g: x * weight.denominator for g, x in nums},
                              den * weight.numerator)
@@ -307,7 +321,7 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
     # every group is (denominator, int factor, [(gamma, int numerator)])
     groups = []
     forced = {g: lead * v for g, v in shift_within(
-        rhs.coeffs.items(), (0,) * pde.num_vars, rhs.valid, valid)}
+        sorted(rhs.coeffs.items()), (0,) * pde.num_vars, rhs.valid, valid)}
     if forced:
         nums, den = cleared(forced.items())
         groups.append((den, 1, nums))
@@ -322,15 +336,15 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
     common = math.lcm(*(den for den, _, _ in groups))
     (den, factor, items), *rest = groups
     factor *= common // den
-    # a group's keys are distinct and its values non-zero ints, so one
-    # group needs no zero filter
+    # a group's keys are distinct, in ascending order, and its values
+    # non-zero ints, so one group needs no zero filter and no sort
     acc = {gamma: factor * x for gamma, x in items}
     for den, factor, items in rest:
         factor *= common // den
         for gamma, x in items:
             acc[gamma] = acc.get(gamma, 0) + factor * x
     if rest:
-        acc = {g: x for g, x in acc.items() if x}
+        acc = {g: x for g, x in sorted(acc.items()) if x}
     nums, den = _reduced(acc, common)
     return PolySeries._trusted(pde.num_vars, nums, valid), den
 

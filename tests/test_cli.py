@@ -231,6 +231,28 @@ def test_user_errors_exit_two_with_a_json_reason(case, capsys, tmp_path):
                            "message": MALFORMED_MESSAGES[case]}
 
 
+@pytest.mark.parametrize("section, value, flags", [
+    ("truncation", "x", ("--t-order", "5")),
+    ("truncation", "x", ("--z-degree", "10")),
+    ("numerics", [1], ("--backend", "bigfloat")),
+    ("numerics", [1], ("--precision", "64")),
+])
+def test_a_flag_over_a_section_that_is_not_an_object_exits_two(
+        section, value, flags, capsys, tmp_path):
+    # the flag's override must not reach into the section before the
+    # document is validated: the same reason as without the flag
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc[section] = value
+    path = tmp_path / "heat.json"
+    path.write_text(json.dumps(doc))
+    want = {"error": "ProblemFormatError",
+            "message": f"{section}: expected an object"}
+    for argv in ((), flags):
+        code, out, err = run(capsys, "solve", path, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == want
+
+
 def test_nonzero_exact_residual_exit_two(capsys, monkeypatch):
     apply = MomentPDE.apply
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +134,32 @@ def test_fit_is_the_exact_least_squares_solution(case):
         [log_scalar(norms[n]) for n in ns])
     assert [fit.logA_hat, fit.logB_hat, fit.s_hat] == want
     assert fit.n_points == len(ns)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_least_squares_of_any_width_is_the_exact_solution(width):
+    # the columns 1, n, log n!, log n (the last one a growth model n^kappa
+    # would add), on windows of 5 to 40 points and noisy targets
+    rng = random.Random(width)
+    for _ in range(40):
+        lo = rng.randint(1, 60)
+        ns = range(lo, lo + rng.randint(5, 40))
+        columns = [[1.0] * len(ns), [float(n) for n in ns],
+                   [math.lgamma(n + 1) for n in ns],
+                   [math.log(n) for n in ns]][:width]
+        target = [rng.uniform(-3, 3) + 0.5 * math.lgamma(n + 1) for n in ns]
+        assert estimator._least_squares(columns, target) \
+            == least_squares_reference(columns, target)
+
+
+@pytest.mark.parametrize("columns", [
+    [[1.0] * 6, [2.0] * 6],
+    [[1.0] * 6, [float(n) for n in range(6)], [0.0] * 6],
+    [[1.0] * 6, [float(n) for n in range(6)], [3.0 - n for n in range(6)]],
+])
+def test_least_squares_on_a_singular_gram_matrix_raises(columns):
+    with pytest.raises(FitError):
+        estimator._least_squares(columns, [float(n * n) for n in range(6)])
 
 
 def test_fit_on_data_exactly_on_the_model_is_exact(monkeypatch):

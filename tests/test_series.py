@@ -358,8 +358,14 @@ def derive_sequences(backend):
     }
 
 
-def derive_data(scalar):
-    """A dense 2-variable series to degrees (6, 5), ints and Fractions."""
+def derive_data(scalar, num_vars=2):
+    """A dense series to degrees (6, 5), or (6, 5, 3) in three variables,
+    ints and Fractions."""
+    if num_vars == 3:
+        return P({(a, b, c): scalar(F(a - 2 * b + 3 * c + 7,
+                                      1 + (a + b + c) % 3))
+                  for a in range(7) for b in range(6) for c in range(4)},
+                 num_vars=3, valid=(8, 7, 5))
     return P({(a, b): scalar(F(a - 2 * b + 7, 1 + (a + b) % 3))
               for a in range(7) for b in range(6)}, num_vars=2, valid=(8, 7))
 
@@ -394,6 +400,50 @@ def test_one_order_k_pass_equals_k_order_1_passes(backend, kind):
                     [_fmt(v) for v in want.coeffs.values()]
             else:
                 assert _value_types(got) <= {type(backend.one())}
+
+
+@pytest.mark.parametrize("backend", [RationalBackend(), BigFloatBackend(96)],
+                         ids=["rational", "bigfloat"])
+@pytest.mark.parametrize("kind", sorted(derive_sequences(RationalBackend())))
+def test_one_order_k_pass_equals_k_order_1_passes_in_three_variables(
+        backend, kind):
+    # three variables take the generic sliced-key form
+    scalar = exact_multiplier if backend.exact else backend.scalar
+    f = derive_data(scalar, 3)
+    for axis in (0, 1, 2):
+        for k in (1, 2, f.degree(axis), f.degree(axis) + 1):
+            want = k_passes(f, axis, derive_sequences(backend)[kind], k)
+            got = f.moment_derive(axis, derive_sequences(backend)[kind], k)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+            assert got.valid == want.valid
+            assert [_fmt(v) for v in got.coeffs.values()] == \
+                [_fmt(v) for v in want.coeffs.values()]
+
+
+def lifted(f):
+    """A 2-variable series as a 3-variable one constant in z3."""
+    return P({g + (0,): v for g, v in f.coeffs.items()}, num_vars=3,
+             valid=f.valid + (None,))
+
+
+@pytest.mark.parametrize("backend", [RationalBackend(), BigFloatBackend(96)],
+                         ids=["rational", "bigfloat"])
+@pytest.mark.parametrize("kind", sorted(derive_sequences(RationalBackend())))
+def test_two_variable_derivative_equals_the_generic_form(backend, kind):
+    # the unpacked two-variable keys against the sliced keys of the same
+    # series lifted to three variables: key for key, in order, on each axis
+    scalar = exact_multiplier if backend.exact else backend.scalar
+    f = derive_data(scalar)
+    for axis in (0, 1):
+        for k in (1, 2, 3, f.degree(axis)):
+            got = f.moment_derive(axis, derive_sequences(backend)[kind], k)
+            want = lifted(f).moment_derive(axis, derive_sequences(backend)[kind],
+                                           k)
+            assert [(g + (0,), v) for g, v in got.coeffs.items()] \
+                == list(want.coeffs.items()), (axis, k)
+            assert got.valid + (None,) == want.valid
+            assert [_fmt(v) for v in got.coeffs.values()] == \
+                [_fmt(v) for v in want.coeffs.values()]
 
 
 def test_order_k_pass_may_return_an_int_for_an_integral_fraction():

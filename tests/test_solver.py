@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,8 +31,8 @@ from momentpde import (
     residual,
     solve,
 )
-from momentpde.problem_io import load_problem
-from momentpde.solver import _integer_recurrence, _recurrence
+from momentpde.problem_io import load_problem, problem_from_dict
+from momentpde.solver import _derive, _integer_recurrence, _recurrence
 
 from helpers import fraction_residual, linear_combination_solution, with_values
 
@@ -357,6 +358,44 @@ def test_a_derivative_fills_a_table_only_for_the_keys_earlier_axes_keep():
     sol = solve(problem(pde, [data], t_order=3, z_caps=(6, 6), num_vars=2))
     assert [sol.coefficient(n).coeffs for n in range(4)] == [
         data.coeffs, {(0, 0): 1}, {}, {}]
+
+
+def test_every_exact_numerator_is_stored_in_ascending_key_order():
+    # so every derivative the residual multiplies arrives sorted: the
+    # initial numerators are sorted once, a step that merged more than one
+    # group sorts its sum, and one group is a translate of sorted keys.  The
+    # random problems give unsorted data and right-hand sides, some of them
+    # with no term, where the forced group is the only one.
+    bench = json.loads((Path(__file__).parents[1] / "bench" / "problems"
+                        / "heat2d.json").read_text(encoding="utf-8"))
+    bench["initial"] = [{"generator": "geometric", "coefficient": "2/3"}]
+    bench["truncation"] = {"t_order": 8, "z_degree": [20, 20]}
+    problems = [load_problem(path) for path in sorted(PROBLEMS.glob("*.json"))]
+    problems.append(problem_from_dict(bench))
+    rng = random.Random(2121)
+    for _ in range(20):
+        problems.extend(random_problem(rng))
+    exact = [prob for prob in problems if prob.backend.exact]
+    assert len(exact) > 50
+    for prob in exact:
+        numerators, _ = _integer_recurrence(prob)
+        for n, entry in enumerate(numerators):
+            assert list(entry.coeffs) == sorted(entry.coeffs), n
+
+
+def test_two_variable_derive_equals_the_generic_form():
+    # the unpacked two-variable keys of the exact derivative against the
+    # sliced keys of the same numerators lifted to three variables, with
+    # non-integral multipliers on the second axis: key for key, in order
+    seqs = (FactorialPower(2), QFactorial(F(2, 3)))
+    nums = {(a, b): (a - 2 * b + 7) * (1 + (a + b) % 3)
+            for a in range(7) for b in range(6) if a - 2 * b + 7}
+    lifted = {g + (0,): x for g, x in nums.items()}
+    for alpha in ((1, 0), (3, 0), (0, 1), (0, 2), (2, 2), (3, 1), (7, 0)):
+        items, den = _derive(seqs, nums, alpha)
+        want = _derive(seqs + (FactorialPower(1),), lifted, alpha + (0,))
+        assert ([(g + (0,), x) for g, x in items], den) == want, alpha
+        assert items or alpha == (7, 0)
 
 
 def test_heat2d_closed_form():
