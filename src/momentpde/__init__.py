@@ -32,11 +32,9 @@ from .moments import (
     QuotientSequence,
     SequenceError,
     TableSequence,
-    sequence_from_spec,
 )
 from .nagumo import (
     NagumoParams,
-    NormResult,
     ParameterError,
     check_derivative_bound,
     check_shift_bound,
@@ -89,7 +87,6 @@ __all__ = [
     "MomentSequence",
     "NagumoParams",
     "NewtonPolygon",
-    "NormResult",
     "OperatorTerm",
     "OrderFit",
     "ParameterError",
@@ -128,7 +125,6 @@ __all__ = [
     "parse_problem",
     "parse_rational",
     "residual",
-    "sequence_from_spec",
     "solution_to_dict",
     "solve",
     "validate",

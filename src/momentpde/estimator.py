@@ -190,11 +190,12 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     polygon bound.
 
     mode `nagumo_profile` uses v_n = ||u_n|| at n*alpha0 with the problem's
-    order vector; mode `sup_proxy` uses the ell-1 norms at radius rho.  The
-    window is clamped to the trusted range first, and a norm is taken only
-    for n in the window, the only ones the fit reads; lower_bound_norms is
-    set when any trusted u_n is a truncation, in or out of the window.  The
-    reported s_hat lives on the Gevrey scale (clamped at 0 from below); the
+    order vector at radius r; mode `sup_proxy` uses the ell-1 norms at
+    radius rho.  Both radii must be positive in either mode.  The window is
+    clamped to the trusted range first, and a norm is taken only for n in
+    the window, the only ones the fit reads; lower_bound_norms is set when
+    any trusted u_n is a truncation, in or out of the window.  The reported
+    s_hat lives on the Gevrey scale (clamped at 0 from below); the
     verdict is PASS when s_hat <= 1/k1 + tolerance, so a fit well below the
     bound still passes (the bound is one-sided).
     """
@@ -224,18 +225,17 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     # the fit reads the norms on the window only; norms[n] is None below it
     trusted = solution.coefficients.entries[:solution.valid_t_order + 1]
     lower = any(not numerators.is_exact() for numerators in trusted)
+    r = _positive("r", r if r is not None
+                  else (est.r if est.r is not None else Fraction(1, 2)))
+    rho = _positive("rho", rho if rho is not None
+                    else (est.rho if est.rho is not None else Fraction(1, 4)))
     norms = [None] * lo
     a0 = None
     if mode == "nagumo_profile":
-        r = _positive("r", r if r is not None
-                      else (est.r if est.r is not None else Fraction(1, 2)))
         a0 = alpha0(problem.pde)
-        norms += [v.value for v in nagumo_profile(
-            solution, a0, r, problem.pde.s, range(lo, hi + 1))]
+        norms += nagumo_profile(solution, a0, r, problem.pde.s,
+                                range(lo, hi + 1))
     else:
-        rho = _positive("rho", rho if rho is not None
-                        else (est.rho if est.rho is not None
-                              else Fraction(1, 4)))
         powers: dict = {}  # rho^d, shared by every coefficient's norm
         for n in range(lo, hi + 1):
             # ||u_n|| = ||N_n|| / d_n, exactly (solver module docstring)

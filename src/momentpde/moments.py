@@ -40,16 +40,6 @@ class SequenceError(ValueError):
     """Invalid sequence parameters or out-of-range evaluation."""
 
 
-class SpecError(SequenceError):
-    """A field of a sequence spec is missing or has the wrong shape; field is
-    its path inside the spec ("values", "factors[0].s")."""
-
-    def __init__(self, field: str, reason: str):
-        self.field = field
-        self.reason = reason
-        super().__init__(f"{field}: {reason}")
-
-
 def _order_value(order) -> Fraction:
     order = parse_rational(order)
     if order < 0:
@@ -343,57 +333,3 @@ class TableSequence(MomentSequence):
             )
         v = self._raw[n]
         return v if self.backend.exact else self.backend.scalar(v)
-
-
-def sequence_from_spec(spec: dict, backend: Backend) -> MomentSequence:
-    """Build a sequence from its JSON sub-schema.
-
-    A missing or ill-shaped field raises SpecError naming the field.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SequenceError(f"sequence spec must be an object with a kind: {spec!r}")
-    kind = spec["kind"]
-    if kind == "factorial_power":
-        return FactorialPower(_field(spec, "s"), backend)
-    if kind == "gamma":
-        return GammaSequence(_field(spec, "s"), backend)
-    if kind == "q_factorial":
-        return QFactorial(_field(spec, "q"), backend)
-    if kind == "product":
-        factors = _field(spec, "factors")
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise SpecError("factors", "expected a list of two sequence specs, "
-                            f"got {factors!r}")
-        return ProductSequence(_part(factors[0], "factors[0]", backend),
-                               _part(factors[1], "factors[1]", backend),
-                               backend)
-    if kind == "quotient":
-        return QuotientSequence(
-            _part(_field(spec, "numerator"), "numerator", backend),
-            _part(_field(spec, "denominator"), "denominator", backend),
-            backend,
-        )
-    if kind == "table":
-        values = _field(spec, "values")
-        if not isinstance(values, list):
-            raise SpecError("values", "expected a list of rational values, "
-                            f"got {values!r}")
-        return TableSequence(values, spec.get("order", 0), backend)
-    raise SequenceError(f"unknown sequence kind {kind!r}")
-
-
-def _field(spec: dict, name: str):
-    if name not in spec:
-        raise SpecError(name, "required field is missing")
-    return spec[name]
-
-
-def _part(spec, field: str, backend: Backend) -> MomentSequence:
-    """The sequence of a nested spec, its SpecErrors placed under field."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecError(field, f"expected a sequence spec object with a kind, "
-                        f"got {spec!r}")
-    try:
-        return sequence_from_spec(spec, backend)
-    except SpecError as exc:
-        raise SpecError(f"{field}.{exc.field}", exc.reason) from None

@@ -12,11 +12,11 @@ finitely supported data that infimum is a maximum over the support:
 For the zero multi-index the norm is the plain ell-1 norm at radius r.
 Mixed multi-indices (some components zero, some positive) are rejected.
 
-A norm value is exact exactly when it is an int or a Fraction; that takes
-rational coefficients, a Fraction radius, and integer orders on every axis
-where alpha_i > 1 and f has positive degree.  Otherwise the maximum is taken
-over double logs and the value is a float, or a finite mpf past the double
-range.
+A norm is a plain value, exact exactly when it is an int or a Fraction;
+that takes rational coefficients, a Fraction radius, and integer orders on
+every axis where alpha_i > 1 and f has positive degree.  Otherwise the
+maximum is taken over double logs and the value is a float, or a finite
+mpf past the double range.
 
 The norm makes one pass over the support.  log r, |alpha| and lgamma(alpha_i)
 of the axes with alpha_i != 1 are taken once per call; the log of a rational
@@ -35,7 +35,7 @@ side does not convert to a finite double (an mpf norm past e^709, or a
 Fraction past the double range) the logs are compared instead, with the same
 relative slack: inf <= inf would let such a check pass without testing it.
 The sampled sup-norm check converts the coefficients to complex and sorts
-them once per call, and sums each sample as PolySeries.evaluate would.
+them once per call, and sums each sample over them in ascending key order.
 
 The seeded battery draws every bounded int through _below, which consumes
 the generator exactly as randrange, randint and choice do (CPython 3.10 to
@@ -103,17 +103,6 @@ class NagumoParams:
         return not any(self.alpha)
 
 
-@dataclass(frozen=True)
-class NormResult:
-    """A norm value; lower_bound marks truncated (partially known) input.
-
-    The value is exact exactly when it is an int or a Fraction.
-    """
-
-    value: object
-    lower_bound: bool
-
-
 def _exact_candidate(value, exponents, size, r, axes) -> Fraction:
     """|value| * r^(|gamma|+|alpha|) * prod_i C(g_i+alpha_i-1, g_i)^(-s_i),
     built as one int numerator over one int denominator."""
@@ -132,19 +121,18 @@ def _rational_value(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
-    """Evaluate the norm on a truncated series.
+def nagumo_norm(f: PolySeries, params: NagumoParams):
+    """The norm of the stored coefficients, a plain value (module docstring).
 
     Finite validity in any variable means the data is a truncation of an
     infinite expansion, so the maximum over stored coefficients only bounds
-    the true norm from below; the result is flagged accordingly.
+    the true norm from below; the series' is_exact() tells which.
     """
     if len(params.alpha) != f.num_vars:
         raise ParameterError("params arity does not match the series")
-    lower = not f.is_exact()
     alpha, r, s = params.alpha, params.r, params.s
     if params.is_zero_index:
-        return NormResult(f.ell1_norm(r), lower)
+        return f.ell1_norm(r)
 
     # one pass over the support: the log of every candidate, with log r,
     # |alpha| and the lgamma(alpha_i) of the axes with alpha_i != 1 taken once
@@ -168,22 +156,21 @@ def nagumo_norm(f: PolySeries, params: NagumoParams) -> NormResult:
             lw += fs * (math.lgamma(g + 1) + lga - math.lgamma(g + a))
         logs.append(lw)
     if not logs:
-        return NormResult(Fraction(0) if exact else 0.0, lower)
+        return Fraction(0) if exact else 0.0
     top = max(logs)
     if not exact:
         if top < 700:
-            return NormResult(math.exp(top), lower)
+            return math.exp(top)
         # past the double range the value stays a finite mpf
         import mpmath
 
-        return NormResult(mpmath.exp(top), lower)
+        return mpmath.exp(top)
     # Build exact values only for candidates whose log lies within 1e-6
     # (relative) of the top; the rounding of the logs is far below that
     # margin, so the exact maximum is among them.
     cut = top - 1e-6 * max(1.0, abs(top))
-    return NormResult(max(_exact_candidate(v, e, size, r, axes)
-                          for (e, v), lw in zip(terms, logs) if lw >= cut),
-                      lower)
+    return max(_exact_candidate(v, e, size, r, axes)
+               for (e, v), lw in zip(terms, logs) if lw >= cut)
 
 
 def _require_exact_input(*series: PolySeries):
@@ -263,7 +250,7 @@ def check_submultiplicative(f: PolySeries, g: PolySeries,
     lhs = nagumo_norm(f.multiply(g), pc)
     nf = nagumo_norm(f, pf)
     ng = nagumo_norm(g, pg)
-    return _leq(lhs.value, nf.value * ng.value)
+    return _leq(lhs, nf * ng)
 
 
 def check_derivative_bound(f: PolySeries, axis: int, alpha: Exponents,
@@ -290,7 +277,7 @@ def check_derivative_bound(f: PolySeries, axis: int, alpha: Exponents,
         growth = Fraction(alpha[axis]) ** int(s_axis)
     else:
         growth = float(alpha[axis]) ** float(s_axis)
-    return _leq(lhs.value, big_c * growth * nf.value)
+    return _leq(lhs, big_c * growth * nf)
 
 
 def check_shift_bound(f: PolySeries, alpha: Exponents, beta: Exponents,
@@ -308,7 +295,7 @@ def check_shift_bound(f: PolySeries, alpha: Exponents, beta: Exponents,
     nf = nagumo_norm(f, pa)
     shift = r ** total_degree(beta) if isinstance(r, Fraction) \
         else float(r) ** total_degree(beta)
-    return _leq(lhs.value, shift * nf.value)
+    return _leq(lhs, shift * nf)
 
 
 def admissible_epsilon(rho, r, s) -> float:
@@ -351,10 +338,10 @@ def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
         / (epsilon ** total_s
            * (float(r) - (1 + epsilon) ** (total_s - n) * float(rho))),
     )
-    bound = big_a ** total_degree(alpha) * float(nagumo_norm(f, params).value)
+    bound = big_a ** total_degree(alpha) * float(nagumo_norm(f, params))
     rng = random.Random(seed)
     radius = float(rho)
-    # converted and sorted once, then summed as PolySeries.evaluate sums
+    # converted and sorted once, then summed term by term in key order
     terms = [(e, complex(v)) for e, v in sorted(f.coeffs.items())]
     for _ in range(sample_count):
         point = tuple(
@@ -372,15 +359,14 @@ def check_sup_bound(f: PolySeries, alpha: Exponents, rho, r, s,
 
 
 def nagumo_profile(solution, alpha0: Exponents, r, s,
-                   indices: range | None = None) -> list[NormResult]:
+                   indices: range | None = None) -> list:
     """The norm sequence v_n = ||u_n|| at multi-index n*alpha0, for n in
     indices, by default the whole trusted prefix of the solution.
 
-    v_0 uses the zero-index (ell-1) norm.  Truncation lower-bound flags
-    propagate.  The norm of u_n = N_n / d_n is exact exactly when that of
-    N_n is, and then it is ||N_n|| / d_n, the same Fraction; where it is
-    taken over double logs it is taken again on the reduced values of u_n,
-    so the logs are theirs.
+    v_0 uses the zero-index (ell-1) norm.  The norm of u_n = N_n / d_n is
+    exact exactly when that of N_n is, and then it is ||N_n|| / d_n, the
+    same Fraction; where it is taken over double logs it is taken again on
+    the reduced values of u_n, so the logs are theirs.
     """
     if any(a < 1 for a in alpha0):
         raise ParameterError("alpha0 must have all components >= 1")
@@ -396,8 +382,8 @@ def nagumo_profile(solution, alpha0: Exponents, r, s,
             params = NagumoParams(tuple(n * a for a in alpha0), r, s)
         norm = nagumo_norm(numerators, params)
         if d != 1:
-            if _rational_value(norm.value):
-                norm = NormResult(norm.value / d, norm.lower_bound)
+            if _rational_value(norm):
+                norm = norm / d
             else:  # taken over double logs, which must be the values' logs
                 norm = nagumo_norm(solution.coefficient(n), params)
         out.append(norm)
@@ -551,8 +537,7 @@ def lemma_battery(seed: int = 7, instances: int = 1000) -> dict:
         beta = tuple(1 + _below(rng, 4) for _ in range(num_vars))
         one = PolySeries.constant(num_vars, Fraction(1))
         res = nagumo_norm(one, NagumoParams(beta, r, s))
-        if not (_rational_value(res.value)
-                and res.value == r ** total_degree(beta)):
+        if not (_rational_value(res) and res == r ** total_degree(beta)):
             one_failures.append(i)
     report["norm_of_one"] = {
         "count": _NORM_ONE_CASES,

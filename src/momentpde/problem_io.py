@@ -33,7 +33,7 @@ Schema (see README for the worked example):
     estimation   {"r", "rho", "window": [lo, hi], "tolerance", "mode"}  (optional)
 
 A term monomial is {"t_power": int, "z_powers": [ints], "value": rational};
-z-only monomials drop "t_power".  Sequence sub-schema:
+z-only monomials drop "t_power".  Sequence sub-schema, parsed here only:
 {"kind": "factorial_power"|"gamma", "s": rational},
 {"kind": "q_factorial", "q": rational},
 {"kind": "product", "factors": [seq, seq]},
@@ -54,7 +54,16 @@ from .backends import (
     parse_rational,
     scalar_to_fraction,
 )
-from .moments import SequenceError, SpecError, sequence_from_spec
+from .moments import (
+    FactorialPower,
+    GammaSequence,
+    MomentSequence,
+    ProductSequence,
+    QFactorial,
+    QuotientSequence,
+    SequenceError,
+    TableSequence,
+)
 from .pde import CauchyProblem, EstimationConfig, MomentPDE, OperatorTerm
 from .series import (
     PolySeries,
@@ -219,13 +228,59 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
     return doc
 
 
-def _sequence(spec, path: str, backend: Backend):
+def _sequence(spec, path: str, backend: Backend) -> MomentSequence:
+    """The sequence of the spec at path.  A field's schema error names the
+    field's own path, nested or not; a constructor's error or an unknown
+    kind, at any depth, names path."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ProblemFormatError(
+            path, f"sequence spec must be an object with a kind: {spec!r}")
     try:
-        return sequence_from_spec(spec, backend)
-    except SpecError as exc:
-        raise ProblemFormatError(f"{path}.{exc.field}", exc.reason) from exc
+        return _spec_sequence(spec, path, backend)
+    except ProblemFormatError:
+        raise
     except (SequenceError, BackendError, KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(path, str(exc)) from exc
+
+
+def _spec_sequence(spec: dict, path: str, backend: Backend) -> MomentSequence:
+    kind = spec["kind"]
+    if kind == "factorial_power":
+        return FactorialPower(_need(spec, "s", path), backend)
+    if kind == "gamma":
+        return GammaSequence(_need(spec, "s", path), backend)
+    if kind == "q_factorial":
+        return QFactorial(_need(spec, "q", path), backend)
+    if kind == "product":
+        factors = _need(spec, "factors", path)
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise ProblemFormatError(f"{path}.factors", "expected a list of two "
+                                     f"sequence specs, got {factors!r}")
+        return ProductSequence(_part(factors[0], f"{path}.factors[0]", backend),
+                               _part(factors[1], f"{path}.factors[1]", backend),
+                               backend)
+    if kind == "quotient":
+        return QuotientSequence(
+            _part(_need(spec, "numerator", path), f"{path}.numerator", backend),
+            _part(_need(spec, "denominator", path), f"{path}.denominator",
+                  backend),
+            backend,
+        )
+    if kind == "table":
+        values = _need(spec, "values", path)
+        if not isinstance(values, list):
+            raise ProblemFormatError(f"{path}.values", "expected a list of "
+                                     f"rational values, got {values!r}")
+        return TableSequence(values, spec.get("order", 0), backend)
+    raise SequenceError(f"unknown sequence kind {kind!r}")
+
+
+def _part(spec, path: str, backend: Backend) -> MomentSequence:
+    """The sequence of a spec nested at path."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ProblemFormatError(path, "expected a sequence spec object with "
+                                 f"a kind, got {spec!r}")
+    return _spec_sequence(spec, path, backend)
 
 
 def _monomial(entry, path: str, num_vars: int, backend: Backend,

@@ -233,9 +233,6 @@ class PolySeries:
     def coefficient(self, exponents: Exponents):
         return self.coeffs.get(tuple(exponents), 0)
 
-    def support(self) -> list[Exponents]:
-        return sorted(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -472,20 +469,6 @@ class PolySeries:
         total = terms[0]
         for term in terms[1:]:
             total = total + term
-        return total
-
-    def evaluate(self, point) -> complex:
-        """Evaluate at a point (complex allowed) in double precision."""
-        point = tuple(point)
-        if len(point) != self.num_vars:
-            raise DimensionMismatch("point arity mismatch")
-        total = 0j
-        for exponents in self.support():
-            term = complex(self.coeffs[exponents])
-            for z, g in zip(point, exponents):
-                if g:
-                    term *= complex(z) ** g
-            total += term
         return total
 
     def map_coefficients(self, fn) -> "PolySeries":

@@ -94,6 +94,26 @@ def fraction_residual(problem: CauchyProblem, solution: FormalSolution):
     return worst
 
 
+def support(f: PolySeries) -> list:
+    """The exponents of f's stored coefficients, in ascending order."""
+    return sorted(f.coeffs)
+
+
+def evaluate(f: PolySeries, point) -> complex:
+    """f at a point (complex allowed) in double precision."""
+    point = tuple(point)
+    if len(point) != f.num_vars:
+        raise DimensionMismatch("point arity mismatch")
+    total = 0j
+    for exponents in support(f):
+        term = complex(f.coeffs[exponents])
+        for z, g in zip(point, exponents):
+            if g:
+                term *= complex(z) ** g
+        total += term
+    return total
+
+
 def least_squares_reference(columns, target) -> list[float]:
     """The exact least-squares solution of columns . c ~ target, by
     Gauss-Jordan elimination of the normal equations over Fractions of the

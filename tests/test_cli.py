@@ -187,6 +187,16 @@ MALFORMED = {
         "kind": "quotient", "numerator": {"kind": "factorial_power", "s": "1"}}),
         ()),
     "q-is-one": ("polygon", "qdiff", _set("moment.t.q", "1"), ()),
+    "spec-not-an-object": ("polygon", "heat", _set("moment.t", 5), ()),
+    "factor-without-kind": ("polygon", "heat", _set("moment.t", {
+        "kind": "product", "factors": [{"s": "1"}, 2]}), ()),
+    "nested-q-is-two": ("polygon", "heat", _set("moment.z.0", {
+        "kind": "product", "factors": [{"kind": "gamma", "s": "1"}, {
+            "kind": "quotient", "numerator": {"kind": "q_factorial", "q": "2"},
+            "denominator": {"kind": "gamma", "s": "1"}}]}), ()),
+    "nested-unknown-kind": ("polygon", "heat", _set("moment.t", {
+        "kind": "quotient", "numerator": {"kind": "nope"},
+        "denominator": {"kind": "gamma", "s": "1"}}), ()),
     "backend-int": ("solve", "heat", _set("numerics.backend", 5), ()),
     "gamma-half-rational": (
         "solve", "fractional", None, ("--backend", "rational")),
@@ -194,6 +204,19 @@ MALFORMED = {
         "terms.0.coefficient.0.value", "0"), ()),
     "profile-r-zero": ("estimate", "heat", _set("estimation.r", "0"),
                        ("--mode", "nagumo_profile")),
+    # a radius is checked in the mode that does not read it as well
+    "sup-proxy-r-zero": ("estimate", "heat", _set("estimation.r", "0"),
+                         ("--mode", "sup_proxy")),
+    "profile-rho-zero": ("estimate", "heat", _set("estimation.rho", "0"),
+                         ("--mode", "nagumo_profile")),
+    "sup-proxy-r-flag": ("estimate", "heat", None,
+                         ("--mode", "sup_proxy", "--r", "1/0")),
+    "profile-r-flag": ("estimate", "heat", None,
+                       ("--mode", "nagumo_profile", "--r", "-1")),
+    "sup-proxy-rho-flag": ("estimate", "heat", None,
+                           ("--mode", "sup_proxy", "--rho", "-1")),
+    "profile-rho-flag": ("estimate", "heat", None,
+                         ("--mode", "nagumo_profile", "--rho", "1/0")),
     "precision-23": ("solve", "heat", None, ("--precision", "23")),
     "z-degree-count": ("solve", "heat", None, ("--z-degree", "10,10")),
 }
@@ -210,6 +233,15 @@ MALFORMED_MESSAGES = {
     "factorial-power-no-s": "moment.z[0].s: required field is missing",
     "quotient-no-denominator":
         "moment.z[0].denominator: required field is missing",
+    # a spec that is not an object with a kind: two wordings, top and nested
+    "spec-not-an-object":
+        "moment.t: sequence spec must be an object with a kind: 5",
+    "factor-without-kind":
+        "moment.t.factors[0]: expected a sequence spec object with a kind, "
+        "got {'s': '1'}",
+    # a sequence's own error, and an unknown kind, name the top spec
+    "nested-q-is-two": "moment.z[0]: q must lie in (0,1), got 2",
+    "nested-unknown-kind": "moment.t: unknown sequence kind 'nope'",
 }
 
 

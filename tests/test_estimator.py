@@ -201,9 +201,7 @@ def test_gevrey_stack_profile_fits_declared_order():
     for w in (0.0, 0.5, 1.0):
         norms = []
         for n in range(41):
-            base = nagumo_norm(
-                g, NagumoParams((max(n, 1) * 2,), r, (F(1),))
-            ).value
+            base = nagumo_norm(g, NagumoParams((max(n, 1) * 2,), r, (F(1),)))
             norms.append(float(base) * math.exp(w * math.lgamma(n + 1)))
         fit = estimate_order(norms, (20, 40))
         assert fit.s_hat <= w + 0.15
@@ -312,19 +310,20 @@ def _solved(path):
 
 def _full_profile_dict(problem, solution, report, r, rho) -> dict:
     """report.as_dict() as built from the norms of every trusted n, with the
-    truncation flag read from the Nagumo profile's own flags."""
+    truncation flag read from is_exact() of every trusted u_n."""
     pde = problem.pde
     trusted = range(solution.valid_t_order + 1)
     profile = nagumo_profile(solution, alpha0(pde), r, pde.s)
     assert len(profile) == len(trusted)
     if report.mode == "nagumo_profile":
-        norms = [v.value for v in profile]
+        norms = profile
     else:
         norms = [solution.coefficient(n).ell1_norm(rho) for n in trusted]
     lo, hi = report.window
     expected = dict(report.as_dict(), s_hat=0.0, s_hat_raw=0.0,
                     rms_residual=0.0,
-                    lower_bound_norms=any(v.lower_bound for v in profile))
+                    lower_bound_norms=any(not solution.coefficient(n).is_exact()
+                                          for n in trusted))
     if any(norms[n] > 0 for n in range(lo, hi + 1)):
         fit = estimate_order(norms, (lo, hi))
         expected.update(s_hat=max(fit.s_hat, 0.0), s_hat_raw=fit.s_hat,

@@ -19,10 +19,8 @@ from momentpde import (
     QuotientSequence,
     SequenceError,
     TableSequence,
-    sequence_from_spec,
 )
 from momentpde.backends import RationalBackend
-from momentpde.moments import SpecError
 
 
 def q_bracket(q: Fraction, k: int) -> Fraction:
@@ -173,56 +171,6 @@ def test_irrational_sequence_needs_bigfloat():
         FactorialPower(Fraction(1, 2))
     seq = FactorialPower(Fraction(1, 2), BigFloatBackend(64))
     assert abs(float(seq.value(2)) - math.sqrt(2)) < 1e-15
-
-
-def test_sequence_from_spec_round_trip():
-    backend = RationalBackend()
-    spec = {
-        "kind": "product",
-        "factors": [
-            {"kind": "factorial_power", "s": "1"},
-            {"kind": "q_factorial", "q": "1/2"},
-        ],
-    }
-    seq = sequence_from_spec(spec, backend)
-    assert type(seq) is ProductSequence and seq.backend == backend
-    assert type(seq.lhs) is FactorialPower and seq.lhs.s == 1
-    assert type(seq.rhs) is QFactorial and seq.rhs.q == Fraction(1, 2)
-    assert seq.order == 1
-    assert seq.value(2) == 2 * Fraction(3, 2)
-    quotient = sequence_from_spec({
-        "kind": "quotient",
-        "numerator": {"kind": "gamma", "s": "2"},
-        "denominator": {"kind": "factorial_power", "s": "1"},
-    }, backend)
-    assert type(quotient) is QuotientSequence and quotient.order == 1
-    assert type(quotient.num) is GammaSequence and quotient.num.s == 2
-    assert type(quotient.den) is FactorialPower and quotient.den.s == 1
-    assert quotient.value(3) == Fraction(720, 6)
-    table = sequence_from_spec(
-        {"kind": "table", "values": ["1", "3/2", "4"], "order": "1/2"}, backend)
-    assert type(table) is TableSequence and table.order == Fraction(1, 2)
-    assert [table.value(k) for k in range(3)] == [1, Fraction(3, 2), 4]
-
-
-@pytest.mark.parametrize("spec, field", [
-    ({"kind": "gamma"}, "s"),
-    ({"kind": "q_factorial"}, "q"),
-    ({"kind": "table", "values": "1"}, "values"),
-    ({"kind": "product", "factors": {"kind": "gamma", "s": "1"}}, "factors"),
-    ({"kind": "product", "factors": [{"kind": "gamma", "s": "1"}, 2]},
-     "factors[1]"),
-    ({"kind": "product", "factors": [
-        {"kind": "quotient", "numerator": {"kind": "gamma"}},
-        {"kind": "gamma", "s": "1"}]}, "factors[0].numerator.s"),
-    ({"kind": "quotient", "denominator": {"kind": "gamma", "s": "1"}},
-     "numerator"),
-])
-def test_spec_errors_name_the_field(spec, field):
-    with pytest.raises(SpecError) as err:
-        sequence_from_spec(spec, RationalBackend())
-    assert err.value.field == field
-    assert str(err.value) == f"{field}: {err.value.reason}"
 
 
 def test_gamma_ratio_with_fractional_order_needs_bigfloat():

@@ -38,6 +38,8 @@ from momentpde.estimator import alpha0
 from momentpde.nagumo import _leq, random_polynomial
 from momentpde.problem_io import problem_from_dict
 
+from helpers import evaluate
+
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
 
@@ -47,7 +49,7 @@ def params(alpha, r, s):
 
 
 def norm(f, alpha, r, s):
-    return nagumo_norm(f, params(alpha, r, s)).value
+    return nagumo_norm(f, params(alpha, r, s))
 
 
 # -- norm values --------------------------------------------------------------
@@ -91,8 +93,8 @@ def test_exact_norm_equals_full_scan():
     cases.append((big, (5, 2), F(2 ** 810 + 1, 3 ** 520), (F(2), F(3))))
     for f, alpha, r, s in cases:
         result = nagumo_norm(f, params(alpha, r, s))
-        assert isinstance(result.value, Fraction)
-        assert result.value == full_scan(f, alpha, r, s)
+        assert isinstance(result, Fraction)
+        assert result == full_scan(f, alpha, r, s)
 
 
 def test_norm_of_one_is_r_to_alpha():
@@ -120,14 +122,6 @@ def test_norm_zero_index_is_ell1():
     assert norm(f, (0,), F(1, 2), (1,)) == F(7, 2)
 
 
-def test_norm_lower_bound_flag():
-    truncated = geometric_series(1, 1, (5,))
-    res = nagumo_norm(truncated, params((1,), F(1, 2), (1,)))
-    assert res.lower_bound
-    exact = PolySeries(1, {(1,): F(1)})
-    assert not nagumo_norm(exact, params((1,), F(1, 2), (1,))).lower_bound
-
-
 def test_norm_fractional_s_close_to_exact():
     # s = 3/2 with alpha > 1 goes through the log path; cross-check against
     # direct per-coefficient evaluation in floats
@@ -148,9 +142,9 @@ def test_norm_float_path_stays_finite_past_double_range():
     ctx = BigFloatBackend(128).ctx
     f = PolySeries(1, {(1,): ctx.mpf("1e400")})
     res = nagumo_norm(f, params((1,), F(1, 2), (1,)))
-    assert isinstance(res.value, mpmath.mpf)
-    assert mpmath.isfinite(res.value)
-    assert abs(log_scalar(res.value) - (400 * math.log(10) - 2 * math.log(2))) < 1e-9
+    assert isinstance(res, mpmath.mpf)
+    assert mpmath.isfinite(res)
+    assert abs(log_scalar(res) - (400 * math.log(10) - 2 * math.log(2))) < 1e-9
 
 
 def test_mixed_multi_index_rejected():
@@ -213,10 +207,10 @@ def polys(draw, num_vars=2):
 @settings(max_examples=50, deadline=None)
 def test_norm_axioms(f, g, c):
     p = params((2, 1), F(1, 2), (1, 1))
-    nf = nagumo_norm(f, p).value
-    ng = nagumo_norm(g, p).value
-    assert nagumo_norm(f.scale(c), p).value == abs(c) * nf
-    assert nagumo_norm(f.add(g), p).value <= nf + ng
+    nf = nagumo_norm(f, p)
+    ng = nagumo_norm(g, p)
+    assert nagumo_norm(f.scale(c), p) == abs(c) * nf
+    assert nagumo_norm(f.add(g), p) <= nf + ng
     if not f.is_zero():
         assert nf > 0
 
@@ -245,8 +239,8 @@ def test_submultiplicative_scalar_variant_is_exact_homogeneity():
     c = F(-5, 3)
     g = PolySeries.constant(1, c)
     p = params((2,), F(1, 2), (1,))
-    lhs = nagumo_norm(f.multiply(g), p).value
-    assert lhs == abs(c) * nagumo_norm(f, p).value
+    lhs = nagumo_norm(f.multiply(g), p)
+    assert lhs == abs(c) * nagumo_norm(f, p)
     assert check_submultiplicative(f, g, (2,), (0,), F(1, 2), (1,))
 
 
@@ -306,12 +300,12 @@ def test_classical_nagumo_scale_comparison():
     for _ in range(20):
         f = random_polynomial(rng, 1, max_total_degree=6, max_terms=6)
         for q in (1, 2, 3):
-            value = float(nagumo_norm(f, params((q,), r, (1,))).value)
+            value = float(nagumo_norm(f, params((q,), r, (1,))))
             for _ in range(16):
                 rho = rng.uniform(0.05, 0.45)
                 z = rho * complex(math.cos(rng.uniform(0, 6.28)),
                                   math.sin(rng.uniform(0, 6.28)))
-                lhs = abs(f.evaluate((z,))) * (float(r) - rho) ** q
+                lhs = abs(evaluate(f, (z,))) * (float(r) - rho) ** q
                 assert lhs <= value * (1 + 1e-9)
 
 
@@ -336,12 +330,12 @@ def test_profile_of_zero_and_polynomial_solutions():
         return solve(prob)
 
     zeros = nagumo_profile(run(PolySeries.zero(1)), (3,), F(1, 2), (1,))
-    assert all(v.value == 0 for v in zeros)
+    assert all(v == 0 for v in zeros)
 
     square = nagumo_profile(run(PolySeries(1, {(2,): F(1)})), (3,),
                             F(1, 2), (1,))
-    assert square[0].value > 0 and square[1].value > 0
-    assert all(v.value == 0 for v in square[2:])
+    assert square[0] > 0 and square[1] > 0
+    assert all(v == 0 for v in square[2:])
 
 
 def test_randomized_sweeps_all_pass():
@@ -369,7 +363,7 @@ def test_battery_norm_values_match_recorded_digest(monkeypatch):
 
     def recording(f, params):
         result = original(f, params)
-        values.append(repr(result.value))
+        values.append(repr(result))
         return result
 
     monkeypatch.setattr(nagumo, "nagumo_norm", recording)
@@ -428,8 +422,8 @@ def test_exact_profile_matches_recorded_digest(name):
     solution = solve(problem)
     values = nagumo_profile(solution, alpha0(problem.pde), F(1, 2),
                             problem.pde.s)
-    assert all(isinstance(v.value, Fraction) for v in values)
-    text = "\n".join(str(v.value) for v in values)
+    assert all(isinstance(v, Fraction) for v in values)
+    text = "\n".join(str(v) for v in values)
     assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_DIGESTS[name]
 
 
@@ -455,8 +449,7 @@ def test_profile_of_numerators_equals_the_profile_of_the_values(name):
             g: F(x, d) for g, x in numerators.coeffs.items()}, numerators.valid)
         alpha = tuple(n * a for a in a0) if n else (0,) * len(a0)
         want = nagumo_norm(values, params(alpha, F(1, 2), problem.pde.s))
-        assert type(result.value) is type(want.value), n
-        assert (result.value, result.lower_bound) == \
-            (want.value, want.lower_bound), n
-    floats = [type(v.value) is float for v in got[1:]]
+        assert type(result) is type(want), n
+        assert result == want, n
+    floats = [type(v) is float for v in got[1:]]
     assert all(floats) if name == "heat_table" else not any(floats)

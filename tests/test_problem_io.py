@@ -206,6 +206,62 @@ def test_round_trip_all_fixtures(name):
     assert est.mode == block["mode"]
 
 
+def _heat_with_moment_t(spec) -> str:
+    """heat.json with its t-sequence spec replaced by spec."""
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc["moment"]["t"] = spec
+    return json.dumps(doc)
+
+
+def test_sequence_from_spec_round_trip():
+    # the only coverage of the product, quotient and table specs' parsing
+    problem = parse_problem(_heat_with_moment_t({
+        "kind": "product",
+        "factors": [
+            {"kind": "factorial_power", "s": "1"},
+            {"kind": "q_factorial", "q": "1/2"},
+        ],
+    }))
+    seq = problem.pde.m0
+    assert type(seq) is ProductSequence and seq.backend == problem.backend
+    assert type(seq.lhs) is FactorialPower and seq.lhs.s == 1
+    assert type(seq.rhs) is QFactorial and seq.rhs.q == Fraction(1, 2)
+    assert seq.order == 1
+    assert seq.value(2) == 2 * Fraction(3, 2)
+    quotient = parse_problem(_heat_with_moment_t({
+        "kind": "quotient",
+        "numerator": {"kind": "gamma", "s": "2"},
+        "denominator": {"kind": "factorial_power", "s": "1"},
+    })).pde.m0
+    assert type(quotient) is QuotientSequence and quotient.order == 1
+    assert type(quotient.num) is GammaSequence and quotient.num.s == 2
+    assert type(quotient.den) is FactorialPower and quotient.den.s == 1
+    assert quotient.value(3) == Fraction(720, 6)
+    table = parse_problem(_heat_with_moment_t(
+        {"kind": "table", "values": ["1", "3/2", "4"], "order": "1/2"})).pde.m0
+    assert type(table) is TableSequence and table.order == Fraction(1, 2)
+    assert [table.value(k) for k in range(3)] == [1, Fraction(3, 2), 4]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "gamma"}, "s"),
+    ({"kind": "q_factorial"}, "q"),
+    ({"kind": "table", "values": "1"}, "values"),
+    ({"kind": "product", "factors": {"kind": "gamma", "s": "1"}}, "factors"),
+    ({"kind": "product", "factors": [{"kind": "gamma", "s": "1"}, 2]},
+     "factors[1]"),
+    ({"kind": "product", "factors": [
+        {"kind": "quotient", "numerator": {"kind": "gamma"}},
+        {"kind": "gamma", "s": "1"}]}, "factors[0].numerator.s"),
+    ({"kind": "quotient", "denominator": {"kind": "gamma", "s": "1"}},
+     "numerator"),
+])
+def test_spec_errors_name_the_field(spec, field):
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(_heat_with_moment_t(spec))
+    assert err.value.path == "moment.t." + field
+
+
 def test_monomials_object_needs_a_list():
     doc = json.loads((PROBLEMS / "heat.json").read_text())
     doc["initial"] = [{"monomials": 5}]

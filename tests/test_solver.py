@@ -22,6 +22,7 @@ from momentpde import (
     ProductSequence,
     QFactorial,
     RationalBackend,
+    SolveError,
     TableSequence,
     TimeSeries,
     ValidationError,
@@ -30,7 +31,9 @@ from momentpde import (
     k1_inverse,
     residual,
     solve,
+    solver,
 )
+from momentpde.backends import scalar_to_fraction
 from momentpde.problem_io import load_problem, problem_from_dict
 from momentpde.solver import _derive, _integer_recurrence, _recurrence
 
@@ -222,6 +225,97 @@ def test_initial_conditions_reasserted():
     assert sol.coefficient(0).coeffs == phi0.coeffs
     assert sol.coefficient(1).coeffs == phi1.coeffs  # m0(1) = 1
     assert sol.residual_max == 0
+
+
+def _gamma_t_document(backend: str) -> dict:
+    """u_tt = u_z for the t-sequence m0(n) = (2n)!, so m0(1) = 2, with data
+    over 3 and 7."""
+    return {
+        "variables": 1,
+        "moment": {"t": {"kind": "gamma", "s": "2"},
+                   "z": [{"kind": "factorial_power", "s": "1"}]},
+        "M": 2,
+        "terms": [{"j": 0, "alpha": [1], "coefficient": [
+            {"t_power": 0, "z_powers": [0], "value": "-1"}]}],
+        "initial": [[{"z_powers": [1], "value": "2/3"}],
+                    [{"z_powers": [0], "value": "5/7"},
+                     {"z_powers": [2], "value": "1"}]],
+        "truncation": {"t_order": 8, "z_degree": [30]},
+        "numerics": {"backend": backend, "precision_bits": 64},
+    }
+
+
+@pytest.mark.parametrize("backend", ["rational", "bigfloat"])
+def test_initial_data_are_checked_on_the_values(backend, monkeypatch):
+    # solve reads u_j * m0(j) back from the values of u_j: it passes on the
+    # solver's own u_1 = phi_1 / 2 and raises on a u_1 off by a factor 2
+    problem = problem_from_dict(_gamma_t_document(backend))
+    solution = solve(problem)
+    if backend == "rational":
+        assert solution.denominators[:2] == (3, 14)
+        assert solution.coefficient(1) == problem.initial[1].scale(F(1, 2))
+        recurrence = solver._integer_recurrence
+
+        def corrupted(problem):
+            numerators, denominators = recurrence(problem)
+            denominators[1] *= 2
+            return numerators, denominators
+        monkeypatch.setattr(solver, "_integer_recurrence", corrupted)
+    else:
+        recurrence = solver._recurrence
+
+        def corrupted(problem):
+            u = recurrence(problem)
+            u[1] = u[1].scale(2)
+            return u
+        monkeypatch.setattr(solver, "_recurrence", corrupted)
+    with pytest.raises(SolveError, match="^initial condition 1 not reproduced"):
+        solve(problem)
+
+
+# Bits the big-float solve loses against the exact one, per fixture at its
+# shipped size: precision + log2 of the largest relative error over every
+# stored (n, gamma) of the trusted prefix, at 40, 53 and 256 bits.  Measured
+# with bits_lost below and rounded up in the sixth decimal; a change to the
+# big-float arithmetic must not raise any of them.
+BITS_LOST = {
+    "heat": (3.971304, 3.592524, 3.710104),
+    "two_segment": (4.001011, 3.438000, 3.529314),
+    "gamma_z2": (4.059183, 3.345756, 3.330975),
+    "third_order": (3.694736, 2.911993, 3.350729),
+    "heat_tcoeff": (2.987226, 2.862490, 2.922683),
+    "heat2d_var": (2.581247, 2.259998, 2.319023),
+    "mixed2d": (2.255788, 1.453420, 1.968076),
+    "transport_z2": (2.580493, 0.820444, 2.799134),
+}
+
+
+def bits_lost(exact: FormalSolution, rounded: FormalSolution,
+              precision: int) -> float:
+    """precision + log2 max |rounded - exact| / |exact| over the trusted
+    prefix; every stored key must be stored on both sides."""
+    assert rounded.valid_t_order == exact.valid_t_order
+    worst = F(0)
+    for n in range(exact.valid_t_order + 1):
+        want = exact.coefficient(n).coeffs
+        got = rounded.coefficient(n).coeffs
+        assert got.keys() == want.keys(), n
+        for gamma, value in want.items():
+            error = abs(scalar_to_fraction(got[gamma]) - value) / abs(value)
+            worst = max(worst, error)
+    if not worst:
+        return -math.inf
+    return precision + math.log2(worst.numerator) - math.log2(worst.denominator)
+
+
+@pytest.mark.parametrize("name", list(BITS_LOST))
+def test_bigfloat_loses_no_more_bits_than_recorded(name):
+    exact = solve(load_problem(PROBLEMS / f"{name}.json"))
+    for precision, recorded in zip((40, 53, 256), BITS_LOST[name]):
+        rounded = solve(load_problem(
+            PROBLEMS / f"{name}.json",
+            {"backend": "bigfloat", "precision_bits": precision}))
+        assert bits_lost(exact, rounded, precision) <= recorded, precision
 
 
 # -- randomized suites --------------------------------------------------------
