@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .backends import log_scalar, parse_rational
 from .nagumo import ParameterError, nagumo_profile
@@ -27,8 +26,7 @@ class FitError(ValueError):
     """Not enough usable points for a growth fit."""
 
 
-@dataclass(frozen=True)
-class OrderFit:
+class OrderFit(NamedTuple):
     s_hat: float
     logB_hat: float
     logA_hat: float
@@ -146,8 +144,7 @@ def alpha0(pde: MomentPDE) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     k1_inverse: Fraction
     s_hat: float
     window: tuple[int, int]

@@ -50,8 +50,8 @@ import cmath
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .backends import log_scalar, parse_rational
 from .moments import FactorialPower, MomentSequence, QFactorial
@@ -67,22 +67,16 @@ def _as_fraction_vector(s) -> tuple[Fraction, ...]:
                  for v in s)
 
 
-@dataclass(frozen=True)
 class NagumoParams:
     """alpha (all >= 1, or all zero), radius r in (0, R), orders s (each >= 1)."""
 
-    alpha: Exponents
-    r: object
-    s: tuple[Fraction, ...]
+    __slots__ = ("alpha", "r", "s")
 
-    def __post_init__(self):
-        alpha = tuple(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        s = self.s
+    def __init__(self, alpha: Exponents, r, s: tuple[Fraction, ...]):
+        alpha = tuple(alpha)
         # a tuple of Fractions (every internal caller) is kept as it is
         if type(s) is not tuple or set(map(type, s)) - {Fraction}:
             s = _as_fraction_vector(s)
-            object.__setattr__(self, "s", s)
         if len(alpha) != len(s):
             raise ParameterError("alpha and s must have equal length")
         low, high = (min(alpha), max(alpha)) if alpha else (0, 0)
@@ -93,10 +87,11 @@ class NagumoParams:
                 f"mixed multi-index {alpha}: components must be all >= 1 "
                 "or all zero"
             )
-        if not self.r > 0:
+        if not r > 0:
             raise ParameterError("radius r must be positive")
         if s and min(s) < 1:
             raise ParameterError(f"order vector {s} must have entries >= 1")
+        self.alpha, self.r, self.s = alpha, r, s
 
     @property
     def is_zero_index(self) -> bool:
@@ -207,8 +202,7 @@ def _leq(lhs, rhs) -> bool:
 # -- the inequality checks ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VandermondeReport:
+class VandermondeReport(NamedTuple):
     p: int
     q: int
     n_max: int

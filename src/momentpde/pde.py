@@ -12,9 +12,8 @@ coefficient recurrence well-founded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .backends import Backend
 from .moments import MomentSequence
@@ -36,23 +35,22 @@ class ValidationError(ValueError):
         super().__init__(f"problem validation failed: {failed}")
 
 
-@dataclass(frozen=True)
 class OperatorTerm:
     """One term a_{j,alpha}(t,z) * D_t^j * D_z^alpha."""
 
-    t_derivative: int            # j
-    z_derivatives: Exponents     # alpha
-    coeff: TimeSeries            # a_{j,alpha}
-    ord_t: int = field(init=False)
+    __slots__ = ("t_derivative", "z_derivatives", "coeff", "ord_t")
 
-    def __post_init__(self):
-        if self.t_derivative < 0:
+    def __init__(self, t_derivative: int, z_derivatives: Exponents,
+                 coeff: TimeSeries):
+        if t_derivative < 0:
             raise ValueError("t-derivative order must be >= 0")
-        if any(a < 0 for a in self.z_derivatives):
+        if any(a < 0 for a in z_derivatives):
             raise ValueError("z-derivative orders must be >= 0")
-        object.__setattr__(self, "z_derivatives", tuple(self.z_derivatives))
+        self.t_derivative = t_derivative                # j
+        self.z_derivatives = tuple(z_derivatives)       # alpha
+        self.coeff = coeff                              # a_{j,alpha}
         # Valuation is computed from the stored data, never declared.
-        object.__setattr__(self, "ord_t", self.coeff.ord_t())
+        self.ord_t = coeff.ord_t()
 
     def q(self, principal_order: int) -> int:
         """Shifted valuation ord_t - j + M, the first recurrence index fed."""
@@ -207,8 +205,7 @@ class MomentPDE:
             for n in range(u.t_order - self.M + 1)], tail_exact=False)
 
 
-@dataclass(frozen=True)
-class EstimationConfig:
+class EstimationConfig(NamedTuple):
     """Defaults for the order-estimation stage, usually from the problem file."""
 
     r: Optional[Fraction] = None
@@ -238,15 +235,13 @@ class CauchyProblem:
         return self.pde.num_vars
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     name: str
     passed: bool
     message: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: list[ValidationCheck]
     warnings: list[str]
 

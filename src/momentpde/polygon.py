@@ -13,8 +13,8 @@ declared sequence orders, y-coordinates are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .pde import MomentPDE, OperatorTerm
 
@@ -25,8 +25,7 @@ class GeometryError(ValueError):
     """Degenerate clip box or vertices outside it."""
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(NamedTuple):
     x: Fraction
     y: Fraction
     sources: tuple[str, ...]   # "principal" or "term j=.. alpha=.."
@@ -36,8 +35,7 @@ class SupportPoint:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start: Point
     end: Point
 
@@ -46,8 +44,7 @@ class Segment:
         return (self.end[1] - self.start[1]) / (self.end[0] - self.start[0])
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     support_points: tuple[SupportPoint, ...]
     pareto_vertices: tuple[Point, ...]
     segments: tuple[Segment, ...]

@@ -31,8 +31,9 @@ the result is the per-key filter of the merged dict, key for key and in
 order.  `multiply` cuts the sorted right operand once per left monomial
 and shifts what is kept by that monomial's exponent, so its pairs meet in
 the order of the full pair loop, each key's sum starting from its first
-pair's product.  The constructor and `__eq__` see keys from outside and
-keep the per-key test on every axis.
+pair's product.  The constructor sees keys from outside and keeps the
+per-key test on every axis; `__eq__` keeps it only for operands of
+different validities, as operands of one validity store keys inside it.
 
 Key order.  `multiply` reads both operands in ascending key order.  A
 kernel that moves every key it keeps by one vector keeps its operand's
@@ -254,6 +255,8 @@ class PolySeries:
             return NotImplemented
         if self.num_vars != other.num_vars:
             return False
+        if self.valid == other.valid:
+            return self.coeffs == other.coeffs
         limit = key_limit(min_validity(self.valid, other.valid))
         for key in set(self.coeffs) | set(other.coeffs):
             if all(map(operator.le, key, limit)):

@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -115,17 +114,22 @@ class SolveError(ValueError):
     """Inconsistent initial data or a non-zero exact residual found while solving."""
 
 
-@dataclass
 class FormalSolution:
     """u_n = coefficients_n / denominators[n]: in exact mode int numerators
     over the content-reduced d_n, in big-float mode the values over 1
     (module docstring)."""
 
-    coefficients: TimeSeries
-    denominators: tuple[int, ...]
-    valid_t_order: int
-    validation: ValidationReport
-    residual_max: Optional[object] = None  # set by solve(), always
+    __slots__ = ("coefficients", "denominators", "valid_t_order",
+                 "validation", "residual_max")
+
+    def __init__(self, coefficients: TimeSeries, denominators: tuple[int, ...],
+                 valid_t_order: int, validation: ValidationReport,
+                 residual_max: Optional[object] = None):
+        self.coefficients = coefficients
+        self.denominators = denominators
+        self.valid_t_order = valid_t_order
+        self.validation = validation
+        self.residual_max = residual_max  # set by solve(), always
 
     def coefficient(self, n: int) -> PolySeries:
         """u_n, with its values built here when d_n is not 1."""

@@ -99,6 +99,20 @@ def support(f: PolySeries) -> list:
     return sorted(f.coeffs)
 
 
+def equal_on_common_region(f: PolySeries, g: PolySeries) -> bool:
+    """f == g by its definition: at every key within both validities, the
+    stored values agree, a key stored on one side only against 0."""
+    if f.num_vars != g.num_vars:
+        return False
+    for key in set(f.coeffs) | set(g.coeffs):
+        inside = all(v is None or k <= v
+                     for valid in (f.valid, g.valid)
+                     for k, v in zip(key, valid))
+        if inside and f.coeffs.get(key, 0) != g.coeffs.get(key, 0):
+            return False
+    return True
+
+
 def evaluate(f: PolySeries, point) -> complex:
     """f at a point (complex allowed) in double precision."""
     point = tuple(point)

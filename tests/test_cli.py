@@ -356,14 +356,16 @@ def test_overclaimed_validity_exit_two(capsys, monkeypatch):
         "valid=[20]")
 
 
-# A fresh interpreter runs solve and estimate, then prints its exit codes and
-# which of numpy and mpmath it has loaded.
+# A fresh interpreter runs solve, estimate and polygon, then prints its exit
+# codes and which of numpy, mpmath and dataclasses it has loaded.
 FRESH_RUN = """
 import contextlib, io, json, sys
 import momentpde.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main([cmd, *sys.argv[1:]]) for cmd in ("solve", "estimate")]
-loaded = {name.split(".")[0] for name in sys.modules} & {"numpy", "mpmath"}
+    codes = [cli.main([cmd, *sys.argv[1:]])
+             for cmd in ("solve", "estimate", "polygon")]
+loaded = {name.split(".")[0] for name in sys.modules} & {
+    "numpy", "mpmath", "dataclasses"}
 print(json.dumps([codes, sorted(loaded)]))
 """
 
@@ -372,7 +374,8 @@ print(json.dumps([codes, sorted(loaded)]))
     ((), []),
     (("--backend", "bigfloat"), ["mpmath"]),
 ])
-def test_fresh_run_loads_no_numpy_and_mpmath_only_for_bigfloat(flags, loaded):
+def test_fresh_run_loads_no_numpy_or_dataclasses_and_mpmath_only_for_bigfloat(
+        flags, loaded):
     src = str(Path(momentpde.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -380,7 +383,7 @@ def test_fresh_run_loads_no_numpy_and_mpmath_only_for_bigfloat(flags, loaded):
     result = subprocess.run(
         [sys.executable, "-c", FRESH_RUN, str(PROBLEMS / "heat.json"), *flags],
         capture_output=True, text=True, env=env, check=True)
-    assert json.loads(result.stdout) == [[0, 0], loaded]
+    assert json.loads(result.stdout) == [[0, 0, 0], loaded]
 
 
 @pytest.mark.parametrize("backend", ["rational", "bigfloat"])

@@ -43,7 +43,7 @@ from momentpde.series import (
     shift_within,
 )
 
-from helpers import evaluate, support
+from helpers import equal_on_common_region, evaluate, support
 
 F = Fraction
 
@@ -850,6 +850,35 @@ def test_add_and_sub_truncate_as_the_merged_per_key_filter(kinds):
                           (f.sub(g), _old_add(f, g.neg()))):
             assert got.valid == want.valid
             assert _same_items(got.coeffs, want.coeffs), (f, g)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_equality_is_the_common_region_definition(kind):
+    # == compares the dicts when both validities agree and filters the union
+    # of the keys when they differ; the reference filters in every case
+    rng = random.Random("eq" + kind)
+    outcomes = set()
+    for trial in range(600):
+        num_vars = 1 + trial % 3
+        f = _edge_series(rng, num_vars, kind)
+        # every other g holds Fractions equal to f's values
+        coeffs = {k: F(v) if trial % 2 else v for k, v in f.coeffs.items()}
+        key = rng.choice(list(coeffs))
+        edit = rng.randrange(4)
+        if edit == 1:
+            coeffs[key] += 1
+        elif edit == 2:
+            del coeffs[key]
+        elif edit == 3:
+            coeffs[tuple(rng.randint(0, 5) for _ in range(num_vars))] = 1
+        valid = f.valid if rng.randrange(2) else tuple(
+            rng.choice(EDGE_VALIDITIES) for _ in range(num_vars))
+        g = PolySeries(num_vars, coeffs, valid)
+        want = equal_on_common_region(f, g)
+        assert (f == g) is want and (g == f) is want, (f, g)
+        outcomes.add((f.valid == g.valid, want))
+    assert outcomes == {(True, True), (True, False),
+                        (False, True), (False, False)}
 
 
 def test_shift_within_is_the_per_key_filter_of_the_shifted_keys():
