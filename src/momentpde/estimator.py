@@ -6,6 +6,11 @@ log n! recovers s as the coefficient of log n!; the polygon's reciprocal
 slope is an upper bound for it, so the verdict compares the fitted order
 against that bound plus a finite-size tolerance.  The bound need not be
 tight: convergent solutions fit near zero and still pass.
+
+The norms of a sharp problem also carry an algebraic factor n^kappa, which
+biases that s upward.  A second fit with log n as a fourth regressor
+models it; its s and kappa are reported beside the verdict, which does not
+read them.
 """
 
 from __future__ import annotations
@@ -33,6 +38,13 @@ class OrderFit(NamedTuple):
     window: tuple[int, int]
     rms_residual: float
     n_points: int
+    # the fit with log n as a fourth regressor (estimate_order)
+    s_hat4: Optional[float] = None
+    kappa: Optional[float] = None
+
+
+# fewest points for the 4-term fit; shorter windows fit kappa unstably
+MIN_POINTS_4 = 13
 
 
 def default_window(n_max: int) -> tuple[int, int]:
@@ -56,6 +68,13 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
     on a summation order.  norms is indexed by n starting at 0; zero
     entries are excluded.  Needs at least five positive entries in the
     window.
+
+    Over the same points, log v_n is also fitted with kappa*log n as a
+    fourth term, which models the algebraic factor n^kappa the norms carry
+    and so removes its bias from s: that fit's s and kappa are s_hat4 and
+    kappa.  It is taken only on at least MIN_POINTS_4 points, none of them
+    n = 0; otherwise, or when its system is singular, both stay None.  It
+    never raises.
     """
     n_top = len(norms) - 1
     lo, hi = window if window is not None else default_window(n_top)
@@ -76,11 +95,20 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
             f"only {len(ns)} positive norms in window [{lo}, {hi}]; need 5"
         )
     lgammas = [math.lgamma(n + 1) for n in ns]
-    coef = _least_squares([[1] * len(ns), ns, lgammas], logs)
+    columns = [[1] * len(ns), ns, lgammas]
+    coef = _least_squares(columns, logs)
     rms = math.sqrt(math.fsum(
         (coef[0] + coef[1] * n + coef[2] * lg - y) ** 2
         for n, lg, y in zip(ns, lgammas, logs)
     ) / len(ns))
+    s_hat4 = kappa = None
+    if len(ns) >= MIN_POINTS_4 and ns[0] > 0:
+        try:
+            coef4 = _least_squares(columns + [[math.log(n) for n in ns]], logs)
+        except FitError:  # a singular system: no 4-term fit
+            pass
+        else:
+            s_hat4, kappa = coef4[2], coef4[3]
     return OrderFit(
         s_hat=coef[2],
         logB_hat=coef[1],
@@ -88,6 +116,8 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
         window=(lo, hi),
         rms_residual=rms,
         n_points=len(ns),
+        s_hat4=s_hat4,
+        kappa=kappa,
     )
 
 
@@ -155,6 +185,10 @@ class TheoremReport(NamedTuple):
     fit: Optional[OrderFit]
     alpha0: Optional[tuple[int, ...]]
     lower_bound_norms: bool
+    # the fit's 4-term s and kappa (estimate_order); not in as_dict, so the
+    # verdict and the output do not read them
+    s_hat4: Optional[float] = None
+    kappa: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -265,4 +299,6 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
         fit=fit,
         alpha0=a0,
         lower_bound_norms=lower,
+        s_hat4=fit.s_hat4 if fit is not None else None,
+        kappa=fit.kappa if fit is not None else None,
     )

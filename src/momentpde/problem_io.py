@@ -516,12 +516,23 @@ def _coefficients_text(coefficients: list) -> str:
                                for c in coefficients]) + "\n      ]"
 
 
+def _valid_text(valid: list) -> str:
+    """A non-empty "valid" list as json.dumps lays it out in an entry: one
+    int or null per line.  Laid out here because json.dumps with an indent
+    runs a pure-Python encoder before CPython 3.13, and each such call
+    leaves a reference cycle for the collector."""
+    return "[\n        " + ",\n        ".join(
+        ["null" if v is None else str(v) for v in valid]) + "\n      ]"
+
+
 def _entry_text(entry: dict) -> str:
     fields = []
     for key in sorted(entry):
         value = entry[key]
         if key == "coefficients" and value:
             value = _coefficients_text(value)
+        elif key == "valid" and value:
+            value = _valid_text(value)
         else:
             value = _nested(value, "      ")
         fields.append(f"{json.dumps(key)}: {value}")
@@ -537,7 +548,9 @@ def write_solution(payload: dict, handle) -> None:
     that is exact because a JSON string never holds a raw newline.  A
     coefficient is filled into a fixed template without escaping: its
     "powers" are ints and its "value" is str of an int or a Fraction, which
-    holds only digits, "-" and "/".
+    holds only digits, "-" and "/".  An entry's "valid" (ints and None) is
+    laid out directly too, so writing the entries makes no reference cycle,
+    however many there are (`_valid_text`).
     """
     write = handle.write
     separator = "{\n  "

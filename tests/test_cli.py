@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -643,3 +645,51 @@ def test_a_bad_flag_on_a_later_call_still_exits_two(capsys):
             run(capsys, *argv)
         assert exit_info.value.code == 2
     assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
+
+
+@contextlib.contextmanager
+def _collector(collecting: bool):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["solve", PROBLEMS / "heat.json", "--t-order", "6", "--z-degree", "20"], 0),
+    (["estimate", PROBLEMS / "heat.json", "--t-order", "30", "--z-degree", "80",
+      "--window", "15,30", "--tolerance=-1/2"], 1),
+    (["solve", PROBLEMS / "no_such_problem.json"], 2),
+], ids=["solve", "estimate-fail", "user-error"])
+def test_main_gives_the_caller_its_collector_state_back(argv, code, collecting,
+                                                        capsys):
+    with _collector(collecting):
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_a_command_runs_with_the_collector_paused(collecting, capsys,
+                                                  monkeypatch):
+    # and an error no exit code covers propagates, with the state restored
+    from momentpde import cli
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("not a user error")
+
+    monkeypatch.setattr(cli, "cmd_polygon",
+                        lambda args: seen.append(gc.isenabled()) or 0)
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    with _collector(collecting):
+        assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
+        assert gc.isenabled() is collecting
+        with pytest.raises(RuntimeError, match="not a user error"):
+            run(capsys, "solve", PROBLEMS / "heat.json")
+        assert gc.isenabled() is collecting
+    assert seen == [False, False]

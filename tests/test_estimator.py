@@ -134,6 +134,14 @@ def test_fit_is_the_exact_least_squares_solution(case):
         [log_scalar(norms[n]) for n in ns])
     assert [fit.logA_hat, fit.logB_hat, fit.s_hat] == want
     assert fit.n_points == len(ns)
+    if len(ns) < estimator.MIN_POINTS_4 or ns[0] == 0:
+        assert (fit.s_hat4, fit.kappa) == (None, None)
+        return
+    want4 = least_squares_reference(
+        [[1.0] * len(ns), [float(n) for n in ns],
+         [math.lgamma(n + 1) for n in ns], [math.log(n) for n in ns]],
+        [log_scalar(norms[n]) for n in ns])
+    assert [fit.s_hat4, fit.kappa] == want4[2:]
 
 
 @pytest.mark.parametrize("width", [2, 3, 4])
@@ -367,6 +375,75 @@ def test_fit_attains_the_order_where_the_bound_is_sharp(name):
     report = verify_theorem(problem, solution)
     assert report.passed
     assert abs(F(report.s_hat) - report.k1_inverse) <= report.tolerance
+
+
+# The fixtures whose growth order is 1/k1, each in its shipped mode and
+# t-order.  heat_tcoeff's norms vanish at odd n, so its shipped window
+# [20, 40] holds 11 fit points; [16, 40] holds the 13 the 4-term fit needs.
+SHARP_FOUR_TERM = {
+    "heat": None, "third_order": None, "two_segment": None, "gamma_z2": None,
+    "heat_half": None, "heat_tcoeff": (16, 40), "fractional": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARP_FOUR_TERM))
+def test_four_term_fit_attains_the_order_where_the_bound_is_sharp(name):
+    # the n^kappa factor of the norms (kappa near -s/2) biases the
+    # 3-term s_hat upward by up to 0.06; with log n as a regressor the fit
+    # lands within 0.01 of 1/k1, a check a k1 off by 1/20 fails
+    problem, solution = _solved(Path(__file__).parent / f"problems/{name}.json")
+    report = verify_theorem(problem, solution, window=SHARP_FOUR_TERM[name])
+    assert report.fit.n_points >= estimator.MIN_POINTS_4
+    assert abs(F(report.s_hat4) - report.k1_inverse) <= F(1, 100)
+    assert report.s_hat4 < report.fit.s_hat
+    assert -1.0 < report.kappa / report.k1_inverse < 0
+
+
+def test_four_term_fit_recovers_an_algebraic_factor():
+    # v_n = 3^n n!^(1/2) n^(-1/4): the 3-term fit is biased, the 4-term is not
+    norms = [math.exp(n * math.log(3) + 0.5 * math.lgamma(n + 1)
+                      - 0.25 * math.log(n)) if n else 1.0 for n in range(41)]
+    fit = estimate_order(norms, (20, 40))
+    assert abs(fit.s_hat4 - 0.5) < 1e-9
+    assert abs(fit.kappa + 0.25) < 1e-9
+    assert abs(fit.s_hat - 0.5) > 1e-3
+
+
+@pytest.mark.parametrize("window, points", [((28, 40), 13), ((29, 40), 12),
+                                            ((0, 40), 41)])
+def test_four_term_fit_needs_thirteen_points_and_no_n_zero(window, points):
+    norms = [math.exp(0.5 * math.lgamma(n + 1)) for n in range(41)]
+    fit = estimate_order(norms, window)
+    assert fit.n_points == points
+    taken = points >= estimator.MIN_POINTS_4 and window[0] > 0
+    assert (fit.s_hat4 is not None, fit.kappa is not None) == (taken, taken)
+
+
+def test_four_term_fit_on_a_singular_system_gives_none(monkeypatch):
+    least_squares = estimator._least_squares
+
+    def singular_for_four(columns, target):
+        if len(columns) == 4:
+            raise FitError("degenerate design matrix; widen the window")
+        return least_squares(columns, target)
+
+    norms = [math.exp(0.5 * math.lgamma(n + 1)) for n in range(41)]
+    want = estimate_order(norms, (10, 40))
+    monkeypatch.setattr(estimator, "_least_squares", singular_for_four)
+    fit = estimate_order(norms, (10, 40))
+    assert (fit.s_hat4, fit.kappa) == (None, None)
+    assert fit[:6] == want[:6]
+
+
+def test_four_term_fit_stays_out_of_the_report_dict():
+    problem, solution = _solved(Path(__file__).parent / "problems/heat.json")
+    report = verify_theorem(problem, solution)
+    assert report.s_hat4 is not None and report.kappa is not None
+    assert (report.s_hat4, report.kappa) == (report.fit.s_hat4,
+                                             report.fit.kappa)
+    assert set(report.as_dict()) == {
+        "k1_inverse", "s_hat", "s_hat_raw", "window", "rms_residual",
+        "verdict", "mode", "tolerance", "alpha0", "lower_bound_norms"}
 
 
 @pytest.mark.parametrize("window", [None, (0, 10), (20, 30)])

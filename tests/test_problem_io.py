@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
@@ -24,6 +25,7 @@ from momentpde import (
     solution_to_dict,
     solve,
     validate,
+    problem_io,
     write_solution,
 )
 
@@ -319,6 +321,45 @@ def _assert_written_as_json_dumps(payload: dict) -> None:
 def test_written_solution_equals_json_dumps(name, backend):
     problem = load_problem(PROBLEMS / f"{name}.json", {"backend": backend})
     _assert_written_as_json_dumps(_solve_payload(problem))
+
+
+@pytest.mark.parametrize("valid", [
+    [7], [None], [-1], [120], [None, 14], [-1, 1234], [0, None, -1],
+    [98765, 3, None],
+])
+def test_valid_is_laid_out_as_json_dumps(valid):
+    # an entry's "valid" is written without json.dumps: one int or null per
+    # line, null for an unbounded axis, -1 for an exhausted one
+    assert problem_io._valid_text(valid) \
+        == json.dumps(valid, indent=2).replace("\n", "\n      ")
+    plane = _solve_payload(load_problem(PROBLEMS / "heat2d.json",
+                                        {"t_order": 1, "z_degree": [3, 2]}))
+    for entry in plane["entries"]:
+        entry["valid"] = valid
+    _assert_written_as_json_dumps(plane)
+
+
+def test_writing_the_entries_makes_no_reference_cycle():
+    # the garbage one dump leaves for the collector does not grow with its
+    # number of entries (json.dumps with an indent leaves a cycle per call
+    # before CPython 3.13), so a command may run with the collector paused
+    payloads = [_solve_payload(load_problem(PROBLEMS / "heat.json",
+                                            {"t_order": t}))
+                for t in (5, 40)]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for payload in payloads:
+            handle = io.StringIO()
+            gc.collect()
+            write_solution(payload, handle)
+            found.append(gc.collect())
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(payloads[1]["entries"]) == 41
+    assert found[0] == found[1]
 
 
 def test_written_solution_equals_json_dumps_on_edge_cases():
