@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[Fraction, object]  # Fraction or an mpf from some mpmath context
-
 
 class BackendError(ValueError):
     """The requested value cannot be represented in the active backend."""
@@ -159,8 +157,12 @@ class BigFloatBackend:
     def scalar(self, value):
         if isinstance(value, str):
             value = parse_rational(value)
-        if isinstance(value, Fraction):
-            return self.ctx.mpf(value.numerator) / self.ctx.mpf(value.denominator)
+        if isinstance(value, Fraction):  # rounded once, to nearest
+            from mpmath.libmp import from_rational, round_nearest
+
+            return self.ctx.make_mpf(from_rational(
+                value.numerator, value.denominator, self.precision_bits,
+                round_nearest))
         return self.ctx.mpf(value)
 
     def zero(self):

@@ -185,10 +185,6 @@ class TheoremReport(NamedTuple):
     fit: Optional[OrderFit]
     alpha0: Optional[tuple[int, ...]]
     lower_bound_norms: bool
-    # the fit's 4-term s and kappa (estimate_order); not in as_dict, so the
-    # verdict and the output do not read them
-    s_hat4: Optional[float] = None
-    kappa: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -212,6 +208,12 @@ class TheoremReport(NamedTuple):
 DEFAULT_TOLERANCE = Fraction(3, 20)
 
 
+def _first(*values):
+    """The first of values that is not None: an argument, then the
+    problem's estimation default, then the package default."""
+    return next(v for v in values if v is not None)
+
+
 def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
                    mode: Optional[str] = None,
                    r=None, rho=None,
@@ -231,19 +233,15 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     bound still passes (the bound is one-sided).
     """
     est = problem.estimation
-    mode = mode or est.mode or "sup_proxy"
+    mode = _first(mode, est.mode, "sup_proxy")
     if mode not in ("sup_proxy", "nagumo_profile"):
         raise ValueError(f"unknown mode {mode!r}")
-    tolerance = parse_rational(
-        tolerance if tolerance is not None
-        else (est.tolerance if est.tolerance is not None else DEFAULT_TOLERANCE)
-    )
+    tolerance = parse_rational(_first(tolerance, est.tolerance,
+                                      DEFAULT_TOLERANCE))
     k1_inv = k1_inverse(problem.pde)
 
-    lo, hi = window if window is not None else (
-        est.window if est.window is not None
-        else default_window(solution.valid_t_order)
-    )
+    lo, hi = _first(window, est.window,
+                    default_window(solution.valid_t_order))
     hi = min(hi, solution.valid_t_order)
     if lo > hi:
         raise FitError(
@@ -256,10 +254,8 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     # the fit reads the norms on the window only; norms[n] is None below it
     trusted = solution.coefficients.entries[:solution.valid_t_order + 1]
     lower = any(not numerators.is_exact() for numerators in trusted)
-    r = _positive("r", r if r is not None
-                  else (est.r if est.r is not None else Fraction(1, 2)))
-    rho = _positive("rho", rho if rho is not None
-                    else (est.rho if est.rho is not None else Fraction(1, 4)))
+    r = _positive("r", _first(r, est.r, Fraction(1, 2)))
+    rho = _positive("rho", _first(rho, est.rho, Fraction(1, 4)))
     norms = [None] * lo
     a0 = None
     if mode == "nagumo_profile":
@@ -299,6 +295,4 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
         fit=fit,
         alpha0=a0,
         lower_bound_norms=lower,
-        s_hat4=fit.s_hat4 if fit is not None else None,
-        kappa=fit.kappa if fit is not None else None,
     )

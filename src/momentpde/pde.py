@@ -7,6 +7,10 @@ validate() are: all z-orders at least 1, a finite term set, and the t-order
 of vanishing of each coefficient at least max(0, j - M + 1), which makes the
 shifted valuation q = ord_t - j + M at least 1 for every term and keeps the
 coefficient recurrence well-founded.
+
+MomentPDE.apply is P's one walk over its parts, and the residual check of
+both backends runs it.  The solver's recurrence enumerates the same parts
+on its own (solver module docstring), so the check compares two walks.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class MomentPDE:
             raise DimensionMismatch("need at least one z variable sequence")
         values = [v for term in self.terms for entry in term.coeff.entries
                   for v in entry.coeffs.values()]
-        # L of add_parts: 1 unless every value is exact
+        # L of apply: 1 unless every value is exact
         L = 1
         if m0.backend.exact and all(type(v) in (int, Fraction) for v in values):
             L = math.lcm(*(v.denominator for v in values))
@@ -122,43 +126,50 @@ class MomentPDE:
                 self.m0.value(n + j) / self.m0.value(n))
         return factor
 
-    def add_parts(self, stack):
-        """add(start, factor, n, subtract) = start * factor plus every part
-        a_k * D_t^j D_z^alpha u_i of (P u)_n but the principal one, or minus
-        them all when subtract is set: u_i is stack[i] with i = n - k + j,
-        k runs from ord_t(a) to the last index a may hold up to n, and the
-        part is a_k * D_z^alpha u_i * m0(i)/m0(i-j).  D_z^alpha u_i is
-        memoised, so stack may grow between calls but its entries must not
-        change.
+    def apply(self, u: TimeSeries) -> TimeSeries:
+        """P applied to u, truncated to t-order u.t_order - M: P's walk.
+
+        Coefficient n of P u is u_{n+M} * m0(n+M)/m0(n), the principal
+        part, plus every part a_k * D_t^j D_z^alpha u_i of the terms: u_i is
+        u's coefficient i = n - k + j, k runs from ord_t(a) to the last index
+        a may hold up to n, and the part is a_k * D_z^alpha u_i *
+        m0(i)/m0(i-j).  D_z^alpha u_i is formed once per (i, alpha).
 
         Each a_k is taken from a table built once per operator, as the walk
         multiplies by it:
 
         - L (`coefficient_denominator`) is the lcm of the denominators of
-          every coefficient value of P.  Where it is not 1, add scales start
-          by L * factor, forms each part from the ints of L * a_k, so the
-          kernels apply them as ints (series module docstring) and an
-          int-valued stack (the exact residual's D * u) keeps int sums
-          wherever the moment ratios are integers, and divides by L last,
-          once per key that survives the sum: a key that cancels is never
-          divided, so on a correct solution of P u = 0 the check builds no
-          Fraction per coefficient.  Where the values are mpf, L is 1 (an
-          mpf times L and back would round), and L = 1 adds no arithmetic.
+          every coefficient value of P.  Where it is not 1, the walk scales
+          the principal part by L, forms each part from the ints of L * a_k,
+          so the kernels apply them as ints (series module docstring) and an
+          int-valued u (the exact residual's D * u) keeps int sums wherever
+          the moment ratios are integers, and divides by L last, once per
+          key that survives the sum: a key that cancels is never divided, so
+          on a correct solution of P u = 0 the check builds no Fraction per
+          coefficient.  Where the values are mpf, L is 1 (an mpf times L
+          and back would round), and L = 1 adds no arithmetic.
         - An entry that is one constant c < 0 (u_t = D_z^2 u is
           P = D_t + a * D_z^2 with a = -1) is stored as -c, so a product by
           -c = 1 does no arithmetic (series module docstring), and its part
-          is subtracted where the others are added and added where they are
-          subtracted.  No bit moves: mpmath rounds to nearest, which is
-          symmetric, so (-c) * x rounds to -(c * x), and x - y is computed
-          as x + (-y); a key missing from the sum gets the same value either
-          way, and exact values are exact.
+          is subtracted where the others are added.  No bit moves: mpmath
+          rounds to nearest, which is symmetric, so (-c) * x rounds to
+          -(c * x), and x - y is computed as x + (-y); a key missing from
+          the sum gets the same value either way, and exact values are
+          exact.
         """
+        if u.t_order < self.M:
+            raise ValueError(
+                f"need t-order >= {self.M}, got {u.t_order}"
+            )
+        if u.num_vars != self.num_vars:
+            raise DimensionMismatch("u has the wrong number of variables")
         L = self.coefficient_denominator
+        stack = u.entries
         derived: dict[tuple[int, Exponents], PolySeries] = {}
-
-        def add(start: PolySeries, factor, n: int, subtract: bool
-                ) -> PolySeries:
-            acc = start.scale(factor if L == 1 else L * factor)
+        out = []
+        for n in range(u.t_order - self.M + 1):
+            factor = self.t_shift_factor(n, self.M)
+            acc = stack[n + self.M].scale(factor if L == 1 else L * factor)
             for term, row in self._parts:
                 j, alpha = term.key()
                 for k in range(term.ord_t, term.coeff.reach(n) + 1):
@@ -181,28 +192,12 @@ class MomentPDE:
                                 d = d.moment_derive(axis, seq, order)
                         derived[i, alpha] = d
                     part = a.multiply(d).scale(self.t_shift_factor(i - j, j))
-                    acc = acc.add(part, negate=negated != subtract)
+                    acc = acc.add(part, negate=negated)
             if L != 1:
                 acc = PolySeries._trusted(acc.num_vars, {
                     g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)
-            return acc
-
-        return add
-
-    def apply(self, u: TimeSeries) -> TimeSeries:
-        """P applied to u, truncated to t-order u.t_order - M: coefficient n
-        of D_t^M u is u_{n+M} * m0(n+M)/m0(n), and add_parts adds the other
-        parts onto it."""
-        if u.t_order < self.M:
-            raise ValueError(
-                f"need t-order >= {self.M}, got {u.t_order}"
-            )
-        if u.num_vars != self.num_vars:
-            raise DimensionMismatch("u has the wrong number of variables")
-        add = self.add_parts(u.entries)
-        return TimeSeries([
-            add(u.entries[n + self.M], self.t_shift_factor(n, self.M), n, False)
-            for n in range(u.t_order - self.M + 1)], tail_exact=False)
+            out.append(acc)
+        return TimeSeries(out, tail_exact=False)
 
 
 class EstimationConfig(NamedTuple):

@@ -74,8 +74,8 @@ constant 1 (an int, or an mpf where every right value is an mpf of its
 context) that pass does no arithmetic: it copies the right operand's items,
 sorted and restricted to the validity.  The products would give the same
 values, as an mpf is already rounded to its context's precision;
-pde.MomentPDE.add_parts forms the parts of an operator coefficient -1
-from the constant 1.  A product of
+pde.MomentPDE.apply forms the parts of an operator coefficient -1 from
+the constant 1.  A product of
 two series whose values are all Fractions clears each side's denominators
 into its lcm, sums the pairs on int numerators, and builds one
 Fraction(sum, lcm_f * lcm_g) per surviving key: the same values, still
@@ -85,10 +85,10 @@ of operands (an int or an mpf value on either side) takes the generic loop.
 `ell1_norm` multiplies |f_gamma| by r^|gamma| read from a table of powers
 of r by degree, which a caller that takes many norms at one r (the
 sup_proxy estimate) shares across its calls.  An mpf times a Fraction
-converts the Fraction through the mpf's context `convert` (one rounding)
-before it multiplies, so each table entry is converted exactly that way,
-once; BigFloatBackend.scalar rounds a large numerator and then divides,
-which can give another mpf, and is not used here.  At r = 1 the multiply
+converts the Fraction through the mpf's context `convert` (one rounding,
+toward zero) before it multiplies, so each table entry is converted exactly
+that way, once; BigFloatBackend.scalar rounds to nearest, which can give
+another mpf, and is not used here.  At r = 1 the multiply
 is skipped for mpf values: abs(v) is already rounded to the context's
 precision, and times 1 it stays what it is.  An int-valued series (an
 exact solution's numerators) at a Fraction radius p/q is summed on ints,

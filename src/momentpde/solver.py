@@ -13,73 +13,76 @@ of t^(M-j) a_{j,alpha}, q = ord_t(a) - j + M, and a summand is dropped
 whenever n - p - j < 0.  Since q >= 1 for every validated term, the
 recurrence only consumes earlier u's.
 
-In exact mode the recurrence runs on int numerators: u_n = N_n / d_n, with
-N_n an int-valued PolySeries and d_n one positive int per t-order.  The
-initial data give N_j / d_j = phi_j / m0(j) over the least common
-denominator of phi_j's values.  A step forms, once per (n-p, alpha),
-D_z^alpha u_{n-p} as int numerators over one denominator, in one pass over
-the keys per moving axis i (alpha_i != 0): a key kappa with kappa_i >=
-alpha_i moves to kappa_i - alpha_i and its numerator is multiplied by that
-entry of the order-alpha_i multiplier list (moments module docstring).
-Where the list's entries up to the keys' top degree are not all integers,
-they are taken over the lcm of their denominators, which goes into the
-derivative's denominator.  A two-variable key moves as the unpacked pair
-(g0 - a, g1) or (g0, g1 - a), as series.shift_within shifts one.  Every
-N_n is stored in ascending key order: the initial numerators are sorted
-once, a step whose sum merged more than one group sorts it, and a step
-with one group keeps that group's order.  Such a group is the sorted
-forced term or a shift of a derivative of a sorted N_i, and a derivative
-or a shift moves every kept key by one vector, which keeps the order.  So
-every derivative the residual check multiplies arrives sorted (series
-module docstring).  The exponent beta of a_p is a plain index shift,
-and the rational factor -a_{p,beta} * [m0(n-M)/m0(n)] * [m0(n-p)/m0(n-p-j)]
-is shared by the whole (term, p, beta) part, so the work per coefficient is
-integer arithmetic.  A part is trusted up to the componentwise minimum of
-valid(a_p) and valid(u_{n-p}) - alpha, as in the kernels, and u_n up to the
-minimum over its parts and f_n.  Each part and f_n are cut to that limit by
+One recurrence serves both backends.  It stores u_n = N_n / d_n, with N_n a
+PolySeries and d_n one positive int per t-order: in exact mode N_n holds
+ints, in big float it holds the values and d_n = 1.  The initial data give
+N_j / d_j = phi_j / m0(j), over the least common denominator of phi_j's
+values in exact mode.  A step forms, once per (n-p, alpha), D_z^alpha
+u_{n-p} as numerators over one denominator, in one pass over the keys per
+moving axis i (alpha_i != 0): a key kappa with kappa_i >= alpha_i moves to
+kappa_i - alpha_i and its numerator is multiplied by that entry of the
+order-alpha_i multiplier list (moments module docstring).  Where the list's
+entries up to the keys' top degree hold a Fraction, they are taken over the
+lcm of their denominators, which goes into the derivative's denominator; a
+big-float list holds mpfs and is read as it is.  A two-variable key moves
+as the unpacked pair (g0 - a, g1) or (g0, g1 - a), as series.shift_within
+shifts one.  Every N_n is stored in ascending key order: the initial
+numerators are sorted once, a step whose sum merged more than one group
+sorts it, and a step with one group keeps that group's order.  Such a group
+is the sorted forced term or a shift of a derivative of a sorted N_i, and a
+derivative or a shift moves every kept key by one vector, which keeps the
+order.  So every derivative the residual check multiplies arrives sorted
+(series module docstring).  The exponent beta of a_p is a plain index
+shift, and the factor c = -a_{p,beta} * [m0(n-M)/m0(n)] *
+[m0(n-p)/m0(n-p-j)] over the derivative's denominator is shared by the
+whole (term, p, beta) part, so the work per coefficient is one product per
+key.  A part is trusted up to the componentwise minimum of valid(a_p) and
+valid(u_{n-p}) - alpha, as in the kernels, and u_n up to the minimum over
+its parts and f_n.  Each part and f_n are cut to that limit by
 series.shift_within, which tests a key only on the axes where its shift by
-beta can pass the limit, before the shifted key is built.  The parts are
-summed over the lcm of their denominators, the sum starting from the first
-part's products, and the content is divided out by one gcd, so no prime
-divides d_n and all of u_n's numerators.  For each prime power in d_n some
-u_n(gamma) then keeps it in its reduced denominator: d_n is the lcm of the
-reduced denominators of u_n, the least denominator u_n can be stored over.
-So whichever denominators a step passes through, d_n and the N_n come out
-the same.  The writer, and the Nagumo profile and
-l1 norms wherever the norm is exact, read (N_n, d_n) as they are;
-FormalSolution.coefficient builds the values of one u_n for a caller that
-wants them.  The big-float backend runs
-the loop through the series kernels, and its rounding after every kernel is
-part of its recorded output; its values are stored over d_n = 1.  That loop
-is P's own walk solved for u_n: MomentPDE.add_parts subtracts from f_n the
-parts of (P u)_{n-M} that pde.apply adds, formed as pde.apply forms them,
-and the sum is scaled by m0(n-M)/m0(n).
+beta can pass the limit, before the shifted key is built.
+
+In exact mode the parts are summed on ints over the lcm of the factors'
+denominators, the sum starting from the first part's products, and the
+content is divided out by one gcd, so no prime divides d_n and all of u_n's
+numerators.  For each prime power in d_n some u_n(gamma) then keeps it in
+its reduced denominator: d_n is the lcm of the reduced denominators of u_n,
+the least denominator u_n can be stored over.  So whichever denominators a
+step passes through, d_n and the N_n come out the same.  The writer, and
+the Nagumo profile and l1 norms wherever the norm is exact, read (N_n, d_n)
+as they are; FormalSolution.coefficient builds the values of one u_n for a
+caller that wants them.  In big float each u_n(gamma) is one rounding of
+the sum of its key's products c * x (the context's fdot), and a lone
+product is rounded once; its rounding is part of the recorded output.  The
+ratio m0(n-p)/m0(n-p-j) is taken only for j > 0, as an mpf (lead * m0(i)) /
+m0(i) is not lead.
 
 The residual check re-applies the operator through pde.apply and must
-vanish identically in exact mode.  The gated exact check is independent of
-the recurrence because _integer_step enumerates P's parts on its own and
-differentiates through its own multiplier-list pass: were it to share P's
-walk, a wrong t-index range would make the recurrence and the oracle agree
-on the wrong operator.  Both sides cut keys to a validity through the one
-truncation helper series.shift_within, which the kernels also use: it is a
-rule on keys and validities, not part of P's walk, and the tests pin it
-against the per-key test of every axis.  In exact mode the check puts the
-whole checked stack over one integer scale: D is the lcm of d_0..d_T and
-of the denominators of f_0..f_{T-M}, and the unchanged pde.apply gets the
-int-valued stack D * u_n = N_n * (D / d_n).  Since each d_n is the lcm of
-u_n's reduced denominators, D is the least common denominator of every
-value in the checked stack.  Each (P D u)_n is compared with D * f_n on the
-trusted region, and the residual is the l1 norm over D.  P is linear, so
-P (D u) = D * P u and the number is the one the plain u values give.  The
-kernels apply integral multipliers as ints (series module docstring), and
-pde.apply keeps an int-valued stack on ints for rational coefficients as
-well as integral ones (MomentPDE.add_parts).  So the check runs on ints
-wherever the moment ratios are integers, and with f = 0 a correct solution
-builds no Fraction per coefficient.  A non-zero exact residual raises
-SolveError naming the first (n, gamma) where (P u)_n != f_n.  The big-float
-backend applies P to its u values as they are; its loop shares P's walk,
-so that residual shows rounding, and the tests check the loop against the
-exact recurrence.
+vanish identically in exact mode.  In both backends the check is
+independent of the recurrence because _integer_step enumerates P's parts on
+its own and differentiates through its own multiplier-list pass: were it to
+share P's walk, a wrong t-index range would make the recurrence and the
+oracle agree on the wrong operator.  Both sides cut keys to a validity
+through the one truncation helper series.shift_within, which the kernels
+also use: it is a rule on keys and validities, not part of P's walk, and
+the tests pin it against the per-key test of every axis.  In exact mode the
+check puts the whole checked stack over one integer scale: D is the lcm of
+d_0..d_T and of the denominators of f_0..f_{T-M}, and the unchanged
+pde.apply gets the int-valued stack D * u_n = N_n * (D / d_n).  Since each
+d_n is the lcm of u_n's reduced denominators, D is the least common
+denominator of every value in the checked stack.  Each (P D u)_n is
+compared with D * f_n on the trusted region, and the residual is the l1
+norm over D.  P is linear, so P (D u) = D * P u and the number is the one
+the plain u values give.  The kernels apply integral multipliers as ints
+(series module docstring), and pde.apply keeps an int-valued stack on ints
+for rational coefficients as well as integral ones (its docstring).  So the
+check runs on ints wherever the moment ratios are integers, and with f = 0
+a correct solution builds no Fraction per coefficient.  A non-zero exact
+residual raises SolveError naming the first (n, gamma) where (P u)_n !=
+f_n.  The big-float backend applies P to its u values as they are.  That
+residual is an absolute l1 number and is not gated; it shows rounding, and
+a wrong operator or derivative on either side, as the two sides share no
+walk over P.
 
 A wrong validity leaves the values self-consistent, so the residual cannot
 see it; the check compares validities as well.  P's principal part passes
@@ -158,14 +161,8 @@ def solve(problem: CauchyProblem) -> FormalSolution:
     report = validate(problem)
     if not report.passed:
         raise ValidationError(report)
-    nmax = problem.t_order
-    if problem.backend.exact:
-        u, denominators = _integer_recurrence(problem)
-    else:
-        u = _recurrence(problem)
-        denominators = [1] * len(u)
-
-    valid_t_order = nmax
+    u, denominators = _integer_recurrence(problem)
+    valid_t_order = problem.t_order
     for n, entry in enumerate(u):
         if entry.is_exhausted():
             valid_t_order = n - 1
@@ -197,25 +194,47 @@ def _mismatch_message(problem: CauchyProblem, solution: FormalSolution) -> str:
     )
 
 
-def _recurrence(problem: CauchyProblem) -> list[PolySeries]:
-    """The u-basis recurrence: P's walk solved for u_n (module docstring)."""
-    pde = problem.pde
-    m0 = pde.m0
-    M = pde.M
-    u = [problem.initial[j].scale(1 / m0.value(j)) for j in range(M)]
-    add = pde.add_parts(u)
-    for n in range(M, problem.t_order + 1):
-        f = problem.rhs.coefficient(n - M)  # t^n coefficient of t^M f
-        u.append(add(f, 1, n - M, True).scale(m0.value(n - M) / m0.value(n)))
-    return u
-
-
 def _reduced(nums: dict, den: int) -> tuple[dict, int]:
-    """nums / den with the content of den and every numerator divided out."""
+    """nums / den with the content of den and every numerator divided out;
+    nums as they are over den = 1, the only denominator in big float."""
+    if den == 1:
+        return nums, 1
     content = math.gcd(den, *nums.values())
     if content != 1:
         nums = {g: x // content for g, x in nums.items()}
     return nums, den // content
+
+
+def _summed(groups: list, backend) -> tuple[dict, int]:
+    """The sum over the groups (c, [(gamma, x)]) of c * x per key, as
+    (numerators in ascending key order, denominator), content-reduced: in
+    exact mode the c are taken over the lcm of their denominators and the
+    sum runs on ints; in big float each value is one rounding of its key's
+    pairs, over 1 (module docstring)."""
+    common = 1
+    if backend.exact:
+        common = math.lcm(*(c.denominator for c, _ in groups))
+        groups = [(c.numerator * (common // c.denominator), items)
+                  for c, items in groups]
+    (c, items), *rest = groups
+    # a group's keys are distinct, in ascending order, and its values
+    # non-zero, so one group needs no zero filter and no sort
+    if not rest:
+        return _reduced({gamma: c * x for gamma, x in items}, common)
+    if backend.exact:
+        acc = {gamma: c * x for gamma, x in items}
+        for c, items in rest:
+            for gamma, x in items:
+                acc[gamma] = acc.get(gamma, 0) + c * x
+    else:
+        pairs = {}
+        for c, items in groups:
+            for gamma, x in items:
+                pairs.setdefault(gamma, []).append((c, x))
+        fdot = backend.ctx.fdot
+        acc = {gamma: fdot(cx) if len(cx) > 1 else cx[0][0] * cx[0][1]
+               for gamma, cx in pairs.items()}
+    return _reduced({g: x for g, x in sorted(acc.items()) if x}, common)
 
 
 def _lowered(valid: Validity, alpha: Exponents) -> Validity:
@@ -225,14 +244,13 @@ def _lowered(valid: Validity, alpha: Exponents) -> Validity:
 
 def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
             alpha: Exponents) -> tuple[list, int]:
-    """D_z^alpha of int numerators as ([(gamma, int numerator)], one int
+    """D_z^alpha of numerators as ([(gamma, numerator)], one int
     denominator), one pass per moving axis i: the keys with gamma_i >=
     alpha_i move to gamma_i - alpha_i and are multiplied by that entry of
     the order-alpha_i multiplier list.  The list is filled to the top degree
     of the keys the earlier axes kept, as moment_derive's chain of one-axis
-    passes fills it.  A list whose entries up to there are not all ints is
-    taken over the lcm of their denominators, which goes into the
-    derivative's denominator."""
+    passes fills it.  A list holding a Fraction up to there is taken over
+    the lcm of its denominators, which goes into the derivative's."""
     items = list(nums.items())
     keys = nums  # the keys kept by the axes passed so far
     den = 1
@@ -243,7 +261,7 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
         if top < a:
             return [], 1
         table = seqs[i].multipliers(a, top)[:top - a + 1]
-        if set(map(type, table)) != {int}:
+        if Fraction in map(type, table):
             scale = math.lcm(*(r.denominator for r in table))
             table = [r.numerator * (scale // r.denominator) for r in table]
             den *= scale
@@ -265,24 +283,25 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
 
 def _integer_recurrence(problem: CauchyProblem
                         ) -> tuple[list[PolySeries], list[int]]:
-    """The exact recurrence on int numerators (module docstring): the N_n as
-    int-valued series and the d_n."""
+    """The recurrence of both backends (module docstring): the N_n, int
+    numerators in exact mode and the values in big float, and the d_n."""
     pde = problem.pde
     m0 = pde.m0
+    exact = problem.backend.exact
     numerators: list[PolySeries] = []
     denominators: list[int] = []
     for j, phi in enumerate(problem.initial):
-        nums, den = cleared(sorted(phi.coeffs.items()))
-        weight = m0.value(j)
-        nums, den = _reduced({g: x * weight.denominator for g, x in nums},
-                             den * weight.numerator)
+        items = sorted(phi.coeffs.items())
+        items, den = cleared(items) if exact else (items, 1)
+        nums, den = _summed([(1 / (den * m0.value(j)), items)],
+                            problem.backend)
         numerators.append(PolySeries._trusted(pde.num_vars, nums, phi.valid))
         denominators.append(den)
 
     derived: dict[tuple[int, Exponents], tuple[list, int, Validity]] = {}
 
     def derivative(i: int, alpha: Exponents) -> tuple[list, int, Validity]:
-        """D_z^alpha u_i as ([(gamma, int numerator)], denominator, validity)."""
+        """D_z^alpha u_i as ([(gamma, numerator)], denominator, validity)."""
         d = derived.get((i, alpha))
         if d is None:
             items, den = _derive(pde.m, numerators[i].coeffs, alpha)
@@ -300,9 +319,8 @@ def _integer_recurrence(problem: CauchyProblem
 def _integer_step(problem: CauchyProblem, derivative, n: int
                   ) -> tuple[PolySeries, int]:
     """(N_n, d_n) from the derivatives of u_0 .. u_{n-1}, content-reduced.
-    It enumerates P's parts itself, not through MomentPDE.add_parts: as the
-    exact recurrence it is the side of the gated residual check that must
-    not share pde.apply's walk."""
+    It enumerates P's parts itself, not through pde.apply: it is the side
+    of the residual check that must not share the operator's walk."""
     pde = problem.pde
     m0 = pde.m0
     M = pde.M
@@ -319,37 +337,24 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
                 continue
             items, den, src_valid = derivative(n - p, alpha)
             valid = min_validity(min_validity(valid, a_p.valid), src_valid)
-            shared = lead * m0.value(n - p) / (m0.value(n - p - j) * den)
-            parts.append((a_p.coeffs, shared, items, src_valid))
+            # m0(n-p)/m0(n-p-j) is an exact 1 for j = 0, also in big float
+            ratio = m0.value(n - p) / m0.value(n - p - j) if j else 1
+            parts.append((a_p.coeffs, lead * ratio / den, items, src_valid))
 
-    # every group is (denominator, int factor, [(gamma, int numerator)])
+    # every group is (rational or mpf factor c, [(gamma, numerator)])
     groups = []
-    forced = {g: lead * v for g, v in shift_within(
-        sorted(rhs.coeffs.items()), (0,) * pde.num_vars, rhs.valid, valid)}
+    forced = shift_within(sorted(rhs.coeffs.items()), (0,) * pde.num_vars,
+                          rhs.valid, valid)
     if forced:
-        nums, den = cleared(forced.items())
-        groups.append((den, 1, nums))
+        items, den = cleared(forced) if problem.backend.exact else (forced, 1)
+        groups.append((lead / den, items))
     for a_coeffs, shared, items, src_valid in parts:
         for beta, a in a_coeffs.items():
-            c = -a * shared
-            groups.append((c.denominator, c.numerator,
+            groups.append((-a * shared,
                            shift_within(items, beta, src_valid, valid)))
-
     if not groups:
         return PolySeries._trusted(pde.num_vars, {}, valid), 1
-    common = math.lcm(*(den for den, _, _ in groups))
-    (den, factor, items), *rest = groups
-    factor *= common // den
-    # a group's keys are distinct, in ascending order, and its values
-    # non-zero ints, so one group needs no zero filter and no sort
-    acc = {gamma: factor * x for gamma, x in items}
-    for den, factor, items in rest:
-        factor *= common // den
-        for gamma, x in items:
-            acc[gamma] = acc.get(gamma, 0) + factor * x
-    if rest:
-        acc = {g: x for g, x in sorted(acc.items()) if x}
-    nums, den = _reduced(acc, common)
+    nums, den = _summed(groups, problem.backend)
     return PolySeries._trusted(pde.num_vars, nums, valid), den
 
 

@@ -94,6 +94,23 @@ def fraction_residual(problem: CauchyProblem, solution: FormalSolution):
     return worst
 
 
+def recurrence_reference(problem: CauchyProblem) -> list[PolySeries]:
+    """u_0 .. u_T from pde.apply alone: u_j = phi_j / m0(j), and u_n =
+    m0(n-M)/m0(n) * (f_{n-M} - (P u)_{n-M}), with P applied to the stack
+    u_0 .. u_{n-1}, 0, since the principal part is the only part of
+    (P u)_{n-M} that reads u_n.  The reference for the solver's
+    recurrence."""
+    pde = problem.pde
+    m0 = pde.m0
+    M = pde.M
+    u = [phi.scale(1 / m0.value(j)) for j, phi in enumerate(problem.initial)]
+    for n in range(M, problem.t_order + 1):
+        parts = pde.apply(TimeSeries(u + [PolySeries.zero(pde.num_vars)]))
+        u.append(problem.rhs.coefficient(n - M).sub(
+            parts.coefficient(n - M)).scale(m0.value(n - M) / m0.value(n)))
+    return u
+
+
 def support(f: PolySeries) -> list:
     """The exponents of f's stored coefficients, in ascending order."""
     return sorted(f.coeffs)

@@ -60,6 +60,26 @@ def test_bigfloat_precision_and_finite_guard():
         backend.check_finite(backend.ctx.inf)
 
 
+@pytest.mark.parametrize("precision", [24, 53, 256])
+def test_scalar_rounds_a_fraction_once_to_nearest(precision):
+    # as mpmath's from_rational rounds p/q; an mpf quotient of the rounded p
+    # and q mis-rounded about a third of these 100-bit/100-bit rationals at
+    # 24 and 53 bits.  No representable neighbour lies nearer.
+    from mpmath.libmp import from_rational, round_nearest
+
+    backend = BigFloatBackend(precision)
+    rng = random.Random(precision)
+    for _ in range(2000):
+        value = F(rng.choice((1, -1)) * rng.getrandbits(100),
+                  rng.getrandbits(100) | 1)
+        got = backend.scalar(value)
+        assert got._mpf_ == from_rational(value.numerator, value.denominator,
+                                          precision, round_nearest)
+        _, _, exp, bits = got._mpf_
+        ulp = F(2) ** (exp + bits - precision)
+        assert abs(scalar_to_fraction(got) - value) <= ulp / 2
+
+
 def test_bigfloat_independent_of_global_mpmath():
     import mpmath
 

@@ -439,9 +439,12 @@ def test_byte_identical_reruns(capsys):
 # truncation, recorded with the u-basis exact recurrence, before the exact
 # mode moved to the moment-normalised basis; any change in a digit, a key or
 # a validity shows.  A "-bigfloat" case runs the fixture with `--backend
-# bigfloat`, through the u-basis loop; those were recorded before that loop
-# and pde.apply came to share one walk over the operator's parts, and they
-# cover t- and z-dependent coefficients and the q-factorial on that path.
+# bigfloat`; they cover t- and z-dependent coefficients and the q-factorial
+# on that path.  The -bigfloat cases of heat, heat2d (and -p48),
+# heat2d_var, heat_exp, heat_half (and -p40), heat_tcoeff (and -p40) and
+# two_segment were re-recorded when big float came to run the exact mode's
+# recurrence, each u_n(gamma) one rounding of its sum, and a Fraction to be
+# rounded once into an mpf; the other big-float cases kept their digests.
 # A "-pN" case adds `--precision N`; the 40- and 48-bit cases were recorded
 # before the big-float kernels took their zero tests by truthiness, shared
 # one radius-power table and made `sub` and a constant-left `multiply` one
@@ -469,28 +472,28 @@ SOLVE_DIGESTS = {
     "fractional-p24": "b03c3cf606beb5e9cfece65d144833f59fc114a442030f494f12e59dc165f0d4",
     "fractional-p40": "99eb4dfed9e00f79c7383c916d7496e170fbd86a991444893c5c6d6372e6531d",
     "heat": "4ba598d74e5bed6c2b429ad0f94422585fceec71e7502cf88d2f55195473b8e5",
-    "heat-bigfloat": "886488a7efe4b09d10b29da6626d3bc1367b25a3a71e7ff881bcfb42f9adec3c",
+    "heat-bigfloat": "fe4672a6da8ce8fe3e546c202a2aed2e95d5a1514f53c1304e3f5db15bb2dab0",
     "heat2d": "d7b78cfa8d3c67b54a6fb59f0fba513771510f462ff71148111ef4e70a8e83ba",
-    "heat2d-bigfloat": "cae5885083cd37509146fd2780f34283ab891c0aef445e478c29a57e1c0fe458",
-    "heat2d-bigfloat-p48": "fdb46cbe4f6e76c4cd1c74c89b2efaaefe4e2c31d1f15d7218ad5a26d0a5285e",
+    "heat2d-bigfloat": "5b0a834267d8fb29eda10515ca442521382b56aa17679aebd6b215dfe69b147b",
+    "heat2d-bigfloat-p48": "26e99c9b105423bef1f4948f9993b3927ba8de2f9b2712848347d8b52e108a69",
     "heat2d_var": "72ad3a21661fe3b9898804d53af4b32a21cf1310faa493c706298d779c514db6",
-    "heat2d_var-bigfloat": "6e637f43ead1b97add5fb6f3a9143cb4fc102e0c24323bda2f0224c461d59854",
+    "heat2d_var-bigfloat": "a1ac4dbf75431d2c49d790da608260033e010db2e0deb02d9de4565fbafd92bb",
     "heat_exp": "9f426feea8ab973cdd1ab24f3f606f267a40feebd882c3e595e0d1164958cb81",
-    "heat_exp-bigfloat": "470ccfe2d9690ea926fed0f409f6c2f617431d86c376160e9a28fb3a0cc4363e",
+    "heat_exp-bigfloat": "2e4a6718b5359b2e7dcfcf4f90bdf12e2a7ea37591ab22f1e3eec115997f24f5",
     "heat_half": "9d968842e72b63c295847fe2ebcfb057bbf46d971e3ac943f1d8051113368012",
-    "heat_half-bigfloat": "bd88d733c966b00b4c1bff8f18119b9d8f63c5747a6c19b9c53020164b433680",
-    "heat_half-bigfloat-p40": "51d57e1d33446c919ed84c3b314176577d352da43309d816f9ab048b69d864b9",
+    "heat_half-bigfloat": "32411be9a359b4873afe61fad565911a1d7e97a3e9a9b1f3533336a4e27d94cf",
+    "heat_half-bigfloat-p40": "19b60a5f5cd6a3a9db576275d66c5d0d3813340010b69d1ed475c1e535ed2be4",
     "heat_table": "f05a6519c171c0e39aa22ebedb7889c5ad5edcc5afd2524a4b654229ae5f4e64",
     "heat_tcoeff": "da9f202ef54c41c90a9c91edddb423cf492922b3109f5d28d1a425ab98033c80",
-    "heat_tcoeff-bigfloat": "7b96f0637d665e1ea7d3cdf708c06b82d20f853b2d51bee5fe3e600563717bf1",
-    "heat_tcoeff-bigfloat-p40": "f7be74711b6d8231ab638398a144bcc54f0018adb3ba32770463d4063ca80e01",
+    "heat_tcoeff-bigfloat": "f206f7d65a2ee410b3e9b7a8362136c300e14e72d6a811d4e53bbcc8d829d5e2",
+    "heat_tcoeff-bigfloat-p40": "bb1e7d3ac68fbb75b2263e61b436564ad193cdfeba700014213ef231cc1bab4e",
     "qdiff": "904b87cc08ff4fc19ef724659cb67271b945c6bd348bb89c7a791c9e59d45b51",
     "qdiff-bigfloat": "41ae1925a4c4627e83d552963017496c7a30f66876a5451ed109ca23e012ca8e",
     "mixed2d": "09fe9c922ed3332eda266075b9859697613f645f18b78f4fb2a20c57db51f89a",
     "third_order": "cbef725c0fa9f45f91264131329b2efa3d5af3f19b3a719edc6e84c2f86b99cf",
     "transport_z2": "4db9ac8ab0224156dbe025462dd4a2566b4009a1b55acb322dfd4ece9dee515f",
     "two_segment": "0c5d440715ed60863b106d812473e724ce9ebb6c5afd7b4158a9f34e4dcc839e",
-    "two_segment-bigfloat": "86e51b4a5ea7a4be92856ea9ad4a112d5a1261be99229afd64e801b911d53cba",
+    "two_segment-bigfloat": "2be88c3a5f19d17cae1e16d8786cdc4bfd4731302c960a4ff8acf668784e708c",
     "gamma_z2": "afaf5a3fec10c0718d70be3512ed9423d03085ed9336368ccd09de5609173bd4",
     "gamma_z2-bigfloat": "9ae3876c2172813fbe063056335158542894227d38c6c1a0ba7b2f24d58c3473",
 }

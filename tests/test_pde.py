@@ -325,10 +325,12 @@ def _same_items(a: PolySeries, b: PolySeries) -> bool:
 @pytest.mark.parametrize("j", [0, 1])
 def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j,
                                                              monkeypatch):
-    # the walk multiplies by |c| (times L) and subtracts where it would add
-    # a negative constant's part; adding or subtracting the parts must give
-    # what adding or subtracting the plain part a * D^2 u_i * w gives, bit
-    # for bit and key for key, also where L = 2 or 3 scales the sum
+    # apply multiplies by |c| (times L) and subtracts a negative constant's
+    # part where it adds the others: each (P u)_n must be what adding the
+    # plain part a * D^2 u_{n+j} * w to the principal part gives, bit for
+    # bit and key for key, also where L = 2 or 3 scales the sum.  For j = 1
+    # the part reads u_{n+1} at the principal part's weight, so u_{n+1} is
+    # set to cancel the plain part at keys 0, 4 and 8.
     rng = random.Random(f"{c}-{precision}-{j}")
     if precision is None:
         backend = RationalBackend()
@@ -348,26 +350,30 @@ def test_folded_sign_gives_the_bits_of_the_plain_add_and_sub(c, precision, j,
     a = PolySeries.constant(1, backend.scalar(c))
     term = OperatorTerm(j, (2,), TimeSeries([a], tail_exact=True))
     pde = MomentPDE(1, m0, [mz], [term])
-    stack = [PolySeries(1, {(k,): value() for k in range(14)}, (13,))
-             for _ in range(4)]
-    plains = {i: a.multiply(stack[i].moment_derive(0, mz, 2)).scale(
-        m0.value(i) / m0.value(i - j)) for i in (1, 2, 3)}
-    add = pde.add_parts(stack)
+    # the supports differ from entry to entry, so keys of one side are
+    # missing from the other
+    stack = [PolySeries(1, {(k,): value() for k in range(14) if (k + i) % 3},
+                        (13,)) for i in range(5)]
+    cancelled = {}
+    if j:
+        for n in range(4):
+            u = stack[n + 1]
+            d = u.moment_derive(0, mz, 2).coeffs
+            keys = [(g,) for g in (0, 4, 8) if (g,) in u.coeffs and (g,) in d]
+            cancelled[n] = keys
+            stack[n + 1] = PolySeries(1, {**u.coeffs, **{
+                g: -(a.coeffs[(0,)] * d[g]) for g in keys}}, u.valid)
+        assert all(cancelled.values())
+    wants = [stack[n + 1].scale(m0.value(n + 1) / m0.value(n)).add(
+        a.multiply(stack[n + j].moment_derive(0, mz, 2)).scale(
+            m0.value(n + j) / m0.value(n))) for n in range(4)]
     lefts = _recording(monkeypatch, "multiply")
-    for i, plain in plains.items():
-        cancelled = list(plain.coeffs)[::2]
-        accs = [PolySeries(1, {(k,): value() for k in range(0, 18, 2)}, (12,))]
-        for sign in (1, -1):  # acc - part, then acc + part, cancel there
-            cancel = {(k,): value() for k in range(6)}
-            cancel.update({g: sign * plain.coeffs[g] for g in cancelled})
-            accs.append(PolySeries(1, cancel))
-        for acc in accs:
-            assert _same_items(add(acc, 1, i - j, False), acc.add(plain))
-            assert _same_items(add(acc, 1, i - j, True), acc.sub(plain))
-        assert not set(cancelled) & set(accs[1].sub(plain).coeffs)
-        assert not set(cancelled) & set(accs[2].add(plain).coeffs)
+    applied = pde.apply(TimeSeries(stack))
+    for n, want in enumerate(wants):
+        assert _same_items(applied.coefficient(n), want), n
+        assert not set(cancelled.get(n, ())) & set(want.coeffs), n
     folded = {(0,): abs(a.coeffs[(0,)]) * pde.coefficient_denominator}
-    assert len(lefts) == 18 and all(left.coeffs == folded for left in lefts)
+    assert len(lefts) == 4 and all(left.coeffs == folded for left in lefts)
 
 
 def test_the_fold_is_computed_once_per_coefficient_entry(monkeypatch):
