@@ -9,7 +9,9 @@ only where an mpf is made or read, so rational runs never load it.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -67,6 +69,33 @@ def exact_multiplier(value):
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def mpf_from_fraction(ctx, value: Fraction):
+    """value in the mpmath context ctx, rounded once to nearest: the one
+    rule for a Fraction into big float (ctx.convert rounds toward zero)."""
+    from mpmath.libmp import from_rational, round_nearest
+
+    return ctx.make_mpf(from_rational(value.numerator, value.denominator,
+                                      ctx.prec, round_nearest))
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """No limit on int-to-decimal digits inside the block, which only output
+    enters: CPython 3.10.7 and later cap str(int) at
+    sys.get_int_max_str_digits() (4,300 by default), and parsing keeps that
+    cap.  The caller's limit comes back on every exit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # before 3.10.7: no limit
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def log_scalar(value) -> float:
@@ -157,12 +186,8 @@ class BigFloatBackend:
     def scalar(self, value):
         if isinstance(value, str):
             value = parse_rational(value)
-        if isinstance(value, Fraction):  # rounded once, to nearest
-            from mpmath.libmp import from_rational, round_nearest
-
-            return self.ctx.make_mpf(from_rational(
-                value.numerator, value.denominator, self.precision_bits,
-                round_nearest))
+        if isinstance(value, Fraction):
+            return mpf_from_fraction(self.ctx, value)
         return self.ctx.mpf(value)
 
     def zero(self):

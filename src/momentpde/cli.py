@@ -184,9 +184,7 @@ def _emit(payload: dict, out: str | None, write=_write_json) -> None:
 def cmd_solve(args) -> int:
     problem = load_problem(args.problem, _overrides(args))
     solution = solve(problem)
-    payload = solution_to_dict(problem, solution)
-    payload["validation"] = solution.validation.as_dict()
-    _emit(payload, args.out, write_solution)
+    _emit(solution_to_dict(problem, solution), args.out, write_solution)
     return 0
 
 

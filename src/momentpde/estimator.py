@@ -6,11 +6,6 @@ log n! recovers s as the coefficient of log n!; the polygon's reciprocal
 slope is an upper bound for it, so the verdict compares the fitted order
 against that bound plus a finite-size tolerance.  The bound need not be
 tight: convergent solutions fit near zero and still pass.
-
-The norms of a sharp problem also carry an algebraic factor n^kappa, which
-biases that s upward.  A second fit with log n as a fourth regressor
-models it; its s and kappa are reported beside the verdict, which does not
-read them.
 """
 
 from __future__ import annotations
@@ -38,13 +33,6 @@ class OrderFit(NamedTuple):
     window: tuple[int, int]
     rms_residual: float
     n_points: int
-    # the fit with log n as a fourth regressor (estimate_order)
-    s_hat4: Optional[float] = None
-    kappa: Optional[float] = None
-
-
-# fewest points for the 4-term fit; shorter windows fit kappa unstably
-MIN_POINTS_4 = 13
 
 
 def default_window(n_max: int) -> tuple[int, int]:
@@ -68,13 +56,6 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
     on a summation order.  norms is indexed by n starting at 0; zero
     entries are excluded.  Needs at least five positive entries in the
     window.
-
-    Over the same points, log v_n is also fitted with kappa*log n as a
-    fourth term, which models the algebraic factor n^kappa the norms carry
-    and so removes its bias from s: that fit's s and kappa are s_hat4 and
-    kappa.  It is taken only on at least MIN_POINTS_4 points, none of them
-    n = 0; otherwise, or when its system is singular, both stay None.  It
-    never raises.
     """
     n_top = len(norms) - 1
     lo, hi = window if window is not None else default_window(n_top)
@@ -95,20 +76,11 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
             f"only {len(ns)} positive norms in window [{lo}, {hi}]; need 5"
         )
     lgammas = [math.lgamma(n + 1) for n in ns]
-    columns = [[1] * len(ns), ns, lgammas]
-    coef = _least_squares(columns, logs)
+    coef = _least_squares([[1] * len(ns), ns, lgammas], logs)
     rms = math.sqrt(math.fsum(
         (coef[0] + coef[1] * n + coef[2] * lg - y) ** 2
         for n, lg, y in zip(ns, lgammas, logs)
     ) / len(ns))
-    s_hat4 = kappa = None
-    if len(ns) >= MIN_POINTS_4 and ns[0] > 0:
-        try:
-            coef4 = _least_squares(columns + [[math.log(n) for n in ns]], logs)
-        except FitError:  # a singular system: no 4-term fit
-            pass
-        else:
-            s_hat4, kappa = coef4[2], coef4[3]
     return OrderFit(
         s_hat=coef[2],
         logB_hat=coef[1],
@@ -116,8 +88,6 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
         window=(lo, hi),
         rms_residual=rms,
         n_points=len(ns),
-        s_hat4=s_hat4,
-        kappa=kappa,
     )
 
 
@@ -223,8 +193,9 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     polygon bound.
 
     mode `nagumo_profile` uses v_n = ||u_n|| at n*alpha0 with the problem's
-    order vector at radius r; mode `sup_proxy` uses the ell-1 norms at
-    radius rho.  Both radii must be positive in either mode.  The window is
+    order vector at radius r; mode `sup_proxy` uses the zero-index profile,
+    the ell-1 norms at radius rho.  Either way v_n is one nagumo_profile.
+    Both radii must be positive in either mode.  The window is
     clamped to the trusted range first, and a norm is taken only for n in
     the window, the only ones the fit reads; lower_bound_norms is set when
     any trusted u_n is a truncation, in or out of the window.  The reported
@@ -256,19 +227,11 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
     lower = any(not numerators.is_exact() for numerators in trusted)
     r = _positive("r", _first(r, est.r, Fraction(1, 2)))
     rho = _positive("rho", _first(rho, est.rho, Fraction(1, 4)))
-    norms = [None] * lo
-    a0 = None
-    if mode == "nagumo_profile":
-        a0 = alpha0(problem.pde)
-        norms += nagumo_profile(solution, a0, r, problem.pde.s,
-                                range(lo, hi + 1))
-    else:
-        powers: dict = {}  # rho^d, shared by every coefficient's norm
-        for n in range(lo, hi + 1):
-            # ||u_n|| = ||N_n|| / d_n, exactly (solver module docstring)
-            norm = trusted[n].ell1_norm(rho, powers)
-            d = solution.denominators[n]
-            norms.append(norm if d == 1 else norm / d)
+    a0 = alpha0(problem.pde) if mode == "nagumo_profile" else None
+    # sup_proxy reads the zero-index profile: the ell-1 norms at rho
+    index, radius = (a0, r) if a0 else ((0,) * problem.num_vars, rho)
+    norms = [None] * lo + nagumo_profile(solution, index, radius,
+                                         problem.pde.s, range(lo, hi + 1))
 
     if all(not norms[n] > 0 for n in range(lo, hi + 1)):
         # all-zero tail: a polynomial (convergent) solution

@@ -357,30 +357,35 @@ def nagumo_profile(solution, alpha0: Exponents, r, s,
     """The norm sequence v_n = ||u_n|| at multi-index n*alpha0, for n in
     indices, by default the whole trusted prefix of the solution.
 
-    v_0 uses the zero-index (ell-1) norm.  The norm of u_n = N_n / d_n is
+    alpha0 has all components >= 1, and then v_0 uses the zero-index norm;
+    or it is the zero index, and every v_n is the ell-1 norm at r (the
+    alpha = 0 member of the family), all of them reading one table of the
+    powers r^d (series module docstring).  The norm of u_n = N_n / d_n is
     exact exactly when that of N_n is, and then it is ||N_n|| / d_n, the
     same Fraction; where it is taken over double logs it is taken again on
     the reduced values of u_n, so the logs are theirs.
     """
-    if any(a < 1 for a in alpha0):
-        raise ParameterError("alpha0 must have all components >= 1")
-    out = []
+    zero = not any(alpha0)
+    if not zero and min(alpha0) < 1:
+        raise ParameterError("alpha0 must be zero or have all components >= 1")
+    powers: dict = {}
+
+    def norm(f: PolySeries, n: int):
+        if zero:
+            return f.ell1_norm(r, powers)
+        alpha = tuple(n * a for a in alpha0) if n else (0,) * len(alpha0)
+        return nagumo_norm(f, NagumoParams(alpha, r, s))
+
     if indices is None:
         indices = range(solution.valid_t_order + 1)
+    out = []
     for n in indices:
-        numerators = solution.coefficients.coefficient(n)
+        value = norm(solution.coefficients.coefficient(n), n)
         d = solution.denominators[n]
-        if n == 0:
-            params = NagumoParams((0,) * numerators.num_vars, r, s)
-        else:
-            params = NagumoParams(tuple(n * a for a in alpha0), r, s)
-        norm = nagumo_norm(numerators, params)
-        if d != 1:
-            if _rational_value(norm):
-                norm = norm / d
-            else:  # taken over double logs, which must be the values' logs
-                norm = nagumo_norm(solution.coefficient(n), params)
-        out.append(norm)
+        if d != 1:  # over double logs: taken again on the values
+            value = (value / d if _rational_value(value)
+                     else norm(solution.coefficient(n), n))
+        out.append(value)
     return out
 
 

@@ -53,6 +53,7 @@ from .backends import (
     make_backend,
     parse_rational,
     scalar_to_fraction,
+    unlimited_int_digits,
 )
 from .moments import (
     FactorialPower,
@@ -468,27 +469,30 @@ def _coefficients(poly: PolySeries, d: int) -> list[dict]:
 
 
 def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
-    """The solution dump: per-n sparse coefficient lists with validity."""
-    entries = [{
-        "n": n,
-        "valid": list(poly.valid),
-        "trusted": n <= solution.valid_t_order,
-        "coefficients": _coefficients(poly, d),
-    } for n, (poly, d) in enumerate(zip(solution.coefficients.entries,
-                                        solution.denominators))]
-    return {
-        "format": "momentpde.solution/1",
-        "backend": problem.backend.describe(),
-        "t_order": solution.t_order,
-        "valid_t_order": solution.valid_t_order,
-        "num_vars": problem.num_vars,
-        "q_table": [
-            {"j": j, "alpha": list(alpha), "q": q}
-            for (j, alpha), q in sorted(problem.pde.q_table().items())
-        ],
-        "residual_max": _fmt(solution.residual_max),
-        "entries": entries,
-    }
+    """The solution dump: per-n sparse coefficient lists with validity, and
+    the validation report.  A value may have any number of digits
+    (backends.unlimited_int_digits)."""
+    with unlimited_int_digits():
+        return {
+            "format": "momentpde.solution/1",
+            "backend": problem.backend.describe(),
+            "t_order": solution.t_order,
+            "valid_t_order": solution.valid_t_order,
+            "num_vars": problem.num_vars,
+            "q_table": [
+                {"j": j, "alpha": list(alpha), "q": q}
+                for (j, alpha), q in sorted(problem.pde.q_table().items())
+            ],
+            "residual_max": _fmt(solution.residual_max),
+            "entries": [{
+                "n": n,
+                "valid": list(poly.valid),
+                "trusted": n <= solution.valid_t_order,
+                "coefficients": _coefficients(poly, d),
+            } for n, (poly, d) in enumerate(zip(solution.coefficients.entries,
+                                                solution.denominators))],
+            "validation": solution.validation.as_dict(),
+        }
 
 
 # One coefficient {"powers": [...], "value": "..."} of an entry's list, with

@@ -84,18 +84,17 @@ of operands (an int or an mpf value on either side) takes the generic loop.
 
 `ell1_norm` multiplies |f_gamma| by r^|gamma| read from a table of powers
 of r by degree, which a caller that takes many norms at one r (the
-sup_proxy estimate) shares across its calls.  An mpf times a Fraction
-converts the Fraction through the mpf's context `convert` (one rounding,
-toward zero) before it multiplies, so each table entry is converted exactly
-that way, once; BigFloatBackend.scalar rounds to nearest, which can give
-another mpf, and is not used here.  At r = 1 the multiply
-is skipped for mpf values: abs(v) is already rounded to the context's
-precision, and times 1 it stays what it is.  An int-valued series (an
-exact solution's numerators) at a Fraction radius p/q is summed on ints,
-sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top the largest d, and
-divided by q^top once: the same Fraction, with none built per term.  A
-Fraction-valued series takes the same sum on the numerators L * f_gamma
-over the values' lcm L, divided by L * q^top.
+zero-index profile of `nagumo.nagumo_profile`) shares across its calls.
+For mpf values at a Fraction radius each table entry is rounded to nearest
+once, by `backends.mpf_from_fraction`, the rule BigFloatBackend.scalar
+follows; an mpf times the Fraction itself would round it toward zero.  At
+r = 1 the multiply is skipped for mpf values: abs(v) is already rounded to
+the context's precision, and times 1 it stays what it is.  An int-valued
+series (an exact solution's numerators) at a Fraction radius p/q is summed
+on ints, sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top the
+largest d, and divided by q^top once: the same Fraction, with none built
+per term.  A Fraction-valued series takes the same sum on the numerators
+L * f_gamma over the values' lcm L, divided by L * q^top.
 
 Operations are pure; values are treated as immutable after construction.
 Iteration over coefficients is in sorted exponent order so that big-float
@@ -109,7 +108,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .backends import exact_multiplier, is_mpf, parse_rational
+from .backends import (exact_multiplier, is_mpf, mpf_from_fraction,
+                       parse_rational)
 from .moments import MomentSequence
 
 Exponents = tuple[int, ...]
@@ -454,9 +454,9 @@ class PolySeries:
             # abs(v) is rounded to the context's precision, so * 1 keeps it
             terms = [abs(v) for _, v in items]
         else:
-            # an mpf times a Fraction converts it to an mpf first, through
-            # its context, with one rounding: convert each power that way
-            lift = type(first).context.convert if is_mpf(first) else None
+            # each Fraction power goes into big float rounded to nearest
+            ctx = (type(first).context
+                   if is_mpf(first) and type(r) is Fraction else None)
             if powers is None:
                 powers = {}
             terms = []
@@ -465,8 +465,8 @@ class PolySeries:
                 p = powers.get(d)
                 if p is None:
                     p = r ** d
-                    if lift is not None:
-                        p = lift(p)
+                    if ctx is not None:
+                        p = mpf_from_fraction(ctx, p)
                     powers[d] = p
                 terms.append(abs(value) * p)
         total = terms[0]

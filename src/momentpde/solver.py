@@ -19,8 +19,8 @@ ints, in big float it holds the values and d_n = 1.  The initial data give
 N_j / d_j = phi_j / m0(j), over the least common denominator of phi_j's
 values in exact mode.  A step forms, once per (n-p, alpha), D_z^alpha
 u_{n-p} as numerators over one denominator, in one pass over the keys per
-moving axis i (alpha_i != 0): a key kappa with kappa_i >= alpha_i moves to
-kappa_i - alpha_i and its numerator is multiplied by that entry of the
+moving axis i (alpha_i != 0): a key g with g_i >= alpha_i moves to
+g_i - alpha_i and its numerator is multiplied by that entry of the
 order-alpha_i multiplier list (moments module docstring).  Where the list's
 entries up to the keys' top degree hold a Fraction, they are taken over the
 lcm of their denominators, which goes into the derivative's denominator; a
@@ -100,6 +100,7 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
+from .backends import unlimited_int_digits
 from .moments import MomentSequence
 from .pde import CauchyProblem, ValidationError, ValidationReport, validate
 from .series import (
@@ -182,16 +183,18 @@ def solve(problem: CauchyProblem) -> FormalSolution:
 
 
 def _mismatch_message(problem: CauchyProblem, solution: FormalSolution) -> str:
-    """Name the first (n, gamma) where (P u)_n != f_n, then the residual."""
+    """Name the first (n, gamma) where (P u)_n != f_n, then the residual,
+    printed with no limit on their digits (backends.unlimited_int_digits)."""
     scale, differences = _differences(problem, solution)
     n, diff = next((n, diff) for n, diff in differences if not diff.is_zero())
     gamma = min(diff.coeffs)
-    return (
-        f"(P u)_{n} - f_{n} is {Fraction(diff.coeffs[gamma], scale)} at "
-        f"gamma={gamma}, the first non-zero coefficient; exact residual is "
-        f"{solution.residual_max}, not 0: the recurrence and the operator "
-        "disagree"
-    )
+    with unlimited_int_digits():
+        return (
+            f"(P u)_{n} - f_{n} is {Fraction(diff.coeffs[gamma], scale)} at "
+            f"gamma={gamma}, the first non-zero coefficient; exact residual "
+            f"is {solution.residual_max}, not 0: the recurrence and the "
+            "operator disagree"
+        )
 
 
 def _reduced(nums: dict, den: int) -> tuple[dict, int]:

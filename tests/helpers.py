@@ -13,6 +13,7 @@ from momentpde import (
     SolveError,
     TimeSeries,
 )
+from momentpde.backends import log_scalar
 
 
 def add_time_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
@@ -164,3 +165,56 @@ def least_squares_reference(columns, target) -> list[float]:
                 factor = rows[i][k]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return [float(row[-1]) for row in rows]
+
+
+def _log(x) -> float:
+    """log x, to a double's relative precision also near x = 1 when x is
+    exact: the log1p of the exact x - 1."""
+    if isinstance(x, (int, Fraction)) and abs(x - 1) < 1:
+        return math.log1p(float(x - 1))
+    return log_scalar(x)
+
+
+def ratio_order(norms, order: int = 4, spread: float = 1e-3
+                ) -> tuple[float, bool]:
+    """The growth order s of norms v_n ~ C A^n n!^s n^kappa (1 + c/n + ...)
+    by the ratio method (Domb and Sykes, Proc. R. Soc. A 240 (1957) 214).
+
+    The second log-ratios s_n = log(v_{n+h} v_{n-h} / v_n^2) divided by
+    log((n+h)! (n-h)! / n!^2) tend to s with corrections in powers of 1/n,
+    which Richardson extrapolation in 1/n over the last k + 1 of them
+    removes up to order k: that is R_k.  The step h is the period of the
+    non-zero norms, the gcd of the gaps between their indices.  Where the
+    three norms are exact the ratio is an exact Fraction and its one log is
+    taken as log1p of ratio - 1; otherwise it is a sum of double logs.
+    Returns R_order and whether R_2 .. R_order lie within spread of each
+    other, the test that the extrapolation converges.  The reference for
+    the growth order where the polygon bound is sharp.
+    """
+    indices = [n for n, v in enumerate(norms) if v > 0]
+    h = 0
+    for a, b in zip(indices, indices[1:]):
+        h = math.gcd(h, b - a)
+    top = indices[-1]
+    points = []  # (n, s_n) for n = top - h, top - 2h, ..., top - (order + 1)h
+    for n in range(top - h, top - (order + 2) * h, -h):
+        above, here, below = norms[n + h], norms[n], norms[n - h]
+        if all(isinstance(v, (int, Fraction)) for v in (above, here, below)):
+            log_ratio = _log(Fraction(above * below) / (here * here))
+        else:
+            log_ratio = (log_scalar(above) + log_scalar(below)
+                         - 2 * log_scalar(here))
+        factorials = Fraction(math.factorial(n + h) * math.factorial(n - h),
+                              math.factorial(n) ** 2)
+        points.append((n, log_ratio / _log(factorials)))
+    extrapolants = []
+    for k in range(order + 1):
+        # the value at 1/n = 0 of the degree-k polynomial in 1/n through the
+        # last k + 1 points (Lagrange weights, exact)
+        last = points[:k + 1]
+        extrapolants.append(math.fsum(
+            float(math.prod(Fraction(n_j, n_j - n_i)
+                            for n_i, _ in last if n_i != n_j)) * s_j
+            for n_j, s_j in last))
+    tail = extrapolants[2:]
+    return extrapolants[-1], max(tail) - min(tail) <= spread

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import momentpde
-from momentpde import MomentPDE, PolySeries, TimeSeries, solver
+from momentpde import MomentPDE, PolySeries, TimeSeries, problem_io, solver
 from momentpde.cli import main
 
 PROBLEMS = Path(__file__).parent / "problems"
@@ -340,6 +340,94 @@ def test_wrong_solution_names_the_first_mismatch(name, message, capsys,
     payload = json.loads(err)
     assert payload["error"] == "SolveError"
     assert payload["message"].startswith(message)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="CPython before 3.10.7 has no limit on int-to-decimal conversion")
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """The caller's limit on int-to-decimal conversion set to limit, and
+    the previous one restored after."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("backend", ["rational", "bigfloat"])
+def test_solve_prints_values_past_the_digit_limit(backend, tmp_path, capsys):
+    # data z^3000 for u_t = -D_z^3 u: u_n = (-1)^n 3000!/((3000-3n)! n!)
+    # z^(3000-3n) passes 4,300 digits near n = 570, which the default limit
+    # on str(int) refused; the limit holds again after the command
+    doc = json.loads((PROBLEMS / "third_order.json").read_text())
+    doc["initial"] = [[{"z_powers": [3000], "value": "1"}]]
+    path = tmp_path / "z3000.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    with digit_limit(4300):
+        code, _, err = run(capsys, "solve", path, "--t-order", "580",
+                           "--z-degree", "3000", "--backend", backend,
+                           "--out", out)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 4300
+    payload = json.loads(out.read_text())
+    digits = max(len(c["value"]) for entry in payload["entries"]
+                 for c in entry["coefficients"])
+    assert digits > 4300
+
+
+@needs_digit_limit
+def test_a_low_caller_digit_limit_is_restored(capsys, monkeypatch):
+    # heat at t-order 200 prints values of over 640 digits, the lowest limit
+    # CPython allows; the caller's 640 holds again after the dump, also
+    # after one that raises
+    with digit_limit(640):
+        code, out, _ = run(capsys, "solve", PROBLEMS / "heat.json",
+                           "--t-order", "200", "--z-degree", "600")
+        assert code == 0
+        assert max(map(len, out.split())) > 640
+        assert sys.get_int_max_str_digits() == 640
+
+        def failing(value):
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(problem_io, "_fmt", failing)
+        with pytest.raises(RuntimeError, match="dump failed"):
+            main(["solve", str(PROBLEMS / "heat.json"), "--t-order", "4"])
+        assert sys.get_int_max_str_digits() == 640
+
+
+@needs_digit_limit
+def test_mismatch_message_prints_a_value_past_the_digit_limit(capsys,
+                                                              monkeypatch):
+    # as in the test above, u_2 gains z^3/7, here times 10^5000: the
+    # message names a value of 5,001 digits and the exit is still 2
+    recurrence = solver._integer_recurrence
+
+    def wrong(problem):
+        numerators, denominators = recurrence(problem)
+        d = denominators[2]
+        numerators[2] = numerators[2].scale(7).add(
+            PolySeries(1, {(3,): d * 10 ** 5000}))
+        denominators[2] = 7 * d
+        return numerators, denominators
+
+    monkeypatch.setattr(solver, "_integer_recurrence", wrong)
+    with digit_limit(4300):
+        code, out, err = run(capsys, "solve", PROBLEMS / "heat.json",
+                             "--t-order", "6", "--z-degree", "20")
+        assert sys.get_int_max_str_digits() == 4300
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "SolveError"
+    assert payload["message"].startswith(
+        "(P u)_1 - f_1 is 2" + "0" * 5000 + "/7 at gamma=(3,), ")
 
 
 def test_overclaimed_validity_exit_two(capsys, monkeypatch):

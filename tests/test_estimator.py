@@ -23,10 +23,12 @@ from momentpde import (
     RationalBackend,
     TimeSeries,
     alpha0,
+    build,
     estimate_order,
     estimator,
     exponential_series,
     geometric_series,
+    k1_inverse,
     nagumo,
     nagumo_norm,
     nagumo_profile,
@@ -37,7 +39,7 @@ from momentpde import (
 from momentpde.backends import log_scalar
 from momentpde.problem_io import load_problem
 
-from helpers import least_squares_reference
+from helpers import least_squares_reference, ratio_order
 
 F = Fraction
 
@@ -134,14 +136,6 @@ def test_fit_is_the_exact_least_squares_solution(case):
         [log_scalar(norms[n]) for n in ns])
     assert [fit.logA_hat, fit.logB_hat, fit.s_hat] == want
     assert fit.n_points == len(ns)
-    if len(ns) < estimator.MIN_POINTS_4 or ns[0] == 0:
-        assert (fit.s_hat4, fit.kappa) == (None, None)
-        return
-    want4 = least_squares_reference(
-        [[1.0] * len(ns), [float(n) for n in ns],
-         [math.lgamma(n + 1) for n in ns], [math.log(n) for n in ns]],
-        [log_scalar(norms[n]) for n in ns])
-    assert [fit.s_hat4, fit.kappa] == want4[2:]
 
 
 @pytest.mark.parametrize("width", [2, 3, 4])
@@ -377,63 +371,62 @@ def test_fit_attains_the_order_where_the_bound_is_sharp(name):
     assert abs(F(report.s_hat) - report.k1_inverse) <= report.tolerance
 
 
-# The fixtures whose growth order is 1/k1, each in its shipped mode and
-# t-order.  heat_tcoeff's norms vanish at odd n, so its shipped window
-# [20, 40] holds 11 fit points; [16, 40] holds the 13 the 4-term fit needs.
-SHARP_FOUR_TERM = {
-    "heat": None, "third_order": None, "two_segment": None, "gamma_z2": None,
-    "heat_half": None, "heat_tcoeff": (16, 40), "fractional": None,
+# The fixtures whose growth order is 1/k1, each at a (t-order, z-degree)
+# where every u_n up to the t-order is trusted, since the ratio method reads
+# the top of the profile.  heat_tcoeff's norms vanish at odd n (step h = 2);
+# fractional is solved in big float, its shipped backend.
+SHARP = {
+    "heat": (80, [160]), "third_order": (48, [144]), "two_segment": (40, [80]),
+    "gamma_z2": (40, [80]), "heat_tcoeff": (60, [120]),
+    "fractional": (64, [128]), "heat_half": (60, [120]),
+    "mixed2d": (24, [48, 48]), "table_order1": (16, [32]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SHARP_FOUR_TERM))
-def test_four_term_fit_attains_the_order_where_the_bound_is_sharp(name):
-    # the n^kappa factor of the norms (kappa near -s/2) biases the
-    # 3-term s_hat upward by up to 0.06; with log n as a regressor the fit
-    # lands within 0.01 of 1/k1, a check a k1 off by 1/20 fails
-    problem, solution = _solved(Path(__file__).parent / f"problems/{name}.json")
-    report = verify_theorem(problem, solution, window=SHARP_FOUR_TERM[name])
-    fit = report.fit
-    assert fit.n_points >= estimator.MIN_POINTS_4
-    assert abs(F(fit.s_hat4) - report.k1_inverse) <= F(1, 100)
-    assert fit.s_hat4 < fit.s_hat
-    assert -1.0 < fit.kappa / report.k1_inverse < 0
+def _trusted_profile(name, t_order, z_degree):
+    """The problem and its nagumo_profile at r = 1/2, every n trusted."""
+    problem = load_problem(Path(__file__).parent / f"problems/{name}.json",
+                           {"t_order": t_order, "z_degree": z_degree})
+    solution = solve(problem)
+    assert solution.valid_t_order == t_order
+    return problem, nagumo_profile(solution, alpha0(problem.pde), F(1, 2),
+                                   problem.pde.s)
 
 
-def test_four_term_fit_recovers_an_algebraic_factor():
-    # v_n = 3^n n!^(1/2) n^(-1/4): the 3-term fit is biased, the 4-term is not
-    norms = [math.exp(n * math.log(3) + 0.5 * math.lgamma(n + 1)
-                      - 0.25 * math.log(n)) if n else 1.0 for n in range(41)]
-    fit = estimate_order(norms, (20, 40))
-    assert abs(fit.s_hat4 - 0.5) < 1e-9
-    assert abs(fit.kappa + 0.25) < 1e-9
-    assert abs(fit.s_hat - 0.5) > 1e-3
+@pytest.mark.parametrize("name", sorted(SHARP))
+def test_ratio_method_attains_the_order_where_the_bound_is_sharp(name):
+    # the verdict is one-sided (s_hat <= 1/k1 + tolerance); on these fixtures
+    # the growth order is 1/k1 itself, and the extrapolated second
+    # log-ratios of the profile land on it within 1e-4, which a k1 off by
+    # 1/20 fails by far
+    problem, norms = _trusted_profile(name, *SHARP[name])
+    order, converged = ratio_order(norms)
+    assert converged
+    for bound in (k1_inverse(problem.pde), build(problem.pde).k1_inverse):
+        assert abs(F(order) - bound) <= F(1, 10_000)
 
 
-@pytest.mark.parametrize("window, points", [((28, 40), 13), ((29, 40), 12),
-                                            ((0, 40), 41)])
-def test_four_term_fit_needs_thirteen_points_and_no_n_zero(window, points):
-    norms = [math.exp(0.5 * math.lgamma(n + 1)) for n in range(41)]
-    fit = estimate_order(norms, window)
-    assert fit.n_points == points
-    taken = points >= estimator.MIN_POINTS_4 and window[0] > 0
-    assert (fit.s_hat4 is not None, fit.kappa is not None) == (taken, taken)
+@pytest.mark.parametrize("name, t_order, z_degree", [
+    ("heat2d", 18, [36, 36]),    # too short a trusted range
+    ("transport_z2", 24, [48]),  # 1/k1 = 0: the extrapolants run off
+], ids=["heat2d", "transport_z2"])
+def test_ratio_method_flags_a_profile_where_it_does_not_converge(
+        name, t_order, z_degree):
+    _, norms = _trusted_profile(name, t_order, z_degree)
+    assert not ratio_order(norms)[1]
 
 
-def test_four_term_fit_on_a_singular_system_gives_none(monkeypatch):
-    least_squares = estimator._least_squares
-
-    def singular_for_four(columns, target):
-        if len(columns) == 4:
-            raise FitError("degenerate design matrix; widen the window")
-        return least_squares(columns, target)
-
-    norms = [math.exp(0.5 * math.lgamma(n + 1)) for n in range(41)]
-    want = estimate_order(norms, (10, 40))
-    monkeypatch.setattr(estimator, "_least_squares", singular_for_four)
-    fit = estimate_order(norms, (10, 40))
-    assert (fit.s_hat4, fit.kappa) == (None, None)
-    assert fit[:6] == want[:6]
+@pytest.mark.parametrize("step", [1, 2])
+def test_ratio_method_recovers_the_order_past_an_algebraic_factor(step):
+    # v_n = 3^n n!^(1/2) n^(-1/4) at the multiples of step, 0 between them:
+    # the step is read from the non-zero norms, and n^(-1/4) is a 1/n
+    # correction of the ratios that the extrapolation removes
+    norms = [1.0] + [math.exp(n * math.log(3) + 0.5 * math.lgamma(n + 1)
+                              - 0.25 * math.log(n)) if n % step == 0 else 0.0
+                     for n in range(1, 41)]
+    order, converged = ratio_order(norms)
+    assert converged
+    assert abs(order - 0.5) < 1e-5
 
 
 @pytest.mark.parametrize("window", [None, (0, 10), (20, 30)])

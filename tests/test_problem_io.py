@@ -297,10 +297,7 @@ def test_solution_dump_shape():
 
 def _solve_payload(problem) -> dict:
     """The payload `momentpde solve` writes."""
-    solution = solve(problem)
-    payload = solution_to_dict(problem, solution)
-    payload["validation"] = solution.validation.as_dict()
-    return payload
+    return solution_to_dict(problem, solve(problem))
 
 
 def _assert_written_as_json_dumps(payload: dict) -> None:

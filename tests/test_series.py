@@ -669,10 +669,15 @@ def _random_mpf_series(rng, backend, num_vars, valid=None, size=40):
     return PolySeries(num_vars, coeffs, valid)
 
 
-def _old_ell1(f: PolySeries, r):
+def _old_ell1(f: PolySeries, r, convert=None):
+    """The per-term sum; convert, where given, takes each power r^d into
+    the values' domain first."""
     total = None
     for exponents in support(f):
-        term = abs(f.coeffs[exponents]) * r ** sum(exponents)
+        power = r ** sum(exponents)
+        if convert is not None:
+            power = convert(power)
+        term = abs(f.coeffs[exponents]) * power
         total = term if total is None else total + term
     return r * 0 if total is None else total
 
@@ -713,13 +718,31 @@ def test_shared_power_table_matches_the_per_term_power(precision, num_vars):
     for rho in (F(1, 3), F(3, 7), F(1, 4)):
         powers: dict = {}
         for f in series:
-            want = _old_ell1(f, rho)
+            # each power rounded to nearest, as the backend rounds a Fraction
+            want = _old_ell1(f, rho, backend.scalar)
             assert _same(f.ell1_norm(rho, powers), want)
             assert _same(f.ell1_norm(rho), want)
         assert set(powers) == {sum(k) for f in series for k in f.coeffs}
     for one in (1, F(1), backend.one()):
         for f in series:
             assert _same(f.ell1_norm(one), _old_ell1(f, one))
+
+
+def test_power_table_rounds_each_fraction_power_to_nearest():
+    # at 24 bits 18 of the powers (1/3)^d, d = 1..39, round differently
+    # toward zero (an mpf times a Fraction) and to nearest; the table holds
+    # the nearest, backend.scalar's value, so ell1_norm and the backend
+    # follow one rule
+    backend = BigFloatBackend(24)
+    rho = F(1, 3)
+    f = PolySeries(1, {(d,): backend.one() for d in range(40)})
+    powers: dict = {}
+    f.ell1_norm(rho, powers)
+    toward_zero = 0
+    for d in range(1, 40):
+        assert powers[d]._mpf_ == backend.scalar(rho ** d)._mpf_
+        toward_zero += (backend.one() * rho ** d)._mpf_ != powers[d]._mpf_
+    assert toward_zero == 18
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
