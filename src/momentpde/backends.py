@@ -1,10 +1,40 @@
 """Scalar backends: exact rational arithmetic or arbitrary-precision binary floats.
 
 Every problem is solved over a single scalar domain.  The rational backend
-works with ``fractions.Fraction`` and is exact; the big-float backend wraps a
-private mpmath context with a configurable mantissa (default 256 bits), so
-precision does not depend on the global mpmath state.  mpmath is imported
-only where an mpf is made or read, so rational runs never load it.
+works with ``fractions.Fraction`` and is exact; the big-float backend works
+in an mpmath context apart from mpmath's global one, with a configurable
+mantissa (default 256 bits), so precision does not depend on the global
+mpmath state.  mpmath is
+imported only where an mpf is made or read, so rational runs never load it.
+
+There is one context per precision, shared by every big-float backend of
+that precision (`shared_context`), and its precision never changes after it
+is made.  A clone of mpmath's context costs about 0.4 ms and holds a few
+hundred objects in reference cycles, so a context per loaded problem left
+that many for the cyclic collector each time a problem was dropped.
+
+Raw arithmetic.  The hot big-float kernels (series and solver module
+docstrings) do their mpf arithmetic through `MpfArith`, the one place that
+knows mpmath.libmp's arithmetic, the `_mpf_` tuple and a context's
+(precision, rounding).  It is bit for bit the arithmetic of the mpf
+operators, which for x * y on two mpfs call
+`libmp.mpf_mul(x._mpf_, y._mpf_, prec, rounding)` with the (prec, rounding)
+of x's context and wrap the result in a new mpf; +, -, unary - and abs call
+mpf_add, mpf_sub, mpf_neg and mpf_abs the same way.  MpfArith makes the same
+calls with the same precision and rounding, and a shared context's are
+fixed, but it wraps only the value a kernel stores, once, as the context's
+make_mpf wraps: partial sums, the steps of a product chain and abs terms
+stay tuples, and none of the operator's dispatch runs.  A raw sum is zero
+when it equals `libmp.fzero`, which is exactly when the mpf would be falsy;
+a zero mantissa alone would not do, as inf and nan have one too.  A kernel
+takes the raw path only when `mpf_arith` finds every value it reads to be
+an mpf of one shared context; an int, a Fraction or an mpf of any other
+context takes the operators.
+
+Exact values formed from a moment order (`exact_pow`, the factorials of
+RationalBackend.gamma and of an integral gamma sequence's ratios) are
+checked against one bit budget, `EXACT_BIT_BUDGET`, before they are formed,
+so a huge order is a BackendError, not a hang.
 """
 
 from __future__ import annotations
@@ -117,16 +147,156 @@ def log_scalar(value) -> float:
     return math.log(value)
 
 
+# The largest exact value a moment sequence may form, in bits: 2 MiB, about
+# five million decimal digits.  A moment value near it is already far past
+# what the solver multiplies or the dump prints in reasonable time, while a
+# value such as (n+1)^(10^400), from a moment order given as "1e400", could
+# never be formed.
+EXACT_BIT_BUDGET = 1 << 24
+
+
+def too_many_bits(what: str) -> BackendError:
+    """The error for an exact value past EXACT_BIT_BUDGET.  what names the
+    value by sizes only: its numbers may be too long to print."""
+    return BackendError(f"{what} passes {EXACT_BIT_BUDGET} bits; exact "
+                        "value unavailable")
+
+
 def exact_pow(base: Fraction, exponent: Fraction) -> Fraction:
     """base**exponent for integer exponents only; exact.  base itself for
-    exponent 1."""
+    exponent 1.  A power of at least |exponent| * (bit length of base's
+    larger part - 1) bits past the budget raises before it is formed."""
     if exponent.denominator != 1:
         raise BackendError(
             f"exponent {exponent} is not an integer; exact power unavailable"
         )
     if exponent == 1:
         return base
+    bits = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
+    if abs(exponent.numerator) * (bits - 1) > EXACT_BIT_BUDGET:
+        raise too_many_bits(f"a {bits}-bit base to an exponent of "
+                            f"{exponent.numerator.bit_length()} bits")
     return base ** int(exponent)
+
+
+def factorial_bits(m: int) -> int:
+    """A lower bound on the bits of m!: m * (log2 m - log2 e) >= m *
+    (bit length of m - 3)."""
+    return m * (m.bit_length() - 3)
+
+
+_CONTEXTS: dict = {}  # precision_bits -> the shared mpmath context
+_ARITH: dict = {}  # the mpf type of a shared context -> its MpfArith
+
+
+def shared_context(precision_bits: int):
+    """The one mpmath context at precision_bits, made on first use and
+    never changed after (module docstring)."""
+    ctx = _CONTEXTS.get(precision_bits)
+    if ctx is None:
+        import mpmath
+
+        ctx = mpmath.mp.clone()
+        ctx.prec = precision_bits
+        _CONTEXTS[precision_bits] = ctx
+        _ARITH[ctx.mpf] = MpfArith(ctx)
+    return ctx
+
+
+class MpfArith:
+    """The mpf arithmetic of one shared context, as libmp calls on the
+    values' `_mpf_` tuples (module docstring).  Each function takes and
+    returns mpfs of ctx, rounded as the mpf operators round:
+
+    - product(x, y) is x * y;
+    - plus(x, y) and minus(x, y) are x + y and x - y, or None where the
+      result is 0;
+    - negative(x) is -x;
+    - chain(x, factors) is x times each factor in turn, ((x * f1) * f2) ...;
+    - norm(values, scales) is abs(v1) + abs(v2) + ..., added in order, or
+      abs(v1) * s1 + abs(v2) * s2 + ... where scales are given.
+
+    The steps of a chain and the terms and partial sums of a norm stay
+    tuples; each result is wrapped once, as the context's make_mpf wraps
+    (inline in the per-value functions, which are the most frequent)."""
+
+    __slots__ = ("product", "plus", "minus", "negative", "chain", "norm")
+
+    def __init__(self, ctx):
+        from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg,
+                                  mpf_sub)
+
+        prec, rounding = ctx._prec_rounding
+        new, mpf, wrap = object.__new__, ctx.mpf, ctx.make_mpf
+
+        def product(x, y):
+            value = new(mpf)
+            value._mpf_ = mpf_mul(x._mpf_, y._mpf_, prec, rounding)
+            return value
+
+        def plus(x, y):
+            total = mpf_add(x._mpf_, y._mpf_, prec, rounding)
+            if total == fzero:
+                return None
+            value = new(mpf)
+            value._mpf_ = total
+            return value
+
+        def minus(x, y):
+            total = mpf_sub(x._mpf_, y._mpf_, prec, rounding)
+            if total == fzero:
+                return None
+            value = new(mpf)
+            value._mpf_ = total
+            return value
+
+        def negative(x):
+            value = new(mpf)
+            value._mpf_ = mpf_neg(x._mpf_, prec, rounding)
+            return value
+
+        def chain(x, factors):
+            x = x._mpf_
+            for factor in factors:
+                x = mpf_mul(x, factor._mpf_, prec, rounding)
+            return wrap(x)
+
+        def norm(values, scales=None):
+            if scales is None:
+                terms = [mpf_abs(v._mpf_, prec, rounding) for v in values]
+            else:
+                terms = [mpf_mul(mpf_abs(v._mpf_, prec, rounding), s._mpf_,
+                                 prec, rounding)
+                         for v, s in zip(values, scales)]
+            total = terms[0]
+            for term in terms[1:]:
+                total = mpf_add(total, term, prec, rounding)
+            return wrap(total)
+
+        self.product = product
+        self.plus = plus
+        self.minus = minus
+        self.negative = negative
+        self.chain = chain
+        self.norm = norm
+
+
+def mpf_arith(*groups):
+    """The MpfArith of the shared context whose mpfs are all the values in
+    groups (iterables), or None: when the first value found is not an mpf
+    of a shared context, when any other value is not one of the same
+    context, or when there is no value at all.  The first value's type is
+    looked up before any other is read, so an int or Fraction operand costs
+    one lookup."""
+    for group in groups:
+        for value in group:
+            arith = _ARITH.get(type(value))
+            if arith is not None:
+                kind = {type(value)}
+                if not all(kind.issuperset(map(type, g)) for g in groups):
+                    return None
+            return arith
+    return None
 
 
 class RationalBackend:
@@ -150,7 +320,11 @@ class RationalBackend:
             raise BackendError(
                 f"gamma({x}) is not rational; use the bigfloat backend"
             )
-        return Fraction(math.factorial(int(x) - 1))
+        m = int(x) - 1
+        if factorial_bits(m) > EXACT_BIT_BUDGET:
+            raise too_many_bits(
+                f"the factorial of a {m.bit_length()}-bit integer")
+        return Fraction(math.factorial(m))
 
     def check_finite(self, value: Fraction) -> Fraction:
         return value
@@ -169,7 +343,8 @@ class RationalBackend:
 
 
 class BigFloatBackend:
-    """Arbitrary-precision binary floats via a private mpmath context."""
+    """Arbitrary-precision binary floats in the mpmath context shared by
+    every backend of one precision (module docstring)."""
 
     name = "bigfloat"
     exact = False
@@ -177,11 +352,8 @@ class BigFloatBackend:
     def __init__(self, precision_bits: int = 256):
         if precision_bits < 24:
             raise BackendError("precision_bits must be at least 24")
-        import mpmath
-
         self.precision_bits = int(precision_bits)
-        self.ctx = mpmath.mp.clone()
-        self.ctx.prec = self.precision_bits
+        self.ctx = shared_context(self.precision_bits)
 
     def scalar(self, value):
         if isinstance(value, str):

@@ -28,11 +28,14 @@ from fractions import Fraction
 from .backends import (
     Backend,
     BackendError,
+    EXACT_BIT_BUDGET,
     RationalBackend,
     exact_multiplier,
     exact_pow,
+    factorial_bits,
     log_scalar,
     parse_rational,
+    too_many_bits,
 )
 
 
@@ -199,6 +202,12 @@ class GammaSequence(MomentSequence):
         # raises BackendError in exact mode
         if self.backend.exact and self.s.denominator == 1:
             step = int(self.s)
+            # step factors, each at least s*n + 1, whose product is at
+            # least step!
+            if max(step * ((step * n + 1).bit_length() - 1),
+                   factorial_bits(step)) > EXACT_BIT_BUDGET:
+                raise too_many_bits(
+                    f"(s(n+1))!/(sn)! for a {step.bit_length()}-bit s")
             out = Fraction(1)
             for k in range(step * n + 1, step * (n + 1) + 1):
                 out *= k

@@ -441,25 +441,33 @@ def _estimation(entry, path: str) -> EstimationConfig:
 # -- the solution dump --------------------------------------------------------
 
 
-def _fmt(value) -> str:
+def _fmt(value, powers: dict | None = None) -> str:
     """str(scalar_to_fraction(value)).  A non-integral mpf is printed from
     its mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest terms
-    and needs no Fraction."""
+    and needs no Fraction.  powers keeps str(2^k) by exponent -k, so a dump
+    that passes one dict to all its values prints each 2^k once."""
     if isinstance(value, (int, Fraction)):
         return str(value)
     sign, man, exp, _ = value._mpf_
     if not man or exp >= 0:  # zero, non-finite or integral
         return str(scalar_to_fraction(value))
-    return f"{'-' if sign else ''}{man}/{1 << -exp}"
+    if powers is None:
+        powers = {}
+    text = powers.get(exp)
+    if text is None:
+        text = powers[exp] = str(1 << -exp)
+    return f"{'-' if sign else ''}{man}/{text}"
 
 
-def _coefficients(poly: PolySeries, d: int) -> list[dict]:
+def _coefficients(poly: PolySeries, d: int, powers: dict) -> list[dict]:
     """One entry's "coefficients" in sorted key order.  With d = d_n other
     than 1 the values are int numerators, and N_n(gamma)/d_n is reduced by
-    one gcd and printed as str of its Fraction would print it."""
+    one gcd and printed as str of its Fraction would print it; with d = 1
+    each value goes through _fmt with the dump's powers."""
     items = sorted(poly.coeffs.items())
     if d == 1:
-        return [{"powers": list(g), "value": _fmt(x)} for g, x in items]
+        return [{"powers": list(g), "value": _fmt(x, powers)}
+                for g, x in items]
     out = []
     for g, x in items:
         k = math.gcd(x, d)
@@ -472,6 +480,7 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
     """The solution dump: per-n sparse coefficient lists with validity, and
     the validation report.  A value may have any number of digits
     (backends.unlimited_int_digits)."""
+    powers: dict = {}  # str(2^k) of the dump's big-float values (_fmt)
     with unlimited_int_digits():
         return {
             "format": "momentpde.solution/1",
@@ -488,7 +497,7 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
                 "n": n,
                 "valid": list(poly.valid),
                 "trusted": n <= solution.valid_t_order,
-                "coefficients": _coefficients(poly, d),
+                "coefficients": _coefficients(poly, d, powers),
             } for n, (poly, d) in enumerate(zip(solution.coefficients.entries,
                                                 solution.denominators))],
             "validation": solution.validation.as_dict(),

@@ -62,7 +62,20 @@ value.  The moment values and one-step ratios themselves stay Fractions: an
 int m(n) would turn the divisions in QuotientSequence.ratio,
 MomentPDE.t_shift_factor and the solver into float divisions.
 
-The kernels test a value for zero by truthiness (`not value`), which
+Raw big float.  Where every value a kernel reads is an mpf of one shared
+context (`backends.mpf_arith` decides once per call, from the operands),
+`scale`, `moment_derive`, `add`/`sub` and `ell1_norm` do their arithmetic
+with libmp calls on the values' `_mpf_` tuples (backends module docstring):
+the same calls, precision and rounding as the mpf operators, so every bit
+is theirs, but a value is wrapped into an mpf only where the result stores
+it: a stored product is one `MpfArith.product`, a `moment_derive` of
+order k one `chain` of its k steps, an `ell1_norm` one `norm`, and a sum
+in `add` one `plus` or `minus`, which answers None where the sum is 0
+(and keeps inf and nan, as truthiness does).  Any other operand (an int, a
+Fraction or an mpf of another context, anywhere in the call) takes the
+operator expressions, which are the int and Fraction paths.
+
+The operator paths test a value for zero by truthiness (`not value`), which
 answers as `value == 0` for an int, a Fraction and an mpf (mpmath has no
 -0, and a NaN is truthy as it is != 0) without converting a 0 into the
 value's domain on every test.  `sub` is `add` with the right operand's
@@ -89,11 +102,12 @@ For mpf values at a Fraction radius each table entry is rounded to nearest
 once, by `backends.mpf_from_fraction`, the rule BigFloatBackend.scalar
 follows; an mpf times the Fraction itself would round it toward zero.  At
 r = 1 the multiply is skipped for mpf values: abs(v) is already rounded to
-the context's precision, and times 1 it stays what it is.  An int-valued
-series (an exact solution's numerators) at a Fraction radius p/q is summed
-on ints, sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top the
-largest d, and divided by q^top once: the same Fraction, with none built
-per term.  A Fraction-valued series takes the same sum on the numerators
+the context's precision, and times 1 it stays what it is.  Both forms run
+raw where the values and the powers are mpfs of one shared context.  An
+int-valued series (an exact solution's numerators) at a Fraction radius p/q
+is summed on ints, sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top
+the largest d, and divided by q^top once: the same Fraction, with none
+built per term.  A Fraction-valued series takes the same sum on the numerators
 L * f_gamma over the values' lcm L, divided by L * q^top.
 
 Operations are pure; values are treated as immutable after construction.
@@ -108,8 +122,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .backends import (exact_multiplier, is_mpf, mpf_from_fraction,
-                       parse_rational)
+from .backends import (exact_multiplier, is_mpf, mpf_arith,
+                       mpf_from_fraction, parse_rational)
 from .moments import MomentSequence
 
 Exponents = tuple[int, ...]
@@ -289,8 +303,22 @@ class PolySeries:
             zero = (0,) * self.num_vars
             out = shift_within(out.items(), zero, self.valid, valid)
             theirs = shift_within(theirs, zero, other.valid, valid)
+        arith = mpf_arith(self.coeffs.values(), other.coeffs.values())
         out = dict(out)
-        if negate:
+        if arith is not None:  # raw (module docstring)
+            op, negative = arith.minus if negate else arith.plus, arith.negative
+            for key, value in theirs:
+                if key in out:
+                    value = op(out[key], value)
+                    if value is None:  # the sum is 0
+                        del out[key]
+                        continue
+                    out[key] = value
+                elif negate:
+                    out[key] = negative(value)
+                else:
+                    out[key] = value
+        elif negate:
             for key, value in theirs:
                 if key in out:
                     value = out[key] - value
@@ -324,11 +352,13 @@ class PolySeries:
         if factor == 0:
             return PolySeries._trusted(self.num_vars, {}, self.valid)
         factor = exact_multiplier(factor)
-        return PolySeries._trusted(
-            self.num_vars,
-            {k: v * factor for k, v in self.coeffs.items()},
-            self.valid,
-        )
+        arith = mpf_arith((factor,), self.coeffs.values())
+        if arith is None:
+            out = {k: v * factor for k, v in self.coeffs.items()}
+        else:  # raw (module docstring)
+            product = arith.product
+            out = {k: product(v, factor) for k, v in self.coeffs.items()}
+        return PolySeries._trusted(self.num_vars, out, self.valid)
 
     def multiply(self, other: "PolySeries") -> "PolySeries":
         """Cauchy product truncated to the componentwise minimum validity."""
@@ -385,7 +415,8 @@ class PolySeries:
         equals k order-1 passes value for value: in big-float mode each
         value is multiplied by the one-step ratios one at a time,
         (v * r(n-1)) * r(n-2) ..., so every mpf rounds as in k order-1
-        passes.
+        passes; on the raw path (module docstring) the steps stay tuples
+        and only the last is wrapped.
         """
         if not 0 <= axis < self.num_vars:
             raise DimensionMismatch(f"axis {axis} out of range")
@@ -394,7 +425,22 @@ class PolySeries:
         k = order
         items = self.coeffs.items()
         top = self.degree(axis)
-        if seq.backend.exact or k == 1:
+        arith = None
+        if not seq.backend.exact:
+            steps = seq.multipliers(1, top)
+            arith = mpf_arith(self.coeffs.values(), steps)
+        if arith is not None:
+            # raw (module docstring): each value times its k steps in turn
+            if self.num_vars == 1 and k == 1:
+                product = arith.product
+                out = {(n - 1,): product(v, steps[n - 1])
+                       for (n,), v in items if n}
+            else:
+                chain = arith.chain
+                out = {e[:axis] + (n - k,) + e[axis + 1:]:
+                       chain(v, reversed(steps[n - k:n]))
+                       for e, v in items if (n := e[axis]) >= k}
+        elif seq.backend.exact or k == 1:
             table = seq.multipliers(k, top)
             if self.num_vars == 1:
                 out = {(n - k,): v * table[n - k] for (n,), v in items if n >= k}
@@ -407,8 +453,7 @@ class PolySeries:
             else:
                 out = {e[:axis] + (e[axis] - k,) + e[axis + 1:]:
                        v * table[e[axis] - k] for e, v in items if e[axis] >= k}
-        else:
-            steps = seq.multipliers(1, top)
+        else:  # big float with values of another domain
             out = {}
             for e, v in items:
                 n = e[axis]
@@ -437,7 +482,6 @@ class PolySeries:
         items = sorted(self.coeffs.items())
         if not items:
             return r * 0  # zero in the scalar domain of r
-        first = items[0][1]
         if type(r) is Fraction:
             rational = ((items, 1) if all(type(v) is int for _, v in items)
                         else cleared(items)
@@ -450,17 +494,19 @@ class PolySeries:
                 return Fraction(sum(abs(x) * p ** d * q ** (top - d)
                                     for d, (_, x) in zip(degrees, numerators)),
                                 lcm * q ** top)
-        if is_mpf(first) and r == 1:
-            # abs(v) is rounded to the context's precision, so * 1 keeps it
-            terms = [abs(v) for _, v in items]
-        else:
+        first = items[0][1]
+        # at r = 1, abs(v) of an mpf is rounded to its context's precision,
+        # so * 1 keeps it and no power is read
+        plain = is_mpf(first) and r == 1
+        scales = ()
+        if not plain:
             # each Fraction power goes into big float rounded to nearest
             ctx = (type(first).context
                    if is_mpf(first) and type(r) is Fraction else None)
             if powers is None:
                 powers = {}
-            terms = []
-            for exponents, value in items:
+            scales = []
+            for exponents, _ in items:
                 d = total_degree(exponents)
                 p = powers.get(d)
                 if p is None:
@@ -468,7 +514,12 @@ class PolySeries:
                     if ctx is not None:
                         p = mpf_from_fraction(ctx, p)
                     powers[d] = p
-                terms.append(abs(value) * p)
+                scales.append(p)
+        arith = mpf_arith(self.coeffs.values(), scales)
+        if arith is not None:  # raw (module docstring)
+            return arith.norm([v for _, v in items], None if plain else scales)
+        terms = ([abs(v) for _, v in items] if plain else
+                 [abs(v) * p for (_, v), p in zip(items, scales)])
         total = terms[0]
         for term in terms[1:]:
             total = total + term

@@ -55,7 +55,10 @@ caller that wants them.  In big float each u_n(gamma) is one rounding of
 the sum of its key's products c * x (the context's fdot), and a lone
 product is rounded once; its rounding is part of the recorded output.  The
 ratio m0(n-p)/m0(n-p-j) is taken only for j > 0, as an mpf (lead * m0(i)) /
-m0(i) is not lead.
+m0(i) is not lead.  The products of a derivative's pass and of a step with
+one group are taken raw where the values and multipliers are mpfs of one
+shared context: one backends.MpfArith.product each, the mpf operator's
+libmp call and rounding without its dispatch (series module docstring).
 
 The residual check re-applies the operator through pde.apply and must
 vanish identically in exact mode.  In both backends the check is
@@ -100,7 +103,7 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
-from .backends import unlimited_int_digits
+from .backends import mpf_arith, unlimited_int_digits
 from .moments import MomentSequence
 from .pde import CauchyProblem, ValidationError, ValidationReport, validate
 from .series import (
@@ -223,7 +226,11 @@ def _summed(groups: list, backend) -> tuple[dict, int]:
     # a group's keys are distinct, in ascending order, and its values
     # non-zero, so one group needs no zero filter and no sort
     if not rest:
-        return _reduced({gamma: c * x for gamma, x in items}, common)
+        arith = mpf_arith((c,), map(operator.itemgetter(1), items))
+        if arith is None:
+            return _reduced({gamma: c * x for gamma, x in items}, common)
+        product = arith.product  # raw (module docstring)
+        return {gamma: product(c, x) for gamma, x in items}, 1
     if backend.exact:
         acc = {gamma: c * x for gamma, x in items}
         for c, items in rest:
@@ -264,11 +271,21 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
         if top < a:
             return [], 1
         table = seqs[i].multipliers(a, top)[:top - a + 1]
-        if Fraction in map(type, table):
+        arith = mpf_arith(map(operator.itemgetter(1), items), table)
+        if arith is None and Fraction in map(type, table):
             scale = math.lcm(*(r.denominator for r in table))
             table = [r.numerator * (scale // r.denominator) for r in table]
             den *= scale
-        if len(alpha) == 1:
+        if arith is not None and len(alpha) == 1:  # raw (module docstring)
+            product = arith.product
+            items = [((g - a,), product(x, table[g - a]))
+                     for (g,), x in items if g >= a]
+        elif arith is not None:
+            product = arith.product
+            items = [(g[:i] + (g[i] - a,) + g[i + 1:],
+                      product(x, table[g[i] - a]))
+                     for g, x in items if g[i] >= a]
+        elif len(alpha) == 1:
             items = [((g[0] - a,), x * table[g[0] - a])
                      for g, x in items if g[0] >= a]
         elif len(alpha) == 2 and i == 0:  # unpacked, as shift_within

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from momentpde import BackendError, BigFloatBackend, PrecisionError, make_backend
+from momentpde import (
+    BackendError,
+    BigFloatBackend,
+    PrecisionError,
+    backends,
+    load_problem,
+    make_backend,
+    solve,
+)
 from momentpde.backends import (
     exact_pow,
     log_scalar,
@@ -17,6 +27,8 @@ from momentpde.backends import (
 )
 
 F = Fraction
+
+PROBLEMS = Path(__file__).parent / "problems"
 
 
 def test_parse_rational_forms():
@@ -43,6 +55,54 @@ def test_exact_pow_integer_only():
     assert exact_pow(base, F(1)) is base
     with pytest.raises(BackendError):
         exact_pow(F(2), F(1, 2))
+
+
+def test_exact_pow_refuses_a_power_past_the_bit_budget(monkeypatch):
+    huge = F(10 ** 400)
+    with pytest.raises(BackendError, match="exact value unavailable"):
+        exact_pow(F(2), huge)
+    with pytest.raises(BackendError):
+        exact_pow(F(1, 3), -huge)
+    # a base of one bit or less has no size to grow
+    assert exact_pow(F(1), huge) == 1
+    assert exact_pow(F(-1), huge + 1) == -1
+    assert exact_pow(F(0), huge) == 0
+    # the budget is |exponent| * (bits of the larger part - 1)
+    monkeypatch.setattr(backends, "EXACT_BIT_BUDGET", 64)
+    assert exact_pow(F(2), F(64)) == 2 ** 64
+    assert exact_pow(F(1, 3), F(-64)) == 3 ** 64
+    with pytest.raises(BackendError):
+        exact_pow(F(2), F(65))
+    with pytest.raises(BackendError):
+        exact_pow(F(1, 3), F(65))
+
+
+def test_backends_of_one_precision_share_one_context():
+    a, b = BigFloatBackend(160), BigFloatBackend(160)
+    assert a.ctx is b.ctx and a.ctx.prec == 160
+    assert BigFloatBackend(168).ctx is not a.ctx
+    first = load_problem(PROBLEMS / "fractional.json")
+    again = load_problem(PROBLEMS / "fractional.json")
+    assert first.backend.ctx is again.backend.ctx
+    assert first.backend.ctx.prec == 256
+
+
+def test_a_dropped_big_float_problem_leaves_nothing_to_collect():
+    # a context of its own per problem left a few hundred objects in
+    # reference cycles each time a problem was dropped
+    def load_solve_drop():
+        solve(load_problem(PROBLEMS / "fractional.json"))
+
+    load_solve_drop()  # the first load makes the shared context
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        load_solve_drop()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rational_backend_gamma():

@@ -476,6 +476,43 @@ def test_fresh_run_loads_no_numpy_or_dataclasses_and_mpmath_only_for_bigfloat(
     assert json.loads(result.stdout) == [[0, 0, 0], loaded]
 
 
+# The child caps its own address space before it starts: a run that tried
+# to form (n+1)^(10^400) would fail on memory there, and the parent's
+# timeout ends one that hangs, so the test fails instead of stalling.
+CAPPED_RUN = """
+import resource, runpy, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.argv = ["momentpde", *sys.argv[1:]]
+runpy.run_module("momentpde", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("kind, s", [
+    ("factorial_power", "1e400"), ("factorial_power", "1e5000"),
+    ("gamma", "1e400"), ("gamma", "100000000")])
+def test_a_huge_exact_order_exits_two_at_once(kind, s, tmp_path):
+    # m(2) = 2!^s, or a ratio (s(n+1))!/(sn)!, passes the bit budget of an
+    # exact value, so solve stops with a BackendError before forming it,
+    # and the reason prints no huge number
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc["moment"]["z"][0] = {"kind": kind, "s": s}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(momentpde.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_RUN, "solve", str(path), "--t-order", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "BackendError"
+    assert "exact value unavailable" in payload["message"]
+    assert len(payload["message"]) < 200
+
+
 @pytest.mark.parametrize("backend", ["rational", "bigfloat"])
 def test_table_must_cover_the_differentiated_degree(backend, capsys, tmp_path):
     # u_t = -z^2 D_z u with u(0, z) = z^3: u_n = (-1)^n C(n+2, 2) z^(n+3).
@@ -555,8 +592,12 @@ def test_byte_identical_reruns(capsys):
 # to warn that its table's values fit order 0.97, not the declared 3/2; with
 # that warning taken out, its output is byte for byte the one of the digest
 # 567fcf15aef65023bbbe0e6223aa1a4ffeab578dd109dece3ce071eca219aa0c.
+# fractional-p1024 and mixed2d-bigfloat-p1024 (the longest mantissa, one and
+# two moving axes) were recorded on the mpf operators, before the big-float
+# kernels came to call libmp on raw values, so they pin that no bit moved.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
+    "fractional-p1024": "d13ca3ec7ab775c95368410b8df01f20c6ba212437072842d69c44b998111942",
     "fractional-p24": "b03c3cf606beb5e9cfece65d144833f59fc114a442030f494f12e59dc165f0d4",
     "fractional-p40": "99eb4dfed9e00f79c7383c916d7496e170fbd86a991444893c5c6d6372e6531d",
     "heat": "4ba598d74e5bed6c2b429ad0f94422585fceec71e7502cf88d2f55195473b8e5",
@@ -578,6 +619,7 @@ SOLVE_DIGESTS = {
     "qdiff": "904b87cc08ff4fc19ef724659cb67271b945c6bd348bb89c7a791c9e59d45b51",
     "qdiff-bigfloat": "41ae1925a4c4627e83d552963017496c7a30f66876a5451ed109ca23e012ca8e",
     "mixed2d": "09fe9c922ed3332eda266075b9859697613f645f18b78f4fb2a20c57db51f89a",
+    "mixed2d-bigfloat-p1024": "b315ac229743ec503917bad8fcca8f122c4ed5bf8fc485cc12bbc54bbf6ba108",
     "third_order": "cbef725c0fa9f45f91264131329b2efa3d5af3f19b3a719edc6e84c2f86b99cf",
     "transport_z2": "4db9ac8ab0224156dbe025462dd4a2566b4009a1b55acb322dfd4ece9dee515f",
     "two_segment": "0c5d440715ed60863b106d812473e724ce9ebb6c5afd7b4158a9f34e4dcc839e",

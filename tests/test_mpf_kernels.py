@@ -1,0 +1,342 @@
+"""The big-float kernels on raw mpf values, against the mpf operators.
+
+PolySeries.scale, moment_derive, add/sub and ell1_norm, and the solver's
+_derive and one-group _summed, do their mpf arithmetic with libmp calls on
+`_mpf_` tuples (backends module docstring).  Each must give, value for
+value, the `_mpf_` of the operator expression it replaced: the same keys in
+the same order, the same type, the same bits.  Every raw case runs with the
+context's mpf operators disabled, so it shows that the raw path was taken;
+an operand that is an int, a Fraction or an mpf of another context must
+take the operators and give their result.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import operator
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from momentpde import (
+    BigFloatBackend,
+    FactorialPower,
+    GammaSequence,
+    PolySeries,
+    QFactorial,
+)
+from momentpde.backends import mpf_arith, mpf_from_fraction
+from momentpde.series import min_validity
+from momentpde.solver import _derive, _summed
+
+F = Fraction
+
+PRECISIONS = (24, 53, 256, 1024)
+
+# the operators a kernel could reach on an mpf; __eq__ and the order
+# comparisons stay, as the kernels' `factor == 1` and `r > 0` tests use them
+OPERATORS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+             "__rsub__", "__neg__", "__abs__", "__bool__")
+
+
+@contextlib.contextmanager
+def raw_only(ctx):
+    """Any mpf operator on ctx's values raises inside the block."""
+    def refuse(*args):
+        raise AssertionError("an mpf operator ran on the raw path")
+
+    for name in OPERATORS:
+        setattr(ctx.mpf, name, refuse)
+    try:
+        yield
+    finally:
+        for name in OPERATORS:
+            delattr(ctx.mpf, name)
+
+
+def _mpf(rng, ctx, precision, specials=False):
+    """A random mpf of either sign over a wide exponent range; with
+    specials, sometimes inf, -inf or nan."""
+    if specials and rng.random() < 0.15:
+        return rng.choice((ctx.inf, -ctx.inf, ctx.nan))
+    man = rng.getrandbits(precision) | 1
+    return ctx.ldexp(ctx.mpf(rng.choice((1, -1)) * man),
+                     rng.randint(-2 * precision, 40))
+
+
+def _series(rng, backend, num_vars, size=24, valid=None, specials=False):
+    ctx, bits = backend.ctx, backend.precision_bits
+    coeffs = {tuple(rng.randint(0, 7) for _ in range(num_vars)):
+              _mpf(rng, ctx, bits, specials) for _ in range(size)}
+    return PolySeries(num_vars, coeffs, valid)
+
+
+def _bits(values: dict) -> list:
+    return [(k, type(v), getattr(v, "_mpf_", v)) for k, v in values.items()]
+
+
+def _sequences(backend):
+    return (FactorialPower(1, backend), GammaSequence(F(1, 2), backend),
+            QFactorial(F(1, 3), backend))
+
+
+# -- the operator formulas ----------------------------------------------------
+
+
+def _scaled(f: PolySeries, factor) -> dict:
+    return {k: v * factor for k, v in f.coeffs.items()}
+
+
+def _derived(f: PolySeries, axis: int, seq, k: int) -> dict:
+    """k order-1 passes: each value times its steps in turn."""
+    steps = seq.multipliers(1, f.degree(axis))
+    out = {}
+    for e, v in f.coeffs.items():
+        n = e[axis]
+        if n >= k:
+            for g in range(n - 1, n - k - 1, -1):
+                v = v * steps[g]
+            out[e[:axis] + (n - k,) + e[axis + 1:]] = v
+    return out
+
+
+def _merged(f: PolySeries, g: PolySeries, negate: bool) -> dict:
+    """Both operands cut to the common validity, then merged key by key;
+    a sum that is 0 drops its key."""
+    valid = min_validity(f.valid, g.valid)
+
+    def inside(key):
+        return all(v is None or x <= v for x, v in zip(key, valid))
+
+    out = {k: v for k, v in f.coeffs.items() if inside(k)}
+    for key, value in g.coeffs.items():
+        if not inside(key):
+            continue
+        if key in out:
+            value = out[key] - value if negate else out[key] + value
+            if not value:
+                del out[key]
+                continue
+            out[key] = value
+        else:
+            out[key] = -value if negate else value
+    return out
+
+
+def _norm(f: PolySeries, r):
+    """The per-term sum in sorted key order: abs(v) at r = 1, else abs(v)
+    times r^d, a Fraction power rounded to nearest into the values'
+    context."""
+    total = None
+    for key, value in sorted(f.coeffs.items()):
+        term = abs(value)
+        if r != 1:
+            power = r ** sum(key)
+            if type(power) is Fraction:
+                power = mpf_from_fraction(type(value).context, power)
+            term = term * power
+        total = term if total is None else total + term
+    return total
+
+
+def _solver_derived(seqs, nums: dict, alpha) -> list:
+    items = list(nums.items())
+    for i, a in enumerate(alpha):
+        if not a:
+            continue
+        top = max((g[i] for g, _ in items), default=-1)
+        if top < a:
+            return []
+        table = seqs[i].multipliers(a, top)
+        items = [(g[:i] + (g[i] - a,) + g[i + 1:], x * table[g[i] - a])
+                 for g, x in items if g[i] >= a]
+    return items
+
+
+# -- raw path, bit for bit ----------------------------------------------------
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_scale_is_the_operator_product(precision):
+    rng = random.Random(f"scale{precision}")
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    for trial in range(6):
+        f = _series(rng, backend, 1 + trial % 3, specials=True)
+        factor = _mpf(rng, ctx, precision)
+        want = _scaled(f, factor)
+        with raw_only(ctx):
+            got = f.scale(factor)
+        assert _bits(got.coeffs) == _bits(want)
+        assert got.valid == f.valid
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_moment_derive_is_the_chain_of_operator_products(precision):
+    rng = random.Random(f"derive{precision}")
+    backend = BigFloatBackend(precision)
+    for num_vars in (1, 2, 3):
+        f = _series(rng, backend, num_vars, valid=(9,) * num_vars,
+                    specials=True)
+        for seq in _sequences(backend):
+            for axis in range(num_vars):
+                for k in (1, 2, 3):
+                    want = _derived(f, axis, seq, k)
+                    with raw_only(backend.ctx):
+                        got = f.moment_derive(axis, seq, k)
+                    assert _bits(got.coeffs) == _bits(want)
+                    assert got.valid[axis] == 9 - k
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("negate", [False, True])
+def test_add_and_sub_are_the_operator_merge(precision, negate):
+    rng = random.Random(f"add{precision}{negate}")
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    for trial in range(8):
+        num_vars = 1 + trial % 3
+        f = _series(rng, backend, num_vars, specials=True)
+        # keys that cancel exactly, and inf + -inf, which is nan
+        key = (1,) * num_vars
+        f = PolySeries(num_vars, {**f.coeffs, key: ctx.inf}, None)
+        shared = {k: v if negate else -v for k, v in
+                  list(f.coeffs.items())[1::3]}
+        shared[key] = ctx.inf if negate else -ctx.inf
+        g = _series(rng, backend, num_vars, specials=True)
+        # every other g has a smaller validity: both operands are cut first
+        g = PolySeries(num_vars, {**g.coeffs, **shared},
+                       (None if trial % 2 else 6,) * num_vars)
+        want = _merged(f, g, negate)
+        with raw_only(ctx):
+            got = f.sub(g) if negate else f.add(g)
+        assert _bits(got.coeffs) == _bits(want)
+        assert got.valid == min_validity(f.valid, g.valid)
+        cancelled = [k for k, v in shared.items()
+                     if max(k) <= 6 and ctx.isfinite(v)]
+        assert cancelled and not any(k in got.coeffs for k in cancelled)
+        assert got.coeffs[key]._mpf_ == mpmath.libmp.fnan
+    # one empty side: the other's values, negated by sub
+    f = _series(rng, backend, 2, specials=True)
+    empty = PolySeries(2, {}, None)
+    for a, b in ((f, empty), (empty, f)):
+        want = _merged(a, b, negate)
+        with raw_only(ctx):
+            got = a.sub(b) if negate else a.add(b)
+        assert _bits(got.coeffs) == _bits(want)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_ell1_norm_is_the_operator_sum(precision):
+    rng = random.Random(f"norm{precision}")
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    radii = (1, F(1), backend.one(), F(1, 3), F(5, 7), backend.scalar(F(2, 3)))
+    tables = [{} for _ in radii]  # one power table per radius, shared
+    for trial in range(4):
+        f = _series(rng, backend, 1 + trial % 2, specials=trial == 3)
+        for r, powers in zip(radii, tables):
+            want = _norm(f, r)
+            with raw_only(ctx):
+                got = f.ell1_norm(r)
+                shared = f.ell1_norm(r, powers)
+            assert type(got) is type(want)
+            assert got._mpf_ == want._mpf_ == shared._mpf_
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_solver_derive_and_summed_are_the_operator_products(precision):
+    rng = random.Random(f"solver{precision}")
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    seqs = _sequences(backend)
+    for num_vars in (1, 2, 3):
+        nums = _series(rng, backend, num_vars, specials=True).coeffs
+        nums = dict(sorted(nums.items()))
+        for alpha in ((1, 0, 0), (2, 0, 0), (0, 3, 0), (1, 2, 0), (1, 1, 2)):
+            alpha = alpha[:num_vars]
+            if not any(alpha):
+                continue
+            want = _solver_derived(seqs, nums, alpha)
+            with raw_only(ctx):
+                items, den = _derive(seqs, nums, alpha)
+            assert den == 1
+            assert _bits(dict(items)) == _bits(dict(want))
+        c = _mpf(rng, ctx, precision)
+        items = list(nums.items())
+        with raw_only(ctx):
+            got, den = _summed([(c, items)], backend)
+        assert den == 1
+        assert _bits(got) == _bits({g: c * x for g, x in items})
+
+
+# -- other operands take the operators ----------------------------------------
+
+
+def _other_operands(backend):
+    """Values the raw path must refuse: an mpf of another shared context,
+    of mpmath's global context, an int and a Fraction."""
+    other = BigFloatBackend(backend.precision_bits + 8).ctx
+    return (other.mpf(1) / 3, mpmath.mpf(2) / 7, 5, F(2, 3))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_mixed_operands_take_the_operator_path(precision):
+    rng = random.Random(f"mixed{precision}")
+    backend = BigFloatBackend(precision)
+    f = _series(rng, backend, 2)
+    values = list(f.coeffs.values())
+    assert mpf_arith(values) is not None
+    for other in _other_operands(backend):
+        assert mpf_arith(values, [other]) is None
+        assert mpf_arith([other], values) is None
+        assert _bits(f.scale(other).coeffs) == _bits(_scaled(f, other))
+        # one foreign value among the mpfs of either operand
+        key = next(iter(f.coeffs))
+        mixed = PolySeries(2, {**f.coeffs, key: other}, None)
+        g = _series(rng, backend, 2)
+        for a, b in ((mixed, g), (g, mixed)):
+            for negate in (False, True):
+                try:
+                    want = _bits(_merged(a, b, negate))
+                except TypeError:  # Fraction - mpf has no operator
+                    with pytest.raises(TypeError):
+                        a.add(b, negate=negate)
+                    continue
+                assert _bits(a.add(b, negate=negate).coeffs) == want
+        if type(other) is not int:
+            assert _bits(mixed.scale(values[0]).coeffs) == _bits(
+                _scaled(mixed, values[0]))
+        if type(other) is not Fraction:  # abs of an mpf of another context
+            got, want = mixed.ell1_norm(1), _norm(mixed, 1)
+            assert (type(got), got._mpf_) == (type(want), want._mpf_)
+    # a big-float sequence of another precision: its multipliers are foreign
+    seq = FactorialPower(1, BigFloatBackend(precision + 8))
+    for k in (1, 2):
+        got = f.moment_derive(0, seq, k)
+        assert _bits(got.coeffs) == _bits(_derived(f, 0, seq, k))
+    items, _ = _derive((seq, seq), f.coeffs, (1, 1))
+    assert _bits(dict(items)) == _bits(dict(_solver_derived((seq, seq),
+                                                            f.coeffs, (1, 1))))
+    # an int-valued series by an mpf factor: the int path's product
+    ints = PolySeries(1, {(0,): 3, (2,): -4}, None)
+    factor = backend.scalar(F(1, 3))
+    assert _bits(ints.scale(factor).coeffs) == _bits(_scaled(ints, factor))
+    got, _ = _summed([(factor, [((0,), 3), ((1,), 5)])], backend)
+    assert _bits(got) == _bits({(0,): factor * 3, (1,): factor * 5})
+
+
+def test_mpf_arith_reads_the_first_value_only_when_it_is_foreign():
+    backend = BigFloatBackend(53)
+    one = backend.one()
+    arith = mpf_arith([one], [one, one])
+    assert arith is not None
+    assert arith.product(one, one)._mpf_ == one._mpf_
+    assert arith.minus(one, one) is None
+    assert mpf_arith([BigFloatBackend(54).one()], [one]) is None
+    assert mpf_arith([], [one]) is arith
+    assert mpf_arith() is None and mpf_arith([], []) is None
+    # an int first: no other value is read
+    assert mpf_arith([1], map(operator.truediv, [1], [0])) is None
