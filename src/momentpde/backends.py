@@ -26,15 +26,22 @@ fixed, but it wraps only the value a kernel stores, once, as the context's
 make_mpf wraps: partial sums, the steps of a product chain and abs terms
 stay tuples, and none of the operator's dispatch runs.  A raw sum is zero
 when it equals `libmp.fzero`, which is exactly when the mpf would be falsy;
-a zero mantissa alone would not do, as inf and nan have one too.  A kernel
-takes the raw path only when `mpf_arith` finds every value it reads to be
-an mpf of one shared context; an int, a Fraction or an mpf of any other
-context takes the operators.
+a zero mantissa alone would not do, as inf and nan have one too.
+
+Every scalar of a problem is in its backend's domain: in big float an mpf
+of the backend's shared context, in exact mode an int or a Fraction.
+`BigFloatBackend.scalar`, the moment sequences and the problem reader make
+every value so, and nothing mixes the domains after.  So a kernel reads its
+arithmetic off one operand value (series module docstring) with one
+`mpf_arith` lookup: an mpf of a shared context takes the raw path, and any
+other value the operators.
 
 Exact values formed from a moment order (`exact_pow`, the factorials of
 RationalBackend.gamma and of an integral gamma sequence's ratios) are
 checked against one bit budget, `EXACT_BIT_BUDGET`, before they are formed,
-so a huge order is a BackendError, not a hang.
+so a huge order is a BackendError, not a hang.  So is the 2^|exponent| of
+an mpf's exact binary value (`power_of_two`), which the solution dump
+prints: a huge order in big float gives mpfs of huge exponents.
 """
 
 from __future__ import annotations
@@ -89,8 +96,8 @@ def scalar_to_fraction(value) -> Fraction:
         if sign:
             man = -man
         if exp >= 0:
-            return Fraction(man << exp)
-        return Fraction(man, 1 << -exp)
+            return Fraction(man * power_of_two(exp))
+        return Fraction(man, power_of_two(-exp))
     raise BackendError(f"cannot convert {value!r} to an exact rational")
 
 
@@ -160,6 +167,16 @@ def too_many_bits(what: str) -> BackendError:
     value by sizes only: its numbers may be too long to print."""
     return BackendError(f"{what} passes {EXACT_BIT_BUDGET} bits; exact "
                         "value unavailable")
+
+
+def power_of_two(k: int) -> int:
+    """2^k for k >= 0, the scale of an mpf's exact binary rational; a k
+    past the budget raises before the power is formed (an mpf's exponent
+    is unbounded, so 2^k may be far too large to form)."""
+    if k > EXACT_BIT_BUDGET:
+        raise too_many_bits(
+            f"the exact value of an mpf with a {k.bit_length()}-bit exponent")
+    return 1 << k
 
 
 def exact_pow(base: Fraction, exponent: Fraction) -> Fraction:
@@ -281,22 +298,10 @@ class MpfArith:
         self.norm = norm
 
 
-def mpf_arith(*groups):
-    """The MpfArith of the shared context whose mpfs are all the values in
-    groups (iterables), or None: when the first value found is not an mpf
-    of a shared context, when any other value is not one of the same
-    context, or when there is no value at all.  The first value's type is
-    looked up before any other is read, so an int or Fraction operand costs
-    one lookup."""
-    for group in groups:
-        for value in group:
-            arith = _ARITH.get(type(value))
-            if arith is not None:
-                kind = {type(value)}
-                if not all(kind.issuperset(map(type, g)) for g in groups):
-                    return None
-            return arith
-    return None
+def mpf_arith(value):
+    """The MpfArith of value's shared context, or None where value is not
+    an mpf of a shared context (module docstring)."""
+    return _ARITH.get(type(value))
 
 
 class RationalBackend:
@@ -306,6 +311,8 @@ class RationalBackend:
     exact = True
 
     def scalar(self, value) -> Fraction:
+        if type(value) is Fraction:
+            return value
         return parse_rational(value)
 
     def zero(self) -> Fraction:
@@ -313,6 +320,9 @@ class RationalBackend:
 
     def one(self) -> Fraction:
         return Fraction(1)
+
+    def power(self, base, exponent: Fraction) -> Fraction:
+        return exact_pow(Fraction(base), exponent)
 
     def gamma(self, x) -> Fraction:
         x = parse_rational(x)

@@ -17,7 +17,10 @@ read once; an entry is passed through exact_multiplier, so in exact mode it
 is the exact product with an integral Fraction as an int (an mpf is left
 as it is).  Two readers use the lists: the derivative kernel, and the exact
 recurrence, which differentiates its int numerators in its own pass over
-the same lists.  value() and ratio() keep returning Fractions.
+the same lists.  Every value and ratio comes from the backend (its scalar,
+power or gamma, or their products and quotients), so each is in the
+backend's domain (backends module docstring); in exact mode value() and
+ratio() keep returning Fractions.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .backends import (
     EXACT_BIT_BUDGET,
     RationalBackend,
     exact_multiplier,
-    exact_pow,
     factorial_bits,
     log_scalar,
     parse_rational,
@@ -145,17 +147,11 @@ class MomentSequence:
             return known
         lo = hi = None
         for n in range(n_max + 1):
-            q = self.ratio(n) / self._power_of_index(n + 1)
+            q = self.ratio(n) / self.backend.power(n + 1, self.order)
             lo = q if lo is None or q < lo else lo
             hi = q if hi is None or q > hi else hi
         known = self._regularity[n_max] = (lo, hi)
         return known
-
-    def _power_of_index(self, k: int):
-        """(k)^s in the backend's scalar domain."""
-        if self.backend.exact:
-            return exact_pow(Fraction(k), self.order)
-        return self.backend.power(k, self.order)
 
 
 class FactorialPower(MomentSequence):
@@ -171,14 +167,9 @@ class FactorialPower(MomentSequence):
         return self.s.denominator == 1
 
     def _compute_value(self, n: int):
-        fact = math.factorial(n)
-        if self.backend.exact:
-            return exact_pow(Fraction(fact), self.s)
-        return self.backend.power(fact, self.s)
+        return self.backend.power(math.factorial(n), self.s)
 
     def _compute_ratio(self, n: int):
-        if self.backend.exact:
-            return exact_pow(Fraction(n + 1), self.s)
         return self.backend.power(n + 1, self.s)
 
 
@@ -231,8 +222,7 @@ class QFactorial(MomentSequence):
 
     def bracket(self, k: int) -> Fraction:
         """[k]_q = 1 + q + ... + q^(k-1)."""
-        b = (1 - self.q ** k) / (1 - self.q)
-        return b if self.backend.exact else self.backend.scalar(b)
+        return self.backend.scalar((1 - self.q ** k) / (1 - self.q))
 
     def _compute_value(self, n: int):
         return self.value(n - 1) * self.bracket(n)
@@ -340,5 +330,4 @@ class TableSequence(MomentSequence):
             raise SequenceError(
                 f"table holds {len(self._raw)} values; m({n}) is out of range"
             )
-        v = self._raw[n]
-        return v if self.backend.exact else self.backend.scalar(v)
+        return self.backend.scalar(self._raw[n])

@@ -79,10 +79,9 @@ class MomentPDE:
             raise DimensionMismatch("need at least one z variable sequence")
         values = [v for term in self.terms for entry in term.coeff.entries
                   for v in entry.coeffs.values()]
-        # L of apply: 1 unless every value is exact
-        L = 1
-        if m0.backend.exact and all(type(v) in (int, Fraction) for v in values):
-            L = math.lcm(*(v.denominator for v in values))
+        # L of apply: 1 in big float
+        L = (math.lcm(*(v.denominator for v in values))
+             if m0.backend.exact else 1)
         self.coefficient_denominator = L
         # (term, [(a_k as the walk multiplies by it, negated)]) per term
         self._parts = []
@@ -146,8 +145,8 @@ class MomentPDE:
           the moment ratios are integers, and divides by L last, once per
           key that survives the sum: a key that cancels is never divided, so
           on a correct solution of P u = 0 the check builds no Fraction per
-          coefficient.  Where the values are mpf, L is 1 (an mpf times L
-          and back would round), and L = 1 adds no arithmetic.
+          coefficient.  In big float L is 1 (an mpf times L and back would
+          round), and L = 1 adds no arithmetic.
         - An entry that is one constant c < 0 (u_t = D_z^2 u is
           P = D_t + a * D_z^2 with a = -1) is stored as -c, so a product by
           -c = 1 does no arithmetic (series module docstring), and its part

@@ -52,6 +52,7 @@ from .backends import (
     BackendError,
     make_backend,
     parse_rational,
+    power_of_two,
     scalar_to_fraction,
     unlimited_int_digits,
 )
@@ -455,7 +456,7 @@ def _fmt(value, powers: dict | None = None) -> str:
         powers = {}
     text = powers.get(exp)
     if text is None:
-        text = powers[exp] = str(1 << -exp)
+        text = powers[exp] = str(power_of_two(-exp))
     return f"{'-' if sign else ''}{man}/{text}"
 
 

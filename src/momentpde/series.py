@@ -62,17 +62,20 @@ value.  The moment values and one-step ratios themselves stay Fractions: an
 int m(n) would turn the divisions in QuotientSequence.ratio,
 MomentPDE.t_shift_factor and the solver into float divisions.
 
-Raw big float.  Where every value a kernel reads is an mpf of one shared
-context (`backends.mpf_arith` decides once per call, from the operands),
-`scale`, `moment_derive`, `add`/`sub` and `ell1_norm` do their arithmetic
-with libmp calls on the values' `_mpf_` tuples (backends module docstring):
+Raw big float.  Every scalar of a problem is in its backend's domain: in
+big float an mpf of the backend's shared context, in exact mode an int or
+a Fraction (backends module docstring).  So each kernel reads its
+arithmetic off one value, with one `backends.mpf_arith` lookup: the first
+stored value of its (left) operand, or the factor of `scale`.  Where that
+value is an mpf of a shared context, `scale`, `moment_derive`, `add`/`sub`
+and `ell1_norm` do their arithmetic with libmp calls on the values'
+`_mpf_` tuples (backends module docstring):
 the same calls, precision and rounding as the mpf operators, so every bit
 is theirs, but a value is wrapped into an mpf only where the result stores
 it: a stored product is one `MpfArith.product`, a `moment_derive` of
 order k one `chain` of its k steps, an `ell1_norm` one `norm`, and a sum
 in `add` one `plus` or `minus`, which answers None where the sum is 0
-(and keeps inf and nan, as truthiness does).  Any other operand (an int, a
-Fraction or an mpf of another context, anywhere in the call) takes the
+(and keeps inf and nan, as truthiness does).  Any other value takes the
 operator expressions, which are the int and Fraction paths.
 
 The operator paths test a value for zero by truthiness (`not value`), which
@@ -83,17 +86,18 @@ values subtracted in the same pass; it builds no negated copy.  A
 `multiply` whose left operand is one constant monomial (every operator
 coefficient that does not depend on z) is one pass over the right
 operand, since an mpf product is rounded once and commutes.  By the
-constant 1 (an int, or an mpf where every right value is an mpf of its
-context) that pass does no arithmetic: it copies the right operand's items,
+constant 1 (an int, or an mpf of the right values' context) that pass
+does no arithmetic: it copies the right operand's items,
 sorted and restricted to the validity.  The products would give the same
 values, as an mpf is already rounded to its context's precision;
 pde.MomentPDE.apply forms the parts of an operator coefficient -1 from
 the constant 1.  A product of
-two series whose values are all Fractions clears each side's denominators
-into its lcm, sums the pairs on int numerators, and builds one
-Fraction(sum, lcm_f * lcm_g) per surviving key: the same values, still
+two series whose first values are Fractions clears each side's
+denominators into its lcm, sums the pairs on int numerators, and builds
+one Fraction(sum, lcm_f * lcm_g) per surviving key: the same values, still
 Fractions where they are integral, in the same key order.  Any other pair
-of operands (an int or an mpf value on either side) takes the generic loop.
+of operands (an int or an mpf first value on either side) takes the
+generic loop.
 
 `ell1_norm` multiplies |f_gamma| by r^|gamma| read from a table of powers
 of r by degree, which a caller that takes many norms at one r (the
@@ -103,7 +107,7 @@ once, by `backends.mpf_from_fraction`, the rule BigFloatBackend.scalar
 follows; an mpf times the Fraction itself would round it toward zero.  At
 r = 1 the multiply is skipped for mpf values: abs(v) is already rounded to
 the context's precision, and times 1 it stays what it is.  Both forms run
-raw where the values and the powers are mpfs of one shared context.  An
+raw where the values are mpfs of a shared context.  An
 int-valued series (an exact solution's numerators) at a Fraction radius p/q
 is summed on ints, sum of |f_gamma| p^d q^(top-d) with d = |gamma| and top
 the largest d, and divided by q^top once: the same Fraction, with none
@@ -303,7 +307,8 @@ class PolySeries:
             zero = (0,) * self.num_vars
             out = shift_within(out.items(), zero, self.valid, valid)
             theirs = shift_within(theirs, zero, other.valid, valid)
-        arith = mpf_arith(self.coeffs.values(), other.coeffs.values())
+        arith = mpf_arith(next(iter(self.coeffs.values()
+                                    or other.coeffs.values()), None))
         out = dict(out)
         if arith is not None:  # raw (module docstring)
             op, negative = arith.minus if negate else arith.plus, arith.negative
@@ -352,7 +357,7 @@ class PolySeries:
         if factor == 0:
             return PolySeries._trusted(self.num_vars, {}, self.valid)
         factor = exact_multiplier(factor)
-        arith = mpf_arith((factor,), self.coeffs.values())
+        arith = mpf_arith(factor)
         if arith is None:
             out = {k: v * factor for k, v in self.coeffs.items()}
         else:  # raw (module docstring)
@@ -370,15 +375,14 @@ class PolySeries:
             (zero, va), = self.coeffs.items()
             va = exact_multiplier(va)
             right = shift_within(right, zero, other.valid, valid)
-            if va == 1 and (type(va) is int
-                            or all(type(vb) is type(va) for _, vb in right)):
+            if va == 1:
                 out = dict(right)  # 1 * v is v: no product to round
             else:
                 out = {eb: v for eb, vb in right if (v := va * vb)}
             return PolySeries._trusted(self.num_vars, out, valid)
         left = sorted(self.coeffs.items())
-        fractions = all(type(v) is Fraction for items in (left, right)
-                        for _, v in items)
+        fractions = (left and right and type(left[0][1]) is Fraction
+                     and type(right[0][1]) is Fraction)
         if fractions:  # Fraction by Fraction: the pair sums run on ints
             (left, lcm_f), (right, lcm_g) = cleared(left), cleared(right)
         else:
@@ -425,12 +429,10 @@ class PolySeries:
         k = order
         items = self.coeffs.items()
         top = self.degree(axis)
-        arith = None
-        if not seq.backend.exact:
-            steps = seq.multipliers(1, top)
-            arith = mpf_arith(self.coeffs.values(), steps)
+        arith = mpf_arith(next(iter(self.coeffs.values()), None))
         if arith is not None:
             # raw (module docstring): each value times its k steps in turn
+            steps = seq.multipliers(1, top)
             if self.num_vars == 1 and k == 1:
                 product = arith.product
                 out = {(n - 1,): product(v, steps[n - 1])
@@ -440,7 +442,7 @@ class PolySeries:
                 out = {e[:axis] + (n - k,) + e[axis + 1:]:
                        chain(v, reversed(steps[n - k:n]))
                        for e, v in items if (n := e[axis]) >= k}
-        elif seq.backend.exact or k == 1:
+        else:
             table = seq.multipliers(k, top)
             if self.num_vars == 1:
                 out = {(n - k,): v * table[n - k] for (n,), v in items if n >= k}
@@ -453,14 +455,6 @@ class PolySeries:
             else:
                 out = {e[:axis] + (e[axis] - k,) + e[axis + 1:]:
                        v * table[e[axis] - k] for e, v in items if e[axis] >= k}
-        else:  # big float with values of another domain
-            out = {}
-            for e, v in items:
-                n = e[axis]
-                if n >= k:
-                    for g in range(n - 1, n - k - 1, -1):
-                        v = v * steps[g]
-                    out[e[:axis] + (n - k,) + e[axis + 1:]] = v
         valid = self.valid
         if valid[axis] is not None:
             valid = valid[:axis] + (valid[axis] - k,) + valid[axis + 1:]
@@ -482,19 +476,18 @@ class PolySeries:
         items = sorted(self.coeffs.items())
         if not items:
             return r * 0  # zero in the scalar domain of r
-        if type(r) is Fraction:
-            rational = ((items, 1) if all(type(v) is int for _, v in items)
-                        else cleared(items)
-                        if all(type(v) is Fraction for _, v in items) else None)
-            if rational is not None:
-                # sum of |N| p^d q^(top - d), over L q^top, at r = p/q
-                (numerators, lcm), p, q = rational, r.numerator, r.denominator
-                degrees = [total_degree(e) for e, _ in numerators]
-                top = max(degrees)
-                return Fraction(sum(abs(x) * p ** d * q ** (top - d)
-                                    for d, (_, x) in zip(degrees, numerators)),
-                                lcm * q ** top)
         first = items[0][1]
+        if type(r) is Fraction and type(first) in (int, Fraction):
+            # sum of |N| p^d q^(top - d), over L q^top, at r = p/q; the
+            # sum is exact whichever values are cleared
+            numerators, lcm = (cleared(items) if type(first) is Fraction
+                               else (items, 1))
+            p, q = r.numerator, r.denominator
+            degrees = [total_degree(e) for e, _ in numerators]
+            top = max(degrees)
+            return Fraction(sum(abs(x) * p ** d * q ** (top - d)
+                                for d, (_, x) in zip(degrees, numerators)),
+                            lcm * q ** top)
         # at r = 1, abs(v) of an mpf is rounded to its context's precision,
         # so * 1 keeps it and no power is read
         plain = is_mpf(first) and r == 1
@@ -515,7 +508,7 @@ class PolySeries:
                         p = mpf_from_fraction(ctx, p)
                     powers[d] = p
                 scales.append(p)
-        arith = mpf_arith(self.coeffs.values(), scales)
+        arith = mpf_arith(first)
         if arith is not None:  # raw (module docstring)
             return arith.norm([v for _, v in items], None if plain else scales)
         terms = ([abs(v) for _, v in items] if plain else

@@ -55,10 +55,11 @@ caller that wants them.  In big float each u_n(gamma) is one rounding of
 the sum of its key's products c * x (the context's fdot), and a lone
 product is rounded once; its rounding is part of the recorded output.  The
 ratio m0(n-p)/m0(n-p-j) is taken only for j > 0, as an mpf (lead * m0(i)) /
-m0(i) is not lead.  The products of a derivative's pass and of a step with
-one group are taken raw where the values and multipliers are mpfs of one
-shared context: one backends.MpfArith.product each, the mpf operator's
-libmp call and rounding without its dispatch (series module docstring).
+m0(i) is not lead.  In big float the products of a derivative's pass and
+of a step with one group are taken raw: one backends.MpfArith.product
+each, the mpf operator's libmp call and rounding without its dispatch,
+read off the pass's first value or the group's factor (series module
+docstring).
 
 The residual check re-applies the operator through pde.apply and must
 vanish identically in exact mode.  In both backends the check is
@@ -226,7 +227,7 @@ def _summed(groups: list, backend) -> tuple[dict, int]:
     # a group's keys are distinct, in ascending order, and its values
     # non-zero, so one group needs no zero filter and no sort
     if not rest:
-        arith = mpf_arith((c,), map(operator.itemgetter(1), items))
+        arith = mpf_arith(c)
         if arith is None:
             return _reduced({gamma: c * x for gamma, x in items}, common)
         product = arith.product  # raw (module docstring)
@@ -271,7 +272,7 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
         if top < a:
             return [], 1
         table = seqs[i].multipliers(a, top)[:top - a + 1]
-        arith = mpf_arith(map(operator.itemgetter(1), items), table)
+        arith = mpf_arith(items[0][1])
         if arith is None and Fraction in map(type, table):
             scale = math.lcm(*(r.denominator for r in table))
             table = [r.numerator * (scale // r.denominator) for r in table]

@@ -25,6 +25,7 @@ from momentpde.backends import (
     parse_rational,
     scalar_to_fraction,
 )
+from momentpde.problem_io import _fmt
 
 F = Fraction
 
@@ -168,6 +169,21 @@ def test_scalar_to_fraction_round_trip():
     assert scalar_to_fraction(backend.zero()) == 0
 
 
+def test_an_mpf_exponent_past_the_budget_raises_before_the_power():
+    # an mpf's exponent is unbounded: its exact binary value, in the dump
+    # too, raises a BackendError rather than form 2^|exponent|
+    ctx = BigFloatBackend(53).ctx
+    budget = backends.EXACT_BIT_BUDGET
+    assert scalar_to_fraction(ctx.ldexp(ctx.mpf(3), budget)) == 3 << budget
+    for exp in (budget + 1, 10 ** 400):
+        for value in (ctx.ldexp(ctx.mpf(3), exp),
+                      ctx.ldexp(ctx.mpf(-3), -exp)):
+            for convert in (scalar_to_fraction, _fmt):
+                with pytest.raises(BackendError,
+                                   match="exact value unavailable$"):
+                    convert(value)
+
+
 def _power_formula(value) -> Fraction:
     """An mpf's rational as man·2^exp in Fraction arithmetic, the formula
     scalar_to_fraction used before it built the rational from shifts."""
@@ -198,3 +214,16 @@ def test_scalar_to_fraction_matches_the_power_formula():
     for value in (ctx.inf, -ctx.inf, ctx.nan):
         with pytest.raises(PrecisionError):
             scalar_to_fraction(value)
+
+
+def test_rational_power_is_the_exact_power():
+    # the sequences read m(n) and its ratios from their backend in both
+    # modes: the rational backend's power is exact_pow, and its scalar
+    # keeps a Fraction as it is
+    backend = make_backend("rational")
+    third = F(1, 3)
+    assert backend.scalar(third) is third
+    assert backend.power(6, F(2)) == 36 and type(backend.power(6, F(2))) is F
+    assert backend.power(third, F(-3)) == 27
+    with pytest.raises(BackendError, match="not an integer"):
+        backend.power(2, F(1, 2))

@@ -488,13 +488,9 @@ runpy.run_module("momentpde", run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("kind, s", [
-    ("factorial_power", "1e400"), ("factorial_power", "1e5000"),
-    ("gamma", "1e400"), ("gamma", "100000000")])
-def test_a_huge_exact_order_exits_two_at_once(kind, s, tmp_path):
-    # m(2) = 2!^s, or a ratio (s(n+1))!/(sn)!, passes the bit budget of an
-    # exact value, so solve stops with a BackendError before forming it,
-    # and the reason prints no huge number
+def _huge_order_error(tmp_path, kind: str, s: str, *flags: str) -> str:
+    """The message of `solve` at t-order 3 on heat with a z-sequence of the
+    given kind and order, which must exit 2 with a short BackendError."""
     doc = json.loads((PROBLEMS / "heat.json").read_text())
     doc["moment"]["z"][0] = {"kind": kind, "s": s}
     path = tmp_path / "huge.json"
@@ -504,13 +500,34 @@ def test_a_huge_exact_order_exits_two_at_once(kind, s, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", CAPPED_RUN, "solve", str(path), "--t-order", "3"],
-        capture_output=True, text=True, env=env, timeout=60)
+        [sys.executable, "-c", CAPPED_RUN, "solve", str(path), "--t-order",
+         "3", *flags], capture_output=True, text=True, env=env, timeout=60)
     assert (result.returncode, result.stdout) == (2, "")
     payload = json.loads(result.stderr)
     assert payload["error"] == "BackendError"
     assert "exact value unavailable" in payload["message"]
     assert len(payload["message"]) < 200
+    return payload["message"]
+
+
+@pytest.mark.parametrize("kind, s", [
+    ("factorial_power", "1e400"), ("factorial_power", "1e5000"),
+    ("gamma", "1e400"), ("gamma", "100000000")])
+def test_a_huge_exact_order_exits_two_at_once(kind, s, tmp_path):
+    # m(2) = 2!^s, or a ratio (s(n+1))!/(sn)!, passes the bit budget of an
+    # exact value, so solve stops with a BackendError before forming it,
+    # and the reason prints no huge number
+    _huge_order_error(tmp_path, kind, s)
+
+
+def test_a_huge_big_float_order_exits_two_in_the_dump(tmp_path):
+    # in big float m(n) = n!^(10^400) is an mpf whose exponent has over
+    # 1,300 bits:
+    # the solve runs, and the dump's exact binary value of such an mpf
+    # passes the bit budget, so it stops before forming 2^|exponent|
+    message = _huge_order_error(tmp_path, "factorial_power", "1e400",
+                                "--backend", "bigfloat")
+    assert message.startswith("the exact value of an mpf with a ")
 
 
 @pytest.mark.parametrize("backend", ["rational", "bigfloat"])

@@ -5,15 +5,16 @@ _derive and one-group _summed, do their mpf arithmetic with libmp calls on
 `_mpf_` tuples (backends module docstring).  Each must give, value for
 value, the `_mpf_` of the operator expression it replaced: the same keys in
 the same order, the same type, the same bits.  Every raw case runs with the
-context's mpf operators disabled, so it shows that the raw path was taken;
-an operand that is an int, a Fraction or an mpf of another context must
-take the operators and give their result.
+context's mpf operators disabled, so it shows that the raw path was taken.
+Every scalar of a problem is in its backend's domain, so a kernel reads its
+arithmetic off one value (backends module docstring): operands of another
+domain (ints, Fractions, or mpfs of mpmath's global context) must take the
+operators and give their result.
 """
 
 from __future__ import annotations
 
 import contextlib
-import operator
 import random
 from fractions import Fraction
 
@@ -272,71 +273,76 @@ def test_solver_derive_and_summed_are_the_operator_products(precision):
         assert _bits(got) == _bits({g: c * x for g, x in items})
 
 
-# -- other operands take the operators ----------------------------------------
+# -- values of no shared context take the operators ---------------------------
 
 
-def _other_operands(backend):
-    """Values the raw path must refuse: an mpf of another shared context,
-    of mpmath's global context, an int and a Fraction."""
-    other = BigFloatBackend(backend.precision_bits + 8).ctx
-    return (other.mpf(1) / 3, mpmath.mpf(2) / 7, 5, F(2, 3))
+def _other_domains(rng):
+    """A series of each domain whose values the raw path must refuse: mpfs
+    of mpmath's global context, ints and Fractions."""
+    keys = [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(24)]
+    lifts = (lambda: mpmath.mpf(rng.randint(-99, 99) or 1) / 7,
+             lambda: rng.randint(-99, 99) or 1,
+             lambda: F(rng.randint(-99, 99) or 1, rng.randint(1, 9)))
+    return [PolySeries(2, {k: lift() for k in keys}, (None, 6))
+            for lift in lifts]
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_mixed_operands_take_the_operator_path(precision):
-    rng = random.Random(f"mixed{precision}")
+    # each operand holds values of one domain, as every problem does; a
+    # kernel reads its arithmetic off one value, so these take the
+    # operators, with the shared context's raw path refusing to run
+    rng = random.Random(f"other{precision}")
     backend = BigFloatBackend(precision)
-    f = _series(rng, backend, 2)
-    values = list(f.coeffs.values())
-    assert mpf_arith(values) is not None
-    for other in _other_operands(backend):
-        assert mpf_arith(values, [other]) is None
-        assert mpf_arith([other], values) is None
-        assert _bits(f.scale(other).coeffs) == _bits(_scaled(f, other))
-        # one foreign value among the mpfs of either operand
-        key = next(iter(f.coeffs))
-        mixed = PolySeries(2, {**f.coeffs, key: other}, None)
-        g = _series(rng, backend, 2)
-        for a, b in ((mixed, g), (g, mixed)):
+    assert mpf_arith(backend.one()) is not None
+    factors = (mpmath.mpf(3) / 11, 5, F(2, 3))
+    exact_seqs = (FactorialPower(1), QFactorial(F(1, 3)))
+    for f, g, factor in zip(_other_domains(rng), _other_domains(rng),
+                            factors):
+        first = next(iter(f.coeffs.values()))
+        assert mpf_arith(first) is None and mpf_arith(factor) is None
+        with raw_only(backend.ctx):
+            assert _bits(f.scale(factor).coeffs) == _bits(_scaled(f, factor))
             for negate in (False, True):
-                try:
-                    want = _bits(_merged(a, b, negate))
-                except TypeError:  # Fraction - mpf has no operator
-                    with pytest.raises(TypeError):
-                        a.add(b, negate=negate)
-                    continue
-                assert _bits(a.add(b, negate=negate).coeffs) == want
-        if type(other) is not int:
-            assert _bits(mixed.scale(values[0]).coeffs) == _bits(
-                _scaled(mixed, values[0]))
-        if type(other) is not Fraction:  # abs of an mpf of another context
-            got, want = mixed.ell1_norm(1), _norm(mixed, 1)
-            assert (type(got), got._mpf_) == (type(want), want._mpf_)
-    # a big-float sequence of another precision: its multipliers are foreign
-    seq = FactorialPower(1, BigFloatBackend(precision + 8))
-    for k in (1, 2):
-        got = f.moment_derive(0, seq, k)
-        assert _bits(got.coeffs) == _bits(_derived(f, 0, seq, k))
-    items, _ = _derive((seq, seq), f.coeffs, (1, 1))
-    assert _bits(dict(items)) == _bits(dict(_solver_derived((seq, seq),
-                                                            f.coeffs, (1, 1))))
-    # an int-valued series by an mpf factor: the int path's product
-    ints = PolySeries(1, {(0,): 3, (2,): -4}, None)
-    factor = backend.scalar(F(1, 3))
-    assert _bits(ints.scale(factor).coeffs) == _bits(_scaled(ints, factor))
-    got, _ = _summed([(factor, [((0,), 3), ((1,), 5)])], backend)
-    assert _bits(got) == _bits({(0,): factor * 3, (1,): factor * 5})
+                assert _bits(f.add(g, negate=negate).coeffs) == _bits(
+                    _merged(f, g, negate))
+            exact = type(first) is int or type(first) is F
+            for r in (1, F(1, 3)):
+                got = f.ell1_norm(r)
+                want = (F(sum(abs(v) * r ** sum(k)
+                              for k, v in f.coeffs.items()))
+                        if exact and r != 1 else _norm(f, r))
+                assert type(got) is type(want)
+                assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_",
+                                                             want)
+            if not exact:
+                got, den = _summed([(factor, list(f.coeffs.items()))],
+                                   backend)
+                assert den == 1
+                assert _bits(got) == _bits(_scaled(f, factor))
+                continue
+            # exact values by exact multipliers: any order of the steps
+            # gives the same value
+            for seq in exact_seqs:
+                for axis in (0, 1):
+                    for k in (1, 2):
+                        assert _bits(f.moment_derive(axis, seq, k).coeffs) \
+                            == _bits(_derived(f, axis, seq, k))
+            seqs = (FactorialPower(1), FactorialPower(2))
+            items, den = _derive(seqs, f.coeffs, (1, 2))
+            assert den == 1  # integral multipliers
+            assert _bits(dict(items)) == _bits(dict(_solver_derived(
+                seqs, f.coeffs, (1, 2))))
 
 
-def test_mpf_arith_reads_the_first_value_only_when_it_is_foreign():
+def test_mpf_arith_reads_one_value():
     backend = BigFloatBackend(53)
     one = backend.one()
-    arith = mpf_arith([one], [one, one])
-    assert arith is not None
+    arith = mpf_arith(one)
+    assert arith is not None and mpf_arith(backend.scalar(F(1, 3))) is arith
     assert arith.product(one, one)._mpf_ == one._mpf_
     assert arith.minus(one, one) is None
-    assert mpf_arith([BigFloatBackend(54).one()], [one]) is None
-    assert mpf_arith([], [one]) is arith
-    assert mpf_arith() is None and mpf_arith([], []) is None
-    # an int first: no other value is read
-    assert mpf_arith([1], map(operator.truediv, [1], [0])) is None
+    other = mpf_arith(BigFloatBackend(54).one())
+    assert other is not None and other is not arith
+    for value in (1, F(1, 3), mpmath.mpf(1), None):
+        assert mpf_arith(value) is None

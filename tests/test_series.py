@@ -572,10 +572,6 @@ def test_constant_one_left_multiply_does_no_arithmetic(kind):
         assert all(getattr(v, "_mpf_", v) == getattr(want.coeffs[k], "_mpf_",
                                                      want.coeffs[k])
                    for k, v in got.coeffs.items())
-    # an mpf 1 times Fraction values still converts them
-    mixed = PolySeries.constant(1, ctx.mpf(1)).multiply(
-        PolySeries(1, {(0,): F(1, 3)}))
-    assert type(mixed.coeffs[(0,)]) is type(ctx.mpf(1))
 
 
 @given(f=sparse_polys(), c=st.integers(-6, 6))

@@ -32,6 +32,7 @@ from momentpde import (
     residual,
     solve,
     solver,
+    validate,
 )
 from momentpde.backends import scalar_to_fraction
 from momentpde.problem_io import load_problem, problem_from_dict
@@ -657,3 +658,49 @@ def test_residual_on_one_integer_scale_matches_the_fraction_route():
             assert type(got) is type(want)
         if prob in fixtures or prob.pde is tilted or prob is plane:
             assert residual(prob, variants[1]) > 0
+
+
+def _sequence_parts(seq):
+    """seq and every sequence it is built from."""
+    yield seq
+    for name in ("lhs", "rhs", "num", "den"):
+        part = getattr(seq, name, None)
+        if part is not None:
+            yield from _sequence_parts(part)
+
+
+@pytest.mark.parametrize("backend", ["rational", "bigfloat"])
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_every_scalar_is_in_the_backend_domain(path, backend):
+    # the kernels read their arithmetic off one value (backends module
+    # docstring), which holds because every scalar a problem and its
+    # solution hold is in the backend's domain: an mpf of the backend's
+    # shared context in big float, an int or a Fraction in exact mode
+    problem = load_problem(path, {"backend": backend})
+    pde = problem.pde
+    series = [entry for term in pde.terms for entry in term.coeff.entries]
+    series += [a for _, row in pde._parts for a, _ in row]
+    series += [*problem.rhs.entries, *problem.initial]
+    values = []
+    if validate(problem).passed:
+        solution = solve(problem)
+        series += solution.coefficients.entries
+        values.append(solution.residual_max)
+    else:  # a sequence with no rational values, such as Gamma(1 + n/2)
+        assert backend == "rational"
+    values += [v for entry in series for v in entry.coeffs.values()]
+    sequences = {id(part): part for seq in (pde.m0, *pde.m)
+                 for part in _sequence_parts(seq)}
+    for seq in sequences.values():
+        # the ratios too, which a solve need not have read
+        values += [*seq._values, *map(seq.ratio, range(len(seq._values) - 1))]
+        for table in seq._multipliers.values():
+            values += table
+    if backend == "bigfloat":
+        mpf = problem.backend.ctx.mpf
+        outside = [v for v in values if type(v) is not mpf]
+    else:
+        outside = [v for v in values if type(v) is not int
+                   and type(v) is not Fraction]
+    assert values and not outside
