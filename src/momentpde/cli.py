@@ -208,7 +208,7 @@ def cmd_estimate(args) -> int:
         tolerance=args.tolerance,
     )
     payload = report.as_dict()
-    payload["residual_max"] = str(problem.backend.format(solution.residual_max))
+    payload["residual_max"] = problem.backend.format(solution.residual_max)
     _emit(payload, args.out)
     return 0 if report.passed else 1
 

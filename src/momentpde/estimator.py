@@ -67,10 +67,12 @@ def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
         value = norms[n]
         if value is None or not value > 0:
             continue
-        if isinstance(value, float) and not math.isfinite(value):
-            raise FitError(f"non-finite norm at n={n}")
+        # an infinite norm, or a finite one past the double range
+        log_value = log_scalar(value)
+        if not math.isfinite(log_value):
+            raise FitError(f"non-finite log norm at n={n}")
         ns.append(n)
-        logs.append(log_scalar(value))
+        logs.append(log_value)
     if len(ns) < 5:
         raise FitError(
             f"only {len(ns)} positive norms in window [{lo}, {hi}]; need 5"

@@ -8,13 +8,15 @@ both the generalized derivatives (factorials give the classical one,
 Γ(1+sn) the Caputo-type fractional one, [n]_q! the q-difference one) and
 the growth bookkeeping of the solver.
 
-Sequences are immutable after construction; values and ratios are memoized.
+Sequences are immutable after construction.  Values are memoized; a
+one-step ratio m(n+1)/m(n) is computed on each call, in closed form where
+the kind has one and as a quotient of memoized values otherwise.
 The generalized derivative of order k multiplies the coefficient of degree n
 by m(n)/m(n-k), so each sequence also keeps one multiplier list per order k:
 entry g of the order-k list is m(g+k)/m(g).  The lists are filled on demand,
-up to the degree a caller asks for, from the memoized one-step ratios, each
-read once; an entry is passed through exact_multiplier, so in exact mode it
-is the exact product with an integral Fraction as an int (an mpf is left
+up to the degree a caller asks for, from the one-step ratios, each read once
+per sequence; an entry is passed through exact_multiplier, so in exact mode
+it is the exact product with an integral Fraction as an int (an mpf is left
 as it is).  Two readers use the lists: the derivative kernel, and the exact
 recurrence, which differentiates its int numerators in its own pass over
 the same lists.  Every value and ratio comes from the backend (its scalar,
@@ -31,13 +33,10 @@ from fractions import Fraction
 from .backends import (
     Backend,
     BackendError,
-    EXACT_BIT_BUDGET,
     RationalBackend,
     exact_multiplier,
-    factorial_bits,
     log_scalar,
     parse_rational,
-    too_many_bits,
 )
 
 
@@ -53,7 +52,8 @@ def _order_value(order) -> Fraction:
 
 
 class MomentSequence:
-    """Base class; concrete kinds implement _compute_value and _compute_ratio."""
+    """Base class; concrete kinds implement _compute_value, and override
+    _compute_ratio where the ratio has a closed form."""
 
     kind = "abstract"
 
@@ -68,7 +68,6 @@ class MomentSequence:
             backend = RationalBackend()
         self.backend = backend
         self._values: list = []
-        self._ratios: dict[int, object] = {}
         self._multipliers: dict[int, list] = {}
         self._regularity: dict[int, tuple] = {}
 
@@ -89,15 +88,12 @@ class MomentSequence:
         return self.backend.exact is False or self.is_rational_exact()
 
     def value(self, n: int):
-        """m(n).  Memoized; m(0) = 1 by construction."""
+        """m(n).  Memoized; m(0) = 1 by construction.  A value the backend
+        cannot form (in exact mode, an irrational power or Γ) raises the
+        backend's BackendError."""
         if n < 0:
             raise SequenceError(f"sequence index must be >= 0, got {n}")
         values = self._values
-        if n >= len(values) and not self.feasible_in_backend():
-            raise BackendError(
-                f"{self.kind} sequence is not rational-valued; "
-                "solve with the bigfloat backend"
-            )
         while len(values) <= n:
             k = len(values)
             v = self.backend.one() if k == 0 else self._compute_value(k)
@@ -108,13 +104,11 @@ class MomentSequence:
         return values[n]
 
     def ratio(self, n: int):
-        """m(n+1)/m(n).  Memoized; consistent with value() by construction."""
+        """m(n+1)/m(n), computed on each call; consistent with value() by
+        construction."""
         if n < 0:
             raise SequenceError(f"sequence index must be >= 0, got {n}")
-        r = self._ratios.get(n)
-        if r is None:
-            r = self._ratios[n] = self._compute_ratio(n)
-        return r
+        return self._compute_ratio(n)
 
     def multipliers(self, k: int, top: int) -> list:
         """The order-k multiplier list (k >= 1), filled at least up to entry
@@ -187,23 +181,6 @@ class GammaSequence(MomentSequence):
 
     def _compute_value(self, n: int):
         return self.backend.gamma(1 + self.s * n)
-
-    def _compute_ratio(self, n: int):
-        # (s(n+1))!/(sn)! for integral s; otherwise through value(), which
-        # raises BackendError in exact mode
-        if self.backend.exact and self.s.denominator == 1:
-            step = int(self.s)
-            # step factors, each at least s*n + 1, whose product is at
-            # least step!
-            if max(step * ((step * n + 1).bit_length() - 1),
-                   factorial_bits(step)) > EXACT_BIT_BUDGET:
-                raise too_many_bits(
-                    f"(s(n+1))!/(sn)! for a {step.bit_length()}-bit s")
-            out = Fraction(1)
-            for k in range(step * n + 1, step * (n + 1) + 1):
-                out *= k
-            return out
-        return self.value(n + 1) / self.value(n)
 
 
 class QFactorial(MomentSequence):

@@ -95,7 +95,6 @@ class MomentPDE:
                            and next(iter(a.coeffs.values())) < 0)
                 row.append((a.neg() if negated else a, negated))
             self._parts.append((term, row))
-        self._shift_factors: dict[tuple[int, int], object] = {}
 
     @property
     def num_vars(self) -> int:
@@ -116,14 +115,10 @@ class MomentPDE:
 
     def t_shift_factor(self, n: int, j: int):
         """m0(n+j)/m0(n): the weight of coefficient n of D_t^j, an exact 1
-        for j = 0.  Memoised per (n, j)."""
+        for j = 0.  The values are memoized in m0."""
         if not j:
             return 1
-        factor = self._shift_factors.get((n, j))
-        if factor is None:
-            factor = self._shift_factors[n, j] = (
-                self.m0.value(n + j) / self.m0.value(n))
-        return factor
+        return self.m0.value(n + j) / self.m0.value(n)
 
     def apply(self, u: TimeSeries) -> TimeSeries:
         """P applied to u, truncated to t-order u.t_order - M: P's walk.

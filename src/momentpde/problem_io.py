@@ -302,14 +302,18 @@ def _monomial(entry, path: str, num_vars: int, backend: Backend,
     return t_power, z_powers, value
 
 
-def _monomials_to_timeseries(monomials, num_vars: int) -> TimeSeries:
+def _monomials_to_timeseries(monomials, num_vars: int,
+                             valid=None) -> TimeSeries:
+    """The sum of (t_power, z_powers, value) monomials, one z-polynomial of
+    the given validity per t-power; an empty list is the zero series."""
     top = max((t for t, _, _ in monomials), default=0)
     buckets: list[dict] = [dict() for _ in range(top + 1)]
     for t_power, z_powers, value in monomials:
         bucket = buckets[t_power]
         bucket[z_powers] = bucket.get(z_powers, 0) + value
     return TimeSeries(
-        [PolySeries(num_vars, bucket) for bucket in buckets], tail_exact=True
+        [PolySeries(num_vars, bucket, valid) for bucket in buckets],
+        tail_exact=True
     )
 
 
@@ -367,9 +371,7 @@ def _poly(entry, path: str, num_vars: int, z_caps, backend) -> PolySeries:
             _monomial(m, f"{path}[{k}]", num_vars, backend, with_t=False)
             for k, m in enumerate(entry)
         ]
-        return PolySeries.from_monomials(
-            num_vars, [(z, v) for _, z, v in monomials]
-        )
+        return _monomials_to_timeseries(monomials, num_vars).entries[0]
     if isinstance(entry, dict) and "generator" in entry:
         return _generator_poly(entry, path, num_vars, z_caps, backend)
     if isinstance(entry, dict) and "monomials" in entry:
@@ -390,9 +392,7 @@ def _poly(entry, path: str, num_vars: int, z_caps, backend) -> PolySeries:
                 None if v is None else _as_int(v, f"{path}.valid[{i}]")
                 for i, v in enumerate(valid)
             )
-        return PolySeries.from_monomials(
-            num_vars, [(z, v) for _, z, v in monomials], valid
-        )
+        return _monomials_to_timeseries(monomials, num_vars, valid).entries[0]
     raise ProblemFormatError(
         path, "expected a monomial list, a generator, or a monomials object"
     )
@@ -400,8 +400,6 @@ def _poly(entry, path: str, num_vars: int, z_caps, backend) -> PolySeries:
 
 def _rhs(entry, path: str, num_vars: int, z_caps, backend) -> TimeSeries:
     if isinstance(entry, list):
-        if not entry:
-            return TimeSeries.zero(num_vars)
         monomials = [
             _monomial(m, f"{path}[{k}]", num_vars, backend, with_t=True)
             for k, m in enumerate(entry)

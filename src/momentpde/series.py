@@ -239,14 +239,6 @@ class PolySeries:
     def constant(cls, num_vars: int, value, valid=None) -> "PolySeries":
         return cls(num_vars, {(0,) * num_vars: value}, valid)
 
-    @classmethod
-    def from_monomials(cls, num_vars: int, monomials, valid=None) -> "PolySeries":
-        coeffs: dict[Exponents, object] = {}
-        for exponents, value in monomials:
-            key = tuple(exponents)
-            coeffs[key] = coeffs.get(key, 0) + value
-        return cls(num_vars, coeffs, valid)
-
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, exponents: Exponents):

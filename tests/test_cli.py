@@ -514,7 +514,7 @@ def _huge_order_error(tmp_path, kind: str, s: str, *flags: str) -> str:
     ("factorial_power", "1e400"), ("factorial_power", "1e5000"),
     ("gamma", "1e400"), ("gamma", "100000000")])
 def test_a_huge_exact_order_exits_two_at_once(kind, s, tmp_path):
-    # m(2) = 2!^s, or a ratio (s(n+1))!/(sn)!, passes the bit budget of an
+    # m(2) = 2!^s, or m(1) = Γ(1 + s) = s!, passes the bit budget of an
     # exact value, so solve stops with a BackendError before forming it,
     # and the reason prints no huge number
     _huge_order_error(tmp_path, kind, s)
@@ -528,6 +528,24 @@ def test_a_huge_big_float_order_exits_two_in_the_dump(tmp_path):
     message = _huge_order_error(tmp_path, "factorial_power", "1e400",
                                 "--backend", "bigfloat")
     assert message.startswith("the exact value of an mpf with a ")
+
+
+@pytest.mark.parametrize("mode, error", [
+    ("sup_proxy", "FitError"), ("nagumo_profile", "ParameterError")])
+def test_a_huge_big_float_order_estimate_exits_two(mode, error, capsys,
+                                                   tmp_path):
+    # with m(n) = n!^(10^400) in big float the ell-1 norms have logs past
+    # the double range, and the profile's order 10^400 is no double: the
+    # fit and the norm each stop with a reason instead of an OverflowError
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc["moment"]["z"][0]["s"] = "1e400"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "estimate", path, "--backend", "bigfloat",
+                         "--mode", mode, "--t-order", "10", "--z-degree",
+                         "20", "--window", "2,10")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
 
 
 @pytest.mark.parametrize("backend", ["rational", "bigfloat"])

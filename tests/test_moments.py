@@ -197,7 +197,8 @@ def test_factorial_power_ratio_identity(s, n):
 
 def test_multiplier_lists_hold_exact_value_ratios():
     seqs = (FactorialPower(2), QFactorial(Fraction(1, 2)),
-            QuotientSequence(FactorialPower(2), FactorialPower(1)))
+            QuotientSequence(FactorialPower(2), FactorialPower(1)),
+            GammaSequence(2), GammaSequence(3))
     for seq in seqs:
         for k in (1, 2, 3):
             table = seq.multipliers(k, 9)
