@@ -54,7 +54,7 @@ from .pde import (
     ValidationReport,
     validate,
 )
-from .polygon import NewtonPolygon, build, export_geometry, k1_inverse
+from .polygon import NewtonPolygon, build, k1_inverse, render_svg
 from .problem_io import (
     ProblemFormatError,
     load_problem,
@@ -114,7 +114,6 @@ __all__ = [
     "default_window",
     "estimate_order",
     "exponential_series",
-    "export_geometry",
     "geometric_series",
     "k1_inverse",
     "lemma_battery",
@@ -124,6 +123,7 @@ __all__ = [
     "nagumo_profile",
     "parse_problem",
     "parse_rational",
+    "render_svg",
     "residual",
     "solution_to_dict",
     "solve",

@@ -315,12 +315,6 @@ class RationalBackend:
             return value
         return parse_rational(value)
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def power(self, base, exponent: Fraction) -> Fraction:
         return exact_pow(Fraction(base), exponent)
 
@@ -335,9 +329,6 @@ class RationalBackend:
             raise too_many_bits(
                 f"the factorial of a {m.bit_length()}-bit integer")
         return Fraction(math.factorial(m))
-
-    def check_finite(self, value: Fraction) -> Fraction:
-        return value
 
     def format(self, value: Fraction) -> str:
         return str(Fraction(value))
@@ -371,12 +362,6 @@ class BigFloatBackend:
         if isinstance(value, Fraction):
             return mpf_from_fraction(self.ctx, value)
         return self.ctx.mpf(value)
-
-    def zero(self):
-        return self.ctx.mpf(0)
-
-    def one(self):
-        return self.ctx.mpf(1)
 
     def power(self, base, exponent):
         if isinstance(exponent, Fraction) and exponent.denominator == 1:

@@ -1,9 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: parse a command and its flags, run it, print
+its result.
 
 Commands: solve | polygon | estimate | check | svg.  All output is
-deterministic JSON (or SVG 1.1 for the drawing); exit code 0 means success
-or a PASS verdict, 1 a FAIL verdict, 2 a usage, parse, or validation error
-or a non-zero exact residual.
+deterministic JSON (or SVG 1.1 for the drawing, which `polygon.render_svg`
+makes); exit code 0 means success or a PASS verdict, 1 a FAIL verdict, 2 a
+usage, parse, or validation error or a non-zero exact residual.  Every
+error of exit code 2, a malformed flag included, prints one JSON object
+naming it on stderr; only `--help` prints argparse's text.
 
 Each command runs with CPython's cyclic garbage collector paused.  A solve
 keeps its whole stack of coefficients alive, and the collector would
@@ -31,7 +34,7 @@ from .backends import BackendError, PrecisionError
 from .estimator import FitError, verify_theorem
 from .nagumo import ParameterError, lemma_battery
 from .pde import ValidationError
-from .polygon import GeometryError, as_dict as polygon_as_dict, build, export_geometry
+from .polygon import GeometryError, as_dict as polygon_as_dict, build, render_svg
 from .problem_io import (
     ProblemFormatError,
     load_problem,
@@ -41,7 +44,22 @@ from .problem_io import (
 from .moments import SequenceError
 from .solver import SolveError, solve
 
+
+class UsageError(ValueError):
+    """A malformed command line: an unknown command or flag, a missing
+    argument, or a flag value its type rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises UsageError where argparse would print
+    its usage text and exit; `--help` still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 USER_ERRORS = (
+    UsageError,
     ProblemFormatError,
     ValidationError,
     BackendError,
@@ -66,10 +84,10 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = _PARSER.parse_args(argv)
         return globals()["cmd_" + args.command](args)
     except USER_ERRORS as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
@@ -83,7 +101,7 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentpde",
         description="Formal series solver, Newton polygon, and Gevrey-order "
                     "estimation for moment PDE Cauchy problems.",
@@ -227,87 +245,12 @@ def cmd_svg(args) -> int:
         xs = [sp.x for sp in polygon.support_points]
         ys = [sp.y for sp in polygon.support_points]
         clip = (min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1)
-    geometry = export_geometry(polygon, clip)
+    drawing = render_svg(polygon, clip)
     out = args.out or (str(args.problem).rsplit(".", 1)[0] + ".svg")
     with open(out, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(geometry))
-    _emit({"out": out, "k1_inverse": geometry["k1_inverse"]}, None)
+        handle.write(drawing)
+    _emit({"out": out, "k1_inverse": str(polygon.k1_inverse)}, None)
     return 0
-
-
-# -- SVG rendering ------------------------------------------------------------
-
-_WIDTH = 560
-_HEIGHT = 420
-_MARGIN = 48
-
-
-def render_svg(geometry: dict) -> str:
-    """SVG 1.1 drawing of the clipped polygon geometry.
-
-    Quadrant outlines in light gray, the hull boundary in black, support
-    points as dots; axes dashed when the clip box contains them.
-    """
-    x0, y0, x1, y1 = (Fraction(v) for v in geometry["clip"])
-
-    def px(x: Fraction) -> float:
-        return _MARGIN + float((x - x0) / (x1 - x0)) * _WIDTH
-
-    def py(y: Fraction) -> float:
-        return _MARGIN + (1.0 - float((y - y0) / (y1 - y0))) * _HEIGHT
-
-    def path(points) -> str:
-        return " ".join(
-            f"{px(Fraction(p['x'])):.2f},{py(Fraction(p['y'])):.2f}"
-            for p in points
-        )
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_WIDTH + 2 * _MARGIN}" height="{_HEIGHT + 2 * _MARGIN}" '
-        f'viewBox="0 0 {_WIDTH + 2 * _MARGIN} {_HEIGHT + 2 * _MARGIN}">',
-        f'<rect x="0" y="0" width="{_WIDTH + 2 * _MARGIN}" '
-        f'height="{_HEIGHT + 2 * _MARGIN}" fill="white"/>',
-    ]
-    if x0 <= 0 <= x1:
-        parts.append(
-            f'<line x1="{px(Fraction(0)):.2f}" y1="{py(y0):.2f}" '
-            f'x2="{px(Fraction(0)):.2f}" y2="{py(y1):.2f}" '
-            'stroke="#bbbbbb" stroke-dasharray="4 3"/>'
-        )
-    if y0 <= 0 <= y1:
-        parts.append(
-            f'<line x1="{px(x0):.2f}" y1="{py(Fraction(0)):.2f}" '
-            f'x2="{px(x1):.2f}" y2="{py(Fraction(0)):.2f}" '
-            'stroke="#bbbbbb" stroke-dasharray="4 3"/>'
-        )
-    for quadrant in geometry["quadrants"]:
-        parts.append(
-            f'<polyline points="{path(quadrant["outline"])}" fill="none" '
-            'stroke="#cccccc" stroke-width="1"/>'
-        )
-    parts.append(
-        f'<polyline points="{path(geometry["boundary"])}" fill="none" '
-        'stroke="#111111" stroke-width="2"/>'
-    )
-    for vertex in geometry["vertices"]:
-        parts.append(
-            f'<circle cx="{px(Fraction(vertex["x"])):.2f}" '
-            f'cy="{py(Fraction(vertex["y"])):.2f}" r="4" fill="#111111"/>'
-        )
-    for quadrant in geometry["quadrants"]:
-        corner = quadrant["corner"]
-        parts.append(
-            f'<circle cx="{px(Fraction(corner["x"])):.2f}" '
-            f'cy="{py(Fraction(corner["y"])):.2f}" r="2.5" fill="#666666"/>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN}" y="{_MARGIN - 12}" font-family="monospace" '
-        f'font-size="14">1/k1 = {geometry["k1_inverse"]}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 if __name__ == "__main__":

@@ -96,8 +96,7 @@ class MomentSequence:
         values = self._values
         while len(values) <= n:
             k = len(values)
-            v = self.backend.one() if k == 0 else self._compute_value(k)
-            v = self.backend.check_finite(v)
+            v = self.backend.scalar(1) if k == 0 else self._compute_value(k)
             if not v > 0:
                 raise SequenceError(f"{self.kind}: m({k}) = {v} is not positive")
             values.append(v)

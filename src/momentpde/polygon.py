@@ -8,7 +8,8 @@ the formal solution; it is computed here twice, once from the hull geometry
 and once by the closed max formula, so each route can audit the other.
 
 All comparisons are exact: x-coordinates are Fractions built from the
-declared sequence orders, y-coordinates are integers.
+declared sequence orders, y-coordinates are integers.  `render_svg` draws
+the polygon straight from those Fractions, clipped to a box.
 """
 
 from __future__ import annotations
@@ -160,62 +161,8 @@ def k1_inverse(pde: MomentPDE) -> Fraction:
     return best
 
 
-def export_geometry(polygon: NewtonPolygon, clip: tuple) -> dict:
-    """Clip the polygon to a box and emit JSON-ready drawing geometry.
-
-    The boundary polyline runs from the clip's left edge along the lowest
-    horizontal ray, through the hull vertices, then up the final vertical
-    ray.  Every support point also gets its own clipped quadrant outline.
-    """
-    x0, y0, x1, y1 = (Fraction(str(c)) for c in clip)
-    if not (x0 < x1 and y0 < y1):
-        raise GeometryError(f"degenerate clip box {clip}")
-    for sp in polygon.support_points:
-        if not (x0 <= sp.x <= x1 and y0 <= sp.y <= y1):
-            raise GeometryError(
-                f"support point ({sp.x}, {sp.y}) outside clip box"
-            )
-    chain = list(polygon.pareto_vertices)
-    boundary = [(x0, chain[0][1])] + chain + [(chain[-1][0], y1)]
-    quadrants = [
-        {
-            "corner": _fmt_point(sp.point),
-            "sources": list(sp.sources),
-            "outline": [
-                _fmt_point((x0, sp.y)),
-                _fmt_point(sp.point),
-                _fmt_point((sp.x, y1)),
-            ],
-        }
-        for sp in polygon.support_points
-    ]
-    return {
-        "clip": [str(x0), str(y0), str(x1), str(y1)],
-        "k1_inverse": str(polygon.k1_inverse),
-        "principal": _fmt_point(polygon.principal),
-        "boundary": [_fmt_point(p) for p in boundary],
-        **_fmt_hull(polygon),
-        "quadrants": quadrants,
-    }
-
-
 def _fmt_point(p: Point) -> dict:
     return {"x": str(p[0]), "y": str(p[1])}
-
-
-def _fmt_hull(polygon: NewtonPolygon) -> dict:
-    """The hull vertices and segments as both payloads print them."""
-    return {
-        "vertices": [_fmt_point(p) for p in polygon.pareto_vertices],
-        "segments": [
-            {
-                "start": _fmt_point(seg.start),
-                "end": _fmt_point(seg.end),
-                "slope": str(seg.slope),
-            }
-            for seg in polygon.segments
-        ],
-    }
 
 
 def as_dict(polygon: NewtonPolygon) -> dict:
@@ -227,6 +174,96 @@ def as_dict(polygon: NewtonPolygon) -> dict:
             {"x": str(sp.x), "y": str(sp.y), "sources": list(sp.sources)}
             for sp in polygon.support_points
         ],
-        **_fmt_hull(polygon),
+        "vertices": [_fmt_point(p) for p in polygon.pareto_vertices],
+        "segments": [
+            {
+                "start": _fmt_point(seg.start),
+                "end": _fmt_point(seg.end),
+                "slope": str(seg.slope),
+            }
+            for seg in polygon.segments
+        ],
         "k1_attainers": list(polygon.k1_attainers),
     }
+
+
+# -- SVG drawing --------------------------------------------------------------
+
+_WIDTH = 560
+_HEIGHT = 420
+_MARGIN = 48
+
+
+def render_svg(polygon: NewtonPolygon, clip: tuple) -> str:
+    """SVG 1.1 drawing of the polygon clipped to the box (x0, y0, x1, y1).
+
+    The hull boundary, in black, runs from the clip's left edge along the
+    lowest horizontal ray, through the hull vertices, then up the final
+    vertical ray.  Every support point's quadrant is outlined in light gray
+    and marked by a dot; the axes are dashed when the box contains them.
+    """
+    x0, y0, x1, y1 = (Fraction(str(c)) for c in clip)
+    if not (x0 < x1 and y0 < y1):
+        raise GeometryError(f"degenerate clip box {clip}")
+    for sp in polygon.support_points:
+        if not (x0 <= sp.x <= x1 and y0 <= sp.y <= y1):
+            raise GeometryError(
+                f"support point ({sp.x}, {sp.y}) outside clip box"
+            )
+
+    def px(x: Fraction) -> float:
+        return _MARGIN + float((x - x0) / (x1 - x0)) * _WIDTH
+
+    def py(y: Fraction) -> float:
+        return _MARGIN + (1.0 - float((y - y0) / (y1 - y0))) * _HEIGHT
+
+    def path(points) -> str:
+        return " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in points)
+
+    chain = polygon.pareto_vertices
+    boundary = [(x0, chain[0][1]), *chain, (chain[-1][0], y1)]
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_WIDTH + 2 * _MARGIN}" height="{_HEIGHT + 2 * _MARGIN}" '
+        f'viewBox="0 0 {_WIDTH + 2 * _MARGIN} {_HEIGHT + 2 * _MARGIN}">',
+        f'<rect x="0" y="0" width="{_WIDTH + 2 * _MARGIN}" '
+        f'height="{_HEIGHT + 2 * _MARGIN}" fill="white"/>',
+    ]
+    if x0 <= 0 <= x1:
+        parts.append(
+            f'<line x1="{px(0):.2f}" y1="{py(y0):.2f}" '
+            f'x2="{px(0):.2f}" y2="{py(y1):.2f}" '
+            'stroke="#bbbbbb" stroke-dasharray="4 3"/>'
+        )
+    if y0 <= 0 <= y1:
+        parts.append(
+            f'<line x1="{px(x0):.2f}" y1="{py(0):.2f}" '
+            f'x2="{px(x1):.2f}" y2="{py(0):.2f}" '
+            'stroke="#bbbbbb" stroke-dasharray="4 3"/>'
+        )
+    for sp in polygon.support_points:
+        outline = [(x0, sp.y), sp.point, (sp.x, y1)]
+        parts.append(
+            f'<polyline points="{path(outline)}" fill="none" '
+            'stroke="#cccccc" stroke-width="1"/>'
+        )
+    parts.append(
+        f'<polyline points="{path(boundary)}" fill="none" '
+        'stroke="#111111" stroke-width="2"/>'
+    )
+    for x, y in chain:
+        parts.append(
+            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="4" fill="#111111"/>'
+        )
+    for sp in polygon.support_points:
+        parts.append(
+            f'<circle cx="{px(sp.x):.2f}" cy="{py(sp.y):.2f}" r="2.5" '
+            'fill="#666666"/>'
+        )
+    parts.append(
+        f'<text x="{_MARGIN}" y="{_MARGIN - 12}" font-family="monospace" '
+        f'font-size="14">1/k1 = {polygon.k1_inverse}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -138,10 +138,6 @@ class DimensionMismatch(ValueError):
     """Operands disagree on the number of variables."""
 
 
-def total_degree(exponents: Exponents) -> int:
-    return sum(exponents)
-
-
 def min_validity(a: Validity, b: Validity) -> Validity:
     out = []
     for x, y in zip(a, b):
@@ -475,7 +471,7 @@ class PolySeries:
             numerators, lcm = (cleared(items) if type(first) is Fraction
                                else (items, 1))
             p, q = r.numerator, r.denominator
-            degrees = [total_degree(e) for e, _ in numerators]
+            degrees = [sum(e) for e, _ in numerators]
             top = max(degrees)
             return Fraction(sum(abs(x) * p ** d * q ** (top - d)
                                 for d, (_, x) in zip(degrees, numerators)),
@@ -492,7 +488,7 @@ class PolySeries:
                 powers = {}
             scales = []
             for exponents, _ in items:
-                d = total_degree(exponents)
+                d = sum(exponents)
                 p = powers.get(d)
                 if p is None:
                     p = r ** d
@@ -542,7 +538,7 @@ def geometric_series(num_vars: int, ratio, caps: Iterable[int]) -> PolySeries:
     caps = tuple(caps)
     c = parse_rational(ratio) if isinstance(ratio, (str, int)) else ratio
     powers = [c ** d for d in range(sum(caps) + 1)]  # c^d once per degree d
-    coeffs = {exponents: powers[total_degree(exponents)]
+    coeffs = {exponents: powers[sum(exponents)]
               for exponents in _box(caps)}
     return PolySeries(num_vars, coeffs, caps)
 
@@ -556,7 +552,7 @@ def exponential_series(num_vars: int, rate, caps: Iterable[int]) -> PolySeries:
         denom = 1
         for g in exponents:
             denom *= math.factorial(g)
-        coeffs[exponents] = c ** total_degree(exponents) * Fraction(1, denom)
+        coeffs[exponents] = c ** sum(exponents) * Fraction(1, denom)
     return PolySeries(num_vars, coeffs, caps)
 
 
@@ -603,10 +599,6 @@ class TimeSeries:
     @property
     def num_vars(self) -> int:
         return self.entries[0].num_vars
-
-    @classmethod
-    def zero(cls, num_vars: int, t_order: int = 0, tail_exact: bool = True):
-        return cls([PolySeries.zero(num_vars)] * (t_order + 1), tail_exact)
 
     def coefficient(self, n: int) -> PolySeries:
         """The t^n coefficient; exact zero beyond the range when tail_exact."""

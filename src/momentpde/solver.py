@@ -397,8 +397,9 @@ def _close(a: PolySeries, b: PolySeries, backend) -> bool:
         return a == b  # on the common valid region, as a.sub(b) compares
     diff = a.sub(b)
     tol = backend.residual_tolerance
-    scale = b.ell1_norm(backend.one()) + backend.one()
-    return diff.ell1_norm(backend.one()) <= tol * scale
+    one = backend.scalar(1)
+    scale = b.ell1_norm(one) + one
+    return diff.ell1_norm(one) <= tol * scale
 
 
 def residual(problem: CauchyProblem, solution: FormalSolution):
@@ -407,7 +408,7 @@ def residual(problem: CauchyProblem, solution: FormalSolution):
     Raises SolveError when a validity of u disagrees with the operator's
     (module docstring)."""
     scale, differences = _differences(problem, solution)
-    worst = problem.backend.zero()
+    worst = problem.backend.scalar(0)
     for _, diff in differences:
         value = diff.ell1_norm(1)
         if value > worst:

@@ -16,6 +16,11 @@ from momentpde import (
 from momentpde.backends import log_scalar
 
 
+def zero_rhs(num_vars: int) -> TimeSeries:
+    """The zero right-hand side: t-order 0, exact past it."""
+    return TimeSeries([PolySeries.zero(num_vars)], tail_exact=True)
+
+
 def add_time_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
     """a + b, kept to the shorter range of a truncated operand; the sum is
     tail_exact only when both operands are."""
@@ -82,8 +87,8 @@ def fraction_residual(problem: CauchyProblem, solution: FormalSolution):
     pde = problem.pde
     values = [solution.coefficient(n) for n in range(solution.t_order + 1)]
     applied = pde.apply(TimeSeries(values, solution.coefficients.tail_exact))
-    one = problem.backend.one()
-    worst = problem.backend.zero()
+    one = problem.backend.scalar(1)
+    worst = problem.backend.scalar(0)
     top = min(applied.t_order, problem.t_order - pde.M)
     for n in range(top + 1):
         diff = applied.coefficient(n).sub(problem.rhs.coefficient(n))

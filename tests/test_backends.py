@@ -166,7 +166,7 @@ def test_scalar_to_fraction_round_trip():
     x = backend.scalar(F(-7, 16))  # exactly representable in binary
     assert scalar_to_fraction(x) == F(-7, 16)
     assert scalar_to_fraction(F(2, 3)) == F(2, 3)
-    assert scalar_to_fraction(backend.zero()) == 0
+    assert scalar_to_fraction(backend.scalar(0)) == 0
 
 
 def test_an_mpf_exponent_past_the_budget_raises_before_the_power():
@@ -198,7 +198,7 @@ def test_scalar_to_fraction_matches_the_power_formula():
     backend = BigFloatBackend(96)
     ctx = backend.ctx
     rng = random.Random(2026)
-    values = [backend.zero(), ctx.mpf(1), ctx.mpf(-1), ctx.mpf(2) ** 300,
+    values = [backend.scalar(0), ctx.mpf(1), ctx.mpf(-1), ctx.mpf(2) ** 300,
               -ctx.mpf(2) ** -300]
     for _ in range(400):
         man = rng.getrandbits(rng.randint(1, 160)) | 1

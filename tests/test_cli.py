@@ -119,6 +119,45 @@ def test_svg_without_out_writes_beside_the_problem(tmp_path, capsys):
     assert "1/k1 = 1" in (tmp_path / "heat.svg").read_text()
 
 
+# SHA-256 of the `svg` drawing of every shipped fixture at the default clip
+# (one unit around the support points) and of heat at three explicit clips,
+# recorded when the drawing still went through a string geometry; any change
+# in a coordinate, an element or its order shows.  The fixtures whose
+# polygon is heat's, principal corner (1, -1) and vertex (2, 0), share a
+# digest.
+SVG_DIGESTS = {
+    ("fractional", None): "7a3217162f75ef1d58883d6142862b2fb310949a2fdb357ce6afe3dc7fa2dd19",
+    ("gamma_z2", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("heat", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("heat", "-1,-2,3,1"): "4ae9aa2376252eb8ffb78ec07bdb653eda812d38825d982808cda060b5317a93",
+    ("heat", "-3,-5,9,4"): "ee2b71d6392505a9ebd8625e92e0bded81bd637e8b255c3325ed0f468a0c961c",
+    ("heat", "0,-1,2,0"): "88d955b919f37ecab5c3a74723b38420220d9c2e5a4976d99dab0cf381e9517e",
+    ("heat2d", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("heat2d_var", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("heat_exp", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("heat_half", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("heat_table", None): "2ce76182501a2aa8d8e65bc62f0e5cf8c2bf04b9c7918f854e6fa1a90be7a11f",
+    ("heat_tcoeff", None): "8ee6dc3123f0d07af8cc252c57444a616d43d6d0e76c0a4b97269c987d2e0d38",
+    ("mixed2d", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("qdiff", None): "eef9eb057c877530d9f1cbdfb07b98506cec6feb69a17195da81bb236310a5ab",
+    ("table_order1", None): "4b13b9310a052d647ae85aad984fe2f549c47474d41352cd7ed4f75226349ae3",
+    ("third_order", None): "2ce76182501a2aa8d8e65bc62f0e5cf8c2bf04b9c7918f854e6fa1a90be7a11f",
+    ("transport_z2", None): "7474d70c07f8035ee93b914ee06e61fc52496deec5b511581959efca5e062035",
+    ("two_segment", None): "1659cdcf8ace6c259f4b4b1c58e659fa6e7d5d8b9eed265449aa9d62d0cc8fe1",
+}
+
+
+@pytest.mark.parametrize("name, clip", sorted(SVG_DIGESTS, key=str))
+def test_svg_output_matches_recorded_digest(name, clip, tmp_path, capsys):
+    out_path = tmp_path / "drawing.svg"
+    flags = [] if clip is None else [f"--clip={clip}"]
+    code, _, _ = run(capsys, "svg", PROBLEMS / f"{name}.json",
+                     "--out", out_path, *flags)
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == SVG_DIGESTS[name, clip]
+
+
 def test_bad_file_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -805,13 +844,19 @@ def test_main_runs_the_command_bound_when_it_is_called(capsys, monkeypatch):
 
 
 def test_a_bad_flag_on_a_later_call_still_exits_two(capsys):
+    # a malformed command line is a user error: exit 2 with one JSON object
+    # naming it on stderr, not argparse's usage text
     assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
     for argv in (["polygon", PROBLEMS / "heat.json", "--no-such-flag"],
                  ["solve", PROBLEMS / "heat.json", "--t-order", "x"],
+                 ["estimate", PROBLEMS / "heat.json", "--window", "5"],
+                 ["svg", PROBLEMS / "heat.json", "--clip=1,2"],
+                 ["check", "--seed", "x"],
+                 ["solve"],
                  ["no-such-command"]):
-        with pytest.raises(SystemExit) as exit_info:
-            run(capsys, *argv)
-        assert exit_info.value.code == 2
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "UsageError"
     assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
 
 

@@ -39,7 +39,7 @@ from momentpde import (
 from momentpde.backends import log_scalar
 from momentpde.problem_io import load_problem
 
-from helpers import least_squares_reference, ratio_order
+from helpers import least_squares_reference, ratio_order, zero_rhs
 
 F = Fraction
 
@@ -55,7 +55,7 @@ def heat_pde(ord_t=0) -> MomentPDE:
 
 
 def make_problem(pde, initial, t_order=40, z_caps=(120,)) -> CauchyProblem:
-    return CauchyProblem(pde, TimeSeries.zero(1), initial, t_order, z_caps,
+    return CauchyProblem(pde, zero_rhs(1), initial, t_order, z_caps,
                          RationalBackend())
 
 
@@ -233,7 +233,7 @@ def test_verify_theorem_convergent_case_clamps_to_zero():
 def test_verify_theorem_q_difference():
     pde = MomentPDE(1, QFactorial(F(1, 2)), [FactorialPower(1)],
                     [OperatorTerm(0, (0,), constant_coeff(-1))])
-    problem = CauchyProblem(pde, TimeSeries.zero(1),
+    problem = CauchyProblem(pde, zero_rhs(1),
                             [PolySeries.constant(1, F(1))], 40, (0,),
                             RationalBackend())
     solution = solve(problem)
@@ -282,7 +282,7 @@ def test_verify_theorem_uses_problem_estimation_defaults():
     from momentpde import EstimationConfig
 
     problem = CauchyProblem(
-        heat_pde(), TimeSeries.zero(1), [geometric_series(1, 1, (120,))],
+        heat_pde(), zero_rhs(1), [geometric_series(1, 1, (120,))],
         40, (120,), RationalBackend(),
         estimation=EstimationConfig(rho=F(1, 8), window=(20, 40),
                                     tolerance=F(3, 20), mode="sup_proxy"),

@@ -234,7 +234,8 @@ def test_ell1_norm_is_the_operator_sum(precision):
     rng = random.Random(f"norm{precision}")
     backend = BigFloatBackend(precision)
     ctx = backend.ctx
-    radii = (1, F(1), backend.one(), F(1, 3), F(5, 7), backend.scalar(F(2, 3)))
+    radii = (1, F(1), backend.scalar(1), F(1, 3), F(5, 7),
+             backend.scalar(F(2, 3)))
     tables = [{} for _ in radii]  # one power table per radius, shared
     for trial in range(4):
         f = _series(rng, backend, 1 + trial % 2, specials=trial == 3)
@@ -294,7 +295,7 @@ def test_mixed_operands_take_the_operator_path(precision):
     # operators, with the shared context's raw path refusing to run
     rng = random.Random(f"other{precision}")
     backend = BigFloatBackend(precision)
-    assert mpf_arith(backend.one()) is not None
+    assert mpf_arith(backend.scalar(1)) is not None
     factors = (mpmath.mpf(3) / 11, 5, F(2, 3))
     exact_seqs = (FactorialPower(1), QFactorial(F(1, 3)))
     for f, g, factor in zip(_other_domains(rng), _other_domains(rng),
@@ -337,12 +338,12 @@ def test_mixed_operands_take_the_operator_path(precision):
 
 def test_mpf_arith_reads_one_value():
     backend = BigFloatBackend(53)
-    one = backend.one()
+    one = backend.scalar(1)
     arith = mpf_arith(one)
     assert arith is not None and mpf_arith(backend.scalar(F(1, 3))) is arith
     assert arith.product(one, one)._mpf_ == one._mpf_
     assert arith.minus(one, one) is None
-    other = mpf_arith(BigFloatBackend(54).one())
+    other = mpf_arith(BigFloatBackend(54).scalar(1))
     assert other is not None and other is not arith
     for value in (1, F(1, 3), mpmath.mpf(1), None):
         assert mpf_arith(value) is None

@@ -38,7 +38,7 @@ from momentpde.estimator import alpha0
 from momentpde.nagumo import _leq, random_polynomial
 from momentpde.problem_io import problem_from_dict
 
-from helpers import evaluate
+from helpers import evaluate, zero_rhs
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
@@ -325,7 +325,7 @@ def test_profile_of_zero_and_polynomial_solutions():
                     [OperatorTerm(0, (2,), coeff)])
 
     def run(phi):
-        prob = CauchyProblem(pde, TimeSeries.zero(1), [phi], 8, (20,),
+        prob = CauchyProblem(pde, zero_rhs(1), [phi], 8, (20,),
                              RationalBackend())
         return solve(prob)
 

@@ -24,7 +24,7 @@ from momentpde import (
 )
 from momentpde.problem_io import load_problem
 
-from helpers import add_time_series
+from helpers import add_time_series, zero_rhs
 
 F = Fraction
 PROBLEMS = Path(__file__).parent / "problems"
@@ -46,7 +46,7 @@ def make_problem(pde, initial, t_order=8, z_caps=(20,),
                  backend=None) -> CauchyProblem:
     return CauchyProblem(
         pde=pde,
-        rhs=TimeSeries.zero(pde.num_vars),
+        rhs=zero_rhs(pde.num_vars),
         initial=initial,
         t_order=t_order,
         z_caps=z_caps,

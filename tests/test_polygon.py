@@ -1,4 +1,4 @@
-"""Newton polygon construction, the closed slope formula, and geometry export."""
+"""Newton polygon construction, the closed slope formula, and its drawing."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from momentpde import (
     QFactorial,
     TimeSeries,
     build,
-    export_geometry,
     k1_inverse,
+    render_svg,
 )
 from momentpde.polygon import GeometryError
 
@@ -176,30 +176,33 @@ def test_k1_tie_reports_all_attainers():
     assert len(polygon.k1_attainers) == 2
 
 
-def test_export_geometry_heat():
-    geometry = export_geometry(build(heat()), (-1, -2, 3, 1))
-    assert geometry["k1_inverse"] == "1"
-    assert geometry["vertices"] == [
-        {"x": "1", "y": "-1"}, {"x": "2", "y": "0"}
-    ]
-    assert len(geometry["segments"]) == 1
-    assert geometry["segments"][0]["slope"] == "1"
-    # clipped rays: start on the left clip edge, end on the top clip edge
-    assert geometry["boundary"][0] == {"x": "-1", "y": "-1"}
-    assert geometry["boundary"][-1] == {"x": "2", "y": "1"}
+def boundary_points(svg: str) -> str:
+    """The `points` of the drawing's hull boundary, the black polyline."""
+    (line,) = [line for line in svg.splitlines()
+               if line.startswith("<polyline") and 'stroke="#111111"' in line]
+    return line.split('points="')[1].split('"')[0]
 
 
-def test_export_geometry_single_quadrant_corner():
+def test_render_svg_heat():
+    # clipped rays: start on the left clip edge at y = -1, pass the hull
+    # vertices (1, -1) and (2, 0), end on the top clip edge at x = 2
+    svg = render_svg(build(heat()), (-1, -2, 3, 1))
+    assert boundary_points(svg) == (
+        "48.00,328.00 328.00,328.00 468.00,188.00 468.00,48.00"
+    )
+    assert "1/k1 = 1</text>" in svg
+
+
+def test_render_svg_single_quadrant_corner():
     pde = MomentPDE(1, FactorialPower(1), [FactorialPower(1)], [])
-    geometry = export_geometry(build(pde), (-1, -2, 2, 1))
-    assert geometry["boundary"] == [
-        {"x": "-1", "y": "-1"}, {"x": "1", "y": "-1"}, {"x": "1", "y": "1"}
-    ]
+    svg = render_svg(build(pde), (-1, -2, 2, 1))
+    # (-1, -1), the corner (1, -1), then (1, 1) on the top clip edge
+    assert boundary_points(svg) == "48.00,328.00 421.33,328.00 421.33,48.00"
 
 
-def test_export_geometry_clip_errors():
+def test_render_svg_clip_errors():
     polygon = build(heat())
     with pytest.raises(GeometryError):
-        export_geometry(polygon, (0, 0, 0, 0))
+        render_svg(polygon, (0, 0, 0, 0))
     with pytest.raises(GeometryError):
-        export_geometry(polygon, (-1, -2, F(3, 2), 1))  # excludes (2, 0)
+        render_svg(polygon, (-1, -2, F(3, 2), 1))  # excludes (2, 0)

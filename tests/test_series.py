@@ -401,7 +401,7 @@ def test_one_order_k_pass_equals_k_order_1_passes(backend, kind):
                 assert [_fmt(v) for v in got.coeffs.values()] == \
                     [_fmt(v) for v in want.coeffs.values()]
             else:
-                assert _value_types(got) <= {type(backend.one())}
+                assert _value_types(got) <= {type(backend.scalar(1))}
 
 
 @pytest.mark.parametrize("backend", [RationalBackend(), BigFloatBackend(96)],
@@ -719,7 +719,7 @@ def test_shared_power_table_matches_the_per_term_power(precision, num_vars):
             assert _same(f.ell1_norm(rho, powers), want)
             assert _same(f.ell1_norm(rho), want)
         assert set(powers) == {sum(k) for f in series for k in f.coeffs}
-    for one in (1, F(1), backend.one()):
+    for one in (1, F(1), backend.scalar(1)):
         for f in series:
             assert _same(f.ell1_norm(one), _old_ell1(f, one))
 
@@ -731,13 +731,13 @@ def test_power_table_rounds_each_fraction_power_to_nearest():
     # follow one rule
     backend = BigFloatBackend(24)
     rho = F(1, 3)
-    f = PolySeries(1, {(d,): backend.one() for d in range(40)})
+    f = PolySeries(1, {(d,): backend.scalar(1) for d in range(40)})
     powers: dict = {}
     f.ell1_norm(rho, powers)
     toward_zero = 0
     for d in range(1, 40):
         assert powers[d]._mpf_ == backend.scalar(rho ** d)._mpf_
-        toward_zero += (backend.one() * rho ** d)._mpf_ != powers[d]._mpf_
+        toward_zero += (backend.scalar(1) * rho ** d)._mpf_ != powers[d]._mpf_
     assert toward_zero == 18
 
 

@@ -43,6 +43,7 @@ from helpers import (
     linear_combination_solution,
     recurrence_reference,
     with_values,
+    zero_rhs,
 )
 
 F = Fraction
@@ -64,7 +65,7 @@ def problem(pde, initial, rhs=None, t_order=10, z_caps=(30,), backend=None,
             num_vars=1) -> CauchyProblem:
     return CauchyProblem(
         pde=pde,
-        rhs=rhs if rhs is not None else TimeSeries.zero(num_vars),
+        rhs=rhs if rhs is not None else zero_rhs(num_vars),
         initial=initial,
         t_order=t_order,
         z_caps=z_caps,
@@ -158,7 +159,7 @@ def test_bigfloat_residual_within_precision_budget():
     sol = solve(prob)
     # first-order rounding budget: data magnitude times the operation count
     # per coefficient, at the working precision (with a wide safety margin)
-    scale = max(float(sol.coefficient(n).ell1_norm(backend.one()))
+    scale = max(float(sol.coefficient(n).ell1_norm(backend.scalar(1)))
                 for n in range(26))
     budget = scale * prob.t_order * 2.0 ** (-backend.precision_bits + 16)
     assert 0 <= float(sol.residual_max) <= budget
