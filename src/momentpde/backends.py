@@ -343,6 +343,10 @@ class RationalBackend:
         return isinstance(other, RationalBackend)
 
 
+# The mantissa width of a big-float backend whose precision is not given.
+DEFAULT_PRECISION = 256
+
+
 class BigFloatBackend:
     """Arbitrary-precision binary floats in the mpmath context shared by
     every backend of one precision (module docstring)."""
@@ -350,7 +354,7 @@ class BigFloatBackend:
     name = "bigfloat"
     exact = False
 
-    def __init__(self, precision_bits: int = 256):
+    def __init__(self, precision_bits: int = DEFAULT_PRECISION):
         if precision_bits < 24:
             raise BackendError("precision_bits must be at least 24")
         self.precision_bits = int(precision_bits)
@@ -407,7 +411,7 @@ class BigFloatBackend:
 Backend = Union[RationalBackend, BigFloatBackend]
 
 
-def make_backend(name: str, precision_bits: int = 256) -> Backend:
+def make_backend(name: str, precision_bits: int = DEFAULT_PRECISION) -> Backend:
     if name == "rational":
         return RationalBackend()
     if name == "bigfloat":

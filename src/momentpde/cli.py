@@ -36,6 +36,7 @@ from .nagumo import ParameterError, lemma_battery
 from .pde import ValidationError
 from .polygon import GeometryError, as_dict as polygon_as_dict, build, render_svg
 from .problem_io import (
+    OVERRIDES,
     ProblemFormatError,
     load_problem,
     solution_to_dict,
@@ -110,13 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_problem_flags(p):
         p.add_argument("problem", help="problem JSON file")
-        p.add_argument("--t-order", type=int, default=None,
-                       help="override truncation.t_order")
-        p.add_argument("--z-degree", type=_int_list_flag, default=None,
-                       metavar="D1,D2,...", help="override truncation.z_degree")
+        p.add_argument("--t-order", type=int, help="override truncation.t_order")
+        p.add_argument("--z-degree", type=_int_list_flag, metavar="D1,D2,...",
+                       help="override truncation.z_degree")
         p.add_argument("--backend", choices=["rational", "bigfloat"],
-                       default=None, help="override numerics.backend")
-        p.add_argument("--precision", type=int, default=None,
+                       help="override numerics.backend")
+        p.add_argument("--precision", type=int, dest="precision_bits",
                        help="override numerics.precision_bits")
 
     def add_out_flag(p):
@@ -136,13 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_problem_flags(p_est)
     add_out_flag(p_est)
-    p_est.add_argument("--mode", choices=["sup_proxy", "nagumo_profile"],
-                       default=None)
-    p_est.add_argument("--r", default=None, help="profile radius (rational)")
-    p_est.add_argument("--rho", default=None, help="ell-1 radius (rational)")
-    p_est.add_argument("--window", type=_window_flag, default=None,
-                       metavar="LO,HI")
-    p_est.add_argument("--tolerance", default=None,
+    p_est.add_argument("--mode", help="sup_proxy or nagumo_profile")
+    p_est.add_argument("--r", help="profile radius (rational)")
+    p_est.add_argument("--rho", help="ell-1 radius (rational)")
+    p_est.add_argument("--window", type=_window_flag, metavar="LO,HI")
+    p_est.add_argument("--tolerance",
                        help="verdict tolerance on the fitted order")
 
     p_check = sub.add_parser(
@@ -162,12 +160,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _int_list_flag(text: str):
-    return [int(part) for part in text.split(",") if part != ""]
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected D1,D2,... (integers)")
 
 
 def _window_flag(text: str):
-    lo, hi = text.split(",")
-    return (int(lo), int(hi))
+    try:
+        lo, hi = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected LO,HI (two integers)")
+    return [lo, hi]
 
 
 def _clip_flag(text: str):
@@ -178,12 +182,9 @@ def _clip_flag(text: str):
 
 
 def _overrides(args) -> dict:
-    return {
-        "t_order": args.t_order,
-        "z_degree": args.z_degree,
-        "backend": args.backend,
-        "precision_bits": args.precision,
-    }
+    """The problem flags as load_problem overrides; a command without a
+    flag, or a flag not given, leaves its key None."""
+    return {key: getattr(args, key, None) for key in OVERRIDES}
 
 
 def _write_json(payload: dict, handle) -> None:
@@ -216,15 +217,7 @@ def cmd_polygon(args) -> int:
 def cmd_estimate(args) -> int:
     problem = load_problem(args.problem, _overrides(args))
     solution = solve(problem)
-    report = verify_theorem(
-        problem,
-        solution,
-        mode=args.mode,
-        r=args.r,
-        rho=args.rho,
-        window=args.window,
-        tolerance=args.tolerance,
-    )
+    report = verify_theorem(problem, solution)
     payload = report.as_dict()
     payload["residual_max"] = problem.backend.format(solution.residual_max)
     _emit(payload, args.out)

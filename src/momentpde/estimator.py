@@ -6,6 +6,9 @@ log n! recovers s as the coefficient of log n!; the polygon's reciprocal
 slope is an upper bound for it, so the verdict compares the fitted order
 against that bound plus a finite-size tolerance.  The bound need not be
 tight: convergent solutions fit near zero and still pass.
+
+The settings of the comparison are the problem's EstimationConfig, checked
+when the problem was made (pde module).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .backends import log_scalar, parse_rational
-from .nagumo import ParameterError, nagumo_profile
+from .backends import log_scalar
+from .nagumo import nagumo_profile
 from .pde import CauchyProblem, MomentPDE
 from .polygon import k1_inverse
 from .solver import FormalSolution
@@ -38,13 +41,6 @@ class OrderFit(NamedTuple):
 def default_window(n_max: int) -> tuple[int, int]:
     # early terms bias the asymptotic fit; use the upper half
     return (math.ceil(n_max / 2), n_max)
-
-
-def _positive(name: str, value) -> Fraction:
-    value = parse_rational(value)
-    if not value > 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-    return value
 
 
 def estimate_order(norms: Sequence, window: Optional[tuple[int, int]] = None
@@ -177,61 +173,37 @@ class TheoremReport(NamedTuple):
         }
 
 
-DEFAULT_TOLERANCE = Fraction(3, 20)
-
-
-def _first(*values):
-    """The first of values that is not None: an argument, then the
-    problem's estimation default, then the package default."""
-    return next(v for v in values if v is not None)
-
-
-def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
-                   mode: Optional[str] = None,
-                   r=None, rho=None,
-                   window: Optional[tuple[int, int]] = None,
-                   tolerance=None) -> TheoremReport:
+def verify_theorem(problem: CauchyProblem, solution: FormalSolution
+                   ) -> TheoremReport:
     """Compare the fitted growth order of the solved coefficients with the
-    polygon bound.
+    polygon bound, with the settings of problem.estimation.
 
     mode `nagumo_profile` uses v_n = ||u_n|| at n*alpha0 with the problem's
     order vector at radius r; mode `sup_proxy` uses the zero-index profile,
     the ell-1 norms at radius rho.  Either way v_n is one nagumo_profile.
-    Both radii must be positive in either mode.  The window is
-    clamped to the trusted range first, and a norm is taken only for n in
-    the window, the only ones the fit reads; lower_bound_norms is set when
-    any trusted u_n is a truncation, in or out of the window.  The reported
-    s_hat lives on the Gevrey scale (clamped at 0 from below); the
-    verdict is PASS when s_hat <= 1/k1 + tolerance, so a fit well below the
-    bound still passes (the bound is one-sided).
+    The window is clamped to the trusted range first, and a norm is taken
+    only for n in the window, the only ones the fit reads; lower_bound_norms
+    is set when any trusted u_n is a truncation, in or out of the window.
+    The reported s_hat lives on the Gevrey scale (clamped at 0 from below);
+    the verdict is PASS when s_hat <= 1/k1 + tolerance, so a fit well below
+    the bound still passes (the bound is one-sided).
     """
     est = problem.estimation
-    mode = _first(mode, est.mode, "sup_proxy")
-    if mode not in ("sup_proxy", "nagumo_profile"):
-        raise ValueError(f"unknown mode {mode!r}")
-    tolerance = parse_rational(_first(tolerance, est.tolerance,
-                                      DEFAULT_TOLERANCE))
     k1_inv = k1_inverse(problem.pde)
 
-    lo, hi = _first(window, est.window,
-                    default_window(solution.valid_t_order))
+    lo, hi = est.window or default_window(solution.valid_t_order)
     hi = min(hi, solution.valid_t_order)
     if lo > hi:
         raise FitError(
             f"window [{lo}, {hi}] empty after clamping to the trusted range"
         )
-    if lo < 0:
-        raise FitError(f"window [{lo}, {hi}] outside data range "
-                       f"[0, {solution.valid_t_order}]")
 
     # the fit reads the norms on the window only; norms[n] is None below it
     trusted = solution.coefficients.entries[:solution.valid_t_order + 1]
     lower = any(not numerators.is_exact() for numerators in trusted)
-    r = _positive("r", _first(r, est.r, Fraction(1, 2)))
-    rho = _positive("rho", _first(rho, est.rho, Fraction(1, 4)))
-    a0 = alpha0(problem.pde) if mode == "nagumo_profile" else None
+    a0 = alpha0(problem.pde) if est.mode == "nagumo_profile" else None
     # sup_proxy reads the zero-index profile: the ell-1 norms at rho
-    index, radius = (a0, r) if a0 else ((0,) * problem.num_vars, rho)
+    index, radius = (a0, est.r) if a0 else ((0,) * problem.num_vars, est.rho)
     norms = [None] * lo + nagumo_profile(solution, index, radius,
                                          problem.pde.s, range(lo, hi + 1))
 
@@ -248,15 +220,16 @@ def verify_theorem(problem: CauchyProblem, solution: FormalSolution, *,
         s_hat = max(fit.s_hat, 0.0)
         rms = fit.rms_residual
 
-    verdict = "PASS" if s_hat <= float(k1_inv) + float(tolerance) else "FAIL"
+    verdict = ("PASS" if s_hat <= float(k1_inv) + float(est.tolerance)
+               else "FAIL")
     return TheoremReport(
         k1_inverse=k1_inv,
         s_hat=s_hat,
         window=(lo, hi),
         rms_residual=rms,
         verdict=verdict,
-        mode=mode,
-        tolerance=tolerance,
+        mode=est.mode,
+        tolerance=est.tolerance,
         fit=fit,
         alpha0=a0,
         lower_bound_norms=lower,

@@ -455,7 +455,7 @@ def _sweep_context(rng: random.Random):
     return num_vars, r, s, alpha, beta
 
 
-def lemma_battery(seed: int = 7, instances: int = 1000) -> dict:
+def lemma_battery(seed: int, instances: int) -> dict:
     """Run every inequality sweep with one seeded generator and report.
 
     The battery is deterministic for a fixed seed; the report is the JSON

@@ -11,16 +11,20 @@ coefficient recurrence well-founded.
 MomentPDE.apply is P's one walk over its parts, and the residual check of
 both backends runs it.  The solver's recurrence enumerates the same parts
 on its own (solver module docstring), so the check compares two walks.
+
+A CauchyProblem also holds the settings of its order estimate in an
+EstimationConfig, which checks them when the problem is made.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .backends import Backend
+from .backends import Backend, BackendError, parse_rational
 from .moments import MomentSequence
+from .nagumo import ParameterError
 from .series import (
     DimensionMismatch,
     Exponents,
@@ -194,14 +198,42 @@ class MomentPDE:
         return TimeSeries(out, tail_exact=False)
 
 
-class EstimationConfig(NamedTuple):
-    """Defaults for the order-estimation stage, usually from the problem file."""
+class EstimationConfig:
+    """The settings of the order estimate (estimator.verify_theorem), checked
+    here alone; ParameterError names one out of range.  The defaults: radius
+    r = 1/2 of the Nagumo profile and rho = 1/4 of the ell-1 proxy (each
+    positive, in either mode), tolerance 3/20 (a rational), mode sup_proxy
+    (or nagumo_profile), and window None, the upper half of the trusted
+    range, else (lo, hi) with 0 <= lo <= hi."""
 
-    r: Optional[Fraction] = None
-    rho: Optional[Fraction] = None
-    window: Optional[tuple[int, int]] = None
-    tolerance: Optional[Fraction] = None
-    mode: Optional[str] = None
+    __slots__ = ("r", "rho", "tolerance", "mode", "window")
+
+    def __init__(self, r=Fraction(1, 2), rho=Fraction(1, 4),
+                 tolerance=Fraction(3, 20), mode="sup_proxy", window=None):
+        self.r = _rational("r", r, positive=True)
+        self.rho = _rational("rho", rho, positive=True)
+        self.tolerance = _rational("tolerance", tolerance)
+        if mode not in ("sup_proxy", "nagumo_profile"):
+            raise ParameterError(
+                f"mode must be sup_proxy or nagumo_profile, got {mode!r}")
+        self.mode = mode
+        if window is not None and not (
+                isinstance(window, (list, tuple)) and len(window) == 2
+                and all(type(x) is int for x in window)
+                and 0 <= window[0] <= window[1]):
+            raise ParameterError(
+                f"window must be [lo, hi] with 0 <= lo <= hi, got {window!r}")
+        self.window = None if window is None else tuple(window)
+
+
+def _rational(name: str, value, positive: bool = False) -> Fraction:
+    try:
+        value = parse_rational(value)
+    except BackendError as exc:
+        raise ParameterError(f"{name}: {exc}") from None
+    if positive and not value > 0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    return value
 
 
 class CauchyProblem:

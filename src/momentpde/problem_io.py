@@ -30,7 +30,11 @@ Schema (see README for the worked example):
                  {"monomials": [...], "valid": [...]}
     truncation   {"t_order": N_max, "z_degree": [caps...]}
     numerics     {"backend": "rational"|"bigfloat", "precision_bits": 256}
-    estimation   {"r", "rho", "window": [lo, hi], "tolerance", "mode"}  (optional)
+    estimation   {"r", "rho", "window": [lo, hi], "tolerance", "mode"}  (optional;
+                 checked, and defaulted, by pde.EstimationConfig)
+
+The overrides of `load_problem` (the commands' flags) set the keys of
+OVERRIDES in their sections before the document is read; None sets none.
 
 A term monomial is {"t_power": int, "z_powers": [ints], "value": rational};
 z-only monomials drop "t_power".  Sequence sub-schema, parsed here only:
@@ -48,6 +52,7 @@ import math
 from fractions import Fraction
 
 from .backends import (
+    DEFAULT_PRECISION,
     Backend,
     BackendError,
     make_backend,
@@ -140,7 +145,7 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
         raise ProblemFormatError("", "problem document must be a JSON object")
     doc = dict(doc)
     if overrides:
-        doc = _apply_overrides(doc, overrides)
+        _apply_overrides(doc, overrides)
 
     num_vars = _as_int(_need(doc, "variables", ""), "variables", 1)
 
@@ -148,7 +153,7 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
     if not isinstance(numerics, dict):
         raise ProblemFormatError("numerics", "expected an object")
     backend_name = numerics.get("backend", "rational")
-    precision = _as_int(numerics.get("precision_bits", 256),
+    precision = _as_int(numerics.get("precision_bits", DEFAULT_PRECISION),
                         "numerics.precision_bits", 24)
     try:
         backend = make_backend(backend_name, precision)
@@ -201,7 +206,7 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
         for j, entry in enumerate(initial_doc)
     ]
 
-    estimation = _estimation(doc.get("estimation"), "estimation")
+    estimation = _estimation(doc.get("estimation"))
 
     return CauchyProblem(
         pde=pde,
@@ -214,20 +219,26 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
     )
 
 
-def _apply_overrides(doc: dict, overrides: dict) -> dict:
-    """A copy of doc with each given value set in its section; a section
-    that is not an object is rejected as the document without flags is."""
-    doc = json.loads(json.dumps(doc))  # deep copy
-    for section, key in (("truncation", "t_order"), ("truncation", "z_degree"),
-                         ("numerics", "backend"),
-                         ("numerics", "precision_bits")):
+# The document section each override key is set in.
+OVERRIDES = {"t_order": "truncation", "z_degree": "truncation",
+             "backend": "numerics", "precision_bits": "numerics",
+             **dict.fromkeys(EstimationConfig.__slots__, "estimation")}
+
+
+def _apply_overrides(doc: dict, overrides: dict) -> None:
+    """Set each given value in its section of doc, a copy of the document's
+    top level: a section is copied before it is set, so the document read
+    is left as it is.  A section that is not an object is rejected as the
+    document without overrides is."""
+    for key, section in OVERRIDES.items():
         value = overrides.get(key)
         if value is not None:
-            entry = doc.setdefault(section, {})
+            entry = doc.get(section, {})
             if not isinstance(entry, dict):
                 raise ProblemFormatError(section, "expected an object")
-            entry[key] = list(value) if key == "z_degree" else value
-    return doc
+            if isinstance(value, tuple):
+                value = list(value)
+            doc[section] = {**entry, key: value}
 
 
 def _sequence(spec, path: str, backend: Backend) -> MomentSequence:
@@ -413,28 +424,14 @@ def _rhs(entry, path: str, num_vars: int, z_caps, backend) -> TimeSeries:
     raise ProblemFormatError(path, "expected a monomial list or a generator")
 
 
-def _estimation(entry, path: str) -> EstimationConfig:
+def _estimation(entry) -> EstimationConfig:
+    """The section's settings, checked and defaulted by EstimationConfig."""
     if entry is None:
-        return EstimationConfig()
+        entry = {}
     if not isinstance(entry, dict):
-        raise ProblemFormatError(path, "expected an object")
-    window = entry.get("window")
-    if window is not None:
-        if (not isinstance(window, list)) or len(window) != 2:
-            raise ProblemFormatError(f"{path}.window", "expected [lo, hi]")
-        window = (_as_int(window[0], f"{path}.window[0]", 0),
-                  _as_int(window[1], f"{path}.window[1]", 0))
-    mode = entry.get("mode")
-    if mode is not None and mode not in ("sup_proxy", "nagumo_profile"):
-        raise ProblemFormatError(f"{path}.mode", f"unknown mode {mode!r}")
-    return EstimationConfig(
-        r=_as_rational(entry["r"], f"{path}.r") if "r" in entry else None,
-        rho=_as_rational(entry["rho"], f"{path}.rho") if "rho" in entry else None,
-        window=window,
-        tolerance=_as_rational(entry["tolerance"], f"{path}.tolerance")
-        if "tolerance" in entry else None,
-        mode=mode,
-    )
+        raise ProblemFormatError("estimation", "expected an object")
+    return EstimationConfig(**{key: entry[key] for key in
+                               EstimationConfig.__slots__ if key in entry})
 
 
 # -- the solution dump --------------------------------------------------------

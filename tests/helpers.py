@@ -8,6 +8,7 @@ from fractions import Fraction
 from momentpde import (
     CauchyProblem,
     DimensionMismatch,
+    EstimationConfig,
     FormalSolution,
     PolySeries,
     SolveError,
@@ -56,6 +57,17 @@ def linear_combination_solution(problem_a: CauchyProblem,
         backend=problem_a.backend,
         estimation=problem_a.estimation,
     )
+
+
+def with_settings(problem: CauchyProblem, **settings) -> CauchyProblem:
+    """The problem with the given estimation settings in place of its own;
+    a setting not given, or given as None, keeps the problem's."""
+    merged = {key: getattr(problem.estimation, key)
+              for key in EstimationConfig.__slots__}
+    merged.update((k, v) for k, v in settings.items() if v is not None)
+    return CauchyProblem(problem.pde, problem.rhs, problem.initial,
+                         problem.t_order, problem.z_caps, problem.backend,
+                         EstimationConfig(**merged))
 
 
 def with_values(problem: CauchyProblem, solution: FormalSolution,

@@ -213,10 +213,10 @@ def test_criterion_7_residual_oracle():
 
 def test_criterion_8_profile_bound():
     with Criterion(8, "norm-profile growth bound", 10):
-        problem = load_problem(PROBLEMS / "heat.json")
+        problem = load_problem(PROBLEMS / "heat.json", {
+            "mode": "nagumo_profile", "r": F(1, 2), "window": (20, 40)})
         solution = solve(problem)
-        report = verify_theorem(problem, solution, mode="nagumo_profile",
-                                r=F(1, 2), window=(20, 40))
+        report = verify_theorem(problem, solution)
         assert report.alpha0 == (3,)
         assert report.s_hat <= 1.0 + 0.15
         assert report.passed

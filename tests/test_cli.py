@@ -77,6 +77,22 @@ def test_estimate_fail_exit_one(capsys):
     assert json.loads(out)["verdict"] == "FAIL"
 
 
+@pytest.mark.parametrize("tolerance, verdict, code", [
+    ("1/100", "FAIL", 1), ("1/50", "PASS", 0)])
+def test_the_verdict_compares_the_fit_with_the_bound_plus_the_tolerance(
+        tolerance, verdict, code, capsys):
+    # heat.json in its sup_proxy mode fits s_hat = 1.0173371... against
+    # 1/k1 = 1: PASS needs s_hat <= 1/k1 + tolerance, so a tolerance of 1/100
+    # fails and one of 1/50 passes, with about 0.003 to spare either way
+    got, out, _ = run(capsys, "estimate", PROBLEMS / "heat.json",
+                      "--tolerance", tolerance)
+    payload = json.loads(out)
+    assert (payload["mode"], payload["k1_inverse"]) == ("sup_proxy", "1")
+    assert abs(payload["s_hat"] - 1.0173371) < 1e-7
+    assert (got, payload["verdict"], payload["tolerance"]) == (
+        code, verdict, tolerance)
+
+
 def test_estimate_profile_mode(capsys):
     code, out, _ = run(capsys, "estimate", PROBLEMS / "heat.json",
                        "--t-order", "24", "--z-degree", "72",
@@ -190,6 +206,39 @@ def test_nonpositive_rho_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "estimate", path)
     assert code == 2
     assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--rho=0", "rho must be positive, got 0"),
+    ("--window=30,20",
+     "window must be [lo, hi] with 0 <= lo <= hi, got [30, 20]"),
+    ("--tolerance=x", "tolerance: not a rational value: 'x'"),
+    ("--mode=x", "mode must be sup_proxy or nagumo_profile, got 'x'"),
+])
+def test_bad_settings_are_refused_before_the_recurrence(flag, message, capsys,
+                                                        monkeypatch):
+    from momentpde import cli
+
+    def no_solve(problem):
+        raise AssertionError("the recurrence ran")
+    monkeypatch.setattr(solver, "solve", no_solve)
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, out, err = run(capsys, "estimate", PROBLEMS / "heat.json", flag)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
+@pytest.mark.parametrize("command", ["solve", "polygon", "svg", "estimate"])
+def test_every_command_refuses_an_estimation_section_out_of_range(
+        command, capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc["estimation"]["window"] = [30, 20]
+    path = tmp_path / "heat.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParameterError"
+    assert not (tmp_path / "heat.svg").exists()
 
 
 def test_negative_instances_exit_two(capsys):
@@ -794,6 +843,36 @@ def test_estimate_output_matches_recorded_digest(name, mode, capsys):
     assert digest == ESTIMATE_DIGESTS[name, mode]
 
 
+# Two documented data forms, each with its equivalent monomial list, on
+# heat.json at t-order 10 and z-degree 20: the monomials object with an
+# explicit validity, and a right-hand side generator t^2 * 1/(1 - z/2)
+DATA_FORMS = {
+    "initial-monomials-object": ("initial", [[]], [{
+        "monomials": [{"z_powers": [k], "value": "1"} for k in range(21)],
+        "valid": [20]}], [{"generator": "geometric", "coefficient": "1"}]),
+    "rhs-generator-t-power": ("rhs", [], [
+        {"t_power": 2, "z_powers": [k], "value": f"1/{2 ** k}"}
+        for k in range(21)],
+        {"generator": "geometric", "coefficient": "1/2", "t_power": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_FORMS))
+def test_a_data_form_solves_as_its_monomial_list(case, capsys, tmp_path):
+    field, zero, listed, form = DATA_FORMS[case]
+    doc = json.loads((PROBLEMS / "heat.json").read_text())
+    path = tmp_path / "heat.json"
+    outputs = []
+    for value in (zero, listed, form):
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        outputs.append(run(capsys, "solve", path, "--t-order", "10",
+                           "--z-degree", "20"))
+    assert outputs[1] == outputs[2]
+    assert outputs[1][0] == 0 and outputs[1] != outputs[0]
+    assert json.loads(outputs[1][1])["residual_max"] == "0"
+
+
 def test_backend_override(capsys):
     code, out, _ = run(capsys, "solve", PROBLEMS / "heat.json",
                        "--t-order", "4", "--z-degree", "12",
@@ -858,6 +937,25 @@ def test_a_bad_flag_on_a_later_call_still_exits_two(capsys):
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "UsageError"
     assert run(capsys, "polygon", PROBLEMS / "heat.json")[0] == 0
+
+
+@pytest.mark.parametrize("argv, form", [
+    (["estimate", PROBLEMS / "heat.json", "--window", "5"], "LO,HI"),
+    (["solve", PROBLEMS / "heat.json", "--z-degree", "x"], "D1,D2,..."),
+])
+def test_a_malformed_list_flag_names_its_form_not_a_function(argv, form,
+                                                             capsys):
+    from momentpde import cli
+
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert f"argument {argv[2]}: expected {form}" in payload["message"]
+    # argparse names a type function that raises ValueError
+    private = [name for name, value in vars(cli).items()
+               if callable(value) and name.startswith("_")]
+    assert [name for name in private if name in payload["message"]] == []
 
 
 @contextlib.contextmanager

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from momentpde import (
     CauchyProblem,
+    EstimationConfig,
     FactorialPower,
     FitError,
     MomentPDE,
     NagumoParams,
     OperatorTerm,
+    ParameterError,
     PolySeries,
     QFactorial,
     RationalBackend,
@@ -39,7 +41,7 @@ from momentpde import (
 from momentpde.backends import log_scalar
 from momentpde.problem_io import load_problem
 
-from helpers import least_squares_reference, ratio_order, zero_rhs
+from helpers import least_squares_reference, ratio_order, with_settings, zero_rhs
 
 F = Fraction
 
@@ -54,9 +56,12 @@ def heat_pde(ord_t=0) -> MomentPDE:
     return MomentPDE(1, FactorialPower(1), [FactorialPower(1)], [term])
 
 
-def make_problem(pde, initial, t_order=40, z_caps=(120,)) -> CauchyProblem:
+def make_problem(pde, initial, t_order=40, z_caps=(120,),
+                 **settings) -> CauchyProblem:
+    """The problem with zero right-hand side and the given estimation
+    settings, the package defaults for the others."""
     return CauchyProblem(pde, zero_rhs(1), initial, t_order, z_caps,
-                         RationalBackend())
+                         RationalBackend(), EstimationConfig(**settings))
 
 
 def test_fit_recovers_half_factorial():
@@ -210,20 +215,20 @@ def test_gevrey_stack_profile_fits_declared_order():
 
 
 def test_verify_theorem_heat_geometric():
-    problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))])
+    problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))],
+                           mode="sup_proxy", rho=F(1, 8), window=(20, 40))
     solution = solve(problem)
-    report = verify_theorem(problem, solution, mode="sup_proxy",
-                            rho=F(1, 8), window=(20, 40))
+    report = verify_theorem(problem, solution)
     assert report.k1_inverse == 1
     assert 0.9 <= report.s_hat <= 1.1
     assert report.passed
 
 
 def test_verify_theorem_convergent_case_clamps_to_zero():
-    problem = make_problem(heat_pde(), [exponential_series(1, 1, (120,))])
+    problem = make_problem(heat_pde(), [exponential_series(1, 1, (120,))],
+                           mode="sup_proxy", rho=F(1, 2), window=(20, 40))
     solution = solve(problem)
-    report = verify_theorem(problem, solution, mode="sup_proxy",
-                            rho=F(1, 2), window=(20, 40))
+    report = verify_theorem(problem, solution)
     # u_n = e^z/n!: the raw factorial exponent is -1, the Gevrey order is 0
     assert report.fit is not None and report.fit.s_hat < -0.9
     assert report.s_hat == 0.0
@@ -235,10 +240,11 @@ def test_verify_theorem_q_difference():
                     [OperatorTerm(0, (0,), constant_coeff(-1))])
     problem = CauchyProblem(pde, zero_rhs(1),
                             [PolySeries.constant(1, F(1))], 40, (0,),
-                            RationalBackend())
+                            RationalBackend(),
+                            EstimationConfig(mode="sup_proxy", rho=F(1, 4),
+                                             window=(20, 40)))
     solution = solve(problem)
-    report = verify_theorem(problem, solution, mode="sup_proxy", rho=F(1, 4),
-                            window=(20, 40))
+    report = verify_theorem(problem, solution)
     assert report.k1_inverse == 0
     assert -0.05 <= report.s_hat <= 0.05
     assert report.passed
@@ -246,32 +252,31 @@ def test_verify_theorem_q_difference():
 
 def test_verify_theorem_zero_tail_convention():
     problem = make_problem(heat_pde(), [PolySeries(1, {(2,): F(1)})],
-                           t_order=20, z_caps=(10,))
+                           t_order=20, z_caps=(10,), mode="sup_proxy",
+                           rho=F(1, 4), window=(10, 20))
     solution = solve(problem)
-    report = verify_theorem(problem, solution, mode="sup_proxy",
-                            rho=F(1, 4), window=(10, 20))
+    report = verify_theorem(problem, solution)
     assert report.s_hat == 0.0
     assert report.fit is None
     assert report.passed
 
 
-def test_verify_theorem_rejects_a_negative_window():
+def test_a_negative_window_is_refused_with_the_settings():
     # an index below 0 is not read from the end of the norm list: an
-    # all-zero tail there would pass a polynomial solution unfitted
-    problem = make_problem(heat_pde(), [PolySeries(1, {(2,): F(1)})],
-                           t_order=20, z_caps=(10,))
-    solution = solve(problem)
-    for mode in ("sup_proxy", "nagumo_profile"):
-        with pytest.raises(FitError, match=r"\[-3, -1\] outside data range "
-                           r"\[0, 20\]"):
-            verify_theorem(problem, solution, mode=mode, window=(-3, -1))
+    # all-zero tail there would pass a polynomial solution unfitted.  No
+    # problem holds such a window, so verify_theorem never reads one.
+    with pytest.raises(ParameterError, match=r"0 <= lo <= hi, got \(-3, -1\)"):
+        EstimationConfig(window=(-3, -1))
+    with pytest.raises(ParameterError, match=r"got \[-3, -1\]"):
+        load_problem(Path(__file__).parent / "problems/heat.json",
+                     {"window": (-3, -1)})
 
 
 def test_verify_theorem_profile_mode():
-    problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))])
+    problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))],
+                           mode="nagumo_profile", r=F(1, 2), window=(20, 40))
     solution = solve(problem)
-    report = verify_theorem(problem, solution, mode="nagumo_profile",
-                            r=F(1, 2), window=(20, 40))
+    report = verify_theorem(problem, solution)
     assert report.alpha0 == (3,)
     assert report.lower_bound_norms
     assert report.s_hat <= 1.15
@@ -279,8 +284,6 @@ def test_verify_theorem_profile_mode():
 
 
 def test_verify_theorem_uses_problem_estimation_defaults():
-    from momentpde import EstimationConfig
-
     problem = CauchyProblem(
         heat_pde(), zero_rhs(1), [geometric_series(1, 1, (120,))],
         40, (120,), RationalBackend(),
@@ -295,10 +298,11 @@ def test_verify_theorem_uses_problem_estimation_defaults():
 
 
 def test_verify_theorem_fail_with_negative_tolerance():
-    problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))])
+    problem = make_problem(heat_pde(), [geometric_series(1, 1, (120,))],
+                           mode="sup_proxy", rho=F(1, 8), window=(20, 40),
+                           tolerance=F(-1, 2))
     solution = solve(problem)
-    report = verify_theorem(problem, solution, mode="sup_proxy", rho=F(1, 8),
-                            window=(20, 40), tolerance=F(-1, 2))
+    report = verify_theorem(problem, solution)
     assert report.verdict == "FAIL"
 
 
@@ -338,7 +342,8 @@ def test_window_only_norms_give_the_full_profile_report(path):
     problem, solution = _solved(path)
     r, rho = F(1, 2), F(1, 4)
     for mode in ("nagumo_profile", "sup_proxy"):
-        report = verify_theorem(problem, solution, mode=mode, r=r, rho=rho)
+        report = verify_theorem(with_settings(problem, mode=mode, r=r,
+                                              rho=rho), solution)
         assert report.as_dict() == _full_profile_dict(problem, solution,
                                                       report, r, rho)
 
@@ -349,7 +354,8 @@ def test_window_only_norms_cover_a_truncated_and_an_exact_fixture():
     flags = set()
     for path in FIXTURES:
         problem, solution = _solved(path)
-        report = verify_theorem(problem, solution, mode="nagumo_profile")
+        report = verify_theorem(with_settings(problem, mode="nagumo_profile"),
+                                solution)
         flags.add(report.lower_bound_norms)
     assert flags == {False, True}
 
@@ -441,6 +447,7 @@ def test_verify_theorem_takes_one_norm_per_window_index(window, monkeypatch):
                         lambda *a: calls.append("ell1") or ell1(*a))
     for mode, name in (("nagumo_profile", "norm"), ("sup_proxy", "ell1")):
         calls.clear()
-        report = verify_theorem(problem, solution, mode=mode, window=window)
+        report = verify_theorem(with_settings(problem, mode=mode,
+                                              window=window), solution)
         lo, hi = report.window
         assert calls.count(name) == hi - lo + 1

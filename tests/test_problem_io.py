@@ -201,9 +201,10 @@ def test_round_trip_all_fixtures(name):
             assert phi.valid == problem.z_caps
             assert phi.coeffs == _generator_values(entry, problem.z_caps,
                                                    scalar)
+    # a setting the file leaves out takes the package default
     est, block = problem.estimation, doc["estimation"]
-    for key in ("r", "rho", "tolerance"):
-        assert getattr(est, key) == (F(block[key]) if key in block else None)
+    for key, default in (("r", "1/2"), ("rho", "1/4"), ("tolerance", "3/20")):
+        assert getattr(est, key) == F(block.get(key, default))
     assert est.window == tuple(block["window"])
     assert est.mode == block["mode"]
 
