@@ -13,20 +13,24 @@ is made.  A clone of mpmath's context costs about 0.4 ms and holds a few
 hundred objects in reference cycles, so a context per loaded problem left
 that many for the cyclic collector each time a problem was dropped.
 
-Raw arithmetic.  The hot big-float kernels (series and solver module
-docstrings) do their mpf arithmetic through `MpfArith`, the one place that
-knows mpmath.libmp's arithmetic, the `_mpf_` tuple and a context's
-(precision, rounding).  It is bit for bit the arithmetic of the mpf
-operators, which for x * y on two mpfs call
-`libmp.mpf_mul(x._mpf_, y._mpf_, prec, rounding)` with the (prec, rounding)
-of x's context and wrap the result in a new mpf; +, -, unary - and abs call
-mpf_add, mpf_sub, mpf_neg and mpf_abs the same way.  MpfArith makes the same
-calls with the same precision and rounding, and a shared context's are
-fixed, but it wraps only the value a kernel stores, once, as the context's
-make_mpf wraps: partial sums, the steps of a product chain and abs terms
-stay tuples, and none of the operator's dispatch runs.  A raw sum is zero
-when it equals `libmp.fzero`, which is exactly when the mpf would be falsy;
-a zero mantissa alone would not do, as inf and nan have one too.
+Raw arithmetic.  The hot big-float kernels, the solver's recurrence and
+the sum of pde.MomentPDE.apply (series, solver and pde docstrings) do their
+mpf arithmetic through `MpfArith`, the one place that knows mpmath.libmp's
+arithmetic, the `_mpf_` tuple and a context's (precision, rounding).  It
+is bit for bit the arithmetic of the mpf operators, which for x * y on two
+mpfs call `libmp.mpf_mul(x._mpf_, y._mpf_, prec, rounding)` with the
+(prec, rounding) of x's context and wrap the result in a new mpf; +, -,
+unary - and abs call mpf_add, mpf_sub, mpf_neg and mpf_abs the same way.
+MpfArith makes the same calls with the same precision and rounding, and a
+shared context's are fixed, but it wraps only the value a caller stores,
+once, as the context's make_mpf wraps: partial sums, the steps of a
+product chain, abs terms, the solver's derivatives between its steps and
+apply's running sum stay tuples, and none of the operator's dispatch runs.
+A sum of several products is what mpmath 1.3.0's ctx.fdot computes: their
+exact products (mpf_mul without a precision) added by one mpf_sum, rounded
+once.  A raw sum is zero when it equals `libmp.fzero`, which is exactly
+when the mpf would be falsy; a zero mantissa alone would not do, as inf
+and nan have one too.
 
 Every scalar of a problem is in its backend's domain: in big float an mpf
 of the backend's shared context, in exact mode an int or a Fraction.
@@ -222,26 +226,42 @@ def shared_context(precision_bits: int):
 
 class MpfArith:
     """The mpf arithmetic of one shared context, as libmp calls on the
-    values' `_mpf_` tuples (module docstring).  Each function takes and
-    returns mpfs of ctx, rounded as the mpf operators round:
+    values' `_mpf_` tuples (module docstring), rounded as the mpf operators
+    round.  These take and return mpfs of ctx:
 
     - product(x, y) is x * y;
-    - plus(x, y) and minus(x, y) are x + y and x - y, or None where the
-      result is 0;
-    - negative(x) is -x;
     - chain(x, factors) is x times each factor in turn, ((x * f1) * f2) ...;
     - norm(values, scales) is abs(v1) + abs(v2) + ..., added in order, or
-      abs(v1) * s1 + abs(v2) * s2 + ... where scales are given.
+      abs(v1) * s1 + abs(v2) * s2 + ... where scales are given;
+    - combine(items, factor, parts) is P's sum at one t-order
+      (pde.MomentPDE.apply): {key: v * factor} over the (key, v) items,
+      then each part of parts, a list of (items, negate), added or, with
+      negate, subtracted key by key, as add and sub merge: a key whose sum
+      is 0 leaves, and a key first met in a part takes its value, negated
+      with negate.
 
-    The steps of a chain and the terms and partial sums of a norm stay
-    tuples; each result is wrapped once, as the context's make_mpf wraps
-    (inline in the per-value functions, which are the most frequent)."""
+    These work on tuples, for the solver's recurrence (solver module
+    docstring), with c an mpf and x a tuple:
 
-    __slots__ = ("product", "plus", "minus", "negative", "chain", "norm")
+    - mul(x, y) is x * y of two tuples, a tuple;
+    - scaled(c, items) is {key: c * x} over the (key, x) items;
+    - sums(groups) is, over the groups (c, [(key, x)]), the sum of c * x
+      per key, in ascending key order and without the keys whose sum is 0.
+      A key's one pair is its rounded product; the exact products of
+      several are summed by one mpf_sum, rounded once, which is what
+      `ctx.fdot` computes (mpmath 1.3.0).
+
+    The steps of a chain, the terms and partial sums of a norm and the
+    sums of combine and sums stay tuples; each result is wrapped once, as
+    the context's make_mpf wraps (inline where one call wraps a value per
+    key, and in product, the most frequent)."""
+
+    __slots__ = ("product", "chain", "norm", "combine", "mul", "scaled",
+                 "sums")
 
     def __init__(self, ctx):
         from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg,
-                                  mpf_sub)
+                                  mpf_sub, mpf_sum)
 
         prec, rounding = ctx._prec_rounding
         new, mpf, wrap = object.__new__, ctx.mpf, ctx.make_mpf
@@ -249,27 +269,6 @@ class MpfArith:
         def product(x, y):
             value = new(mpf)
             value._mpf_ = mpf_mul(x._mpf_, y._mpf_, prec, rounding)
-            return value
-
-        def plus(x, y):
-            total = mpf_add(x._mpf_, y._mpf_, prec, rounding)
-            if total == fzero:
-                return None
-            value = new(mpf)
-            value._mpf_ = total
-            return value
-
-        def minus(x, y):
-            total = mpf_sub(x._mpf_, y._mpf_, prec, rounding)
-            if total == fzero:
-                return None
-            value = new(mpf)
-            value._mpf_ = total
-            return value
-
-        def negative(x):
-            value = new(mpf)
-            value._mpf_ = mpf_neg(x._mpf_, prec, rounding)
             return value
 
         def chain(x, factors):
@@ -290,12 +289,68 @@ class MpfArith:
                 total = mpf_add(total, term, prec, rounding)
             return wrap(total)
 
+        def combine(items, factor, parts):
+            factor = factor._mpf_
+            total = {key: mpf_mul(v._mpf_, factor, prec, rounding)
+                     for key, v in items}
+            get = total.get
+            for items, negate in parts:
+                op = mpf_sub if negate else mpf_add
+                for key, v in items:
+                    x = get(key)
+                    if x is None:
+                        total[key] = (mpf_neg(v._mpf_, prec, rounding)
+                                      if negate else v._mpf_)
+                        continue
+                    x = op(x, v._mpf_, prec, rounding)
+                    if x == fzero:
+                        del total[key]
+                    else:
+                        total[key] = x
+            out = {}
+            for key, x in total.items():
+                value = out[key] = new(mpf)
+                value._mpf_ = x
+            return out
+
+        def mul(x, y):
+            return mpf_mul(x, y, prec, rounding)
+
+        def scaled(c, items):
+            c = c._mpf_
+            out = {}
+            for key, x in items:
+                value = out[key] = new(mpf)
+                value._mpf_ = mpf_mul(c, x, prec, rounding)
+            return out
+
+        def sums(groups):
+            pairs = {}
+            for c, items in groups:
+                c = c._mpf_
+                for key, x in items:
+                    pairs.setdefault(key, []).append((c, x))
+            out = {}
+            for key in sorted(pairs):
+                cx = pairs[key]
+                if len(cx) == 1:
+                    (c, x), = cx
+                    total = mpf_mul(c, x, prec, rounding)
+                else:
+                    total = mpf_sum([mpf_mul(c, x) for c, x in cx], prec,
+                                    rounding)
+                if total != fzero:
+                    value = out[key] = new(mpf)
+                    value._mpf_ = total
+            return out
+
         self.product = product
-        self.plus = plus
-        self.minus = minus
-        self.negative = negative
         self.chain = chain
         self.norm = norm
+        self.combine = combine
+        self.mul = mul
+        self.scaled = scaled
+        self.sums = sums
 
 
 def mpf_arith(value):

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .backends import Backend, BackendError, parse_rational
+from .backends import Backend, BackendError, mpf_arith, parse_rational
 from .moments import MomentSequence
 from .nagumo import ParameterError
 from .series import (
@@ -31,6 +31,8 @@ from .series import (
     PolySeries,
     TimeSeries,
     cleared,
+    min_validity,
+    shift_within,
 )
 
 
@@ -154,6 +156,22 @@ class MomentPDE:
           -(c * x), and x - y is computed as x + (-y); a key missing from
           the sum gets the same value either way, and exact values are
           exact.
+
+        The walk reads its arithmetic off one value, the principal part's
+        weight m0(n+M)/m0(n).  In exact mode the principal part is scaled
+        and each part added by the kernels, one `add` at a time.  In big
+        float (P u)_n is one `backends.MpfArith.combine`: the principal
+        part's products and the running sum stay `_mpf_` tuples, with the
+        libmp calls and roundings of scale and add, and each value is
+        wrapped into an mpf once, at the end.  The principal part and the
+        parts are cut first to the validity of the whole sum, the
+        componentwise minimum of theirs, which keeps the keys and values
+        that cutting the running sum at each add keeps.  Only the sum is
+        on tuples: each part is still the kernels' moment_derive, multiply
+        and scale, as the recurrence's are not, so the residual check
+        compares the solver's own derivatives with the kernels'; in a
+        big-float solve this walk is the one caller of moment_derive and
+        multiply.
         """
         if u.t_order < self.M:
             raise ValueError(
@@ -167,7 +185,11 @@ class MomentPDE:
         out = []
         for n in range(u.t_order - self.M + 1):
             factor = self.t_shift_factor(n, self.M)
-            acc = stack[n + self.M].scale(factor if L == 1 else L * factor)
+            principal = stack[n + self.M]
+            arith = mpf_arith(factor)
+            if arith is None:
+                acc = principal.scale(factor if L == 1 else L * factor)
+            parts = []  # big float: summed at the end (docstring)
             for term, row in self._parts:
                 j, alpha = term.key()
                 for k in range(term.ord_t, term.coeff.reach(n) + 1):
@@ -190,7 +212,24 @@ class MomentPDE:
                                 d = d.moment_derive(axis, seq, order)
                         derived[i, alpha] = d
                     part = a.multiply(d).scale(self.t_shift_factor(i - j, j))
-                    acc = acc.add(part, negate=negated)
+                    if arith is None:
+                        acc = acc.add(part, negate=negated)
+                    else:
+                        parts.append((part, negated))
+            if arith is not None:  # raw: one sum on tuples (docstring)
+                valid = principal.valid
+                for part, _ in parts:
+                    valid = min_validity(valid, part.valid)
+                zero = (0,) * self.num_vars
+
+                def within(f: PolySeries):
+                    return shift_within(f.coeffs.items(), zero, f.valid, valid)
+
+                out.append(PolySeries._trusted(self.num_vars, arith.combine(
+                    within(principal), factor,
+                    [(within(part), negated) for part, negated in parts]),
+                    valid))
+                continue
             if L != 1:
                 acc = PolySeries._trusted(acc.num_vars, {
                     g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)

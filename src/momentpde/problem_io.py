@@ -4,20 +4,24 @@ Problems are JSON documents, read and never written back; every numeric
 entry is an exact rational written as a string ("3/4", "-1", "0.5") or an
 integer, never a float, so exact-mode runs are reproducible byte for byte.
 The solution dump keeps the same convention: big-float coefficients
-serialize as the exact rational value of their binary representation, and
-an exact u_n(gamma), stored as an int numerator over the t-order's one
-denominator d_n (solver module docstring), is reduced by one gcd and
-printed as str of its Fraction would print it, with no Fraction built.
-Each value is rendered once, straight from (N_n, d_n) in sorted key order.
+serialize as the exact rational value of their binary representation,
+a non-integral one printed as man/2^k straight from its `_mpf_` tuple,
+each 2^k printed once per dump; and an exact u_n(gamma), stored as an int
+numerator over the t-order's one denominator d_n (solver module
+docstring), is reduced by one gcd and printed as str of its Fraction would
+print it, with no Fraction built.  Each value is rendered once, straight
+from (N_n, d_n) in sorted key order, and an entry's values are of one
+scalar domain, read off its first value.
 
 `solution_to_dict` decides what the solution dump contains and
 `write_solution` only lays it out.  The layout is that of
 ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte for
 byte, but the dump is streamed to the output handle one t-order entry at a
-time, each coefficient filled into a fixed template by one % on its powers
-and its value string.  The template holds because a coefficient value is
-``str`` of an int or a Fraction (a big float's exact binary rational),
-which never contains a character JSON escapes.
+time.  A coefficient of one variable is laid out by one f-string of its
+power and value string; of more variables it is filled into a fixed
+template by one % on its powers and value.  Both hold because a
+coefficient value is ``str`` of an int or a Fraction (a big float's exact
+binary rational), which never contains a character JSON escapes.
 
 Schema (see README for the worked example):
 
@@ -31,10 +35,12 @@ Schema (see README for the worked example):
     truncation   {"t_order": N_max, "z_degree": [caps...]}
     numerics     {"backend": "rational"|"bigfloat", "precision_bits": 256}
     estimation   {"r", "rho", "window": [lo, hi], "tolerance", "mode"}  (optional;
-                 checked, and defaulted, by pde.EstimationConfig)
+                 checked, and defaulted, by pde.EstimationConfig; any other
+                 key is refused)
 
 The overrides of `load_problem` (the commands' flags) set the keys of
-OVERRIDES in their sections before the document is read; None sets none.
+OVERRIDES in their sections before the document is read; None sets none,
+and a key outside OVERRIDES is refused.
 
 A term monomial is {"t_power": int, "z_powers": [ints], "value": rational};
 z-only monomials drop "t_power".  Sequence sub-schema, parsed here only:
@@ -49,12 +55,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .backends import (
     DEFAULT_PRECISION,
     Backend,
     BackendError,
+    is_mpf,
     make_backend,
     parse_rational,
     power_of_two,
@@ -228,8 +236,13 @@ OVERRIDES = {"t_order": "truncation", "z_degree": "truncation",
 def _apply_overrides(doc: dict, overrides: dict) -> None:
     """Set each given value in its section of doc, a copy of the document's
     top level: a section is copied before it is set, so the document read
-    is left as it is.  A section that is not an object is rejected as the
-    document without overrides is."""
+    is left as it is.  A key outside OVERRIDES is refused, and a section
+    that is not an object is rejected as the document without overrides
+    is."""
+    unknown = sorted(set(overrides) - OVERRIDES.keys())
+    if unknown:
+        raise ProblemFormatError("overrides", "unknown keys " + ", ".join(
+            map(repr, unknown)) + "; expected " + ", ".join(OVERRIDES))
     for key, section in OVERRIDES.items():
         value = overrides.get(key)
         if value is not None:
@@ -425,45 +438,59 @@ def _rhs(entry, path: str, num_vars: int, z_caps, backend) -> TimeSeries:
 
 
 def _estimation(entry) -> EstimationConfig:
-    """The section's settings, checked and defaulted by EstimationConfig."""
+    """The section's settings, checked and defaulted by EstimationConfig;
+    a key that is not one of them is refused."""
     if entry is None:
         entry = {}
     if not isinstance(entry, dict):
         raise ProblemFormatError("estimation", "expected an object")
-    return EstimationConfig(**{key: entry[key] for key in
-                               EstimationConfig.__slots__ if key in entry})
+    for key in entry:
+        if key not in EstimationConfig.__slots__:
+            raise ProblemFormatError(f"estimation.{key}", "unknown key; "
+                                     "expected one of " + ", ".join(
+                                         EstimationConfig.__slots__))
+    return EstimationConfig(**entry)
 
 
 # -- the solution dump --------------------------------------------------------
 
 
-def _fmt(value, powers: dict | None = None) -> str:
-    """str(scalar_to_fraction(value)).  A non-integral mpf is printed from
-    its mantissa: mpmath keeps a mantissa odd, so man/2^k is in lowest terms
-    and needs no Fraction.  powers keeps str(2^k) by exponent -k, so a dump
-    that passes one dict to all its values prints each 2^k once."""
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    sign, man, exp, _ = value._mpf_
-    if not man or exp >= 0:  # zero, non-finite or integral
-        return str(scalar_to_fraction(value))
-    if powers is None:
-        powers = {}
-    text = powers.get(exp)
-    if text is None:
-        text = powers[exp] = str(power_of_two(-exp))
-    return f"{'-' if sign else ''}{man}/{text}"
+def _texts(values: list, powers: dict) -> list[str]:
+    """str(scalar_to_fraction(v)) of each of values, which are of one
+    scalar domain, read off the first.  A non-integral mpf is printed from
+    its `_mpf_` tuple: mpmath keeps a mantissa odd, so man/2^k is in lowest
+    terms and needs no Fraction.  powers keeps str(2^k) by exponent -k, so
+    a dump that passes one dict to all its values prints each 2^k once."""
+    if not values or not is_mpf(values[0]):
+        return [str(value) for value in values]
+    out = []
+    for value in values:
+        sign, man, exp, _ = value._mpf_
+        if not man or exp >= 0:  # zero, non-finite or integral
+            out.append(str(scalar_to_fraction(value)))
+            continue
+        text = powers.get(exp)
+        if text is None:
+            text = powers[exp] = str(power_of_two(-exp))
+        out.append(f"-{man}/{text}" if sign else f"{man}/{text}")
+    return out
+
+
+def _fmt(value) -> str:
+    """str(scalar_to_fraction(value)), as _texts prints it."""
+    return _texts([value], {})[0]
 
 
 def _coefficients(poly: PolySeries, d: int, powers: dict) -> list[dict]:
     """One entry's "coefficients" in sorted key order.  With d = d_n other
     than 1 the values are int numerators, and N_n(gamma)/d_n is reduced by
     one gcd and printed as str of its Fraction would print it; with d = 1
-    each value goes through _fmt with the dump's powers."""
+    the values are printed by _texts with the dump's powers."""
     items = sorted(poly.coeffs.items())
     if d == 1:
-        return [{"powers": list(g), "value": _fmt(x, powers)}
-                for g, x in items]
+        texts = _texts([x for _, x in items], powers)
+        return [{"powers": list(g), "value": text}
+                for (g, _), text in zip(items, texts)]
     out = []
     for g, x in items:
         k = math.gcd(x, d)
@@ -476,7 +503,7 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
     """The solution dump: per-n sparse coefficient lists with validity, and
     the validation report.  A value may have any number of digits
     (backends.unlimited_int_digits)."""
-    powers: dict = {}  # str(2^k) of the dump's big-float values (_fmt)
+    powers: dict = {}  # str(2^k) of the dump's big-float values (_texts)
     with unlimited_int_digits():
         return {
             "format": "momentpde.solution/1",
@@ -504,6 +531,7 @@ def solution_to_dict(problem: CauchyProblem, solution: FormalSolution) -> dict:
 # the powers' placeholder still to be expanded to one %s per variable.
 _COEFFICIENT = ('        {\n          "powers": [\n            %s\n          ],\n'
                 '          "value": "%s"\n        }')
+_POWERS_VALUE = operator.itemgetter("powers", "value")
 
 
 def _nested(value, indent: str) -> str:
@@ -517,12 +545,17 @@ def _nested(value, indent: str) -> str:
 
 def _coefficients_text(coefficients: list) -> str:
     """A non-empty "coefficients" list as json.dumps lays it out in an entry:
-    each coefficient filled into _COEFFICIENT by one % on its powers and
-    value."""
-    row = _COEFFICIENT % (",\n            ".join(
-        ["%s"] * len(coefficients[0]["powers"])), "%s")
-    return "[\n" + ",\n".join([row % (*c["powers"], c["value"])
-                               for c in coefficients]) + "\n      ]"
+    one variable's coefficient is one f-string of its power and value, and
+    more variables' fill _COEFFICIENT by one % on their powers and value."""
+    if len(coefficients[0]["powers"]) == 1:
+        rows = [f'        {{\n          "powers": [\n            {g}\n'
+                f'          ],\n          "value": "{value}"\n        }}'
+                for (g,), value in map(_POWERS_VALUE, coefficients)]
+    else:
+        row = _COEFFICIENT % (",\n            ".join(
+            ["%s"] * len(coefficients[0]["powers"])), "%s")
+        rows = [row % (*c["powers"], c["value"]) for c in coefficients]
+    return "[\n" + ",\n".join(rows) + "\n      ]"
 
 
 def _valid_text(valid: list) -> str:
@@ -555,7 +588,7 @@ def write_solution(payload: dict, handle) -> None:
     and a newline, written one entry at a time, so the whole text is never
     held.  Every key but "entries" goes through json.dumps, re-indented;
     that is exact because a JSON string never holds a raw newline.  A
-    coefficient is filled into a fixed template without escaping: its
+    coefficient is laid out without escaping (`_coefficients_text`): its
     "powers" are ints and its "value" is str of an int or a Fraction, which
     holds only digits, "-" and "/".  An entry's "valid" (ints and None) is
     laid out directly too, so writing the entries makes no reference cycle,

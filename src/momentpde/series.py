@@ -67,16 +67,20 @@ big float an mpf of the backend's shared context, in exact mode an int or
 a Fraction (backends module docstring).  So each kernel reads its
 arithmetic off one value, with one `backends.mpf_arith` lookup: the first
 stored value of its (left) operand, or the factor of `scale`.  Where that
-value is an mpf of a shared context, `scale`, `moment_derive`, `add`/`sub`
-and `ell1_norm` do their arithmetic with libmp calls on the values'
-`_mpf_` tuples (backends module docstring):
-the same calls, precision and rounding as the mpf operators, so every bit
-is theirs, but a value is wrapped into an mpf only where the result stores
-it: a stored product is one `MpfArith.product`, a `moment_derive` of
-order k one `chain` of its k steps, an `ell1_norm` one `norm`, and a sum
-in `add` one `plus` or `minus`, which answers None where the sum is 0
-(and keeps inf and nan, as truthiness does).  Any other value takes the
-operator expressions, which are the int and Fraction paths.
+value is an mpf of a shared context, `scale`, `moment_derive` and
+`ell1_norm` do their arithmetic with libmp calls on the values' `_mpf_`
+tuples (backends module docstring): the same calls, precision and rounding
+as the mpf operators, so every bit is theirs, but a value is wrapped into
+an mpf only where the result stores it: a stored product is one
+`MpfArith.product`, a `moment_derive` of order k one `chain` of its k
+steps and an `ell1_norm` one `norm`.  Any other value takes the operator
+expressions, which are the int and Fraction paths.  Outside the kernels a
+value stays a tuple where no caller sees it, and is wrapped once where it
+is stored, by the same rule: the solver's derivatives and sums (solver
+module docstring) and the running sum of pde.MomentPDE.apply (its
+docstring), which leaves `add`/`sub` no hot big-float caller, so they
+take the operators on every domain.  A kernel's result is a PolySeries,
+so it holds mpfs.
 
 The operator paths test a value for zero by truthiness (`not value`), which
 answers as `value == 0` for an int, a Fraction and an mpf (mpmath has no
@@ -295,23 +299,8 @@ class PolySeries:
             zero = (0,) * self.num_vars
             out = shift_within(out.items(), zero, self.valid, valid)
             theirs = shift_within(theirs, zero, other.valid, valid)
-        arith = mpf_arith(next(iter(self.coeffs.values()
-                                    or other.coeffs.values()), None))
         out = dict(out)
-        if arith is not None:  # raw (module docstring)
-            op, negative = arith.minus if negate else arith.plus, arith.negative
-            for key, value in theirs:
-                if key in out:
-                    value = op(out[key], value)
-                    if value is None:  # the sum is 0
-                        del out[key]
-                        continue
-                    out[key] = value
-                elif negate:
-                    out[key] = negative(value)
-                else:
-                    out[key] = value
-        elif negate:
+        if negate:
             for key, value in theirs:
                 if key in out:
                     value = out[key] - value

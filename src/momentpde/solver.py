@@ -52,14 +52,18 @@ step passes through, d_n and the N_n come out the same.  The writer, and
 the Nagumo profile and l1 norms wherever the norm is exact, read (N_n, d_n)
 as they are; FormalSolution.coefficient builds the values of one u_n for a
 caller that wants them.  In big float each u_n(gamma) is one rounding of
-the sum of its key's products c * x (the context's fdot), and a lone
-product is rounded once; its rounding is part of the recorded output.  The
-ratio m0(n-p)/m0(n-p-j) is taken only for j > 0, as an mpf (lead * m0(i)) /
-m0(i) is not lead.  In big float the products of a derivative's pass and
-of a step with one group are taken raw: one backends.MpfArith.product
-each, the mpf operator's libmp call and rounding without its dispatch,
-read off the pass's first value or the group's factor (series module
-docstring).
+the sum of its key's exact products c * x (what the context's fdot
+computes), and a lone product is rounded once; its rounding is part of the
+recorded output.  The ratio m0(n-p)/m0(n-p-j) is taken only for j > 0, as
+an mpf (lead * m0(i)) / m0(i) is not lead.  The big-float recurrence runs
+raw (series module docstring), on the arithmetic read off a derivative's
+first numerator and off a sum's first factor: between its steps a value is
+its `_mpf_` tuple, and it is wrapped into an mpf once, where N_n stores it.
+A derivative's pass multiplies with backends.MpfArith.mul, the mpf
+operator's libmp call and rounding without its dispatch, and keeps the
+tuples; the forced term and the initial data enter _summed as tuples too.
+_summed wraps each value: a step of one group is one MpfArith.scaled, of
+several one MpfArith.sums.
 
 The residual check re-applies the operator through pde.apply and must
 vanish identically in exact mode.  In both backends the check is
@@ -216,8 +220,9 @@ def _summed(groups: list, backend) -> tuple[dict, int]:
     """The sum over the groups (c, [(gamma, x)]) of c * x per key, as
     (numerators in ascending key order, denominator), content-reduced: in
     exact mode the c are taken over the lcm of their denominators and the
-    sum runs on ints; in big float each value is one rounding of its key's
-    pairs, over 1 (module docstring)."""
+    sum runs on ints; in big float the x are `_mpf_` tuples and each value
+    is one rounding of its key's pairs, wrapped into an mpf, over 1 (module
+    docstring)."""
     common = 1
     if backend.exact:
         common = math.lcm(*(c.denominator for c, _ in groups))
@@ -230,22 +235,21 @@ def _summed(groups: list, backend) -> tuple[dict, int]:
         arith = mpf_arith(c)
         if arith is None:
             return _reduced({gamma: c * x for gamma, x in items}, common)
-        product = arith.product  # raw (module docstring)
-        return {gamma: product(c, x) for gamma, x in items}, 1
-    if backend.exact:
-        acc = {gamma: c * x for gamma, x in items}
-        for c, items in rest:
-            for gamma, x in items:
-                acc[gamma] = acc.get(gamma, 0) + c * x
-    else:
-        pairs = {}
-        for c, items in groups:
-            for gamma, x in items:
-                pairs.setdefault(gamma, []).append((c, x))
-        fdot = backend.ctx.fdot
-        acc = {gamma: fdot(cx) if len(cx) > 1 else cx[0][0] * cx[0][1]
-               for gamma, cx in pairs.items()}
+        return arith.scaled(c, items), 1  # raw (module docstring)
+    if not backend.exact:
+        return mpf_arith(c).sums(groups), 1
+    acc = {gamma: c * x for gamma, x in items}
+    for c, items in rest:
+        for gamma, x in items:
+            acc[gamma] = acc.get(gamma, 0) + c * x
     return _reduced({g: x for g, x in sorted(acc.items()) if x}, common)
+
+
+def _numerators(items, exact: bool) -> tuple[list, int]:
+    """Sorted (gamma, value) pairs as _summed reads them: in exact mode
+    ints over the least common denominator of the values, in big float the
+    values' `_mpf_` tuples over 1."""
+    return cleared(items) if exact else ([(g, x._mpf_) for g, x in items], 1)
 
 
 def _lowered(valid: Validity, alpha: Exponents) -> Validity:
@@ -261,10 +265,17 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
     the order-alpha_i multiplier list.  The list is filled to the top degree
     of the keys the earlier axes kept, as moment_derive's chain of one-axis
     passes fills it.  A list holding a Fraction up to there is taken over
-    the lcm of its denominators, which goes into the derivative's."""
+    the lcm of its denominators, which goes into the derivative's.  Of mpf
+    values the numerators are `_mpf_` tuples, which _summed reads (module
+    docstring)."""
     items = list(nums.items())
     keys = nums  # the keys kept by the axes passed so far
     den = 1
+    arith = mpf_arith(items[0][1]) if items else None
+    if arith is not None:  # raw (module docstring)
+        mul = arith.mul
+        if len(alpha) > 1 or not alpha[0]:  # else its one pass reads them
+            items = [(g, x._mpf_) for g, x in items]
     for i, a in enumerate(alpha):
         if not a:
             continue
@@ -272,19 +283,17 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
         if top < a:
             return [], 1
         table = seqs[i].multipliers(a, top)[:top - a + 1]
-        arith = mpf_arith(items[0][1])
-        if arith is None and Fraction in map(type, table):
+        if arith is not None:
+            table = [r._mpf_ for r in table]
+        elif Fraction in map(type, table):
             scale = math.lcm(*(r.denominator for r in table))
             table = [r.numerator * (scale // r.denominator) for r in table]
             den *= scale
-        if arith is not None and len(alpha) == 1:  # raw (module docstring)
-            product = arith.product
-            items = [((g - a,), product(x, table[g - a]))
+        if arith is not None and len(alpha) == 1:
+            items = [((g - a,), mul(x._mpf_, table[g - a]))
                      for (g,), x in items if g >= a]
         elif arith is not None:
-            product = arith.product
-            items = [(g[:i] + (g[i] - a,) + g[i + 1:],
-                      product(x, table[g[i] - a]))
+            items = [(g[:i] + (g[i] - a,) + g[i + 1:], mul(x, table[g[i] - a]))
                      for g, x in items if g[i] >= a]
         elif len(alpha) == 1:
             items = [((g[0] - a,), x * table[g[0] - a])
@@ -312,8 +321,7 @@ def _integer_recurrence(problem: CauchyProblem
     numerators: list[PolySeries] = []
     denominators: list[int] = []
     for j, phi in enumerate(problem.initial):
-        items = sorted(phi.coeffs.items())
-        items, den = cleared(items) if exact else (items, 1)
+        items, den = _numerators(sorted(phi.coeffs.items()), exact)
         nums, den = _summed([(1 / (den * m0.value(j)), items)],
                             problem.backend)
         numerators.append(PolySeries._trusted(pde.num_vars, nums, phi.valid))
@@ -367,7 +375,7 @@ def _integer_step(problem: CauchyProblem, derivative, n: int
     forced = shift_within(sorted(rhs.coeffs.items()), (0,) * pde.num_vars,
                           rhs.valid, valid)
     if forced:
-        items, den = cleared(forced) if problem.backend.exact else (forced, 1)
+        items, den = _numerators(forced, problem.backend.exact)
         groups.append((lead / den, items))
     for a_coeffs, shared, items, src_valid in parts:
         for beta, a in a_coeffs.items():

@@ -129,6 +129,33 @@ def recurrence_reference(problem: CauchyProblem) -> list[PolySeries]:
     return u
 
 
+def reference_apply(pde, u: TimeSeries) -> TimeSeries:
+    """P u for a big-float stack as the kernels compose it, one add at a
+    time: (P u)_n is u_{n+M} scaled by m0(n+M)/m0(n), then each part
+    a_k * D_z^alpha u_i scaled by m0(i)/m0(i-j), added, or subtracted where
+    the walk stores a_k negated, in the order of MomentPDE.apply's walk.
+    The reference for MomentPDE.apply, whose big-float sum stays tuples."""
+    stack = u.entries
+    out = []
+    for n in range(u.t_order - pde.M + 1):
+        acc = stack[n + pde.M].scale(pde.t_shift_factor(n, pde.M))
+        for term, row in pde._parts:
+            j, alpha = term.key()
+            for k in range(term.ord_t, term.coeff.reach(n) + 1):
+                a, negated = row[k]
+                if a.is_zero():
+                    continue
+                i = n - k + j
+                d = stack[i]
+                for axis, (order, seq) in enumerate(zip(alpha, pde.m)):
+                    if order:
+                        d = d.moment_derive(axis, seq, order)
+                part = a.multiply(d).scale(pde.t_shift_factor(i - j, j))
+                acc = acc.add(part, negate=negated)
+        out.append(acc)
+    return TimeSeries(out, tail_exact=False)
+
+
 def support(f: PolySeries) -> list:
     """The exponents of f's stored coefficients, in ascending order."""
     return sorted(f.coeffs)

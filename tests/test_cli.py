@@ -308,6 +308,9 @@ MALFORMED = {
     "profile-rho-flag": ("estimate", "heat", None,
                          ("--mode", "nagumo_profile", "--rho", "1/0")),
     "precision-23": ("solve", "heat", None, ("--precision", "23")),
+    # a misspelt setting is refused, not left at its default
+    "estimation-unknown-key": ("estimate", "heat", _set(
+        "estimation.tolerence", "1/100"), ()),
     "z-degree-count": ("solve", "heat", None, ("--z-degree", "10,10")),
 }
 
@@ -332,6 +335,8 @@ MALFORMED_MESSAGES = {
     # a sequence's own error, and an unknown kind, name the top spec
     "nested-q-is-two": "moment.z[0]: q must lie in (0,1), got 2",
     "nested-unknown-kind": "moment.t: unknown sequence kind 'nope'",
+    "estimation-unknown-key": "estimation.tolerence: unknown key; expected "
+                              "one of r, rho, tolerance, mode, window",
 }
 
 
@@ -718,6 +723,10 @@ def test_byte_identical_reruns(capsys):
 # fractional-p1024 and mixed2d-bigfloat-p1024 (the longest mantissa, one and
 # two moving axes) were recorded on the mpf operators, before the big-float
 # kernels came to call libmp on raw values, so they pin that no bit moved.
+# wave_z4 and wave_tz2 (t-order M = 2; wave_tz2's term has j = 1, so its
+# big-float recurrence weighs parts by m0(n-p)/m0(n-p-1)) were recorded, in
+# both backends and at 24 bits, before the solver's derivatives and sums,
+# and apply's sum, came to stay libmp tuples between calls.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "fractional-p1024": "d13ca3ec7ab775c95368410b8df01f20c6ba212437072842d69c44b998111942",
@@ -749,6 +758,12 @@ SOLVE_DIGESTS = {
     "two_segment-bigfloat": "2be88c3a5f19d17cae1e16d8786cdc4bfd4731302c960a4ff8acf668784e708c",
     "gamma_z2": "afaf5a3fec10c0718d70be3512ed9423d03085ed9336368ccd09de5609173bd4",
     "gamma_z2-bigfloat": "9ae3876c2172813fbe063056335158542894227d38c6c1a0ba7b2f24d58c3473",
+    "wave_tz2": "bd516ad958288eaa829069f752e363149574e94185b9d1cf3b740922224659b4",
+    "wave_tz2-bigfloat": "17bee12ac9d3cd6f86d6ab5cb06e9f8081dcf97fddd8eabf6ab089a9eda69e3d",
+    "wave_tz2-bigfloat-p24": "ca368156ac37e552069cf286e89400584808b4f6e4cd03ff82621cc77d434a80",
+    "wave_z4": "8aebf063b08d9845e455eb9d5031c23817a5ff777b7a908229f451f579f05dd5",
+    "wave_z4-bigfloat": "b4b3cc6769f89ee028af4a0d1be4615c2f24e5d95afe0ba8b9662ed92e87f1be",
+    "wave_z4-bigfloat-p24": "1b50dcb80ad114ebdf7a21d04339c0ea1862d9b7e32d15a6214f42e5a9d1d6cf",
 }
 
 
@@ -807,7 +822,8 @@ def test_check_output_matches_recorded_digest(seed, capsys):
 # are taken over double logs of the reduced values.  The heat_half and
 # heat2d_var cases were recorded before pde.apply came to clear the
 # operator's denominators, the two_segment and gamma_z2 cases before the
-# operator's walk became one MomentPDE method.
+# operator's walk became one MomentPDE method, and the wave_z4 and wave_tz2
+# cases (M = 2) when those fixtures were added.
 ESTIMATE_DIGESTS = {
     ("fractional", "nagumo_profile"): "bce354924952dd0867167b2bf497ea4b8df6161e463d62bd4d28f3720059bcfd",
     ("fractional", "sup_proxy"): "a23c9899f0c26f2f8f8b7bb3dcb7b3b084efebf4e257b5984baceb53474d3142",
@@ -831,6 +847,8 @@ ESTIMATE_DIGESTS = {
     ("transport_z2", "nagumo_profile"): "bed649fa660ef1af2097af128c664fc00ce9f894bfcae9233bb5b4de6ef64dde",
     ("two_segment", "nagumo_profile"): "b614b21c1408ed23857da64d7e801a153441b073422d65a6f99cb4c99c9e6a7e",
     ("gamma_z2", "nagumo_profile"): "ac7093215031fd4419aee69422235c6fca15726575c5f7efab6b33ba10699ca3",
+    ("wave_tz2", "nagumo_profile"): "b9a0452c8adc45f05b5d6612debbdf954ebf153b78ffcc05d502d58ace833d24",
+    ("wave_z4", "nagumo_profile"): "ebdfd918cb0f65c10e0ee51176cc4cb1d67363be4ed52869fa4a0857fb897be7",
 }
 
 

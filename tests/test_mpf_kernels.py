@@ -1,15 +1,17 @@
 """The big-float kernels on raw mpf values, against the mpf operators.
 
-PolySeries.scale, moment_derive, add/sub and ell1_norm, and the solver's
-_derive and one-group _summed, do their mpf arithmetic with libmp calls on
-`_mpf_` tuples (backends module docstring).  Each must give, value for
-value, the `_mpf_` of the operator expression it replaced: the same keys in
-the same order, the same type, the same bits.  Every raw case runs with the
-context's mpf operators disabled, so it shows that the raw path was taken.
-Every scalar of a problem is in its backend's domain, so a kernel reads its
-arithmetic off one value (backends module docstring): operands of another
-domain (ints, Fractions, or mpfs of mpmath's global context) must take the
-operators and give their result.
+PolySeries.scale, moment_derive and ell1_norm, the solver's _derive and
+_summed, the sum of MomentPDE.apply and the solution dump's value text work
+on `_mpf_` tuples with libmp calls (backends module docstring).  Each must give, value for value, the `_mpf_` of the operator
+expression it replaced (of ctx.fdot for a sum of several products, of the
+kernels for apply, of scalar_to_fraction for the text): the same keys in
+the same order, the same type, the same bits.  Every raw case runs with
+the context's mpf operators disabled, so it shows that the raw path was
+taken; apply, whose parts come from multiply's operator products, counts
+its raw sums instead.  Every scalar of a problem is in its backend's
+domain, so a kernel reads its arithmetic off one value (backends module
+docstring): operands of another domain (ints, Fractions, or mpfs of
+mpmath's global context) must take the operators and give their result.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -28,13 +31,18 @@ from momentpde import (
     PolySeries,
     QFactorial,
 )
-from momentpde.backends import mpf_arith, mpf_from_fraction
-from momentpde.series import min_validity
-from momentpde.solver import _derive, _summed
+from momentpde.backends import (mpf_arith, mpf_from_fraction,
+                                scalar_to_fraction)
+from momentpde.problem_io import _coefficients, load_problem
+from momentpde.series import TimeSeries, min_validity
+from momentpde.solver import _derive, _integer_recurrence, _summed
+
+from helpers import reference_apply
 
 F = Fraction
 
 PRECISIONS = (24, 53, 256, 1024)
+PROBLEMS = Path(__file__).parent / "problems"
 
 # the operators a kernel could reach on an mpf; __eq__ and the order
 # comparisons stay, as the kernels' `factor == 1` and `r > 0` tests use them
@@ -191,12 +199,22 @@ def test_moment_derive_is_the_chain_of_operator_products(precision):
                     assert got.valid[axis] == 9 - k
 
 
+def _within(f: PolySeries, valid) -> list:
+    return [(k, v) for k, v in f.coeffs.items()
+            if all(x is None or g <= x for g, x in zip(k, valid))]
+
+
 @pytest.mark.parametrize("precision", PRECISIONS)
 @pytest.mark.parametrize("negate", [False, True])
 def test_add_and_sub_are_the_operator_merge(precision, negate):
+    # add and sub take the operators on every domain; apply's raw sum,
+    # MpfArith.combine, of the operands cut to their common validity and
+    # with the factor 1 on the first, merges them with the same bits
     rng = random.Random(f"add{precision}{negate}")
     backend = BigFloatBackend(precision)
     ctx = backend.ctx
+    one = backend.scalar(1)
+    combine = mpf_arith(one).combine
     for trial in range(8):
         num_vars = 1 + trial % 3
         f = _series(rng, backend, num_vars, specials=True)
@@ -211,10 +229,13 @@ def test_add_and_sub_are_the_operator_merge(precision, negate):
         g = PolySeries(num_vars, {**g.coeffs, **shared},
                        (None if trial % 2 else 6,) * num_vars)
         want = _merged(f, g, negate)
-        with raw_only(ctx):
-            got = f.sub(g) if negate else f.add(g)
+        got = f.sub(g) if negate else f.add(g)
         assert _bits(got.coeffs) == _bits(want)
         assert got.valid == min_validity(f.valid, g.valid)
+        with raw_only(ctx):
+            raw = combine(_within(f, got.valid), one,
+                          [(_within(g, got.valid), negate)])
+        assert _bits(raw) == _bits(want)
         cancelled = [k for k, v in shared.items()
                      if max(k) <= 6 and ctx.isfinite(v)]
         assert cancelled and not any(k in got.coeffs for k in cancelled)
@@ -224,9 +245,11 @@ def test_add_and_sub_are_the_operator_merge(precision, negate):
     empty = PolySeries(2, {}, None)
     for a, b in ((f, empty), (empty, f)):
         want = _merged(a, b, negate)
-        with raw_only(ctx):
-            got = a.sub(b) if negate else a.add(b)
+        got = a.sub(b) if negate else a.add(b)
         assert _bits(got.coeffs) == _bits(want)
+        with raw_only(ctx):
+            raw = combine(a.coeffs.items(), one, [(b.coeffs.items(), negate)])
+        assert _bits(raw) == _bits(want)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -250,6 +273,8 @@ def test_ell1_norm_is_the_operator_sum(precision):
 
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_solver_derive_and_summed_are_the_operator_products(precision):
+    # _derive hands _summed the tuples of its products, and _summed wraps
+    # each value of one group once
     rng = random.Random(f"solver{precision}")
     backend = BigFloatBackend(precision)
     ctx = backend.ctx
@@ -257,21 +282,102 @@ def test_solver_derive_and_summed_are_the_operator_products(precision):
     for num_vars in (1, 2, 3):
         nums = _series(rng, backend, num_vars, specials=True).coeffs
         nums = dict(sorted(nums.items()))
-        for alpha in ((1, 0, 0), (2, 0, 0), (0, 3, 0), (1, 2, 0), (1, 1, 2)):
+        for alpha in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (1, 2, 0),
+                      (1, 1, 2)):
             alpha = alpha[:num_vars]
-            if not any(alpha):
-                continue
             want = _solver_derived(seqs, nums, alpha)
             with raw_only(ctx):
                 items, den = _derive(seqs, nums, alpha)
             assert den == 1
-            assert _bits(dict(items)) == _bits(dict(want))
+            assert items == [(g, x._mpf_) for g, x in want]
         c = _mpf(rng, ctx, precision)
-        items = list(nums.items())
+        items = [(g, x._mpf_) for g, x in nums.items()]
         with raw_only(ctx):
             got, den = _summed([(c, items)], backend)
         assert den == 1
-        assert _bits(got) == _bits({g: c * x for g, x in items})
+        assert _bits(got) == _bits({g: c * x for g, x in nums.items()})
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_solver_sum_of_groups_is_fdot(precision):
+    # a key of several pairs is ctx.fdot of them, a key of one pair its
+    # product, and a key whose sum is 0 is not stored; the keys ascend
+    rng = random.Random(f"groups{precision}")
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    for num_vars in (1, 2):
+        groups = [(_mpf(rng, ctx, precision), sorted(_series(
+            rng, backend, num_vars, size=16, specials=True).coeffs.items()))
+            for _ in range(4)]
+        c, x = _mpf(rng, ctx, precision), _mpf(rng, ctx, precision)
+        key = (9,) * num_vars
+        groups += [(c, [(key, x)]), (c, [(key, -x)])]  # c * x - c * x = 0
+        pairs = {}
+        for c, items in groups:
+            for g, x in items:
+                pairs.setdefault(g, []).append((c, x))
+        want = {}
+        for g in sorted(pairs):
+            value = (ctx.fdot(pairs[g]) if len(pairs[g]) > 1
+                     else pairs[g][0][0] * pairs[g][0][1])
+            if value:
+                want[g] = value
+        assert key in pairs and key not in want
+        assert any(len(cx) > 2 for cx in pairs.values())
+        raw = [(c, [(g, x._mpf_) for g, x in items]) for c, items in groups]
+        with raw_only(ctx):
+            got, den = _summed(raw, backend)
+        assert den == 1
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("precision", (24, 53, 256))
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_apply_is_the_kernels_sum(path, precision):
+    # the big-float apply keeps (P u)_n as tuples and wraps each value
+    # once; the kernels' chain of add and sub gives the same bits
+    problem = load_problem(path, {"backend": "bigfloat",
+                                  "precision_bits": precision})
+    numerators, _ = _integer_recurrence(problem)
+    u = TimeSeries(numerators)
+    pde = problem.pde
+    arith = mpf_arith(problem.backend.scalar(1))
+    combine = arith.combine
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    arith.combine = counted
+    try:
+        got = pde.apply(u)
+    finally:
+        arith.combine = combine
+    want = reference_apply(pde, u)
+    assert len(calls) == len(want.entries) == len(got.entries)
+    for a, b in zip(got.entries, want.entries):
+        assert a.valid == b.valid
+        assert _bits(a.coeffs) == _bits(b.coeffs)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_dump_text_of_an_mpf_is_its_fraction(precision):
+    # integral, non-integral and cancelled values, over one powers memo
+    rng = random.Random(f"text{precision}")
+    backend = BigFloatBackend(precision)
+    ctx = backend.ctx
+    powers = {}
+    for num_vars in (1, 2):
+        f = _series(rng, backend, num_vars, size=40)
+        f = PolySeries(num_vars, {**f.coeffs, (1,) * num_vars: ctx.mpf(-6),
+                                  (2,) * num_vars: ctx.mpf(2) ** 90})
+        with raw_only(ctx):
+            got = _coefficients(f, 1, powers)
+        assert got == [{"powers": list(g), "value": str(scalar_to_fraction(v))}
+                       for g, v in sorted(f.coeffs.items())]
+    assert powers and all(k < 0 for k in powers)
 
 
 # -- values of no shared context take the operators ---------------------------
@@ -342,7 +448,8 @@ def test_mpf_arith_reads_one_value():
     arith = mpf_arith(one)
     assert arith is not None and mpf_arith(backend.scalar(F(1, 3))) is arith
     assert arith.product(one, one)._mpf_ == one._mpf_
-    assert arith.minus(one, one) is None
+    assert arith.sums([(one, [((0,), one._mpf_)]),
+                       (-one, [((0,), one._mpf_)])]) == {}
     other = mpf_arith(BigFloatBackend(54).scalar(1))
     assert other is not None and other is not arith
     for value in (1, F(1, 3), mpmath.mpf(1), None):

@@ -281,6 +281,17 @@ def test_overrides():
     assert problem.initial[0].valid == (20,)
 
 
+def test_unknown_override_keys_are_refused():
+    # a misspelt key is named, not dropped: without the check the problem
+    # below loaded with its own t-order 40 and window (20, 40)
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(PROBLEMS / "heat.json",
+                     {"windows": [5, 10], "t-order": 3, "t_order": 6})
+    assert err.value.path == "overrides"
+    assert "'t-order', 'windows';" in str(err.value)
+    assert "t_order" not in str(err.value).split(";")[0]
+
+
 def test_solution_dump_shape():
     problem = load_problem(PROBLEMS / "heat.json",
                            {"t_order": 4, "z_degree": [16]})

@@ -552,8 +552,9 @@ def _closed_form_fixture(name, k1_inv, value):
     for n in range(sol.t_order + 1):
         entry = sol.coefficient(n)
         box = [()]
-        for top in entry.valid:
-            box = [g + (k,) for g in box for k in range(top + 1)]
+        for top, cap in zip(entry.valid, prob.z_caps):  # None: exact
+            box = [g + (k,) for g in box
+                   for k in range(cap + 1 if top is None else top + 1)]
         want = {g: v for g in box if (v := value(n, g))}
         assert entry.coeffs == want, n
     assert build(prob.pde).k1_inverse == k1_inverse(prob.pde) == k1_inv
@@ -612,6 +613,43 @@ def test_mixed2d_closed_form():
         lambda n, g: F(fact(g[0] + n) * fact(g[1] + n),
                        fact(g[0]) * fact(g[1]) * fact(n)))
     assert [sol.coefficient(n).valid for n in (0, 12)] == [(24, 24), (12, 12)]
+
+
+# Closed forms of two problems of t-order M = 2, both of 1/k1 = 1
+SECOND_ORDER = {
+    # u_tt = d_z^4 u, u(0, z) = 1/(1 - z), u_t(0, z) = 0: u_n(gamma) =
+    # (gamma + 2n)!/(gamma! n!) for even n, trusted up to z^(100 - 2n), and
+    # every odd u_n is exactly 0
+    "wave_z4": lambda n, g: 0 if n % 2 else F(
+        math.factorial(g[0] + 2 * n), math.factorial(g[0]) * math.factorial(n)),
+    # u_tt = d_t d_z^2 u, u(0, z) = 0, u_t(0, z) = 1/(1 - z): u_{n+1}(gamma) =
+    # (gamma + 2n)!/(gamma! n! (n + 1)), trusted up to z^(102 - 2n); the
+    # term's j = 1 weighs each part by m0(n-p)/m0(n-p-1)
+    "wave_tz2": lambda n, g: n and F(
+        math.factorial(g[0] + 2 * n - 2),
+        math.factorial(g[0]) * math.factorial(n - 1) * n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_ORDER))
+def test_second_order_in_t_closed_form(name):
+    sol = _closed_form_fixture(name, 1, SECOND_ORDER[name])
+    first = 0 if name == "wave_z4" else 1  # the entry of the data
+    assert [sol.coefficient(n).valid for n in (first, 40)] == [
+        (100,), (20,) if name == "wave_z4" else (22,)]
+    assert sol.coefficient(1 - first).valid == (None,)
+
+
+@pytest.mark.parametrize("precision", (24, 53, 256))
+@pytest.mark.parametrize("name", sorted(SECOND_ORDER))
+def test_second_order_in_t_in_big_float(name, precision):
+    # the big-float recurrence of M = 2, with its m0(n-p)/m0(n-p-j) step on
+    # wave_tz2: every trusted coefficient, stored where the exact one is,
+    # lies within a relative 2^(16 - precision) of it
+    exact = solve(load_problem(PROBLEMS / f"{name}.json"))
+    rounded = solve(load_problem(PROBLEMS / f"{name}.json", {
+        "backend": "bigfloat", "precision_bits": precision}))
+    assert bits_lost(exact, rounded, precision) <= 16
 
 
 def perturbed(problem: CauchyProblem, solution: FormalSolution, n: int,
