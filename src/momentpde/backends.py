@@ -15,22 +15,31 @@ that many for the cyclic collector each time a problem was dropped.
 
 Raw arithmetic.  The hot big-float kernels, the solver's recurrence and
 the sum of pde.MomentPDE.apply (series, solver and pde docstrings) do their
-mpf arithmetic through `MpfArith`, the one place that knows mpmath.libmp's
-arithmetic, the `_mpf_` tuple and a context's (precision, rounding).  It
-is bit for bit the arithmetic of the mpf operators, which for x * y on two
-mpfs call `libmp.mpf_mul(x._mpf_, y._mpf_, prec, rounding)` with the
-(prec, rounding) of x's context and wrap the result in a new mpf; +, -,
-unary - and abs call mpf_add, mpf_sub, mpf_neg and mpf_abs the same way.
-MpfArith makes the same calls with the same precision and rounding, and a
-shared context's are fixed, but it wraps only the value a caller stores,
-once, as the context's make_mpf wraps: partial sums, the steps of a
-product chain, abs terms, the solver's derivatives between its steps and
-apply's running sum stay tuples, and none of the operator's dispatch runs.
-A sum of several products is what mpmath 1.3.0's ctx.fdot computes: their
-exact products (mpf_mul without a precision) added by one mpf_sum, rounded
-once.  A raw sum is zero when it equals `libmp.fzero`, which is exactly
-when the mpf would be falsy; a zero mantissa alone would not do, as inf
-and nan have one too.
+mpf arithmetic through `MpfArith`, the one place that knows mpmath.libmp,
+the `_mpf_` tuple and a context's (precision, rounding).  Its bits are
+those of the mpf operators, which for x * y on two mpfs call
+`libmp.mpf_mul(x._mpf_, y._mpf_, prec, rounding)` with the (prec,
+rounding) of x's context, rounding to nearest, and wrap the result in a
+new mpf; +, -, unary - and abs call mpf_add, mpf_sub, mpf_neg and mpf_abs
+the same way.  MpfArith computes those results itself: the exact product
+of the mantissas, or the exact sum of the mantissas aligned to the lower
+exponent, rounded half to even at the context's precision into libmp's
+canonical tuple (odd mantissa, exact bit count, `fzero` for an exact
+zero); abs and neg set the sign bit.  A correctly rounded result is
+unique (IEEE 754-2008), so these are libmp's bits, and the libmp calls,
+which also dispatch on special values and rounding modes, go.  libmp
+stays for a zero or non-finite operand, for a sum whose exponents are
+more than 100 bits apart (there mpf_add perturbs in place of forming the
+exact sum, and calling it keeps its bits by construction) and for the
+one sum of several products.  MpfArith wraps only the value a caller
+stores, once, as the context's make_mpf wraps: partial sums, the steps of
+a product chain, abs terms, the solver's derivatives between its steps
+and apply's running sum stay tuples, and none of the operator's dispatch
+runs.  A sum of several products is what mpmath 1.3.0's ctx.fdot
+computes: their exact products (mpf_mul without a precision) added by
+one mpf_sum, rounded once.  A raw sum is zero when it equals
+`libmp.fzero`, which is exactly when the mpf would be falsy; a zero
+mantissa alone would not do, as inf and nan have one too.
 
 Every scalar of a problem is in its backend's domain: in big float an mpf
 of the backend's shared context, in exact mode an int or a Fraction.
@@ -143,7 +152,8 @@ def log_scalar(value) -> float:
     """Double-precision natural log of a positive scalar.
 
     Handles Fractions whose numerator/denominator overflow a double and mpf
-    values with huge exponents.
+    values with huge exponents; an mpf's log is rounded at 53 bits, apart
+    from mpmath's global precision.
     """
     if isinstance(value, Fraction):
         if value <= 0:
@@ -152,9 +162,9 @@ def log_scalar(value) -> float:
     if isinstance(value, int):
         return math.log(value)
     if is_mpf(value):
-        import mpmath
+        from mpmath.libmp import mpf_log, round_nearest, to_float
 
-        return float(mpmath.log(value))
+        return to_float(mpf_log(value._mpf_, 53, round_nearest))
     return math.log(value)
 
 
@@ -225,9 +235,9 @@ def shared_context(precision_bits: int):
 
 
 class MpfArith:
-    """The mpf arithmetic of one shared context, as libmp calls on the
-    values' `_mpf_` tuples (module docstring), rounded as the mpf operators
-    round.  These take and return mpfs of ctx:
+    """The mpf arithmetic of one shared context on the values' `_mpf_`
+    tuples (module docstring), with the bits of the mpf operators.  These
+    take and return mpfs of ctx:
 
     - product(x, y) is x * y;
     - chain(x, factors) is x times each factor in turn, ((x * f1) * f2) ...;
@@ -241,9 +251,10 @@ class MpfArith:
       with negate.
 
     These work on tuples, for the solver's recurrence (solver module
-    docstring), with c an mpf and x a tuple:
+    docstring), with c an mpf and x, y tuples:
 
-    - mul(x, y) is x * y of two tuples, a tuple;
+    - mul(x, y) is x * y, add(x, y) is x + y, add(x, y, 1) is x - y,
+      neg(x) is -x and abs(x) is |x|, each a tuple;
     - scaled(c, items) is {key: c * x} over the (key, x) items;
     - sums(groups) is, over the groups (c, [(key, x)]), the sum of c * x
       per key, in ascending key order and without the keys whose sum is 0.
@@ -251,58 +262,116 @@ class MpfArith:
       several are summed by one mpf_sum, rounded once, which is what
       `ctx.fdot` computes (mpmath 1.3.0).
 
-    The steps of a chain, the terms and partial sums of a norm and the
-    sums of combine and sums stay tuples; each result is wrapped once, as
-    the context's make_mpf wraps (inline where one call wraps a value per
-    key, and in product, the most frequent)."""
+    mul and add round the exact product or sum themselves, in `rounded`,
+    and abs and neg set the sign bit; libmp takes only the exceptions of
+    the module docstring.  The steps of a chain, the terms and partial
+    sums of a norm and the sums of combine and sums stay tuples; each
+    result is wrapped once, as the context's make_mpf wraps (inline where
+    one call wraps a value per key, and in product, the most frequent)."""
 
-    __slots__ = ("product", "chain", "norm", "combine", "mul", "scaled",
-                 "sums")
+    __slots__ = ("product", "chain", "norm", "combine", "mul", "add", "neg",
+                 "abs", "scaled", "sums")
 
     def __init__(self, ctx):
         from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg,
-                                  mpf_sub, mpf_sum)
+                                  mpf_sum)
 
+        # a shared context keeps mpmath's default rounding, to nearest
         prec, rounding = ctx._prec_rounding
         new, mpf, wrap = object.__new__, ctx.mpf, ctx.make_mpf
 
+        def rounded(sign, man, exp):
+            """The tuple of (-1)^sign * man * 2^exp, man > 0, rounded half
+            to even at prec bits: odd mantissa, exact bit count."""
+            n = man.bit_length() - prec
+            if n > 0:
+                t = man >> (n - 1)  # the kept bits and the rounding bit
+                if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                    man = (t >> 1) + 1
+                else:
+                    man = t >> 1
+                exp += n
+            if not man & 1:
+                n = (man & -man).bit_length() - 1
+                man >>= n
+                exp += n
+            return sign, man, exp, man.bit_length()
+
+        def mul(x, y):
+            xsign, xman, xexp, _ = x
+            ysign, yman, yexp, _ = y
+            man = xman * yman
+            if not man:
+                return mpf_mul(x, y, prec, rounding)
+            return rounded(xsign ^ ysign, man, xexp + yexp)
+
+        def add(x, y, negate=0):
+            xsign, xman, xexp, _ = x
+            ysign, yman, yexp, _ = y
+            gap = xexp - yexp
+            if not (xman and yman) or gap > 100 or gap < -100:
+                return mpf_add(x, y, prec, rounding, negate)
+            if gap > 0:
+                xman <<= gap
+                xexp = yexp
+            else:
+                yman <<= -gap
+            if xsign == ysign ^ negate:
+                man = xman + yman
+            else:
+                man = xman - yman
+                if man < 0:
+                    man = -man
+                    xsign ^= 1
+                elif not man:
+                    return fzero
+            return rounded(xsign, man, xexp)
+
+        def neg(x):
+            sign, man, exp, bc = x
+            if man:
+                return sign ^ 1, man, exp, bc
+            return mpf_neg(x, prec, rounding)
+
+        def absolute(x):
+            sign, man, exp, bc = x
+            if man:
+                return 0, man, exp, bc
+            return mpf_abs(x, prec, rounding)
+
         def product(x, y):
             value = new(mpf)
-            value._mpf_ = mpf_mul(x._mpf_, y._mpf_, prec, rounding)
+            value._mpf_ = mul(x._mpf_, y._mpf_)
             return value
 
         def chain(x, factors):
             x = x._mpf_
             for factor in factors:
-                x = mpf_mul(x, factor._mpf_, prec, rounding)
+                x = mul(x, factor._mpf_)
             return wrap(x)
 
         def norm(values, scales=None):
             if scales is None:
-                terms = [mpf_abs(v._mpf_, prec, rounding) for v in values]
+                terms = [absolute(v._mpf_) for v in values]
             else:
-                terms = [mpf_mul(mpf_abs(v._mpf_, prec, rounding), s._mpf_,
-                                 prec, rounding)
+                terms = [mul(absolute(v._mpf_), s._mpf_)
                          for v, s in zip(values, scales)]
             total = terms[0]
             for term in terms[1:]:
-                total = mpf_add(total, term, prec, rounding)
+                total = add(total, term)
             return wrap(total)
 
         def combine(items, factor, parts):
             factor = factor._mpf_
-            total = {key: mpf_mul(v._mpf_, factor, prec, rounding)
-                     for key, v in items}
+            total = {key: mul(v._mpf_, factor) for key, v in items}
             get = total.get
             for items, negate in parts:
-                op = mpf_sub if negate else mpf_add
                 for key, v in items:
                     x = get(key)
                     if x is None:
-                        total[key] = (mpf_neg(v._mpf_, prec, rounding)
-                                      if negate else v._mpf_)
+                        total[key] = neg(v._mpf_) if negate else v._mpf_
                         continue
-                    x = op(x, v._mpf_, prec, rounding)
+                    x = add(x, v._mpf_, negate)
                     if x == fzero:
                         del total[key]
                     else:
@@ -313,15 +382,12 @@ class MpfArith:
                 value._mpf_ = x
             return out
 
-        def mul(x, y):
-            return mpf_mul(x, y, prec, rounding)
-
         def scaled(c, items):
             c = c._mpf_
             out = {}
             for key, x in items:
                 value = out[key] = new(mpf)
-                value._mpf_ = mpf_mul(c, x, prec, rounding)
+                value._mpf_ = mul(c, x)
             return out
 
         def sums(groups):
@@ -335,7 +401,7 @@ class MpfArith:
                 cx = pairs[key]
                 if len(cx) == 1:
                     (c, x), = cx
-                    total = mpf_mul(c, x, prec, rounding)
+                    total = mul(c, x)
                 else:
                     total = mpf_sum([mpf_mul(c, x) for c, x in cx], prec,
                                     rounding)
@@ -349,6 +415,9 @@ class MpfArith:
         self.norm = norm
         self.combine = combine
         self.mul = mul
+        self.add = add
+        self.neg = neg
+        self.abs = absolute
         self.scaled = scaled
         self.sums = sums
 

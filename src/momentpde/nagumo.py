@@ -162,10 +162,12 @@ def nagumo_norm(f: PolySeries, params: NagumoParams):
     if not exact:
         if top < 700:
             return math.exp(top)
-        # past the double range the value stays a finite mpf
+        # past the double range the value stays a finite mpf, of 53 bits
+        # apart from mpmath's global precision
         import mpmath
+        from mpmath.libmp import from_float, mpf_exp, round_nearest
 
-        return mpmath.exp(top)
+        return mpmath.mp.make_mpf(mpf_exp(from_float(top), 53, round_nearest))
     # Build exact values only for candidates whose log lies within 1e-6
     # (relative) of the top; the rounding of the logs is far below that
     # margin, so the exact maximum is among them.

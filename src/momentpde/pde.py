@@ -162,7 +162,7 @@ class MomentPDE:
         and each part added by the kernels, one `add` at a time.  In big
         float (P u)_n is one `backends.MpfArith.combine`: the principal
         part's products and the running sum stay `_mpf_` tuples, with the
-        libmp calls and roundings of scale and add, and each value is
+        roundings of scale and add, and each value is
         wrapped into an mpf once, at the end.  The principal part and the
         parts are cut first to the validity of the whole sum, the
         componentwise minimum of theirs, which keeps the keys and values

@@ -68,10 +68,13 @@ a Fraction (backends module docstring).  So each kernel reads its
 arithmetic off one value, with one `backends.mpf_arith` lookup: the first
 stored value of its (left) operand, or the factor of `scale`.  Where that
 value is an mpf of a shared context, `scale`, `moment_derive` and
-`ell1_norm` do their arithmetic with libmp calls on the values' `_mpf_`
-tuples (backends module docstring): the same calls, precision and rounding
-as the mpf operators, so every bit is theirs, but a value is wrapped into
-an mpf only where the result stores it: a stored product is one
+`ell1_norm` do their arithmetic on the values' `_mpf_` tuples through
+`backends.MpfArith`, which rounds each exact product and sum half to even
+at the context's precision itself and calls libmp only for zero and
+non-finite operands and sums across a gap of over 100 bits (backends
+module docstring): a correctly rounded result is unique, so every bit is
+the mpf operator's, but a value is wrapped into an mpf only where the
+result stores it: a stored product is one
 `MpfArith.product`, a `moment_derive` of order k one `chain` of its k
 steps and an `ell1_norm` one `norm`.  Any other value takes the operator
 expressions, which are the int and Fraction paths.  Outside the kernels a

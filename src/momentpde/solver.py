@@ -60,8 +60,8 @@ raw (series module docstring), on the arithmetic read off a derivative's
 first numerator and off a sum's first factor: between its steps a value is
 its `_mpf_` tuple, and it is wrapped into an mpf once, where N_n stores it.
 A derivative's pass multiplies with backends.MpfArith.mul, the mpf
-operator's libmp call and rounding without its dispatch, and keeps the
-tuples; the forced term and the initial data enter _summed as tuples too.
+operator's rounding without its dispatch, and keeps the tuples; the forced
+term and the initial data enter _summed as tuples too.
 _summed wraps each value: a step of one group is one MpfArith.scaled, of
 several one MpfArith.sums.
 

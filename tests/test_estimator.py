@@ -451,3 +451,19 @@ def test_verify_theorem_takes_one_norm_per_window_index(window, monkeypatch):
                                               window=window), solution)
         lo, hi = report.window
         assert calls.count(name) == hi - lo + 1
+
+
+def test_big_float_estimate_does_not_read_the_global_precision():
+    # the fit's logs of mpf norms are taken at 53 bits in every state of
+    # mpmath's global context; workprec gives the caller's precision back
+    import mpmath
+
+    problem = load_problem(Path(__file__).parent / "problems/fractional.json")
+    solution = solve(problem)
+    expected = verify_theorem(problem, solution).as_dict()
+    prec = mpmath.mp.prec
+    for low in (12, 30, 200):
+        with mpmath.workprec(low):
+            got = verify_theorem(problem, solution).as_dict()
+        assert got == expected
+        assert mpmath.mp.prec == prec

@@ -1,8 +1,14 @@
 """The big-float kernels on raw mpf values, against the mpf operators.
 
 PolySeries.scale, moment_derive and ell1_norm, the solver's _derive and
-_summed, the sum of MomentPDE.apply and the solution dump's value text work
-on `_mpf_` tuples with libmp calls (backends module docstring).  Each must give, value for value, the `_mpf_` of the operator
+_summed and the sum of MomentPDE.apply work on `_mpf_` tuples through
+backends.MpfArith, which rounds each exact product and sum itself and
+calls libmp only for zero and non-finite operands, sums across an exponent
+gap of over 100 bits and sums of several products (backends module
+docstring); the solution dump's value text reads the tuple.  So MpfArith's
+mul, add, sub, neg and abs must be libmp's, bit for bit, on random and
+edge-case tuples at every precision, and make no libmp call on the rest.
+Each kernel must give, value for value, the `_mpf_` of the operator
 expression it replaced (of ctx.fdot for a sum of several products, of the
 kernels for apply, of scalar_to_fraction for the text): the same keys in
 the same order, the same type, the same bits.  Every raw case runs with
@@ -23,6 +29,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.libmp import (finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_mul,
+                          mpf_neg, mpf_sub, normalize, round_nearest)
 
 from momentpde import (
     BigFloatBackend,
@@ -31,6 +39,7 @@ from momentpde import (
     PolySeries,
     QFactorial,
 )
+from momentpde import backends
 from momentpde.backends import (mpf_arith, mpf_from_fraction,
                                 scalar_to_fraction)
 from momentpde.problem_io import _coefficients, load_problem
@@ -454,3 +463,126 @@ def test_mpf_arith_reads_one_value():
     assert other is not None and other is not arith
     for value in (1, F(1, 3), mpmath.mpf(1), None):
         assert mpf_arith(value) is None
+
+
+# -- MpfArith's own rounding, against libmp -----------------------------------
+
+
+def _tuple(rng, precision, exp=None):
+    """A random canonical tuple of 1 to precision bits, of either sign."""
+    man = rng.getrandbits(rng.randint(1, precision)) | 1
+    if exp is None:
+        exp = rng.randint(-precision - 150, 150)
+    return normalize(rng.getrandbits(1), man, exp, man.bit_length(),
+                     precision, round_nearest)
+
+
+def _edge_pairs(rng, p):
+    """The (x, y) pairs where a rounding rule is easiest to get wrong."""
+    def t(man, exp=0, sign=0):
+        return normalize(sign, man, exp, man.bit_length(), p, round_nearest)
+
+    top = (1 << p) - 1
+    pairs = []
+    # sums of p + 1 bits that end in 1: exact ties, the kept bits odd (up)
+    # and even (down), and an all-ones mantissa that rounds to 2^(p + 1)
+    for kept in (top, top - 1, top - 2, (1 << (p - 1)) + 1, 1 << (p - 1)):
+        pairs.append((t(kept, 1), t(1)))
+        pairs.append((t(kept, 1, 1), t(1, 0, 1)))
+        pairs.append((t(1), t(kept, 1)))
+    # a tie at the bottom of a long gap: 2^(n - 1) below the kept bits
+    for n in (2, 40, 99):
+        pairs.append((t(top - 1, n), t(1, n - 1)))
+        pairs.append((t(top, n), t(1, n - 1)))
+        pairs.append((t(top, n), t(3, n - 2)))  # just above the tie
+        pairs.append((t(top - 1, n), t(1, n - 1, 1)))  # ties in a difference
+    # products of p + 1 bits: an odd product drops one bit, always a tie
+    # (its direction set by the kept bits), and (2^k - 1)(2^k + 1) is all
+    # ones, which rounds up to a power of two
+    k = p - 1
+    pairs.append((t((1 << k) - 1), t((1 << k) + 1)))
+    ties = {0: None, 1: None}
+    while None in ties.values():
+        a = rng.getrandbits(p // 2 + 1) | 1 | 1 << (p // 2)
+        b = rng.getrandbits(p) | 1 | 1 << (p - 1)
+        man = a * b
+        if man.bit_length() > p + 1:
+            b >>= man.bit_length() - p - 1
+            b |= 1
+            man = a * b
+        if man.bit_length() == p + 1 and b.bit_length() <= p:
+            ties[man >> 1 & 1] = (t(a, -3), t(b, 5, 1))
+    pairs += ties.values()
+    # cancellation to exactly zero, and a last-bit difference
+    x = _tuple(rng, p)
+    pairs += [(x, x), (x, mpf_neg(x)), (t(top), t(top - 2))]
+    # exponent gaps on both sides of 100, the last that add forms exactly
+    for gap in (0, 1, 100, 101, 10 ** 6):
+        for sign in (1, -1):
+            x, y = _tuple(rng, p, 0), _tuple(rng, p, 0)
+            y = (y[0], y[1], x[2] - sign * gap, y[3])
+            pairs += [(x, y), (y, x), (x, mpf_neg(y))]
+    # zero, inf and nan against each other and a finite value
+    specials = (fzero, finf, fninf, fnan, _tuple(rng, p))
+    pairs += [(x, y) for x in specials for y in specials]
+    return pairs
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_mpf_arith_rounds_as_libmp(precision):
+    # one correctly rounded result: half to even at the context's precision,
+    # odd mantissa, exact bit count, fzero for an exact zero
+    arith = mpf_arith(BigFloatBackend(precision).scalar(1))
+    p, rnd = precision, round_nearest
+    rng = random.Random(3300 + precision)
+    pairs = [(_tuple(rng, p), _tuple(rng, p)) for _ in range(3000)]
+    pairs += _edge_pairs(rng, p)
+    dropped = set()
+    for x, y in pairs:
+        assert arith.mul(x, y) == mpf_mul(x, y, p, rnd), (x, y)
+        assert arith.add(x, y) == mpf_add(x, y, p, rnd), (x, y)
+        assert arith.add(x, y, 1) == mpf_sub(x, y, p, rnd), (x, y)
+        assert arith.neg(x) == mpf_neg(x, p, rnd), x
+        assert arith.abs(x) == mpf_abs(x, p, rnd), x
+        dropped.add(x[3] + y[3] - p > 300)
+    # libmp's half-mask table ends at 300 dropped bits
+    assert dropped == ({False, True} if p > 300 else {False})
+
+
+def test_mpf_arith_calls_libmp_only_for_the_exceptions(monkeypatch):
+    # an MpfArith built over counting libmp calls makes none on finite
+    # non-zero operands within a gap of 100 bits, but for several
+    # products, which one mpf_sum adds exactly
+    import mpmath.libmp
+
+    calls = []
+    for name in ("mpf_mul", "mpf_add", "mpf_abs", "mpf_neg"):
+        real = getattr(mpmath.libmp, name)
+        monkeypatch.setattr(mpmath.libmp, name, lambda *a, _real=real,
+                            _name=name: calls.append(_name) or _real(*a))
+    backend = BigFloatBackend(256)
+    arith = backends.MpfArith(backend.ctx)
+    rng = random.Random(3301)
+    # full mantissas near 1: the exponents of every sum are close
+    values = [backend.ctx.make_mpf((rng.getrandbits(1), rng.getrandbits(255)
+                                    | 1 << 255 | 1, rng.randint(-258, -252),
+                                    256)) for _ in range(40)]
+    raw = [v._mpf_ for v in values]
+    for x, y in zip(raw, raw[1:]):
+        arith.mul(x, y), arith.add(x, y), arith.add(x, y, 1)
+        arith.neg(x), arith.abs(x)
+    arith.product(values[0], values[1])
+    arith.chain(values[0], values[1:])
+    arith.norm(values), arith.norm(values, values)
+    items = list(enumerate(values))
+    arith.combine(items, values[0], [(items, 0), (items[::-1], 1),
+                                     ([(99, values[1])], 1)])
+    arith.scaled(values[0], list(enumerate(raw)))
+    arith.sums([(values[0], list(enumerate(raw)))])
+    assert calls == []
+    arith.mul(raw[0], fzero), arith.add(raw[0], fzero)
+    arith.add(raw[0], (0, 1, raw[0][2] - 101, 1))
+    arith.neg(finf), arith.abs(fnan)
+    arith.sums([(values[0], [(0, raw[1])]), (values[1], [(0, raw[2])])])
+    assert calls == ["mpf_mul", "mpf_add", "mpf_add", "mpf_neg", "mpf_abs",
+                     "mpf_mul", "mpf_mul"]

@@ -147,6 +147,22 @@ def test_norm_float_path_stays_finite_past_double_range():
     assert abs(log_scalar(res) - (400 * math.log(10) - 2 * math.log(2))) < 1e-9
 
 
+def test_norm_past_double_range_does_not_read_the_global_precision():
+    # the mpf past e^700 is exp of a double's log at 53 bits, and the log
+    # of an mpf is 53 bits too, in every state of mpmath's global context
+    ctx = BigFloatBackend(128).ctx
+    f = PolySeries(1, {(1,): ctx.mpf("1e400"), (3,): ctx.mpf("-3e390")})
+    p = params((1,), F(1, 2), (1,))
+    expected = nagumo_norm(f, p)
+    prec = mpmath.mp.prec
+    for low in (12, 30, 200):
+        with mpmath.workprec(low):
+            got = nagumo_norm(f, p)
+            assert log_scalar(got) == log_scalar(expected)
+        assert got._mpf_ == expected._mpf_
+        assert mpmath.mp.prec == prec
+
+
 def test_mixed_multi_index_rejected():
     with pytest.raises(ParameterError):
         params((1, 0), F(1, 2), (1, 1))
