@@ -14,8 +14,9 @@ hundred objects in reference cycles, so a context per loaded problem left
 that many for the cyclic collector each time a problem was dropped.
 
 Raw arithmetic.  The hot big-float kernels, the solver's recurrence and
-the sum of pde.MomentPDE.apply (series, solver and pde docstrings) do their
-mpf arithmetic through `MpfArith`, the one place that knows mpmath.libmp,
+the one sum of pde.MomentPDE.apply (series, solver and pde docstrings),
+whose operator twin on exact values is series.combine, do their mpf
+arithmetic through `MpfArith`, the one place that knows mpmath.libmp,
 the `_mpf_` tuple and a context's (precision, rounding).  Its bits are
 those of the mpf operators, which for x * y on two mpfs call
 `libmp.mpf_mul(x._mpf_, y._mpf_, prec, rounding)` with the (prec,
@@ -244,11 +245,11 @@ class MpfArith:
     - norm(values, scales) is abs(v1) + abs(v2) + ..., added in order, or
       abs(v1) * s1 + abs(v2) * s2 + ... where scales are given;
     - combine(items, factor, parts) is P's sum at one t-order
-      (pde.MomentPDE.apply): {key: v * factor} over the (key, v) items,
-      then each part of parts, a list of (items, negate), added or, with
-      negate, subtracted key by key, as add and sub merge: a key whose sum
-      is 0 leaves, and a key first met in a part takes its value, negated
-      with negate.
+      (pde.MomentPDE.apply), the raw twin of series.combine, which sums
+      ints and Fractions: {key: v * factor} over the (key, v) items, then
+      each part of parts, a list of (items, negate), added or, with negate,
+      subtracted key by key: a key whose sum is 0 leaves, and a key first
+      met in a part takes its value, negated with negate.
 
     These work on tuples, for the solver's recurrence (solver module
     docstring), with c an mpf and x, y tuples:

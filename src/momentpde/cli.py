@@ -175,10 +175,12 @@ def _window_flag(text: str):
 
 
 def _clip_flag(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("clip needs X0,Y0,X1,Y1")
-    return tuple(Fraction(p) for p in parts)
+    try:
+        x0, y0, x1, y1 = map(Fraction, text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "expected X0,Y0,X1,Y1 (four rationals)")
+    return x0, y0, x1, y1
 
 
 def _overrides(args) -> dict:

@@ -18,7 +18,6 @@ EstimationConfig, which checks them when the problem is made.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,8 +30,9 @@ from .series import (
     PolySeries,
     TimeSeries,
     cleared,
+    combine,
+    common_denominator,
     min_validity,
-    shift_within,
 )
 
 
@@ -86,8 +86,7 @@ class MomentPDE:
         values = [v for term in self.terms for entry in term.coeff.entries
                   for v in entry.coeffs.values()]
         # L of apply: 1 in big float
-        L = (math.lcm(*(v.denominator for v in values))
-             if m0.backend.exact else 1)
+        L = common_denominator(values) if m0.backend.exact else 1
         self.coefficient_denominator = L
         # (term, [(a_k as the walk multiplies by it, negated)]) per term
         self._parts = []
@@ -157,19 +156,19 @@ class MomentPDE:
           the sum gets the same value either way, and exact values are
           exact.
 
-        The walk reads its arithmetic off one value, the principal part's
-        weight m0(n+M)/m0(n).  In exact mode the principal part is scaled
-        and each part added by the kernels, one `add` at a time.  In big
-        float (P u)_n is one `backends.MpfArith.combine`: the principal
-        part's products and the running sum stay `_mpf_` tuples, with the
-        roundings of scale and add, and each value is
-        wrapped into an mpf once, at the end.  The principal part and the
-        parts are cut first to the validity of the whole sum, the
+        (P u)_n is one sum in both backends.  The principal part and the
+        parts are cut once to the validity of the whole sum, the
         componentwise minimum of theirs, which keeps the keys and values
-        that cutting the running sum at each add keeps.  Only the sum is
-        on tuples: each part is still the kernels' moment_derive, multiply
-        and scale, as the recurrence's are not, so the residual check
-        compares the solver's own derivatives with the kernels'; in a
+        that cutting a running sum at each add would keep.  Then the
+        domain's combine, read off the principal part's weight
+        m0(n+M)/m0(n) as every kernel reads its arithmetic off one value,
+        scales the principal part and adds or subtracts each part key by
+        key: `series.combine` on ints and Fractions, and in big float
+        `backends.MpfArith.combine`, whose running sum stays `_mpf_` tuples
+        with the roundings of scale and add and is wrapped once.  Only the
+        sum is shared: each part is still the kernels' moment_derive,
+        multiply and scale, as the recurrence's are not, so the residual
+        check compares the solver's own derivatives with the kernels'; in a
         big-float solve this walk is the one caller of moment_derive and
         multiply.
         """
@@ -186,10 +185,8 @@ class MomentPDE:
         for n in range(u.t_order - self.M + 1):
             factor = self.t_shift_factor(n, self.M)
             principal = stack[n + self.M]
-            arith = mpf_arith(factor)
-            if arith is None:
-                acc = principal.scale(factor if L == 1 else L * factor)
-            parts = []  # big float: summed at the end (docstring)
+            parts = []
+            valid = principal.valid
             for term, row in self._parts:
                 j, alpha = term.key()
                 for k in range(term.ord_t, term.coeff.reach(n) + 1):
@@ -212,28 +209,15 @@ class MomentPDE:
                                 d = d.moment_derive(axis, seq, order)
                         derived[i, alpha] = d
                     part = a.multiply(d).scale(self.t_shift_factor(i - j, j))
-                    if arith is None:
-                        acc = acc.add(part, negate=negated)
-                    else:
-                        parts.append((part, negated))
-            if arith is not None:  # raw: one sum on tuples (docstring)
-                valid = principal.valid
-                for part, _ in parts:
                     valid = min_validity(valid, part.valid)
-                zero = (0,) * self.num_vars
-
-                def within(f: PolySeries):
-                    return shift_within(f.coeffs.items(), zero, f.valid, valid)
-
-                out.append(PolySeries._trusted(self.num_vars, arith.combine(
-                    within(principal), factor,
-                    [(within(part), negated) for part, negated in parts]),
-                    valid))
-                continue
+                    parts.append((part, negated))
+            arith = mpf_arith(factor)  # the sum's domain (docstring)
+            total = (combine if arith is None else arith.combine)(
+                principal.cut(valid), factor if L == 1 else L * factor,
+                [(part.cut(valid), negated) for part, negated in parts])
             if L != 1:
-                acc = PolySeries._trusted(acc.num_vars, {
-                    g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)
-            out.append(acc)
+                total = {g: Fraction(v, L) for g, v in total.items()}
+            out.append(PolySeries._trusted(self.num_vars, total, valid))
         return TimeSeries(out, tail_exact=False)
 
 

@@ -204,7 +204,8 @@ def render_svg(polygon: NewtonPolygon, clip: tuple) -> str:
     """
     x0, y0, x1, y1 = (Fraction(str(c)) for c in clip)
     if not (x0 < x1 and y0 < y1):
-        raise GeometryError(f"degenerate clip box {clip}")
+        raise GeometryError(
+            f"degenerate clip box {','.join(map(str, clip))}")
     for sp in polygon.support_points:
         if not (x0 <= sp.x <= x1 and y0 <= sp.y <= y1):
             raise GeometryError(

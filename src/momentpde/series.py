@@ -16,24 +16,25 @@ their results through a trusted constructor and keep it by filtering only
 where their result can break it.
 
 Two kernels can put a key past their result's validity: `add` (and
-`sub`), whose result keeps the componentwise minimum of the operands'
-validities, and `multiply`, which moves each right key by a left key's
-exponent; the exact recurrence's parts (solver module docstring) move
-keys the same way.  All of them truncate through one rule,
+`sub`, which is `add`), whose result keeps the componentwise minimum of
+the operands' validities, and `multiply`, which moves each right key by a
+left key's exponent; the exact recurrence's parts (solver module
+docstring) move keys the same way.  All of them truncate through one rule,
 `shift_within`.  An operand's keys already lie within its own validity v,
 so a key shifted by beta can pass the target validity t only on an axis
 where v_i + beta_i passes t_i (a None entry of v counts as unbounded);
 there one int compare, key_i <= t_i - beta_i, decides, before the shifted
 key is built, and the other axes need no test.  `add` cuts each operand
-before the merge, which touches only one whose validity is the larger on
-some axis; a key past the common validity lies in one operand only, so
-the result is the per-key filter of the merged dict, key for key and in
-order.  `multiply` cuts the sorted right operand once per left monomial
-and shifts what is kept by that monomial's exponent, so its pairs meet in
-the order of the full pair loop, each key's sum starting from its first
-pair's product.  The constructor sees keys from outside and keeps the
-per-key test on every axis; `__eq__` keeps it only for operands of
-different validities, as operands of one validity store keys inside it.
+(`cut`) before its one merge, `combine`, which touches only one whose
+validity is the larger on some axis; a key past the common validity lies
+in one operand only, so the result is the per-key filter of the merged
+dict, key for key and in order.  `multiply` cuts the sorted right operand
+once per left monomial and shifts what is kept by that monomial's
+exponent, so its pairs meet in the order of the full pair loop, each key's
+sum starting from its first pair's product.  The constructor sees keys
+from outside and keeps the per-key test on every axis; `__eq__` keeps it
+only for operands of different validities, as operands of one validity
+store keys inside it.
 
 Key order.  `multiply` reads both operands in ascending key order.  A
 kernel that moves every key it keeps by one vector keeps its operand's
@@ -80,31 +81,30 @@ steps and an `ell1_norm` one `norm`.  Any other value takes the operator
 expressions, which are the int and Fraction paths.  Outside the kernels a
 value stays a tuple where no caller sees it, and is wrapped once where it
 is stored, by the same rule: the solver's derivatives and sums (solver
-module docstring) and the running sum of pde.MomentPDE.apply (its
-docstring), which leaves `add`/`sub` no hot big-float caller, so they
-take the operators on every domain.  A kernel's result is a PolySeries,
-so it holds mpfs.
+module docstring) and the sum of pde.MomentPDE.apply (its docstring),
+`MpfArith.combine`, the raw twin of this module's `combine`.  So `add`
+has no hot big-float caller, and its `combine` takes the operators.  A
+kernel's result is a PolySeries, so it holds mpfs.
 
 The operator paths test a value for zero by truthiness (`not value`), which
 answers as `value == 0` for an int, a Fraction and an mpf (mpmath has no
 -0, and a NaN is truthy as it is != 0) without converting a 0 into the
-value's domain on every test.  `sub` is `add` with the right operand's
-values subtracted in the same pass; it builds no negated copy.  A
-`multiply` whose left operand is one constant monomial (every operator
-coefficient that does not depend on z) is one pass over the right
-operand, since an mpf product is rounded once and commutes.  By the
-constant 1 (an int, or an mpf of the right values' context) that pass
-does no arithmetic: it copies the right operand's items,
-sorted and restricted to the validity.  The products would give the same
-values, as an mpf is already rounded to its context's precision;
-pde.MomentPDE.apply forms the parts of an operator coefficient -1 from
-the constant 1.  A product of
-two series whose first values are Fractions clears each side's
-denominators into its lcm, sums the pairs on int numerators, and builds
-one Fraction(sum, lcm_f * lcm_g) per surviving key: the same values, still
-Fractions where they are integral, in the same key order.  Any other pair
-of operands (an int or an mpf first value on either side) takes the
-generic loop.
+value's domain on every test.  `combine` is the one merge of `add`, of
+`sub` (its right values subtracted in the pass, with no negated copy) and
+of the exact sum of pde.MomentPDE.apply.  A `multiply` whose left operand
+is one constant monomial (every operator coefficient that does not depend
+on z) is one pass over the right operand, since an mpf product is rounded
+once and commutes.  By the constant 1 (an int, or an mpf of the right
+values' context) that pass does no arithmetic: it copies the right
+operand's items, sorted and restricted to the validity.  The products
+would give the same values, as an mpf is already rounded to its context's
+precision; pde.MomentPDE.apply forms the parts of an operator coefficient
+-1 from the constant 1.  A product of two series whose first values are
+Fractions clears each side's denominators into its lcm, sums the pairs
+on int numerators, and builds one Fraction(sum, lcm_f * lcm_g) per
+surviving key: the same values, still Fractions where they are integral,
+in the same key order.  Any other pair of operands (an int or an mpf first
+value on either side) takes the generic loop.
 
 `ell1_norm` multiplies |f_gamma| by r^|gamma| read from a table of powers
 of r by degree, which a caller that takes many norms at one r (the
@@ -293,35 +293,18 @@ class PolySeries:
             )
 
     def add(self, other: "PolySeries", *, negate: bool = False) -> "PolySeries":
-        """self + other, or self - other when negate is set (as `sub`)."""
+        """self + other, or self - other when negate is set (as `sub`): the
+        one merge `combine` of both operands cut to their common validity."""
         self._check_same_vars(other)
-        out, theirs, valid = self.coeffs, other.coeffs.items(), self.valid
-        if other.valid != valid:
-            # each side dropped to the common validity before the merge
-            valid = min_validity(valid, other.valid)
-            zero = (0,) * self.num_vars
-            out = shift_within(out.items(), zero, self.valid, valid)
-            theirs = shift_within(theirs, zero, other.valid, valid)
-        out = dict(out)
-        if negate:
-            for key, value in theirs:
-                if key in out:
-                    value = out[key] - value
-                    if not value:
-                        del out[key]
-                        continue
-                    out[key] = value
-                else:
-                    out[key] = -value
-        else:
-            for key, value in theirs:
-                if key in out:
-                    value = out[key] + value
-                    if not value:
-                        del out[key]
-                        continue
-                out[key] = value
-        return PolySeries._trusted(self.num_vars, out, valid)
+        valid = min_validity(self.valid, other.valid)
+        return PolySeries._trusted(self.num_vars, combine(
+            self.cut(valid), 1, [(other.cut(valid), negate)]), valid)
+
+    def cut(self, valid: Validity):
+        """The items of self whose keys lie within valid, a validity no
+        larger than self's on any axis, in self's order (`shift_within`)."""
+        return shift_within(self.coeffs.items(), (0,) * self.num_vars,
+                            self.valid, valid)
 
     def neg(self) -> "PolySeries":
         return PolySeries._trusted(
@@ -504,17 +487,46 @@ class PolySeries:
         )
 
 
+def combine(items, factor, parts) -> dict:
+    """The sum of pde.MomentPDE.apply at one t-order on int, Fraction or
+    mpf values, the operators' twin of `backends.MpfArith.combine`:
+    {key: v * factor} over the (key, v) items, then each part of parts, a
+    list of (items, negate), added or, with negate, subtracted key by key.
+    A key whose sum is 0 leaves, and a key first met in a part takes its
+    value, negated with negate.  An integral Fraction factor multiplies as
+    an int, and a factor 1 copies the items (module docstring)."""
+    factor = exact_multiplier(factor)
+    total = dict(items) if factor == 1 else {k: v * factor for k, v in items}
+    get = total.get
+    for part, negate in parts:
+        for key, v in part:
+            x = get(key)
+            if x is None:
+                total[key] = -v if negate else v
+            elif (x := x - v if negate else x + v):
+                total[key] = x
+            else:
+                del total[key]
+    return total
+
+
+def common_denominator(values) -> int:
+    """The least common denominator of int or Fraction values, taken two
+    arguments at a time, as math.lcm(*values) holds every one at once."""
+    scale = 1
+    for value in values:
+        scale = math.lcm(scale, value.denominator)
+    return scale
+
+
 def cleared(items, scale: int = 0) -> tuple[list, int]:
     """Int or Fraction values, as (key, value) pairs in a list or a dict's
     items view, as ints over a common multiple of their denominators: the
     pairs (key, scale * value), and scale.  scale defaults to the values'
     least common denominator; a given one must be a multiple of every
-    denominator.  The lcm is taken two arguments at a time, as
-    math.lcm(*genexpr) holds every denominator at once."""
+    denominator."""
     if not scale:
-        scale = 1
-        for _, value in items:
-            scale = math.lcm(scale, value.denominator)
+        scale = common_denominator(map(operator.itemgetter(1), items))
     return [(key, value.numerator * (scale // value.denominator))
             for key, value in items], scale
 

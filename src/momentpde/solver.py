@@ -117,6 +117,7 @@ from .series import (
     TimeSeries,
     Validity,
     cleared,
+    common_denominator,
     min_validity,
     shift_within,
 )
@@ -225,7 +226,7 @@ def _summed(groups: list, backend) -> tuple[dict, int]:
     docstring)."""
     common = 1
     if backend.exact:
-        common = math.lcm(*(c.denominator for c, _ in groups))
+        common = common_denominator(c for c, _ in groups)
         groups = [(c.numerator * (common // c.denominator), items)
                   for c, items in groups]
     (c, items), *rest = groups
@@ -286,7 +287,7 @@ def _derive(seqs: tuple[MomentSequence, ...], nums: dict,
         if arith is not None:
             table = [r._mpf_ for r in table]
         elif Fraction in map(type, table):
-            scale = math.lcm(*(r.denominator for r in table))
+            scale = common_denominator(table)
             table = [r.numerator * (scale // r.denominator) for r in table]
             den *= scale
         if arith is not None and len(alpha) == 1:
@@ -440,9 +441,8 @@ def _differences(problem: CauchyProblem, solution: FormalSolution):
            for n in range(min(u.t_order, problem.t_order) - pde.M + 1)]
     scale = 1
     if problem.backend.exact:
-        scale = math.lcm(*solution.denominators,
-                         *(v.denominator for f_n in rhs
-                           for v in f_n.coeffs.values()))
+        scale = math.lcm(*solution.denominators, common_denominator(
+            v for f_n in rhs for v in f_n.coeffs.values()))
         u = TimeSeries([entry.scale(scale // d) for entry, d
                         in zip(u.entries, solution.denominators)], u.tail_exact)
         rhs = [PolySeries._trusted(f_n.num_vars, dict(

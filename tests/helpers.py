@@ -130,15 +130,20 @@ def recurrence_reference(problem: CauchyProblem) -> list[PolySeries]:
 
 
 def reference_apply(pde, u: TimeSeries) -> TimeSeries:
-    """P u for a big-float stack as the kernels compose it, one add at a
-    time: (P u)_n is u_{n+M} scaled by m0(n+M)/m0(n), then each part
+    """P u as the kernels compose it, one add at a time, in both backends:
+    (P u)_n is u_{n+M} scaled by L * m0(n+M)/m0(n), then each part
     a_k * D_z^alpha u_i scaled by m0(i)/m0(i-j), added, or subtracted where
-    the walk stores a_k negated, in the order of MomentPDE.apply's walk.
-    The reference for MomentPDE.apply, whose big-float sum stays tuples."""
+    the walk stores a_k negated, in the order of MomentPDE.apply's walk,
+    and divided by L per surviving key, with L the lcm of P's coefficient
+    denominators as the walk's parts hold L * a_k (1 in big float).  The
+    reference for MomentPDE.apply, whose sum is one combine of its domain
+    in either backend."""
+    L = pde.coefficient_denominator
     stack = u.entries
     out = []
     for n in range(u.t_order - pde.M + 1):
-        acc = stack[n + pde.M].scale(pde.t_shift_factor(n, pde.M))
+        factor = pde.t_shift_factor(n, pde.M)
+        acc = stack[n + pde.M].scale(factor if L == 1 else L * factor)
         for term, row in pde._parts:
             j, alpha = term.key()
             for k in range(term.ord_t, term.coeff.reach(n) + 1):
@@ -152,6 +157,9 @@ def reference_apply(pde, u: TimeSeries) -> TimeSeries:
                         d = d.moment_derive(axis, seq, order)
                 part = a.multiply(d).scale(pde.t_shift_factor(i - j, j))
                 acc = acc.add(part, negate=negated)
+        if L != 1:
+            acc = PolySeries(acc.num_vars, {
+                g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)
         out.append(acc)
     return TimeSeries(out, tail_exact=False)
 

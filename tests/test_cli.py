@@ -960,6 +960,8 @@ def test_a_bad_flag_on_a_later_call_still_exits_two(capsys):
 @pytest.mark.parametrize("argv, form", [
     (["estimate", PROBLEMS / "heat.json", "--window", "5"], "LO,HI"),
     (["solve", PROBLEMS / "heat.json", "--z-degree", "x"], "D1,D2,..."),
+    (["svg", PROBLEMS / "heat.json", "--clip", "1/0,0,1,1"], "X0,Y0,X1,Y1"),
+    (["svg", PROBLEMS / "heat.json", "--clip", "a,b,c,d"], "X0,Y0,X1,Y1"),
 ])
 def test_a_malformed_list_flag_names_its_form_not_a_function(argv, form,
                                                              capsys):

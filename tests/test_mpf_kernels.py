@@ -10,11 +10,11 @@ mul, add, sub, neg and abs must be libmp's, bit for bit, on random and
 edge-case tuples at every precision, and make no libmp call on the rest.
 Each kernel must give, value for value, the `_mpf_` of the operator
 expression it replaced (of ctx.fdot for a sum of several products, of the
-kernels for apply, of scalar_to_fraction for the text): the same keys in
-the same order, the same type, the same bits.  Every raw case runs with
-the context's mpf operators disabled, so it shows that the raw path was
-taken; apply, whose parts come from multiply's operator products, counts
-its raw sums instead.  Every scalar of a problem is in its backend's
+kernels for apply, also on exact values, of scalar_to_fraction for the
+text): the same keys in the same order, the same type, the same bits.
+Every raw case runs with the context's mpf operators disabled, so it shows
+that the raw path was taken; apply, whose parts come from multiply's
+operator products, counts its sums instead.  Every scalar of a problem is in its backend's
 domain, so a kernel reads its arithmetic off one value (backends module
 docstring): operands of another domain (ints, Fractions, or mpfs of
 mpmath's global context) must take the operators and give their result.
@@ -23,6 +23,7 @@ mpmath's global context) must take the operators and give their result.
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -40,8 +41,10 @@ from momentpde import (
     QFactorial,
 )
 from momentpde import backends
+from momentpde import pde as pde_module
 from momentpde.backends import (mpf_arith, mpf_from_fraction,
                                 scalar_to_fraction)
+from momentpde.pde import validate
 from momentpde.problem_io import _coefficients, load_problem
 from momentpde.series import TimeSeries, min_validity
 from momentpde.solver import _derive, _integer_recurrence, _summed
@@ -340,35 +343,45 @@ def test_solver_sum_of_groups_is_fdot(precision):
         assert _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("precision", (24, 53, 256))
+@pytest.mark.parametrize("precision", (24, 53, 256, "rational"))
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")),
                          ids=lambda p: p.stem)
-def test_apply_is_the_kernels_sum(path, precision):
-    # the big-float apply keeps (P u)_n as tuples and wraps each value
-    # once; the kernels' chain of add and sub gives the same bits
-    problem = load_problem(path, {"backend": "bigfloat",
-                                  "precision_bits": precision})
-    numerators, _ = _integer_recurrence(problem)
+def test_apply_is_the_kernels_sum(path, precision, monkeypatch):
+    # apply's one sum per t-order, the domain's combine, gives the keys, key
+    # order, types and values of the kernels' chain of add and sub: in big
+    # float as tuples wrapped once; in exact mode on an int-valued stack as
+    # the residual's D * u, whose values stay ints where the kernels keep
+    # them so (heat_half and heat2d_var have L != 1, wave_tz2 M = 2, j = 1)
+    exact = precision == "rational"
+    problem = load_problem(path, {"backend": "rational"} if exact else
+                           {"backend": "bigfloat", "precision_bits": precision})
+    if not validate(problem).passed:
+        pytest.skip("the problem needs the bigfloat backend")
+    numerators, denominators = _integer_recurrence(problem)
+    if exact:
+        # (n + 1) * D * u_n: no solution of P u = f, so not every sum cancels
+        scale = math.lcm(*denominators)
+        numerators = [entry.scale((n + 1) * (scale // d)) for n, (entry, d)
+                      in enumerate(zip(numerators, denominators))]
     u = TimeSeries(numerators)
     pde = problem.pde
-    arith = mpf_arith(problem.backend.scalar(1))
-    combine = arith.combine
+    owner = pde_module if exact else mpf_arith(problem.backend.scalar(1))
+    combine = owner.combine
     calls = []
 
     def counted(*args):
         calls.append(args)
         return combine(*args)
 
-    arith.combine = counted
-    try:
-        got = pde.apply(u)
-    finally:
-        arith.combine = combine
+    monkeypatch.setattr(owner, "combine", counted)
+    got = pde.apply(u)
+    monkeypatch.undo()
     want = reference_apply(pde, u)
     assert len(calls) == len(want.entries) == len(got.entries)
     for a, b in zip(got.entries, want.entries):
         assert a.valid == b.valid
         assert _bits(a.coeffs) == _bits(b.coeffs)
+    assert not exact or any(f.coeffs for f in got.entries)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)

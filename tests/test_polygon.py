@@ -202,7 +202,11 @@ def test_render_svg_single_quadrant_corner():
 
 def test_render_svg_clip_errors():
     polygon = build(heat())
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^degenerate clip box 0,0,0,0$"):
         render_svg(polygon, (0, 0, 0, 0))
+    # the box as the svg command's --clip=1,2,1,2 gives it, printed in
+    # that form and not as Fraction reprs
+    with pytest.raises(GeometryError, match=r"^degenerate clip box 1,2,1,2$"):
+        render_svg(polygon, (F(1), F(2), F(1), F(2)))
     with pytest.raises(GeometryError):
         render_svg(polygon, (-1, -2, F(3, 2), 1))  # excludes (2, 0)
