@@ -15,6 +15,7 @@ from momentpde import (
     TimeSeries,
 )
 from momentpde.backends import log_scalar
+from momentpde.series import min_validity
 
 
 def zero_rhs(num_vars: int) -> TimeSeries:
@@ -129,15 +130,41 @@ def recurrence_reference(problem: CauchyProblem) -> list[PolySeries]:
     return u
 
 
+def merged(f: PolySeries, g: PolySeries, negate: bool) -> dict:
+    """f + g, or f - g with negate: both operands cut to the common
+    validity, then merged key by key, here and not by series.combine, which
+    PolySeries.add and MomentPDE.apply share; a sum that is 0 drops its
+    key."""
+    valid = min_validity(f.valid, g.valid)
+
+    def inside(key):
+        return all(v is None or x <= v for x, v in zip(key, valid))
+
+    out = {k: v for k, v in f.coeffs.items() if inside(k)}
+    for key, value in g.coeffs.items():
+        if not inside(key):
+            continue
+        if key in out:
+            value = out[key] - value if negate else out[key] + value
+            if not value:
+                del out[key]
+                continue
+            out[key] = value
+        else:
+            out[key] = -value if negate else value
+    return out
+
+
 def reference_apply(pde, u: TimeSeries) -> TimeSeries:
-    """P u as the kernels compose it, one add at a time, in both backends:
+    """P u as the kernels compose it, one merge at a time, in both backends:
     (P u)_n is u_{n+M} scaled by L * m0(n+M)/m0(n), then each part
     a_k * D_z^alpha u_i scaled by m0(i)/m0(i-j), added, or subtracted where
     the walk stores a_k negated, in the order of MomentPDE.apply's walk,
     and divided by L per surviving key, with L the lcm of P's coefficient
     denominators as the walk's parts hold L * a_k (1 in big float).  The
     reference for MomentPDE.apply, whose sum is one combine of its domain
-    in either backend."""
+    in either backend; the merge is the helpers' own (`merged`), so a
+    fault in series.combine shows against it."""
     L = pde.coefficient_denominator
     stack = u.entries
     out = []
@@ -156,7 +183,8 @@ def reference_apply(pde, u: TimeSeries) -> TimeSeries:
                     if order:
                         d = d.moment_derive(axis, seq, order)
                 part = a.multiply(d).scale(pde.t_shift_factor(i - j, j))
-                acc = acc.add(part, negate=negated)
+                acc = PolySeries(acc.num_vars, merged(acc, part, negated),
+                                 min_validity(acc.valid, part.valid))
         if L != 1:
             acc = PolySeries(acc.num_vars, {
                 g: Fraction(v, L) for g, v in acc.coeffs.items()}, acc.valid)

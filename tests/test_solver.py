@@ -36,7 +36,7 @@ from momentpde import (
 )
 from momentpde.backends import scalar_to_fraction
 from momentpde.problem_io import load_problem, problem_from_dict
-from momentpde.solver import _derive, _integer_recurrence
+from momentpde.solver import _derive, _integer_recurrence, _summed
 
 from helpers import (
     fraction_residual,
@@ -426,8 +426,11 @@ def test_integer_recurrence_matches_u_basis_loop():
     # q-factorial z-sequence with a z-dependent coefficient, whose shift
     # ratios m(gamma)/m(gamma - beta) are not integers; q-factorials on both
     # axes of a two-variable operator, whose multipliers on each moving axis
-    # are not integers; and a z-sequence table shorter than the data on an
-    # axis that no term differentiates.
+    # are not integers; a z-sequence table shorter than the data on an
+    # axis that no term differentiates; and the heat fixture on data
+    # 1/(1 - 2z/3), the exact benchmark's regime, where every step from
+    # u_1 on divides out a content > 1 and u_n(gamma)'s reduced denominator
+    # grows with gamma.
     tilted = MomentPDE(1, FactorialPower(1), [QFactorial(F(2, 3))], [
         OperatorTerm(0, (1,), TimeSeries(
             [PolySeries(1, {(0,): F(-1), (1,): F(-1, 2)})], tail_exact=True)),
@@ -435,7 +438,11 @@ def test_integer_recurrence_matches_u_basis_loop():
     short_table = MomentPDE(
         1, FactorialPower(1), [FactorialPower(1), TableSequence(["1", "2"], 1)],
         [OperatorTerm(0, (1, 0), constant_coeff(-1, num_vars=2))])
+    doc = json.loads((PROBLEMS / "heat.json").read_text(encoding="utf-8"))
+    doc["initial"] = [{"generator": "geometric", "coefficient": "2/3"}]
+    geometric = problem_from_dict(doc, {"t_order": 24, "z_degree": [72]})
     problems = [
+        geometric,
         problem(heat_pde(), [geometric_series(1, 1, (4,))], t_order=6,
                 z_caps=(4,)),
         problem(tilted, [geometric_series(1, F(-3, 5), (9,))], t_order=9,
@@ -463,7 +470,33 @@ def test_integer_recurrence_matches_u_basis_loop():
             # never reach the output.
             assert d == math.lcm(*(v.denominator for v in want.coeffs.values())), n
             empty += not want.coeffs
+            if prob is geometric:
+                values = list(want.coeffs.values())
+                assert values[0].denominator < values[-1].denominator, n
     assert empty
+
+
+@pytest.mark.parametrize("c, values, want", [
+    # content 1: d is c's denominator, each value c.numerator * x
+    (F(5, 6), [1, 7, 4], ([5, 35, 20], 6)),
+    # content gcd(12, 4, 6, 12) = 2, though the top value alone gives 12
+    (F(-5, 12), [4, 6, 12], ([-10, -15, -30], 6)),
+    # an integral c: over 1, where no content is left to divide out
+    (F(-3), [2, 5], ([-6, -15], 1)),
+    # no value: an empty sum over 1
+    (F(5, 12), [], ([], 1)),
+], ids=["content_1", "content_2", "integral_c", "empty"])
+def test_one_exact_group_is_summed_over_its_least_denominator(c, values,
+                                                              want):
+    # the sum c * x of one group, its content gcd(den, x...) divided out in
+    # the same pass: ints in key order over the least denominator
+    items = [((g,), x) for g, x in enumerate(values)]
+    nums, den = _summed([(c, items)], RationalBackend())
+    assert (list(nums.values()), den) == want
+    assert list(nums) == [g for g, _ in items]
+    assert all(type(x) is int for x in nums.values())
+    assert {g: F(x, den) for g, x in nums.items()} == {g: c * x
+                                                        for g, x in items}
 
 
 def test_a_derivative_fills_a_table_only_for_the_keys_earlier_axes_keep():
