@@ -28,10 +28,9 @@ Schema (see README for the worked example):
     variables    number of z variables N
     moment       {"t": seq, "z": [seq, ...]}            sequence sub-schema
     M            principal t-derivative order
-    terms        [{"j", "alpha", "coefficient": [monomial...]}, ...]
-    rhs          [monomial...] or generator object
-    initial      M entries: [monomial...] or generator or
-                 {"monomials": [...], "valid": [...]}
+    terms        [{"j", "alpha", "coefficient": series}, ...]
+    rhs          series (default [], the zero series)
+    initial      M series in z alone: a non-zero t power is refused
     truncation   {"t_order": N_max, "z_degree": [caps...]}
     numerics     {"backend": "rational"|"bigfloat", "precision_bits": 256}
     estimation   {"r", "rho", "window": [lo, hi], "tolerance", "mode"}  (optional;
@@ -42,8 +41,14 @@ The overrides of `load_problem` (the commands' flags) set the keys of
 OVERRIDES in their sections before the document is read; None sets none,
 and a key outside OVERRIDES is refused.
 
-A term monomial is {"t_power": int, "z_powers": [ints], "value": rational};
-z-only monomials drop "t_power".  Sequence sub-schema, parsed here only:
+Every series field takes one of three forms, read by `_series`: a monomial
+list [monomial...]; a generator {"generator": "geometric"|"exp",
+"coefficient": rational, "t_power": int}, the z-series 1/prod(1 - c z_i) or
+exp(c (z_1+...+z_N)) expanded to the z_degree caps, times t^t_power; or
+{"monomials": [monomial...], "valid": [int or null, ...]}.  An object of
+either kind with any other key is refused.  A monomial is {"t_power": int,
+"z_powers": [ints], "value": rational}; "t_power" defaults to 0, here and
+in a generator.  Sequence sub-schema, parsed here only:
 {"kind": "factorial_power"|"gamma", "s": rational},
 {"kind": "q_factorial", "q": rational},
 {"kind": "product", "factors": [seq, seq]},
@@ -196,13 +201,14 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
     if not isinstance(terms_doc, list):
         raise ProblemFormatError("terms", "expected a list")
     terms = [
-        _term(entry, f"terms[{i}]", num_vars, backend)
+        _term(entry, f"terms[{i}]", num_vars, z_caps, backend)
         for i, entry in enumerate(terms_doc)
     ]
 
     pde = MomentPDE(principal_order, m0, m, terms)
 
-    rhs = _rhs(doc.get("rhs", []), "rhs", num_vars, z_caps, backend)
+    rhs = _series(doc.get("rhs", []), "rhs", num_vars, z_caps, backend,
+                  with_t=True)
 
     initial_doc = _need(doc, "initial", "")
     if not isinstance(initial_doc, list) or len(initial_doc) != principal_order:
@@ -210,7 +216,8 @@ def problem_from_dict(doc, overrides: dict | None = None) -> CauchyProblem:
             "initial", f"expected {principal_order} initial data entries"
         )
     initial = [
-        _poly(entry, f"initial[{j}]", num_vars, z_caps, backend)
+        _series(entry, f"initial[{j}]", num_vars, z_caps, backend,
+                with_t=False).entries[0]
         for j, entry in enumerate(initial_doc)
     ]
 
@@ -309,16 +316,21 @@ def _part(spec, path: str, backend: Backend) -> MomentSequence:
     return _spec_sequence(spec, path, backend)
 
 
+def _t_power(entry: dict, path: str, with_t: bool) -> int:
+    """entry's t power, 0 when absent; without with_t only 0 is allowed."""
+    if with_t:
+        return _as_int(entry.get("t_power", 0), f"{path}.t_power", 0)
+    if entry.get("t_power", 0) != 0:
+        raise ProblemFormatError(f"{path}.t_power",
+                                 "t powers are not allowed here")
+    return 0
+
+
 def _monomial(entry, path: str, num_vars: int, backend: Backend,
               with_t: bool) -> tuple[int, tuple[int, ...], object]:
     if not isinstance(entry, dict):
         raise ProblemFormatError(path, "expected a monomial object")
-    t_power = 0
-    if with_t:
-        t_power = _as_int(entry.get("t_power", 0), f"{path}.t_power", 0)
-    elif "t_power" in entry and entry["t_power"] != 0:
-        raise ProblemFormatError(f"{path}.t_power",
-                                 "t powers are not allowed here")
+    t_power = _t_power(entry, path, with_t)
     z_powers = _int_list(_need(entry, "z_powers", path), num_vars,
                          f"{path}.z_powers")
     value = backend.scalar(_as_rational(_need(entry, "value", path),
@@ -326,10 +338,12 @@ def _monomial(entry, path: str, num_vars: int, backend: Backend,
     return t_power, z_powers, value
 
 
-def _monomials_to_timeseries(monomials, num_vars: int,
-                             valid=None) -> TimeSeries:
-    """The sum of (t_power, z_powers, value) monomials, one z-polynomial of
-    the given validity per t-power; an empty list is the zero series."""
+def _monomials(entries: list, path: str, num_vars: int, backend: Backend,
+               with_t: bool, valid=None) -> TimeSeries:
+    """The sum of the monomials at path, one z-polynomial of the given
+    validity per t-power; an empty list is the zero series."""
+    monomials = [_monomial(m, f"{path}[{k}]", num_vars, backend, with_t)
+                 for k, m in enumerate(entries)]
     top = max((t for t, _, _ in monomials), default=0)
     buckets: list[dict] = [dict() for _ in range(top + 1)]
     for t_power, z_powers, value in monomials:
@@ -341,21 +355,14 @@ def _monomials_to_timeseries(monomials, num_vars: int,
     )
 
 
-def _term(entry, path: str, num_vars: int, backend: Backend) -> OperatorTerm:
+def _term(entry, path: str, num_vars: int, z_caps,
+          backend: Backend) -> OperatorTerm:
     if not isinstance(entry, dict):
         raise ProblemFormatError(path, "expected a term object")
     j = _as_int(_need(entry, "j", path), f"{path}.j", 0)
     alpha = _int_list(_need(entry, "alpha", path), num_vars, f"{path}.alpha")
-    coeff_doc = _need(entry, "coefficient", path)
-    if not isinstance(coeff_doc, list) or not coeff_doc:
-        raise ProblemFormatError(
-            f"{path}.coefficient", "expected a non-empty monomial list"
-        )
-    monomials = [
-        _monomial(m, f"{path}.coefficient[{k}]", num_vars, backend, with_t=True)
-        for k, m in enumerate(coeff_doc)
-    ]
-    coeff = _monomials_to_timeseries(monomials, num_vars)
+    coeff = _series(_need(entry, "coefficient", path), f"{path}.coefficient",
+                    num_vars, z_caps, backend, with_t=True)
     try:
         term = OperatorTerm(j, alpha, coeff)
     except ValueError as exc:
@@ -370,42 +377,31 @@ def _term(entry, path: str, num_vars: int, backend: Backend) -> OperatorTerm:
     return term
 
 
-def _generator_poly(entry, path: str, num_vars: int, z_caps, backend):
-    name = entry.get("generator")
-    coefficient = _as_rational(entry.get("coefficient", 1),
-                               f"{path}.coefficient")
-    if name == "geometric":
-        poly = geometric_series(num_vars, coefficient, z_caps)
-    elif name == "exp":
-        poly = exponential_series(num_vars, coefficient, z_caps)
-    else:
-        raise ProblemFormatError(
-            f"{path}.generator", f"unknown generator {name!r}"
-        )
-    if not backend.exact:
-        poly = poly.map_coefficients(backend.scalar)
-    return poly
+# The keys of each object form of a series, the first naming the form.
+_FORMS = (("generator", "coefficient", "t_power"), ("monomials", "valid"))
 
 
-def _poly(entry, path: str, num_vars: int, z_caps, backend) -> PolySeries:
-    """z-polynomial data: a monomial list, a generator, or an explicit
-    {"monomials": ..., "valid": ...} object."""
+def _series(entry, path: str, num_vars: int, z_caps, backend: Backend,
+            with_t: bool) -> TimeSeries:
+    """A series field in any of its three forms: a monomial list, a
+    generator (a z-series expanded to the caps, times t^t_power), or
+    {"monomials": [...], "valid": [...]}.  Without with_t every t power
+    but 0 is refused.  A key outside its form is refused."""
     if isinstance(entry, list):
-        monomials = [
-            _monomial(m, f"{path}[{k}]", num_vars, backend, with_t=False)
-            for k, m in enumerate(entry)
-        ]
-        return _monomials_to_timeseries(monomials, num_vars).entries[0]
-    if isinstance(entry, dict) and "generator" in entry:
-        return _generator_poly(entry, path, num_vars, z_caps, backend)
-    if isinstance(entry, dict) and "monomials" in entry:
+        return _monomials(entry, path, num_vars, backend, with_t)
+    keys = next((keys for keys in _FORMS
+                 if isinstance(entry, dict) and keys[0] in entry), None)
+    if keys is None:
+        raise ProblemFormatError(
+            path, "expected a monomial list, a generator, or a monomials object"
+        )
+    for key in entry:
+        if key not in keys:
+            raise ProblemFormatError(f"{path}.{key}", "unknown key; expected "
+                                     "one of " + ", ".join(keys))
+    if keys[0] == "monomials":
         if not isinstance(entry["monomials"], list):
             raise ProblemFormatError(f"{path}.monomials", "expected a list")
-        monomials = [
-            _monomial(m, f"{path}.monomials[{k}]", num_vars, backend,
-                      with_t=False)
-            for k, m in enumerate(entry["monomials"])
-        ]
         valid = entry.get("valid")
         if valid is not None:
             if not isinstance(valid, list) or len(valid) != num_vars:
@@ -416,25 +412,20 @@ def _poly(entry, path: str, num_vars: int, z_caps, backend) -> PolySeries:
                 None if v is None else _as_int(v, f"{path}.valid[{i}]")
                 for i, v in enumerate(valid)
             )
-        return _monomials_to_timeseries(monomials, num_vars, valid).entries[0]
-    raise ProblemFormatError(
-        path, "expected a monomial list, a generator, or a monomials object"
-    )
-
-
-def _rhs(entry, path: str, num_vars: int, z_caps, backend) -> TimeSeries:
-    if isinstance(entry, list):
-        monomials = [
-            _monomial(m, f"{path}[{k}]", num_vars, backend, with_t=True)
-            for k, m in enumerate(entry)
-        ]
-        return _monomials_to_timeseries(monomials, num_vars)
-    if isinstance(entry, dict) and "generator" in entry:
-        poly = _generator_poly(entry, path, num_vars, z_caps, backend)
-        t_power = _as_int(entry.get("t_power", 0), f"{path}.t_power", 0)
-        entries = [PolySeries.zero(num_vars)] * t_power + [poly]
-        return TimeSeries(entries, tail_exact=True)
-    raise ProblemFormatError(path, "expected a monomial list or a generator")
+        return _monomials(entry["monomials"], f"{path}.monomials", num_vars,
+                          backend, with_t, valid)
+    name = entry["generator"]
+    if name not in ("geometric", "exp"):
+        raise ProblemFormatError(f"{path}.generator",
+                                 f"unknown generator {name!r}")
+    t_power = _t_power(entry, path, with_t)
+    poly = (geometric_series if name == "geometric" else exponential_series)(
+        num_vars, _as_rational(entry.get("coefficient", 1),
+                               f"{path}.coefficient"), z_caps)
+    if not backend.exact:
+        poly = poly.map_coefficients(backend.scalar)
+    return TimeSeries([PolySeries.zero(num_vars)] * t_power + [poly],
+                      tail_exact=True)
 
 
 def _estimation(entry) -> EstimationConfig:

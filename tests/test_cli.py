@@ -312,6 +312,14 @@ MALFORMED = {
     "estimation-unknown-key": ("estimate", "heat", _set(
         "estimation.tolerence", "1/100"), ()),
     "z-degree-count": ("solve", "heat", None, ("--z-degree", "10,10")),
+    # a series object's misspelt key, and a t power on initial data, are
+    # refused, not read as the default or dropped
+    "generator-unknown-key": ("solve", "heat", _set(
+        "initial.0.coeficient", "1/2"), ()),
+    "monomials-unknown-key": ("solve", "heat", _set(
+        "rhs", {"monomials": [], "valids": [4]}), ()),
+    "initial-generator-t-power": ("solve", "heat", _set(
+        "initial.0.t_power", 3), ()),
 }
 
 # the stderr message of a malformed sequence spec names the field
@@ -337,6 +345,12 @@ MALFORMED_MESSAGES = {
     "nested-unknown-kind": "moment.t: unknown sequence kind 'nope'",
     "estimation-unknown-key": "estimation.tolerence: unknown key; expected "
                               "one of r, rho, tolerance, mode, window",
+    "generator-unknown-key": "initial[0].coeficient: unknown key; expected "
+                             "one of generator, coefficient, t_power",
+    "monomials-unknown-key":
+        "rhs.valids: unknown key; expected one of monomials, valid",
+    "initial-generator-t-power":
+        "initial[0].t_power: t powers are not allowed here",
 }
 
 
@@ -726,7 +740,9 @@ def test_byte_identical_reruns(capsys):
 # wave_z4 and wave_tz2 (t-order M = 2; wave_tz2's term has j = 1, so its
 # big-float recurrence weighs parts by m0(n-p)/m0(n-p-1)) were recorded, in
 # both backends and at 24 bits, before the solver's derivatives and sums,
-# and apply's sum, came to stay libmp tuples between calls.
+# and apply's sum, came to stay libmp tuples between calls.  heat_forced (the
+# one fixture with a right-hand side, a generator) was recorded in both
+# backends with the readers that preceded the one series reader.
 SOLVE_DIGESTS = {
     "fractional": "cd6390ce3d6de159a5fd97581613c5aca5cd4e56e54001fe4603d39a79c3a784",
     "fractional-p1024": "d13ca3ec7ab775c95368410b8df01f20c6ba212437072842d69c44b998111942",
@@ -739,6 +755,8 @@ SOLVE_DIGESTS = {
     "heat2d-bigfloat-p48": "26e99c9b105423bef1f4948f9993b3927ba8de2f9b2712848347d8b52e108a69",
     "heat2d_var": "72ad3a21661fe3b9898804d53af4b32a21cf1310faa493c706298d779c514db6",
     "heat2d_var-bigfloat": "a1ac4dbf75431d2c49d790da608260033e010db2e0deb02d9de4565fbafd92bb",
+    "heat_forced": "2f373c3142d4bb5fd2da6a9a588c2a45fdbed68b2f44601e28412925a30a0c78",
+    "heat_forced-bigfloat": "0500bde430aadd9d2346365fadd9d646ad578d86e17e6c9dffab9f94dd5781f3",
     "heat_exp": "9f426feea8ab973cdd1ab24f3f606f267a40feebd882c3e595e0d1164958cb81",
     "heat_exp-bigfloat": "2e4a6718b5359b2e7dcfcf4f90bdf12e2a7ea37591ab22f1e3eec115997f24f5",
     "heat_half": "9d968842e72b63c295847fe2ebcfb057bbf46d971e3ac943f1d8051113368012",
@@ -823,7 +841,10 @@ def test_check_output_matches_recorded_digest(seed, capsys):
 # heat2d_var cases were recorded before pde.apply came to clear the
 # operator's denominators, the two_segment and gamma_z2 cases before the
 # operator's walk became one MomentPDE method, and the wave_z4 and wave_tz2
-# cases (M = 2) when those fixtures were added.
+# cases (M = 2) when those fixtures were added.  heat_forced's were recorded
+# with the readers that preceded the one series reader; its solution is
+# wave_tz2's (u_t = u_zz + 1/(1 - z) is u_tt = d_t d_z^2 u integrated once in
+# t), and so is its Nagumo profile report.
 ESTIMATE_DIGESTS = {
     ("fractional", "nagumo_profile"): "bce354924952dd0867167b2bf497ea4b8df6161e463d62bd4d28f3720059bcfd",
     ("fractional", "sup_proxy"): "a23c9899f0c26f2f8f8b7bb3dcb7b3b084efebf4e257b5984baceb53474d3142",
@@ -833,6 +854,8 @@ ESTIMATE_DIGESTS = {
     ("heat2d", "sup_proxy"): "93b8377c9c7130a3927f537cb2df8dac8743c9160e645f5c6308e3dfd42018b7",
     ("heat2d_var", "nagumo_profile"): "939fa8ad6048eb7991b393257cdae1ccbf6673dcee2785fd2d904e9cb6a575e5",
     ("heat2d_var", "sup_proxy"): "eb407aa70740d9a982ec2fefb995df760f758dccb7e0f7f88db0241caf77099d",
+    ("heat_forced", "nagumo_profile"): "b9a0452c8adc45f05b5d6612debbdf954ebf153b78ffcc05d502d58ace833d24",
+    ("heat_forced", "sup_proxy"): "2c0c83aa10c58dd27dfed86b14415fb3fc4c50db0e7e4e0d1176396cb1ec5cdd",
     ("heat_exp", "nagumo_profile"): "f8e0a0d9a76afa4594c4e908899a22a710f63e6c8f72e33a49db81ec14038821",
     ("heat_exp", "sup_proxy"): "6a29a73c5972e9ed642ef3da29e742fc841b4afd578c1bd1426caccc35c93967",
     ("heat_half", "nagumo_profile"): "e913952294bce19ecda7c84328750cf8a5d06fffa702e24c2e8c495924c8b22b",
@@ -861,34 +884,64 @@ def test_estimate_output_matches_recorded_digest(name, mode, capsys):
     assert digest == ESTIMATE_DIGESTS[name, mode]
 
 
-# Two documented data forms, each with its equivalent monomial list, on
-# heat.json at t-order 10 and z-degree 20: the monomials object with an
-# explicit validity, and a right-hand side generator t^2 * 1/(1 - z/2)
+def _geometric(ratio: str, top: int, t_power: int = 0) -> list:
+    """The monomials of t^t_power / (1 - ratio z) up to z^top."""
+    c = Fraction(ratio)
+    return [{"t_power": t_power, "z_powers": [k], "value": str(c ** k)}
+            for k in range(top + 1)]
+
+
+# Every series form at every series field, each with an equivalent form, on
+# heat.json: (field, a value that solves otherwise, the form, its
+# equivalent, document edits made first, flags that override --t-order 10
+# and --z-degree 20).  The last case cuts the coefficient 1/(1 - z) at z^30
+# below data of degree 60, so valid(a_p) binds from u_1 on.
 DATA_FORMS = {
     "initial-monomials-object": ("initial", [[]], [{
-        "monomials": [{"z_powers": [k], "value": "1"} for k in range(21)],
-        "valid": [20]}], [{"generator": "geometric", "coefficient": "1"}]),
-    "rhs-generator-t-power": ("rhs", [], [
-        {"t_power": 2, "z_powers": [k], "value": f"1/{2 ** k}"}
-        for k in range(21)],
-        {"generator": "geometric", "coefficient": "1/2", "t_power": 2}),
+        "monomials": _geometric("1", 20), "valid": [20]}],
+        [{"generator": "geometric", "coefficient": "1"}], {}, ()),
+    "rhs-generator-t-power": ("rhs", [], _geometric("1/2", 20, 2),
+        {"generator": "geometric", "coefficient": "1/2", "t_power": 2}, {},
+        ()),
+    "rhs-monomials-object": ("rhs", [], {
+        "monomials": _geometric("1/2", 20, 2), "valid": [20]},
+        {"generator": "geometric", "coefficient": "1/2", "t_power": 2}, {},
+        ()),
+    "coefficient-generator-t-power": ("terms.0.coefficient", [{
+        "z_powers": [0], "value": "-1"}], {
+        "monomials": _geometric("1/2", 20, 1), "valid": [20]},
+        {"generator": "geometric", "coefficient": "1/2", "t_power": 1}, {},
+        ()),
+    "coefficient-truncated": ("terms.0.coefficient", [{
+        "z_powers": [0], "value": "-1"}], {
+        "monomials": _geometric("1", 30), "valid": [30]},
+        {"generator": "geometric", "coefficient": "1"},
+        {"initial": [{"monomials": _geometric("1", 60), "valid": [60]}]},
+        ("--t-order", "20", "--z-degree", "30")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DATA_FORMS))
 def test_a_data_form_solves_as_its_monomial_list(case, capsys, tmp_path):
-    field, zero, listed, form = DATA_FORMS[case]
+    field, other, form, equivalent, edits, flags = DATA_FORMS[case]
     doc = json.loads((PROBLEMS / "heat.json").read_text())
+    doc.update(edits)
     path = tmp_path / "heat.json"
-    outputs = []
-    for value in (zero, listed, form):
-        doc[field] = value
-        path.write_text(json.dumps(doc))
-        outputs.append(run(capsys, "solve", path, "--t-order", "10",
-                           "--z-degree", "20"))
-    assert outputs[1] == outputs[2]
-    assert outputs[1][0] == 0 and outputs[1] != outputs[0]
-    assert json.loads(outputs[1][1])["residual_max"] == "0"
+    for backend in ("bigfloat", "rational"):  # the exact dump is read below
+        outputs = []
+        for value in (other, form, equivalent):
+            _set(field, value)(doc)
+            path.write_text(json.dumps(doc))
+            outputs.append(run(capsys, "solve", path, "--backend", backend,
+                               "--t-order", "10", "--z-degree", "20", *flags))
+        assert outputs[1] == outputs[2]
+        assert outputs[1][0] == 0 and outputs[1] != outputs[0]
+    dump = json.loads(outputs[1][1])
+    assert dump["residual_max"] == "0"
+    if case == "coefficient-truncated":
+        assert [entry["valid"] for entry in dump["entries"]] == [[60]] + [
+            [32 - 2 * n] for n in range(1, 21)]
+        assert dump["valid_t_order"] == 16
 
 
 def test_backend_override(capsys):

@@ -648,6 +648,22 @@ def test_mixed2d_closed_form():
     assert [sol.coefficient(n).valid for n in (0, 12)] == [(24, 24), (12, 12)]
 
 
+def test_heat_forced_closed_form():
+    # u_t = u_zz + 1/(1 - z), u(0, z) = 0: u_n(gamma) = (gamma + 2n - 2)!/
+    # (gamma! n!) for n >= 1, trusted up to z^(122 - 2n); the right-hand side
+    # is the step's forced term.  In big float every trusted coefficient lies
+    # within a relative 2^(16 - precision) of the exact one
+    fact = math.factorial
+    sol = _closed_form_fixture(
+        "heat_forced", 1,
+        lambda n, g: n and F(fact(g[0] + 2 * n - 2), fact(g[0]) * fact(n)))
+    assert [sol.coefficient(n).valid for n in (0, 1, 40)] == [
+        (None,), (120,), (42,)]
+    rounded = solve(load_problem(PROBLEMS / "heat_forced.json",
+                                 {"backend": "bigfloat"}))
+    assert bits_lost(sol, rounded, 256) <= 16
+
+
 # Closed forms of two problems of t-order M = 2, both of 1/k1 = 1
 SECOND_ORDER = {
     # u_tt = d_z^4 u, u(0, z) = 1/(1 - z), u_t(0, z) = 0: u_n(gamma) =
